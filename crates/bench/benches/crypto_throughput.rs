@@ -75,8 +75,8 @@ fn bench_scalar_baseline(c: &mut Criterion) {
 }
 
 fn bench_key_setup(c: &mut Criterion) {
-    // Per-key cost of expanding the AES schedule and building the 64 KiB
-    // GHASH table — the price `CryptoEngine`'s fingerprint cache amortizes.
+    // Per-key cost of expanding the AES schedule and building the 32 KiB
+    // of GHASH tables — paid once per stream by `WorkloadKeyManager`.
     let key = Key::Aes256([0x24; 32]);
     c.bench_function("aes_gcm_key_setup", |b| {
         b.iter(|| std::hint::black_box(AesGcm::new(&key)))

@@ -13,12 +13,10 @@
 //! adaptor crypt, SC filter, SC crypt, link, DMA), event counters, and
 //! the deterministic trace digest — under the `telemetry` key.
 
-use ccai_core::adaptor::seal_chunks_striped;
 use ccai_core::system::{ConfidentialSystem, SystemMode};
 use ccai_core::TelemetrySnapshot;
 use ccai_crypto::scalar::ScalarAesGcm;
 use ccai_crypto::{AesGcm, Key};
-use ccai_trust::keymgmt::StreamId;
 use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -126,41 +124,6 @@ fn run() -> Vec<Sample> {
     samples
 }
 
-/// Throughput of the Adaptor's striped multi-lane sealer at one lane
-/// count.
-struct LaneSample {
-    lanes: usize,
-    ns_per_iter: f64,
-    gib_per_s: f64,
-}
-
-/// Charts the crypto-lane scaling trend: the exact striped in-place
-/// sealer the Adaptor's staging path ships, over a multi-megabyte
-/// buffer, at 1/2/4/8 lanes. Lane 1 is the sequential baseline; the
-/// ciphertext layout is identical at every count, so this isolates the
-/// thread-parallel speedup.
-fn run_lanes() -> Vec<LaneSample> {
-    const LANE_BUF: usize = 4 * 1024 * 1024;
-    let key = Key::Aes128([0x42; 16]);
-    let plaintext = patterned(LANE_BUF);
-    let mut buf = plaintext.clone();
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|lanes| {
-            let (ns_per_iter, gib_per_s) = measure(LANE_BUF, || {
-                buf.copy_from_slice(&plaintext);
-                std::hint::black_box(seal_chunks_striped(
-                    &key,
-                    StreamId(7),
-                    &mut buf,
-                    lanes,
-                ));
-            });
-            LaneSample { lanes, ns_per_iter, gib_per_s }
-        })
-        .collect()
-}
-
 /// Runs one fixed-seed confidential inference through the functional
 /// datapath and returns its telemetry snapshot. Every input is
 /// deterministic, so the snapshot's trace digest is reproducible
@@ -175,7 +138,7 @@ fn confidential_workload_snapshot() -> TelemetrySnapshot {
     system.telemetry_snapshot()
 }
 
-fn to_json(samples: &[Sample], lanes: &[LaneSample], telemetry: &TelemetrySnapshot) -> String {
+fn to_json(samples: &[Sample], telemetry: &TelemetrySnapshot) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"crypto_throughput\",\n  \"unit\": \"GiB/s\",\n  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
@@ -189,17 +152,6 @@ fn to_json(samples: &[Sample], lanes: &[LaneSample], telemetry: &TelemetrySnapsh
     out.push_str("  ],\n");
     let speedup = speedup_64k(samples);
     writeln!(out, "  \"speedup_table_vs_scalar_seal_64KiB\": {speedup:.1},").expect("write");
-    out.push_str("  \"crypto_lanes\": [\n");
-    for (i, l) in lanes.iter().enumerate() {
-        let sep = if i + 1 == lanes.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"lanes\": {}, \"ns_per_iter\": {:.1}, \"gib_per_s\": {:.4}}}{}",
-            l.lanes, l.ns_per_iter, l.gib_per_s, sep
-        )
-        .expect("write to string");
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"telemetry\": ");
     let telemetry_json = telemetry.to_json();
     assert!(
@@ -241,13 +193,6 @@ fn main() {
         );
     }
     println!("table vs scalar seal @64KiB: {:.1}x", speedup_64k(&samples));
-    let lanes = run_lanes();
-    for l in &lanes {
-        println!(
-            "striped seal 4MiB  lanes {:>2}  {:>12.1} ns/iter  {:>8.3} GiB/s",
-            l.lanes, l.ns_per_iter, l.gib_per_s
-        );
-    }
     let snapshot = confidential_workload_snapshot();
     println!("fixed-seed workload trace digest: {}", snapshot.digest_hex());
     for hop in &snapshot.hops {
@@ -258,7 +203,7 @@ fn main() {
             hop.total
         );
     }
-    let json = to_json(&samples, &lanes, &snapshot);
+    let json = to_json(&samples, &snapshot);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);

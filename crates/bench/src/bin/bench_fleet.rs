@@ -1,7 +1,7 @@
 //! Fleet-serving benchmark runner: drives a fixed-seed multi-tenant
 //! serving run (continuous batching, per-tenant token-bucket rate
 //! limiting, typed shedding) through the [`ccai_llm::serve`] layer and a
-//! golden-image spin-up sweep through [`ccai_llm::Fleet`], then writes
+//! golden-image spin-up sweep through [`ccai_llm::ShardedFleet`], then writes
 //! machine-readable results to `BENCH_fleet.json` so the serving-layer
 //! performance trajectory is tracked from PR to PR.
 //!
@@ -15,7 +15,7 @@
 //! bit-identical run-to-run for the same seed.
 
 use ccai_core::system::SystemMode;
-use ccai_llm::{ChaosEvent, ChaosPlan, Fleet, FleetConfig, FleetServer};
+use ccai_llm::{ChaosEvent, ChaosPlan, FleetConfig, FleetServer, ShardedFleet};
 use ccai_sim::SimTime;
 use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
@@ -70,7 +70,7 @@ fn failover_run(requests: u64) -> (ccai_llm::FleetSnapshot, f64) {
 /// the "thousands of systems from one snapshot" claim made measurable.
 fn spin_up_sweep(replicas: usize) -> (usize, f64, f64) {
     const WEIGHTS: &[u8] = b"bench_fleet golden image weights";
-    let mut fleet = Fleet::deploy(XpuSpec::a100(), SystemMode::CcAi, WEIGHTS, 1)
+    let mut fleet = ShardedFleet::deploy(XpuSpec::a100(), SystemMode::CcAi, WEIGHTS, 1)
         .expect("template fleet deploys");
     let extra = replicas.saturating_sub(1);
     let t0 = Instant::now();
@@ -78,7 +78,7 @@ fn spin_up_sweep(replicas: usize) -> (usize, f64, f64) {
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(fleet.len(), replicas);
     // Spot-check the cohort still serves.
-    let out = fleet.serve_one(b"spin-up probe").expect("replica serves");
+    let out = fleet.serve(0, b"spin-up probe").expect("replica serves");
     assert!(!out.is_empty());
     let per_replica_us = if extra > 0 { wall_ms * 1e3 / extra as f64 } else { 0.0 };
     (replicas, wall_ms, per_replica_us)

@@ -25,7 +25,7 @@ use crate::sc::{
     regs, status_bits, ENV_POLICY_RECORD_LEN, ENV_STREAM, MMIO_STREAM, STREAM_MAP_RECORD_LEN,
 };
 use ccai_pcie::{parse_ctrl_envelope, seal_ctrl_envelope, Bdf, Fabric, HostMemory, Tlp, TlpType};
-use ccai_crypto::{hkdf, Key};
+use ccai_crypto::{hkdf, AesGcm, Key};
 use ccai_sim::{Hop, Severity, Telemetry};
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::WorkloadKeyManager;
@@ -35,65 +35,6 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-
-/// Transfers at least this large use the parallel encryption path when
-/// multiple crypto lanes are configured (§5 "allocate additional CPU
-/// threads and cores to process the security operations in parallel").
-pub const PARALLEL_CRYPTO_THRESHOLD: usize = 256 * 1024;
-
-/// Encrypts a buffer's 4 KiB chunks *in place* across `lanes` OS
-/// threads, returning tag records in sequence order.
-///
-/// The buffer is split at chunk boundaries into one contiguous stripe
-/// per lane via `chunks_mut`, so every lane seals its stripe with
-/// `seal_in_place_detached` and zero per-chunk allocations or copies —
-/// the ciphertext layout is byte-identical to the sequential in-place
-/// path. Public so the crypto benchmark can chart the lane-count trend
-/// against the same code the Adaptor ships.
-pub fn seal_chunks_striped(
-    key: &Key,
-    stream: StreamId,
-    sealed: &mut [u8],
-    lanes: usize,
-) -> Vec<TagRecord> {
-    let chunk_count = sealed.len().div_ceil(CHUNK_SIZE as usize).max(1);
-    let lanes = lanes.max(1).min(chunk_count);
-    // Whole chunks per stripe keeps every (stream, seq) nonce/AAD pair
-    // identical to the sequential path.
-    let stripe_bytes = chunk_count.div_ceil(lanes) * CHUNK_SIZE as usize;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sealed
-            .chunks_mut(stripe_bytes)
-            .enumerate()
-            .map(|(stripe_idx, stripe)| {
-                let first_seq = (stripe_idx * stripe_bytes / CHUNK_SIZE as usize) as u64;
-                scope.spawn(move || {
-                    // Each lane expands its own key schedule, as each core
-                    // does on the real system.
-                    let cipher = ccai_crypto::AesGcm::new(key);
-                    stripe
-                        .chunks_mut(CHUNK_SIZE as usize)
-                        .enumerate()
-                        .map(|(i, chunk)| {
-                            let seq = first_seq + i as u64;
-                            let chunk_ref = ChunkRef { stream, seq };
-                            let tag = cipher.seal_in_place_detached(
-                                &chunk_ref.nonce(),
-                                chunk,
-                                &chunk_ref.aad(),
-                            );
-                            TagRecord { stream, seq, tag }
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("crypto lane panicked"))
-            .collect()
-    })
-}
 
 /// Adaptor operation counters (priced by the perf model).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,20 +128,23 @@ struct AdaptorState {
     /// never be mistaken for a fresh acknowledgment.
     ctrl_read_tag: u8,
     retry: RetryPolicy,
-    env_key: Key,
+    env_key: AesGcm,
     telemetry: Option<Telemetry>,
+}
+
+/// The stream's expanded key, provisioned on first use. Takes the key
+/// manager rather than the whole state so callers can run the borrowed
+/// cipher through the state's engine.
+fn stream_cipher(keys: &mut WorkloadKeyManager, id: StreamId) -> &AesGcm {
+    if keys.stream_cipher(id).is_err() {
+        keys.provision_stream(id, u64::MAX - 1);
+    }
+    keys.stream_cipher(id).expect("just provisioned")
 }
 
 impl AdaptorState {
     fn tenant(&self) -> Option<u32> {
         Some(u32::from(self.config.tvm_bdf.to_u16()))
-    }
-
-    fn stream_key(&mut self, id: StreamId) -> Key {
-        if self.keys.stream_key(id).is_err() {
-            self.keys.provision_stream(id, u64::MAX - 1);
-        }
-        self.keys.stream_key(id).expect("just provisioned").clone()
     }
 
     fn alloc_staging(&mut self, len: u64) -> u64 {
@@ -324,8 +268,9 @@ impl Adaptor {
             unacked: Vec::new(),
             ctrl_read_tag: 0,
             retry: RetryPolicy { max_attempts: 6, ..RetryPolicy::default() },
-            env_key: Key::from_bytes(&hkdf(b"ccai-env-key", &master, b"env", 16))
-                .expect("16B key"),
+            env_key: AesGcm::new(
+                &Key::from_bytes(&hkdf(b"ccai-env-key", &master, b"env", 16)).expect("16B key"),
+            ),
             telemetry: None,
         };
         state.keys.provision_stream(MMIO_STREAM, u64::MAX - 1);
@@ -699,12 +644,12 @@ impl DmaStager for Adaptor {
         // phase 2.
         let (metadata_reads, base, len) = {
             let mut state = self.state.borrow_mut();
+            let state = &mut *state;
             let queued_before = state.unacked.len();
             let base = state.alloc_staging(data.len() as u64);
             let stream = StreamId(state.next_stream);
             state.next_stream += 1;
             state.stream_of.push((base, stream));
-            let key = state.stream_key(stream);
 
             state.stream_map_record(
                 stream,
@@ -714,29 +659,22 @@ impl DmaStager for Adaptor {
                 0,
             );
 
-            // Encrypt into the bounce buffer; collect tags. Large
-            // transfers fan the chunks out across the configured crypto
-            // lanes (§5); small ones stay on the caller's core. Either
-            // way the plaintext is copied exactly once and sealed in
-            // place — no per-chunk ciphertext allocations.
-            let lanes = state.config.opts.crypto_lanes as usize;
+            // Encrypt into the bounce buffer; collect tags. The plaintext
+            // is copied exactly once and sealed in place — no per-chunk
+            // ciphertext allocations.
             let mut sealed = data.to_vec();
-            let tags = if lanes > 1 && data.len() >= PARALLEL_CRYPTO_THRESHOLD {
-                seal_chunks_striped(&key, stream, &mut sealed, lanes)
-            } else {
-                let mut tags = Vec::with_capacity(sealed.len().div_ceil(CHUNK_SIZE as usize));
-                for (i, chunk) in sealed.chunks_mut(CHUNK_SIZE as usize).enumerate() {
-                    let chunk_ref = ChunkRef { stream, seq: i as u64 };
-                    let tag = state.engine.seal_in_place_detached(
-                        &key,
-                        &chunk_ref.nonce(),
-                        chunk,
-                        &chunk_ref.aad(),
-                    );
-                    tags.push(TagRecord { stream, seq: i as u64, tag });
-                }
-                tags
-            };
+            let mut tags = Vec::with_capacity(sealed.len().div_ceil(CHUNK_SIZE as usize));
+            let cipher = stream_cipher(&mut state.keys, stream);
+            for (i, chunk) in sealed.chunks_mut(CHUNK_SIZE as usize).enumerate() {
+                let chunk_ref = ChunkRef { stream, seq: i as u64 };
+                let tag = state.engine.seal_in_place_detached(
+                    cipher,
+                    &chunk_ref.nonce(),
+                    chunk,
+                    &chunk_ref.aad(),
+                );
+                tags.push(TagRecord { stream, seq: i as u64, tag });
+            }
             memory.write(base, &sealed);
             state.counters.bytes_encrypted += data.len() as u64;
             state.counters.chunks_staged += tags.len() as u64;
@@ -826,7 +764,7 @@ impl DmaStager for Adaptor {
             let stream = StreamId(state.next_stream);
             state.next_stream += 1;
             state.stream_of.push((base, stream));
-            let _ = state.stream_key(stream);
+            state.keys.provision_stream(stream, u64::MAX - 1);
             let chunks = len.div_ceil(CHUNK_SIZE);
             state.pending_d2h.push((base, stream, chunks));
             state.stream_map_record(stream, StreamDirection::DeviceToHost, base, len, 0);
@@ -851,13 +789,13 @@ impl DmaStager for Adaptor {
         buffer: StagedBuffer,
     ) -> Result<Vec<u8>, IntegrityError> {
         let mut state = self.state.borrow_mut();
+        let state = &mut *state;
         let idx = state
             .pending_d2h
             .iter()
             .position(|(base, _, _)| *base == buffer.device_addr)
             .ok_or_else(|| IntegrityError { reason: "unknown landing buffer".to_string() })?;
         let (base, stream, chunks) = state.pending_d2h.remove(idx);
-        let key = state.stream_key(stream);
 
         // Read the SC-deposited tag records from the landing buffer.
         let landing = state.config.tag_landing;
@@ -876,6 +814,7 @@ impl DmaStager for Adaptor {
         // Read the landing buffer once, then verify + decrypt each chunk
         // in place — no per-chunk ciphertext or plaintext allocations.
         let mut plaintext = memory.read(base, buffer.len);
+        let cipher = stream_cipher(&mut state.keys, stream);
         for (i, chunk) in plaintext.chunks_mut(CHUNK_SIZE as usize).enumerate() {
             let i = i as u64;
             let chunk_ref = ChunkRef { stream, seq: i };
@@ -884,7 +823,7 @@ impl DmaStager for Adaptor {
             })?;
             if state
                 .engine
-                .open_in_place_detached(&key, &chunk_ref.nonce(), chunk, &tag, &chunk_ref.aad())
+                .open_in_place_detached(cipher, &chunk_ref.nonce(), chunk, &tag, &chunk_ref.aad())
                 .is_err()
             {
                 if let Some(telemetry) = state.telemetry.clone() {
@@ -977,9 +916,14 @@ impl DmaStager for Adaptor {
 
     fn release_all(&mut self) {
         let mut state = self.state.borrow_mut();
+        let state = &mut *state;
         state.staging_cursor = 0;
         state.pending_d2h.clear();
-        state.stream_of.clear();
+        // Streams end with their staging — nothing can name them again —
+        // and their keys end with them.
+        for (_, stream) in state.stream_of.drain(..) {
+            state.keys.retire_stream(stream);
+        }
     }
 }
 
@@ -1138,6 +1082,7 @@ impl TlpPort for AdaptorPort<'_> {
         // so bus tampering of control traffic is detectable (A3).
         let mirror = {
             let mut state = self.state.borrow_mut();
+            let state = &mut *state;
             let header = tlp.header();
             let is_bar0_write = header.tlp_type() == TlpType::MemWrite
                 && header
@@ -1165,12 +1110,12 @@ impl TlpPort for AdaptorPort<'_> {
                         seq
                     }
                 };
-                let key = state.stream_key(MMIO_STREAM);
+                let cipher = stream_cipher(&mut state.keys, MMIO_STREAM);
                 let chunk = ChunkRef { stream: MMIO_STREAM, seq };
                 let mut signed =
                     tlp.header().address().expect("checked").to_be_bytes().to_vec();
                 signed.extend_from_slice(tlp.payload());
-                let tag = state.engine.plain_tag(&key, &chunk.nonce(), &signed);
+                let tag = state.engine.plain_tag(cipher, &chunk.nonce(), &signed);
                 let record = TagRecord { stream: MMIO_STREAM, seq, tag };
                 state.counters.mmio_tags += 1;
                 Some(state.raw_control_write(regs::TAG_QUEUE, record.to_bytes().to_vec()))
@@ -1192,52 +1137,39 @@ impl TlpPort for AdaptorPort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::{ConfidentialSystem, SystemMode};
+    use ccai_xpu::XpuSpec;
 
-    /// The §5 crypto-lane striping must be invisible in the output: any
-    /// lane count yields byte-identical ciphertexts and tags, in sequence
-    /// order, matching the single-threaded engine path.
+    /// Every staged chunk goes through the engine, whatever the transfer
+    /// size: the engine's stats and the Adaptor's own counters agree.
     #[test]
-    fn parallel_lanes_match_sequential_engine_output() {
-        let key = Key::Aes128([0x42; 16]);
-        let stream = StreamId(9);
-        // 10.5 chunks: exercises an odd stripe split and a short tail.
-        let data: Vec<u8> =
-            (0..CHUNK_SIZE as usize * 10 + 2048).map(|i| (i * 31 % 251) as u8).collect();
-
-        let mut engine = CryptoEngine::new();
-        let expected: Vec<(Vec<u8>, TagRecord)> = data
-            .chunks(CHUNK_SIZE as usize)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let chunk_ref = ChunkRef { stream, seq: i as u64 };
-                let (ct, tag) =
-                    engine.seal_detached(&key, &chunk_ref.nonce(), chunk, &chunk_ref.aad());
-                (ct, TagRecord { stream, seq: i as u64, tag })
-            })
-            .collect();
-
-        for lanes in [1, 2, 3, 8, 64] {
-            let mut sealed = data.clone();
-            let got = seal_chunks_striped(&key, stream, &mut sealed, lanes);
-            assert_eq!(got.len(), expected.len(), "lanes={lanes}");
-            for ((got_rec, got_ct), (want_ct, want_rec)) in
-                got.iter().zip(sealed.chunks(CHUNK_SIZE as usize)).zip(&expected)
-            {
-                assert_eq!(got_rec.seq, want_rec.seq, "lanes={lanes}");
-                assert_eq!(got_rec.tag, want_rec.tag, "lanes={lanes} seq={}", want_rec.seq);
-                assert_eq!(got_ct, want_ct, "lanes={lanes} seq={}", want_rec.seq);
-            }
-        }
+    fn engine_stats_cover_large_transfers() {
+        let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+        let mut adaptor = system.adaptor_handle().expect("protected mode has adaptor");
+        let data: Vec<u8> = (0..512 * 1024).map(|i| (i * 31 % 251) as u8).collect();
+        system.with_port(|port, memory| adaptor.stage_to_device(port, memory, &data));
+        let stats = adaptor.state.borrow().engine.stats();
+        let counters = adaptor.counters();
+        assert_eq!(counters.bytes_encrypted, data.len() as u64);
+        assert_eq!(stats.bytes_encrypted, counters.bytes_encrypted);
+        assert_eq!(stats.seal_ops, counters.chunks_staged);
     }
 
-    /// More lanes than chunks must not spawn empty stripes or panic.
+    /// A stream's key lives from staging to `release_all`: serving any
+    /// number of requests leaves only the MMIO stream provisioned.
     #[test]
-    fn lane_count_clamps_to_chunk_count() {
-        let key = Key::Aes256([7; 32]);
-        let mut data = vec![0xA5u8; 100];
-        let tags = seal_chunks_striped(&key, StreamId(1), &mut data, 16);
-        assert_eq!(tags.len(), 1);
-        assert_eq!(data.len(), 100);
-        assert_ne!(data, vec![0xA5u8; 100], "sealing transformed the buffer");
+    fn released_streams_leave_no_keys_behind() {
+        let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+        let mut adaptor = system.adaptor_handle().expect("protected mode has adaptor");
+        for round in 0..16u8 {
+            system.with_port(|port, memory| {
+                adaptor.stage_to_device(port, memory, &[round; 100]);
+                adaptor.alloc_from_device(port, memory, 32);
+            });
+            assert_eq!(adaptor.state.borrow().keys.live_streams(), 3);
+            adaptor.release_all();
+            assert_eq!(adaptor.state.borrow().keys.live_streams(), 1);
+        }
+        assert!(adaptor.state.borrow().keys.stream_cipher(MMIO_STREAM).is_ok());
     }
 }

@@ -5,14 +5,15 @@
 //! core around `ccai-crypto`, instrumented with the byte/op counters the
 //! performance model prices.
 //!
+//! The engine owns no key material: every call borrows the stream's
+//! expanded [`AesGcm`] from the `WorkloadKeyManager` that owns it.
+//!
 //! Ciphertext is emitted *detached*: the ciphertext has the plaintext's
 //! length (CTR keystream) and the 16-byte tag is returned separately for
 //! the Authentication Tag Manager to ship out-of-band.
 
-use ccai_crypto::{AesGcm, Key};
+use ccai_crypto::AesGcm;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
 
 /// Engine activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,52 +30,16 @@ pub struct EngineStats {
     pub auth_failures: u64,
 }
 
-/// Stack-allocated cache key: the raw key bytes widened to the larger
-/// key size. Hashing and comparing this is allocation-free, unlike the
-/// `Vec<u8>` key the seed used (one heap allocation per crypto call).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct KeyFingerprint {
-    len: u8,
-    bytes: [u8; 32],
-}
-
-impl KeyFingerprint {
-    fn of(key: &Key) -> KeyFingerprint {
-        let raw = key.as_bytes();
-        let mut bytes = [0u8; 32];
-        bytes[..raw.len()].copy_from_slice(raw);
-        KeyFingerprint { len: raw.len() as u8, bytes }
-    }
-}
-
-/// The crypto engine with a small key-schedule cache.
+/// The crypto engine: activity counters over borrowed ciphers.
+#[derive(Debug, Default)]
 pub struct CryptoEngine {
-    ciphers: HashMap<KeyFingerprint, AesGcm>,
     stats: EngineStats,
-}
-
-impl fmt::Debug for CryptoEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CryptoEngine").field("stats", &self.stats).finish()
-    }
-}
-
-impl Default for CryptoEngine {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl CryptoEngine {
     /// Creates an idle engine.
     pub fn new() -> Self {
-        CryptoEngine { ciphers: HashMap::new(), stats: EngineStats::default() }
-    }
-
-    fn cipher(&mut self, key: &Key) -> &AesGcm {
-        self.ciphers
-            .entry(KeyFingerprint::of(key))
-            .or_insert_with(|| AesGcm::new(key))
+        Self::default()
     }
 
     /// Encrypts a chunk; returns `(ciphertext, tag)` with
@@ -83,14 +48,14 @@ impl CryptoEngine {
     /// or truncation.
     pub fn seal_detached(
         &mut self,
-        key: &Key,
+        cipher: &AesGcm,
         nonce: &[u8; 12],
         plaintext: &[u8],
         aad: &[u8],
     ) -> (Vec<u8>, [u8; 16]) {
         self.stats.seal_ops += 1;
         self.stats.bytes_encrypted += plaintext.len() as u64;
-        self.cipher(key).seal_detached(nonce, plaintext, aad)
+        cipher.seal_detached(nonce, plaintext, aad)
     }
 
     /// Encrypts a chunk in place, returning the detached tag. The
@@ -98,14 +63,14 @@ impl CryptoEngine {
     /// that already own a mutable staging buffer.
     pub fn seal_in_place_detached(
         &mut self,
-        key: &Key,
+        cipher: &AesGcm,
         nonce: &[u8; 12],
         buf: &mut [u8],
         aad: &[u8],
     ) -> [u8; 16] {
         self.stats.seal_ops += 1;
         self.stats.bytes_encrypted += buf.len() as u64;
-        self.cipher(key).seal_in_place_detached(nonce, buf, aad)
+        cipher.seal_in_place_detached(nonce, buf, aad)
     }
 
     /// Decrypts a chunk against its detached tag.
@@ -117,14 +82,14 @@ impl CryptoEngine {
     #[allow(clippy::result_unit_err)]
     pub fn open_detached(
         &mut self,
-        key: &Key,
+        cipher: &AesGcm,
         nonce: &[u8; 12],
         ciphertext: &[u8],
         tag: &[u8; 16],
         aad: &[u8],
     ) -> Result<Vec<u8>, ()> {
         self.stats.open_ops += 1;
-        match self.cipher(key).open_detached(nonce, ciphertext, tag, aad) {
+        match cipher.open_detached(nonce, ciphertext, tag, aad) {
             Ok(plain) => {
                 self.stats.bytes_decrypted += plain.len() as u64;
                 Ok(plain)
@@ -145,14 +110,14 @@ impl CryptoEngine {
     #[allow(clippy::result_unit_err)]
     pub fn open_in_place_detached(
         &mut self,
-        key: &Key,
+        cipher: &AesGcm,
         nonce: &[u8; 12],
         buf: &mut [u8],
         tag: &[u8; 16],
         aad: &[u8],
     ) -> Result<(), ()> {
         self.stats.open_ops += 1;
-        match self.cipher(key).open_in_place_detached(nonce, buf, tag, aad) {
+        match cipher.open_in_place_detached(nonce, buf, tag, aad) {
             Ok(()) => {
                 self.stats.bytes_decrypted += buf.len() as u64;
                 Ok(())
@@ -166,19 +131,19 @@ impl CryptoEngine {
 
     /// Computes a standalone integrity tag over plaintext data (the A3
     /// "integrity check (plain)" primitive).
-    pub fn plain_tag(&mut self, key: &Key, nonce: &[u8; 12], data: &[u8]) -> [u8; 16] {
-        self.cipher(key).tag_only(nonce, data)
+    pub fn plain_tag(&self, cipher: &AesGcm, nonce: &[u8; 12], data: &[u8]) -> [u8; 16] {
+        cipher.tag_only(nonce, data)
     }
 
     /// Verifies a standalone integrity tag.
     pub fn verify_plain_tag(
         &mut self,
-        key: &Key,
+        cipher: &AesGcm,
         nonce: &[u8; 12],
         data: &[u8],
         tag: &[u8; 16],
     ) -> bool {
-        let ok = self.cipher(key).verify_tag_only(nonce, data, tag);
+        let ok = cipher.verify_tag_only(nonce, data, tag);
         if !ok {
             self.stats.auth_failures += 1;
         }
@@ -190,9 +155,7 @@ impl CryptoEngine {
         self.stats
     }
 
-    /// Serializes the engine's activity counters. The key-schedule cache
-    /// carries no durable state — it repopulates lazily on first use after
-    /// a restore.
+    /// Serializes the engine's activity counters.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         enc.u64(self.stats.bytes_encrypted);
         enc.u64(self.stats.bytes_decrypted);
@@ -210,15 +173,13 @@ impl CryptoEngine {
         &mut self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::SnapshotError> {
-        let stats = EngineStats {
+        self.stats = EngineStats {
             bytes_encrypted: dec.u64()?,
             bytes_decrypted: dec.u64()?,
             seal_ops: dec.u64()?,
             open_ops: dec.u64()?,
             auth_failures: dec.u64()?,
         };
-        self.stats = stats;
-        self.ciphers.clear();
         Ok(())
     }
 }
@@ -226,9 +187,10 @@ impl CryptoEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccai_crypto::Key;
 
-    fn key() -> Key {
-        Key::Aes128([0x21; 16])
+    fn key() -> AesGcm {
+        AesGcm::new(&Key::Aes128([0x21; 16]))
     }
 
     #[test]
@@ -309,11 +271,10 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_key_widths() {
         // A 16-byte zero key and a 32-byte zero key share their first 16
-        // bytes; the fingerprint's length field must keep their cached
-        // schedules apart.
+        // bytes; one engine serving both must keep their traffic apart.
         let mut engine = CryptoEngine::new();
-        let k128 = Key::Aes128([0; 16]);
-        let k256 = Key::Aes256([0; 32]);
+        let k128 = AesGcm::new(&Key::Aes128([0; 16]));
+        let k256 = AesGcm::new(&Key::Aes256([0; 32]));
         let (ct1, tag1) = engine.seal_detached(&k128, &[0; 12], b"same input", b"");
         let (ct2, _) = engine.seal_detached(&k256, &[0; 12], b"same input", b"");
         assert_ne!(ct1, ct2);
@@ -324,8 +285,8 @@ mod tests {
     #[test]
     fn key_cache_is_transparent() {
         let mut engine = CryptoEngine::new();
-        let k1 = Key::Aes128([1; 16]);
-        let k2 = Key::Aes128([2; 16]);
+        let k1 = AesGcm::new(&Key::Aes128([1; 16]));
+        let k2 = AesGcm::new(&Key::Aes128([2; 16]));
         let (ct1, tag1) = engine.seal_detached(&k1, &[0; 12], b"x", b"");
         let (ct2, _) = engine.seal_detached(&k2, &[0; 12], b"x", b"");
         assert_ne!(ct1, ct2);

@@ -16,7 +16,7 @@
 
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::{KeyManagerError, WorkloadKeyManager};
-use ccai_crypto::Key;
+use ccai_crypto::AesGcm;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -94,7 +94,9 @@ impl ParamsManager {
     /// Adaptor and the PCIe-SC call this with identical arguments.
     ///
     /// Re-registering an existing id replaces its window and resets
-    /// nothing else (keys and replay state persist).
+    /// nothing else (keys and replay state persist). A stream evicted by
+    /// an overlapping window can never resolve again, so its key is
+    /// retired with it.
     pub fn register_stream(
         &mut self,
         id: StreamId,
@@ -102,16 +104,21 @@ impl ParamsManager {
         host_range: Range<u64>,
         base_seq: u64,
     ) {
-        if self.keys.stream_key(id).is_err() {
+        if self.keys.stream_cipher(id).is_err() {
             self.keys.provision_stream(id, u64::MAX - 1);
         }
         // Evict any *other* stream whose window overlaps the new one:
         // staging windows are recycled across transfers, and the newest
         // registration must win address resolution.
+        let keys = &mut self.keys;
         self.streams.retain(|e| {
-            e.id == id
+            let keep = e.id == id
                 || e.host_range.end <= host_range.start
-                || e.host_range.start >= host_range.end
+                || e.host_range.start >= host_range.end;
+            if !keep {
+                keys.retire_stream(e.id);
+            }
+            keep
         });
         if let Some(entry) = self.streams.iter_mut().find(|e| e.id == id) {
             entry.direction = direction;
@@ -145,13 +152,13 @@ impl ParamsManager {
         self.streams.iter().any(|e| e.host_range.contains(&addr))
     }
 
-    /// The key for a stream.
+    /// The expanded key for a stream.
     ///
     /// # Errors
     ///
     /// Propagates [`KeyManagerError::UnknownStream`].
-    pub fn key(&self, id: StreamId) -> Result<&Key, KeyManagerError> {
-        self.keys.stream_key(id)
+    pub fn cipher(&self, id: StreamId) -> Result<&AesGcm, KeyManagerError> {
+        self.keys.stream_cipher(id)
     }
 
     /// Marks a chunk as processed; returns `false` (and counts a blocked
@@ -316,7 +323,32 @@ mod tests {
         for m in [&mut sc, &mut adaptor] {
             m.register_stream(StreamId(3), StreamDirection::DeviceToHost, 0..0x1000, 0);
         }
-        assert_eq!(sc.key(StreamId(3)).unwrap(), adaptor.key(StreamId(3)).unwrap());
+        let chunk = ChunkRef { stream: StreamId(3), seq: 0 };
+        let (ct, tag) =
+            sc.cipher(StreamId(3)).unwrap().seal_detached(&chunk.nonce(), b"chunk", &chunk.aad());
+        let opened = adaptor
+            .cipher(StreamId(3))
+            .unwrap()
+            .open_detached(&chunk.nonce(), &ct, &tag, &chunk.aad());
+        assert_eq!(opened.unwrap(), b"chunk");
+    }
+
+    #[test]
+    fn overlapping_registration_retires_the_evicted_key() {
+        use crate::sc::MMIO_STREAM;
+        let mut m = manager();
+        m.register_stream(MMIO_STREAM, StreamDirection::HostToDevice, 0..0, 0);
+        m.register_stream(StreamId(1), StreamDirection::HostToDevice, 0..0x2000, 0);
+        m.register_stream(StreamId(2), StreamDirection::DeviceToHost, 0x2000..0x3000, 0);
+        // Same id, moved window: not an eviction.
+        m.register_stream(StreamId(2), StreamDirection::DeviceToHost, 0x4000..0x5000, 0);
+        // The staging window is recycled: stream 3 lands on stream 1.
+        m.register_stream(StreamId(3), StreamDirection::HostToDevice, 0x1000..0x3000, 0);
+        assert!(m.cipher(StreamId(1)).is_err(), "evicted stream keeps no key");
+        assert!(m.cipher(MMIO_STREAM).is_ok(), "the empty MMIO window never overlaps");
+        assert!(m.cipher(StreamId(2)).is_ok());
+        assert!(m.cipher(StreamId(3)).is_ok());
+        assert_eq!(m.keys_mut().live_streams(), 3);
     }
 
     #[test]
@@ -355,7 +387,7 @@ mod tests {
         let mut m = manager();
         m.register_stream(StreamId(1), StreamDirection::HostToDevice, 0..0x1000, 0);
         m.destroy();
-        assert!(m.key(StreamId(1)).is_err());
+        assert!(m.cipher(StreamId(1)).is_err());
         assert!(!m.covers(0x100));
     }
 }

@@ -64,7 +64,9 @@ pub struct OptimizationConfig {
     /// instead of software AES in the Adaptor.
     pub aes_ni: bool,
     /// §5 "Optimization on security operations" (2): number of CPU cores
-    /// encrypting in parallel.
+    /// encrypting in parallel. A sim-time price only
+    /// ([`OptimizationConfig::crypto_bandwidth`]); the host seals on the
+    /// caller's thread.
     pub crypto_lanes: u32,
 }
 

@@ -20,7 +20,7 @@ use crate::handler::{
 };
 use crate::perf::{AES_NI_RATE, SC_PIPELINE_LATENCY};
 use ccai_pcie::{parse_ctrl_envelope, Bdf, CplStatus, Interposer, InterposeOutcome, Tlp, TlpType};
-use ccai_crypto::{hkdf, Key};
+use ccai_crypto::{hkdf, AesGcm, Key};
 use ccai_sim::{Bandwidth, Hop, Severity, SnapshotError, Telemetry};
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::WorkloadKeyManager;
@@ -319,7 +319,7 @@ pub struct PcieSc {
     engine: CryptoEngine,
     env_guard: EnvGuard,
     config_key: Key,
-    env_key: Key,
+    env_key: AesGcm,
     status: u64,
     policy_staging: Vec<u8>,
     policy_len: u64,
@@ -358,8 +358,9 @@ impl PcieSc {
     pub fn new(config: ScConfig, master: [u8; 32]) -> PcieSc {
         let config_key =
             Key::from_bytes(&hkdf(b"ccai-config-key", &master, b"policy", 16)).expect("16B key");
-        let env_key =
-            Key::from_bytes(&hkdf(b"ccai-env-key", &master, b"env", 16)).expect("16B key");
+        let env_key = AesGcm::new(
+            &Key::from_bytes(&hkdf(b"ccai-env-key", &master, b"env", 16)).expect("16B key"),
+        );
         let primary = TenantCtx::new(config.tvm_bdf, config.xpu_bdf, master);
         PcieSc {
             config,
@@ -889,12 +890,14 @@ impl PcieSc {
             self.alert_crypt(tenant, chunk, "missing authentication tag");
             return self.abort_completion(requester, cpl_tag);
         };
-        let Ok(key) = self.tenants[tenant].params.key(chunk.stream).cloned() else {
+        let Ok(cipher) = self.tenants[tenant].params.cipher(chunk.stream) else {
             self.tenants[tenant].params.unmark(chunk);
             self.alert_crypt(tenant, chunk, "no key for stream");
             return self.abort_completion(requester, cpl_tag);
         };
-        match self.engine.open_detached(&key, &chunk.nonce(), tlp.payload(), &tag, &chunk.aad())
+        match self
+            .engine
+            .open_detached(cipher, &chunk.nonce(), tlp.payload(), &tag, &chunk.aad())
         {
             Ok(plain) => {
                 self.counters.chunks_decrypted += 1;
@@ -986,13 +989,13 @@ impl PcieSc {
     // ---- A2: encrypt D2H writes ----
 
     fn encrypt_device_write(&mut self, tenant: usize, tlp: Tlp, chunk: ChunkRef) -> InterposeOutcome {
-        let Ok(key) = self.tenants[tenant].params.key(chunk.stream).cloned() else {
+        let Ok(cipher) = self.tenants[tenant].params.cipher(chunk.stream) else {
             self.alert_crypt(tenant, chunk, "no key for stream");
             return InterposeOutcome::drop_packet();
         };
         let (ct, tag) =
             self.engine
-                .seal_detached(&key, &chunk.nonce(), tlp.payload(), &chunk.aad());
+                .seal_detached(cipher, &chunk.nonce(), tlp.payload(), &chunk.aad());
         self.counters.chunks_encrypted += 1;
         self.tenants[tenant].consecutive_crypt_failures = 0;
         if let Some(telemetry) = self.telemetry.clone() {
@@ -1076,13 +1079,13 @@ impl PcieSc {
                 self.block_a3(addr, "missing MMIO integrity tag");
                 return InterposeOutcome::drop_packet();
             };
-            let Ok(key) = self.tenants[tenant].params.key(MMIO_STREAM).cloned() else {
+            let Ok(cipher) = self.tenants[tenant].params.cipher(MMIO_STREAM) else {
                 self.block_a3(addr, "no MMIO stream key");
                 return InterposeOutcome::drop_packet();
             };
             let mut signed = addr.to_be_bytes().to_vec();
             signed.extend_from_slice(tlp.payload());
-            if !self.engine.verify_plain_tag(&key, &chunk.nonce(), &signed, &tag) {
+            if !self.engine.verify_plain_tag(cipher, &chunk.nonce(), &signed, &tag) {
                 self.block_a3(addr, "MMIO integrity tag mismatch");
                 return InterposeOutcome::drop_packet();
             }
@@ -1775,12 +1778,11 @@ mod tests {
             0,
         );
         // Adaptor-side encryption of one chunk.
-        let key = sc.tenants[0].params.key(StreamId(1)).unwrap().clone();
+        let cipher = sc.tenants[0].params.cipher(StreamId(1)).unwrap();
         let chunk = ChunkRef { stream: StreamId(1), seq: 0 };
-        let mut adaptor_engine = CryptoEngine::new();
         let plaintext = vec![0x5A; 4096];
         let (ct, tag) =
-            adaptor_engine.seal_detached(&key, &chunk.nonce(), &plaintext, &chunk.aad());
+            CryptoEngine::new().seal_detached(cipher, &chunk.nonce(), &plaintext, &chunk.aad());
         sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
 
         // Device issues the read...
@@ -1850,10 +1852,10 @@ mod tests {
             0x1_0000..0x2_0000,
             0,
         );
-        let key = sc.tenants[0].params.key(StreamId(1)).unwrap().clone();
+        let cipher = sc.tenants[0].params.cipher(StreamId(1)).unwrap();
         let chunk = ChunkRef { stream: StreamId(1), seq: 0 };
-        let mut engine = CryptoEngine::new();
-        let (ct, tag) = engine.seal_detached(&key, &chunk.nonce(), &[1; 64], &chunk.aad());
+        let (ct, tag) =
+            CryptoEngine::new().seal_detached(cipher, &chunk.nonce(), &[1; 64], &chunk.aad());
         sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
         sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
 
@@ -1900,7 +1902,26 @@ mod tests {
             0,
         );
         sc.on_downstream(Tlp::memory_write(tvm(), base + regs::TASK_END, vec![1]));
-        assert!(sc.tenants[0].params.key(StreamId(1)).is_err(), "keys destroyed");
+        assert!(sc.tenants[0].params.cipher(StreamId(1)).is_err(), "keys destroyed");
         assert_ne!(sc.status & status_bits::ENV_CLEAN_PENDING, 0);
+    }
+
+    #[test]
+    fn recycled_staging_window_keeps_tenant_keys_bounded() {
+        let mut sc = sc_with_policy();
+        // What the Adaptor sends per request: a fresh stream id over the
+        // same (recycled) staging window.
+        for id in 0x100u32..0x140 {
+            let mut record = Vec::with_capacity(STREAM_MAP_RECORD_LEN);
+            record.extend_from_slice(&id.to_be_bytes());
+            record.push(0);
+            record.extend_from_slice(&0x1_0000u64.to_be_bytes());
+            record.extend_from_slice(&0x1000u64.to_be_bytes());
+            record.extend_from_slice(&0u64.to_be_bytes());
+            sc.on_downstream(Tlp::memory_write(tvm(), 0x7F00_0000 + regs::STREAM_MAP, record));
+            assert!(sc.tenants[0].params.cipher(StreamId(id)).is_ok());
+        }
+        // MMIO_STREAM plus the newest registration.
+        assert!(sc.tenants[0].params.keys_mut().live_streams() <= 2);
     }
 }

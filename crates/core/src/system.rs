@@ -349,54 +349,8 @@ impl ConfidentialSystem {
         weights: &[u8],
         input: &[u8],
     ) -> Result<Vec<u8>, WorkloadError> {
-        self.ensure_policy()?;
-        match self.mode {
-            SystemMode::Vanilla => {
-                let driver = &self.driver;
-                driver.init(&mut self.fabric)?;
-                driver.load_model(
-                    &mut self.fabric,
-                    &mut self.memory,
-                    &mut self.identity_stager,
-                    weights,
-                    layout::DEV_WEIGHTS,
-                )?;
-                let result = driver.run_inference(
-                    &mut self.fabric,
-                    &mut self.memory,
-                    &mut self.identity_stager,
-                    input,
-                    layout::DEV_INPUT,
-                    layout::DEV_OUTPUT,
-                )?;
-                self.identity_stager.release_all();
-                Ok(result)
-            }
-            SystemMode::CcAi | SystemMode::CcAiUnoptimized => {
-                let adaptor = self.adaptor.clone().expect("protected mode has adaptor");
-                let mut stager = adaptor.clone();
-                let driver = &self.driver;
-                let mut port = adaptor.port(&mut self.fabric);
-                driver.init(&mut port)?;
-                driver.load_model(
-                    &mut port,
-                    &mut self.memory,
-                    &mut stager,
-                    weights,
-                    layout::DEV_WEIGHTS,
-                )?;
-                let result = driver.run_inference(
-                    &mut port,
-                    &mut self.memory,
-                    &mut stager,
-                    input,
-                    layout::DEV_INPUT,
-                    layout::DEV_OUTPUT,
-                )?;
-                stager.release_all();
-                Ok(result)
-            }
-        }
+        self.load_model(weights)?;
+        self.run_inference(input)
     }
 
     /// Runs only the model-load half of a workload: policy installation,
@@ -441,8 +395,8 @@ impl ConfidentialSystem {
 
     /// Runs inference against a model previously loaded with
     /// [`ConfidentialSystem::load_model`] and releases the staging
-    /// window. `load_model` followed by `run_inference` performs the same
-    /// operation sequence as [`ConfidentialSystem::run_workload`].
+    /// window. [`ConfidentialSystem::run_workload`] is `load_model`
+    /// followed by this.
     ///
     /// # Errors
     ///

@@ -95,8 +95,9 @@ impl AesGcm {
     /// Creates a GCM instance from an AES key.
     ///
     /// Key setup expands the AES round keys, derives the hash key
-    /// `H = E_K(0¹²⁸)` and builds the 64 KiB GHASH multiplication table;
-    /// the per-key cost is amortized by the engine's cipher cache.
+    /// `H = E_K(0¹²⁸)` and builds the 32 KiB of GHASH multiplication
+    /// tables (4 powers × 8 KiB); whoever owns the key pays this once and
+    /// keeps the instance.
     pub fn new(key: &Key) -> AesGcm {
         let aes = Aes::new(key);
         let mut h_block = [0u8; 16];

@@ -9,10 +9,10 @@
 //! so scale-out pays only the snapshot-decode cost instead of the full
 //! confidential session setup.
 //!
-//! [`Fleet`] packages that pattern over
-//! [`ccai_core::snapshot`]: [`Fleet::deploy`] warms and templates,
-//! [`Fleet::serve`] spreads prompts round-robin over the replicas, and
-//! [`Fleet::scale_out`] adds replicas later from the same template.
+//! [`ShardedFleet`] packages that pattern over
+//! [`ccai_core::snapshot`]: [`ShardedFleet::deploy`] warms and templates,
+//! [`ShardedFleet::serve`] runs a tenant's prompt on its home replica, and
+//! [`ShardedFleet::scale_out`] adds replicas later from the same template.
 
 use ccai_core::snapshot::{snapshot_mid_task, spin_up_fleet, SystemSnapshot};
 use ccai_core::system::{ConfidentialSystem, SystemMode, WorkloadError};
@@ -51,92 +51,6 @@ impl From<WorkloadError> for FleetError {
 impl From<SnapshotError> for FleetError {
     fn from(e: SnapshotError) -> Self {
         FleetError::Resume(e)
-    }
-}
-
-/// A serving fleet stamped out of one warmed template snapshot.
-pub struct Fleet {
-    template: SystemSnapshot,
-    replicas: Vec<ConfidentialSystem>,
-    next: usize,
-}
-
-impl Fleet {
-    /// Warms one system on `spec` under `mode` (policy install, driver
-    /// init, weights DMA), snapshots it as the golden template, and
-    /// resumes `replicas` independent systems from that template.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Warmup`] if the template system fails to load the
-    /// model; [`FleetError::Resume`] if a replica rejects the template.
-    pub fn deploy(
-        spec: XpuSpec,
-        mode: SystemMode,
-        weights: &[u8],
-        replicas: usize,
-    ) -> Result<Fleet, FleetError> {
-        let mut warm = ConfidentialSystem::build(spec, mode);
-        let template = snapshot_mid_task(&mut warm, weights)?;
-        let replicas = spin_up_fleet(&template, replicas)?;
-        Ok(Fleet { template, replicas, next: 0 })
-    }
-
-    /// Number of live replicas.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// True when the fleet has no replicas to serve on.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
-    /// The golden template every replica was resumed from.
-    pub fn template(&self) -> &SystemSnapshot {
-        &self.template
-    }
-
-    /// Serves one prompt on the next replica (round-robin).
-    ///
-    /// # Errors
-    ///
-    /// The replica's [`WorkloadError`].
-    ///
-    /// # Panics
-    ///
-    /// If the fleet is empty.
-    pub fn serve_one(&mut self, prompt: &[u8]) -> Result<Vec<u8>, WorkloadError> {
-        assert!(!self.replicas.is_empty(), "fleet has no replicas");
-        let idx = self.next % self.replicas.len();
-        self.next = self.next.wrapping_add(1);
-        self.replicas[idx].run_inference(prompt)
-    }
-
-    /// Serves a batch of prompts round-robin across the replicas,
-    /// returning one output per prompt in order.
-    ///
-    /// # Errors
-    ///
-    /// The first replica failure aborts the batch.
-    ///
-    /// # Panics
-    ///
-    /// If the fleet is empty.
-    pub fn serve(&mut self, prompts: &[&[u8]]) -> Result<Vec<Vec<u8>>, WorkloadError> {
-        prompts.iter().map(|p| self.serve_one(p)).collect()
-    }
-
-    /// Grows the fleet by `extra` replicas resumed from the same
-    /// template — the elastic scale-out path.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] if a new replica rejects the template.
-    pub fn scale_out(&mut self, extra: usize) -> Result<(), SnapshotError> {
-        let fresh = spin_up_fleet(&self.template, extra)?;
-        self.replicas.extend(fresh);
-        Ok(())
     }
 }
 
@@ -230,10 +144,10 @@ pub struct Migration {
 /// with rendezvous-hashed tenant→shard affinity and fleet-wide
 /// quarantine honoring.
 ///
-/// Where [`Fleet`] spreads anonymous prompts round-robin, `ShardedFleet`
-/// gives each tenant a stable home shard (so its SC state — bindings,
-/// counters, quarantine — stays in one place) and refuses a quarantined
-/// tenant on **every** shard, not just the one that tripped containment.
+/// Each tenant gets a stable home shard (so its SC state — bindings,
+/// counters, quarantine — stays in one place), and a quarantined tenant
+/// is refused on **every** shard, not just the one that tripped
+/// containment.
 ///
 /// Replicas carry **stable ids**: an id survives removals of other
 /// replicas and is never reused for a replacement, so chaos plans can
@@ -250,12 +164,15 @@ pub struct ShardedFleet {
 }
 
 impl ShardedFleet {
-    /// Warms one template system and stamps out `shards` independent
-    /// replicas, each fronting its own PCIe-SC shard (ids `0..shards`).
+    /// Warms one system on `spec` under `mode` (policy install, driver
+    /// init, weights DMA), snapshots it as the golden template, and
+    /// resumes `shards` independent replicas from it, each fronting its
+    /// own PCIe-SC shard (ids `0..shards`).
     ///
     /// # Errors
     ///
-    /// See [`Fleet::deploy`].
+    /// [`FleetError::Warmup`] if the template system fails to load the
+    /// model; [`FleetError::Resume`] if a replica rejects the template.
     ///
     /// # Panics
     ///
@@ -497,26 +414,37 @@ mod tests {
 
     const WEIGHTS: &[u8] = b"fleet model weights: one golden image";
 
+    /// Serves `prompt` once on every live replica, through a tenant homed
+    /// there.
+    fn serve_on_every_replica(fleet: &mut ShardedFleet, prompt: &[u8]) -> Vec<Vec<u8>> {
+        fleet
+            .replica_ids()
+            .into_iter()
+            .map(|id| {
+                let tenant = (0..u32::MAX).find(|&t| fleet.shard_of(t) == id).unwrap();
+                fleet.serve(tenant, prompt).expect("fleet serves")
+            })
+            .collect()
+    }
+
     #[test]
     fn fleet_serves_identical_outputs_on_every_replica() {
-        let mut fleet = Fleet::deploy(XpuSpec::a100(), SystemMode::CcAi, WEIGHTS, 3)
+        let mut fleet = ShardedFleet::deploy(XpuSpec::a100(), SystemMode::CcAi, WEIGHTS, 3)
             .expect("fleet deploys");
         assert_eq!(fleet.len(), 3);
-        let prompts: Vec<&[u8]> = vec![b"prompt-a", b"prompt-a", b"prompt-a"];
-        let outputs = fleet.serve(&prompts).expect("fleet serves");
+        let outputs = serve_on_every_replica(&mut fleet, b"prompt-a");
         let expected = CommandProcessor::surrogate_inference(WEIGHTS, b"prompt-a");
-        assert!(outputs.iter().all(|o| *o == expected), "replicas diverged");
+        assert_eq!(outputs, vec![expected; 3], "replicas diverged");
     }
 
     #[test]
     fn scale_out_replicas_match_the_original_cohort() {
-        let mut fleet = Fleet::deploy(XpuSpec::rtx4090ti(), SystemMode::CcAi, WEIGHTS, 1)
-            .expect("fleet deploys");
+        let mut fleet =
+            ShardedFleet::deploy(XpuSpec::rtx4090ti(), SystemMode::CcAi, WEIGHTS, 1)
+                .expect("fleet deploys");
         fleet.scale_out(2).expect("scale-out resumes");
         assert_eq!(fleet.len(), 3);
-        let outputs = fleet
-            .serve(&[b"late prompt", b"late prompt", b"late prompt"])
-            .expect("fleet serves");
+        let outputs = serve_on_every_replica(&mut fleet, b"late prompt");
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[1], outputs[2]);
     }
@@ -658,9 +586,9 @@ mod tests {
 
     #[test]
     fn vanilla_fleet_deploys_without_protection() {
-        let mut fleet = Fleet::deploy(XpuSpec::t4(), SystemMode::Vanilla, WEIGHTS, 2)
+        let mut fleet = ShardedFleet::deploy(XpuSpec::t4(), SystemMode::Vanilla, WEIGHTS, 2)
             .expect("vanilla fleet deploys");
-        let out = fleet.serve_one(b"plain prompt").expect("serves");
+        let out = fleet.serve(7, b"plain prompt").expect("serves");
         assert_eq!(
             out,
             CommandProcessor::surrogate_inference(WEIGHTS, b"plain prompt")

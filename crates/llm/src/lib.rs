@@ -19,8 +19,8 @@
 //! * [`prompts`] — the deterministic ShareGPT-like prompt-length
 //!   generator used by the KV-cache stress test;
 //! * [`fleet`] — golden-snapshot fleet serving: warm one confidential
-//!   system, snapshot it, stamp out replicas and spread prompts over
-//!   them;
+//!   system, snapshot it, stamp out replicas and route each tenant's
+//!   prompts to its home replica;
 //! * [`serve`] — fleet-scale multi-tenant serving: seeded open-loop
 //!   arrivals, per-tenant token-bucket rate limiting with typed sheds,
 //!   a continuous-batching scheduler and per-tenant latency telemetry;
@@ -56,7 +56,7 @@ pub mod workload;
 
 pub use catalog::LlmSpec;
 pub use chaos::{ChaosEvent, ChaosPlan};
-pub use fleet::{ChaosError, Fleet, Migration, ServeError, ShardedFleet};
+pub use fleet::{ChaosError, Migration, ServeError, ShardedFleet};
 pub use serve::{FleetConfig, FleetServer, FleetSnapshot, ShedReason, TenantSpec, BRINGUP_LATENCY};
 pub use harness::{run, Mode};
 pub use kv_cache::KvCache;

@@ -204,6 +204,18 @@ fn fnv1a_u64(h: u64, v: u64) -> u64 {
     fnv1a(h, &v.to_le_bytes())
 }
 
+/// Folds one event into a running trace digest. The hub and
+/// [`SinkDigest`] share this, so their digests agree by construction.
+fn fold_event(mut h: u64, event: &TelemetryEvent) -> u64 {
+    h = fnv1a_u64(h, event.seq);
+    h = fnv1a_u64(h, event.at.as_picos());
+    h = fnv1a(h, event.severity.as_str().as_bytes());
+    h = fnv1a(h, event.kind.as_bytes());
+    h = fnv1a_u64(h, event.tenant.map_or(0, |t| u64::from(t) + 1));
+    h = fnv1a_u64(h, event.stream.map_or(0, |s| s.wrapping_add(1)));
+    fnv1a(h, event.detail.as_bytes())
+}
+
 /// The installed full-stream event consumer (see [`Telemetry::set_sink`]).
 type EventSink = Box<dyn FnMut(&TelemetryEvent)>;
 
@@ -323,15 +335,7 @@ impl Telemetry {
             stream,
             detail: detail.into(),
         };
-        let mut h = inner.digest;
-        h = fnv1a_u64(h, event.seq);
-        h = fnv1a_u64(h, event.at.as_picos());
-        h = fnv1a(h, event.severity.as_str().as_bytes());
-        h = fnv1a(h, event.kind.as_bytes());
-        h = fnv1a_u64(h, event.tenant.map_or(0, |t| u64::from(t) + 1));
-        h = fnv1a_u64(h, event.stream.map_or(0, |s| s.wrapping_add(1)));
-        h = fnv1a(h, event.detail.as_bytes());
-        inner.digest = h;
+        inner.digest = fold_event(inner.digest, &event);
         inner.events_recorded += 1;
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
@@ -873,8 +877,8 @@ impl TelemetrySnapshot {
 /// The hub's own running digest already survives ring eviction, but some
 /// consumers want an *independent* fold over the full stream — e.g. a
 /// million-event soak that cross-checks the hub, or a tee that keeps
-/// digesting after the hub is snapshotted. `SinkDigest` replicates the
-/// hub's FNV-1a fold byte for byte, so a digest installed before the first
+/// digesting after the hub is snapshotted. `SinkDigest` runs the hub's
+/// own event fold, so a digest installed before the first
 /// event equals [`Telemetry::digest`] at every point in the run, without
 /// growing the bounded event ring. Installing one is digest-neutral: the
 /// sink hook runs after the hub has digested and ring-buffered the event.
@@ -890,15 +894,8 @@ impl SinkDigest {
         let state = Rc::new(std::cell::Cell::new((FNV_OFFSET, 0u64)));
         let shared = Rc::clone(&state);
         hub.set_sink(move |event| {
-            let (mut h, seen) = shared.get();
-            h = fnv1a_u64(h, event.seq);
-            h = fnv1a_u64(h, event.at.as_picos());
-            h = fnv1a(h, event.severity.as_str().as_bytes());
-            h = fnv1a(h, event.kind.as_bytes());
-            h = fnv1a_u64(h, event.tenant.map_or(0, |t| u64::from(t) + 1));
-            h = fnv1a_u64(h, event.stream.map_or(0, |s| s.wrapping_add(1)));
-            h = fnv1a(h, event.detail.as_bytes());
-            shared.set((h, seen + 1));
+            let (h, seen) = shared.get();
+            shared.set((fold_event(h, event), seen + 1));
         });
         SinkDigest { state }
     }

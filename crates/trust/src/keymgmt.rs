@@ -6,8 +6,13 @@
 //! "follows the solution used in NVIDIA H100 (e.g., generating and
 //! exchanging a new key)"; at task termination both sides destroy their
 //! copies.
+//!
+//! The manager is the one owner of a stream's key *and* its expanded
+//! schedule: the [`AesGcm`] is built where the key is derived and dropped
+//! where the key is (rotation, retirement, destruction), so no schedule
+//! outlives its stream.
 
-use ccai_crypto::{hkdf, IvManager, IvStatus, Key};
+use ccai_crypto::{hkdf, AesGcm, IvManager, IvStatus, Key};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -43,8 +48,15 @@ impl std::error::Error for KeyManagerError {}
 
 struct StreamState {
     key: Key,
+    cipher: AesGcm,
     ivs: IvManager,
     generation: u32,
+}
+
+impl StreamState {
+    fn new(key: Key, ivs: IvManager, generation: u32) -> StreamState {
+        StreamState { cipher: AesGcm::new(&key), key, ivs, generation }
+    }
 }
 
 /// Manages per-stream symmetric keys derived from the attested session
@@ -82,10 +94,8 @@ impl WorkloadKeyManager {
     pub fn provision_stream(&mut self, id: StreamId, iv_limit: u64) {
         assert!(!self.destroyed, "key manager destroyed");
         let key = self.derive_key(id, 0);
-        self.streams.insert(
-            id,
-            StreamState { key, ivs: IvManager::with_limit(id.0, iv_limit), generation: 0 },
-        );
+        self.streams
+            .insert(id, StreamState::new(key, IvManager::with_limit(id.0, iv_limit), 0));
     }
 
     fn derive_key(&self, id: StreamId, generation: u32) -> Key {
@@ -107,6 +117,30 @@ impl WorkloadKeyManager {
             .get(&id)
             .map(|s| &s.key)
             .ok_or(KeyManagerError::UnknownStream(id))
+    }
+
+    /// The stream's current key, expanded (AES round keys + GHASH tables).
+    ///
+    /// # Errors
+    ///
+    /// [`KeyManagerError::UnknownStream`] if not provisioned, retired or
+    /// destroyed.
+    pub fn stream_cipher(&self, id: StreamId) -> Result<&AesGcm, KeyManagerError> {
+        self.streams
+            .get(&id)
+            .map(|s| &s.cipher)
+            .ok_or(KeyManagerError::UnknownStream(id))
+    }
+
+    /// Ends one stream's life: its key, schedule and IV lane are dropped.
+    /// Unknown ids are ignored.
+    pub fn retire_stream(&mut self, id: StreamId) {
+        self.streams.remove(&id);
+    }
+
+    /// Number of streams currently holding key material.
+    pub fn live_streams(&self) -> usize {
+        self.streams.len()
     }
 
     /// The stream's current key generation.
@@ -151,6 +185,7 @@ impl WorkloadKeyManager {
             + 1;
         let key = self.derive_key(id, generation);
         let stream = self.streams.get_mut(&id).expect("checked above");
+        stream.cipher = AesGcm::new(&key);
         stream.key = key;
         stream.generation = generation;
         stream.ivs.rotate();
@@ -234,7 +269,7 @@ impl WorkloadKeyManager {
             let key = self.derive_key(id, generation);
             let mut ivs = IvManager::with_limit(id.0, limit);
             ivs.advance_to(issued);
-            streams.insert(id, StreamState { key, ivs, generation });
+            streams.insert(id, StreamState::new(key, ivs, generation));
         }
         self.streams = streams;
         self.rotations = rotations;
@@ -264,9 +299,14 @@ mod tests {
             adaptor.stream_key(StreamId(1)).unwrap(),
             sc.stream_key(StreamId(1)).unwrap()
         );
+        let nonce = adaptor.next_iv(StreamId(1)).unwrap().0;
+        assert_eq!(nonce, sc.next_iv(StreamId(1)).unwrap().0);
+        // The expanded schedules agree too: sealed on one side, opened on
+        // the other.
+        let sealed = adaptor.stream_cipher(StreamId(1)).unwrap().seal(&nonce, b"chunk", b"aad");
         assert_eq!(
-            adaptor.next_iv(StreamId(1)).unwrap().0,
-            sc.next_iv(StreamId(1)).unwrap().0
+            sc.stream_cipher(StreamId(1)).unwrap().open(&nonce, &sealed, b"aad").unwrap(),
+            b"chunk"
         );
     }
 
@@ -289,8 +329,13 @@ mod tests {
             Err(KeyManagerError::NeedsRotation(StreamId(1)))
         );
         let old_key = m.stream_key(StreamId(1)).unwrap().clone();
+        let old_sealed = m.stream_cipher(StreamId(1)).unwrap().seal(&[0; 12], b"chunk", b"");
         m.rotate(StreamId(1)).unwrap();
         assert_ne!(&old_key, m.stream_key(StreamId(1)).unwrap());
+        assert!(
+            m.stream_cipher(StreamId(1)).unwrap().open(&[0; 12], &old_sealed, b"").is_err(),
+            "the schedule rotates with the key"
+        );
         assert!(m.next_iv(StreamId(1)).is_ok());
         assert_eq!(m.generation(StreamId(1)).unwrap(), 1);
         assert_eq!(m.rotations(), 1);
@@ -328,6 +373,26 @@ mod tests {
             m.stream_key(StreamId(1)),
             Err(KeyManagerError::UnknownStream(StreamId(1)))
         );
+        assert_eq!(
+            m.stream_cipher(StreamId(1)).err(),
+            Some(KeyManagerError::UnknownStream(StreamId(1)))
+        );
+        assert_eq!(m.live_streams(), 0);
+    }
+
+    #[test]
+    fn retired_stream_loses_its_key_and_schedule() {
+        let mut m = manager();
+        m.provision_stream(StreamId(1), 10);
+        m.provision_stream(StreamId(2), 10);
+        m.retire_stream(StreamId(1));
+        assert_eq!(
+            m.stream_cipher(StreamId(1)).err(),
+            Some(KeyManagerError::UnknownStream(StreamId(1)))
+        );
+        assert!(m.stream_key(StreamId(1)).is_err());
+        assert!(m.stream_cipher(StreamId(2)).is_ok(), "other streams keep theirs");
+        assert_eq!(m.live_streams(), 1);
     }
 
     #[test]

@@ -202,13 +202,13 @@ fn tenants_cannot_decrypt_each_others_streams() {
     let chunk = ChunkRef { stream: StreamId(0x100), seq: 0 };
     let mut engine = CryptoEngine::new();
     let (ct, tag) = engine.seal_detached(
-        keys_b.stream_key(StreamId(0x100)).unwrap(),
+        keys_b.stream_cipher(StreamId(0x100)).unwrap(),
         &chunk.nonce(),
         b"tenant B plaintext",
         &chunk.aad(),
     );
     let verdict = engine.open_detached(
-        keys_a.stream_key(StreamId(0x100)).unwrap(),
+        keys_a.stream_cipher(StreamId(0x100)).unwrap(),
         &chunk.nonce(),
         &ct,
         &tag,

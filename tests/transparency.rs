@@ -174,12 +174,11 @@ fn all_three_vendor_stacks_run_protected_without_changes() {
 }
 
 #[test]
-fn parallel_crypto_path_is_equivalent_to_serial() {
-    // Above PARALLEL_CRYPTO_THRESHOLD the Adaptor fans chunk encryption
-    // across crypto lanes (§5). The SC must not be able to tell: both
-    // paths produce identical, decryptable streams.
-    let big_weights = vec![0x5Au8; 512 * 1024]; // parallel path
-    let small_input = vec![0xA5u8; 8 * 1024]; // serial path
+fn large_transfer_round_trips_like_a_small_one() {
+    // A 128-chunk stream and a 2-chunk stream ride the same seal path;
+    // the SC opens every chunk of both.
+    let big_weights = vec![0x5Au8; 512 * 1024];
+    let small_input = vec![0xA5u8; 8 * 1024];
     let expected = CommandProcessor::surrogate_inference(&big_weights, &small_input);
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
     let result = system.run_workload(&big_weights, &small_input).unwrap();
