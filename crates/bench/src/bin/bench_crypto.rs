@@ -1,8 +1,10 @@
 //! Crypto datapath benchmark runner: measures AES-GCM seal/open
-//! throughput for the table-driven fast path and the scalar baseline,
-//! then writes machine-readable results to `BENCH_crypto.json` so the
-//! performance trajectory of the software crypto datapath is tracked
-//! from PR to PR.
+//! throughput for every backend this CPU can run — the one
+//! `AesGcm::new` selects (rows carry its `backend()` name), the table
+//! path where that is not already it, and the scalar seed baseline —
+//! plus per-key set-up and SHA-256, then writes machine-readable results
+//! to `BENCH_crypto.json` so the performance trajectory of the crypto
+//! datapath is tracked from PR to PR.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
 //! Pass an output path as the first argument to override the default.
@@ -13,10 +15,11 @@
 //! adaptor crypt, SC filter, SC crypt, link, DMA), event counters, and
 //! the deterministic trace digest — under the `telemetry` key.
 
+use ccai_bench::distinct_backends;
 use ccai_core::system::{ConfidentialSystem, SystemMode};
 use ccai_core::TelemetrySnapshot;
 use ccai_crypto::scalar::ScalarAesGcm;
-use ccai_crypto::{AesGcm, Key};
+use ccai_crypto::{AesGcm, Key, Sha256};
 use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -68,58 +71,77 @@ fn patterned(len: usize) -> Vec<u8> {
 
 fn run() -> Vec<Sample> {
     let key = Key::Aes128([0x42; 16]);
-    let fast = AesGcm::new(&key);
+    let constructors: Vec<fn(&Key) -> AesGcm> =
+        distinct_backends(AesGcm::new, AesGcm::portable, |make| make(&key).backend());
+    let ciphers: Vec<AesGcm> = constructors.iter().map(|make| make(&key)).collect();
+    let hashers = distinct_backends(Sha256::new(), Sha256::portable(), Sha256::backend);
     let scalar = ScalarAesGcm::new(&key);
     let mut samples = Vec::new();
+    let mut push = |op, path, (size_label, bytes), (ns_per_iter, gib_per_s)| {
+        samples.push(Sample {
+            op,
+            path,
+            size_label,
+            bytes,
+            ns_per_iter,
+            gib_per_s,
+        });
+    };
 
-    for (label, len) in SIZES {
+    for size @ (_, len) in SIZES {
         let plaintext = patterned(len);
 
-        let mut buf = plaintext.clone();
-        let (ns, gib) = measure(len, || {
-            buf.copy_from_slice(&plaintext);
-            std::hint::black_box(fast.seal_in_place_detached(&[7; 12], &mut buf, b"aad"));
-        });
-        samples.push(Sample {
-            op: "seal",
-            path: "table",
-            size_label: label,
-            bytes: len,
-            ns_per_iter: ns,
-            gib_per_s: gib,
-        });
+        for cipher in &ciphers {
+            let mut buf = plaintext.clone();
+            let seal = measure(len, || {
+                buf.copy_from_slice(&plaintext);
+                std::hint::black_box(cipher.seal_in_place_detached(&[7; 12], &mut buf, b"aad"));
+            });
+            push("seal", cipher.backend(), size, seal);
 
-        let mut sealed = plaintext.clone();
-        let tag = fast.seal_in_place_detached(&[7; 12], &mut sealed, b"aad");
-        let mut open_buf = sealed.clone();
-        let (ns, gib) = measure(len, || {
-            open_buf.copy_from_slice(&sealed);
-            fast.open_in_place_detached(&[7; 12], &mut open_buf, &tag, b"aad")
-                .expect("tag verifies");
-            std::hint::black_box(open_buf[0]);
-        });
-        samples.push(Sample {
-            op: "open",
-            path: "table",
-            size_label: label,
-            bytes: len,
-            ns_per_iter: ns,
-            gib_per_s: gib,
-        });
+            let mut sealed = plaintext.clone();
+            let tag = cipher.seal_in_place_detached(&[7; 12], &mut sealed, b"aad");
+            let mut open_buf = sealed.clone();
+            let open = measure(len, || {
+                open_buf.copy_from_slice(&sealed);
+                cipher
+                    .open_in_place_detached(&[7; 12], &mut open_buf, &tag, b"aad")
+                    .expect("tag verifies");
+                std::hint::black_box(open_buf[0]);
+            });
+            push("open", cipher.backend(), size, open);
+        }
 
-        // Scalar baseline: only seal (open is symmetric) and only one
-        // batch-calibration pass — it is orders of magnitude slower.
-        let (ns, gib) = measure(len, || {
+        // Scalar baseline (allocating API only; orders of magnitude slower).
+        let seal = measure(len, || {
             std::hint::black_box(scalar.seal(&[7; 12], &plaintext, b"aad"));
         });
-        samples.push(Sample {
-            op: "seal",
-            path: "scalar",
-            size_label: label,
-            bytes: len,
-            ns_per_iter: ns,
-            gib_per_s: gib,
+        push("seal", "scalar", size, seal);
+        let sealed = scalar.seal(&[7; 12], &plaintext, b"aad");
+        let open = measure(len, || {
+            std::hint::black_box(
+                scalar
+                    .open(&[7; 12], &sealed, b"aad")
+                    .expect("tag verifies"),
+            );
         });
+        push("open", "scalar", size, open);
+
+        for hasher in &hashers {
+            let hash = measure(len, || {
+                let mut h = hasher.clone();
+                h.update(&plaintext);
+                std::hint::black_box(h.finalize());
+            });
+            push("sha256", hasher.backend(), size, hash);
+        }
+    }
+
+    // Per-key cost, paid once per stream and key generation: schedule +
+    // hash-key powers (hardware) or 32 KiB of GHASH tables (table).
+    for (make, cipher) in constructors.iter().zip(&ciphers) {
+        let setup = measure(0, || drop(std::hint::black_box(make(&key))));
+        push("key_setup", cipher.backend(), ("key", 0), setup);
     }
     samples
 }
@@ -150,8 +172,16 @@ fn to_json(samples: &[Sample], telemetry: &TelemetrySnapshot) -> String {
         .expect("write to string");
     }
     out.push_str("  ],\n");
-    let speedup = speedup_64k(samples);
-    writeln!(out, "  \"speedup_table_vs_scalar_seal_64KiB\": {speedup:.1},").expect("write");
+    let table_vs_scalar = speedup_64k(samples, "table", "scalar").unwrap_or(0.0);
+    writeln!(
+        out,
+        "  \"speedup_table_vs_scalar_seal_64KiB\": {table_vs_scalar:.1},"
+    )
+    .expect("write");
+    // `null` on a CPU where `AesGcm::new` selects the table path itself.
+    let hw_vs_table =
+        speedup_64k(samples, HW, "table").map_or("null".into(), |x| format!("{x:.1}"));
+    writeln!(out, "  \"speedup_hw_vs_table_seal_64KiB\": {hw_vs_table},").expect("write");
     out.push_str("  \"telemetry\": ");
     let telemetry_json = telemetry.to_json();
     assert!(
@@ -165,21 +195,19 @@ fn to_json(samples: &[Sample], telemetry: &TelemetrySnapshot) -> String {
     out
 }
 
-/// The tentpole's headline number: table/scalar seal ratio at 64 KiB.
-fn speedup_64k(samples: &[Sample]) -> f64 {
+/// The hardware backend's row label.
+const HW: &str = "aesni-pclmul";
+
+/// Seal throughput ratio `num / den` at 64 KiB; `None` if either path has
+/// no row (no such backend on this CPU).
+fn speedup_64k(samples: &[Sample], num: &str, den: &str) -> Option<f64> {
     let find = |path: &str| {
         samples
             .iter()
             .find(|s| s.op == "seal" && s.path == path && s.size_label == "64KiB")
             .map(|s| s.gib_per_s)
-            .unwrap_or(0.0)
     };
-    let (table, scalar) = (find("table"), find("scalar"));
-    if scalar > 0.0 {
-        table / scalar
-    } else {
-        0.0
-    }
+    Some(find(num)? / find(den)?)
 }
 
 fn main() {
@@ -188,11 +216,16 @@ fn main() {
     let samples = run();
     for s in &samples {
         println!(
-            "{:>6} {:<6} {:>6}  {:>12.1} ns/iter  {:>8.3} GiB/s",
+            "{:>9} {:<12} {:>6}  {:>12.1} ns/iter  {:>8.3} GiB/s",
             s.op, s.path, s.size_label, s.ns_per_iter, s.gib_per_s
         );
     }
-    println!("table vs scalar seal @64KiB: {:.1}x", speedup_64k(&samples));
+    if let Some(x) = speedup_64k(&samples, "table", "scalar") {
+        println!("table vs scalar seal @64KiB: {x:.1}x");
+    }
+    if let Some(x) = speedup_64k(&samples, HW, "table") {
+        println!("{HW} vs table seal @64KiB: {x:.1}x");
+    }
     let snapshot = confidential_workload_snapshot();
     println!("fixed-seed workload trace digest: {}", snapshot.digest_hex());
     for hop in &snapshot.hops {

@@ -26,7 +26,7 @@ use crate::sc::{
 };
 use ccai_pcie::{parse_ctrl_envelope, seal_ctrl_envelope, Bdf, Fabric, HostMemory, Tlp, TlpType};
 use ccai_crypto::{hkdf, AesGcm, Key};
-use ccai_sim::{Hop, Severity, Telemetry};
+use ccai_sim::{DetHashMap, Hop, Severity, Telemetry};
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::WorkloadKeyManager;
 use ccai_tvm::stager::IntegrityError;
@@ -801,7 +801,7 @@ impl DmaStager for Adaptor {
         let landing = state.config.tag_landing;
         let cursor = state.tag_cursor;
         state.tag_cursor += chunks;
-        let mut tags = std::collections::HashMap::new();
+        let mut tags = DetHashMap::default();
         for i in 0..chunks {
             let record_addr = landing + (cursor + i) * 28;
             let bytes = memory.read(record_addr, 28);

@@ -29,7 +29,7 @@
 use super::action::SecurityAction;
 use super::rule::{FieldMask, L1Decision, L1Rule, MatchFields, L2Rule};
 use ccai_pcie::{Bdf, TlpHeader, TlpType};
-use std::collections::HashMap;
+use ccai_sim::DetHashMap;
 use std::ops::Range;
 
 /// Dense index of a [`TlpType`] for bucket keys.
@@ -88,11 +88,11 @@ impl<T: Copy> CompiledRule<T> {
 #[derive(Debug, Clone)]
 struct Dispatch<T> {
     /// `mask.pkt_type && mask.requester`.
-    by_type_req: HashMap<(u8, u16), Vec<CompiledRule<T>>>,
+    by_type_req: DetHashMap<(u8, u16), Vec<CompiledRule<T>>>,
     /// `mask.pkt_type` only.
-    by_type: HashMap<u8, Vec<CompiledRule<T>>>,
+    by_type: DetHashMap<u8, Vec<CompiledRule<T>>>,
     /// `mask.requester` only.
-    by_req: HashMap<u16, Vec<CompiledRule<T>>>,
+    by_req: DetHashMap<u16, Vec<CompiledRule<T>>>,
     /// Neither indexed field masked (catch-alls and residual-only rules).
     wildcard: Vec<CompiledRule<T>>,
 }
@@ -100,9 +100,9 @@ struct Dispatch<T> {
 impl<T> Default for Dispatch<T> {
     fn default() -> Self {
         Dispatch {
-            by_type_req: HashMap::new(),
-            by_type: HashMap::new(),
-            by_req: HashMap::new(),
+            by_type_req: DetHashMap::default(),
+            by_type: DetHashMap::default(),
+            by_req: DetHashMap::default(),
             wildcard: Vec::new(),
         }
     }

@@ -17,8 +17,8 @@
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::{KeyManagerError, WorkloadKeyManager};
 use ccai_crypto::AesGcm;
+use ccai_sim::DetHashSet;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 
@@ -65,7 +65,7 @@ struct StreamEntry {
     direction: StreamDirection,
     host_range: Range<u64>,
     base_seq: u64,
-    seen: HashSet<u64>,
+    seen: DetHashSet<u64>,
 }
 
 /// The parameters manager: stream registry + key schedule + anti-replay.
@@ -130,7 +130,7 @@ impl ParamsManager {
                 direction,
                 host_range,
                 base_seq,
-                seen: HashSet::new(),
+                seen: DetHashSet::default(),
             });
         }
     }
@@ -257,7 +257,7 @@ impl ParamsManager {
             let host_range = dec.u64()?..dec.u64()?;
             let base_seq = dec.u64()?;
             let seen_len = dec.seq_len()?;
-            let mut seen = HashSet::with_capacity(seen_len);
+            let mut seen = DetHashSet::with_capacity_and_hasher(seen_len, Default::default());
             for _ in 0..seen_len {
                 seen.insert(dec.u64()?);
             }

@@ -12,9 +12,9 @@
 //! `(stream, seq, tag)`; data chunks and tags are matched on
 //! `(stream, seq)`.
 
+use ccai_sim::DetHashMap;
 use ccai_trust::keymgmt::StreamId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Serialized size of one tag record: stream(4) + seq(8) + tag(16).
@@ -71,7 +71,7 @@ impl TagRecord {
 /// The tag queue: pending tags awaiting their data chunks.
 #[derive(Debug, Default)]
 pub struct TagManager {
-    pending: HashMap<(u32, u64), [u8; 16]>,
+    pending: DetHashMap<(u32, u64), [u8; 16]>,
     received: u64,
     matched: u64,
     missing: u64,
@@ -161,7 +161,7 @@ impl TagManager {
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::SnapshotError> {
         let n = dec.seq_len()?;
-        let mut pending = HashMap::with_capacity(n);
+        let mut pending = DetHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let stream = dec.u32()?;
             let seq = dec.u64()?;

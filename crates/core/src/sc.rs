@@ -21,11 +21,10 @@ use crate::handler::{
 use crate::perf::{AES_NI_RATE, SC_PIPELINE_LATENCY};
 use ccai_pcie::{parse_ctrl_envelope, Bdf, CplStatus, Interposer, InterposeOutcome, Tlp, TlpType};
 use ccai_crypto::{hkdf, AesGcm, Key};
-use ccai_sim::{Bandwidth, Hop, Severity, SnapshotError, Telemetry};
+use ccai_sim::{Bandwidth, DetHashMap, Hop, Severity, SnapshotError, Telemetry};
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::WorkloadKeyManager;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// The reserved stream id carrying A3 MMIO integrity tags.
@@ -324,7 +323,7 @@ pub struct PcieSc {
     policy_staging: Vec<u8>,
     policy_len: u64,
     /// Outstanding device-issued reads: (requester, tag) → (addr, len).
-    outstanding_reads: HashMap<(u16, u8), (u64, u32)>,
+    outstanding_reads: DetHashMap<(u16, u8), (u64, u32)>,
     counters: ScCounters,
     reset_observed: bool,
     alerts: Vec<ScAlert>,
@@ -373,7 +372,7 @@ impl PcieSc {
             status: 0,
             policy_staging: vec![0; regs::POLICY_STAGING_LEN as usize],
             policy_len: 0,
-            outstanding_reads: HashMap::new(),
+            outstanding_reads: DetHashMap::default(),
             counters: ScCounters::default(),
             reset_observed: false,
             alerts: Vec::new(),
@@ -1349,7 +1348,8 @@ impl PcieSc {
             return Err(SnapshotError::Invalid("staged policy length out of range"));
         }
         let read_count = dec.seq_len()?;
-        let mut outstanding_reads = HashMap::with_capacity(read_count);
+        let mut outstanding_reads =
+            DetHashMap::with_capacity_and_hasher(read_count, Default::default());
         for _ in 0..read_count {
             let requester = dec.u16()?;
             let tag = dec.u8()?;

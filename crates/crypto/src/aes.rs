@@ -1,13 +1,13 @@
 //! FIPS-197 AES block cipher (128- and 256-bit keys), table-driven.
 //!
-//! The hot path is a T-table implementation: the S-box and the four
-//! round-fused encryption tables (S-box composed with MixColumns, one
-//! rotation per row) are computed at *compile time* by const evaluation,
-//! so key setup only expands round keys. [`Aes::encrypt_words_para`]
-//! encrypts several independent blocks per call with the round loop
-//! interleaved across blocks, which is what the GCM CTR keystream rides
-//! on (§5's "optimization on security operations" — AES-NI + multi-lane
-//! crypto on the real system, instruction-level parallelism here).
+//! A T-table implementation: the S-box and the four round-fused
+//! encryption tables (S-box composed with MixColumns, one rotation per
+//! row) are computed at *compile time* by const evaluation, so key setup
+//! only expands round keys — which is all `crate::hw`'s AES-NI backend
+//! takes from here. [`Aes::ctr_keystream_para`] encrypts several
+//! independent counter blocks per call with the round loop interleaved
+//! across blocks; the table backend's GCM keystream rides on it wherever
+//! the CPU has no AES-NI (§5's "optimization on security operations").
 //!
 //! The original byte-at-a-time implementation is retained in
 //! [`crate::scalar`] as a differential-test oracle.
@@ -400,7 +400,8 @@ impl Aes {
         add_round_key(block, &self.round_key_bytes(0));
     }
 
-    fn round_key_bytes(&self, r: usize) -> [u8; 16] {
+    /// Round key `r` in FIPS-197 byte order (what `aesenc` consumes).
+    pub(crate) fn round_key_bytes(&self, r: usize) -> [u8; 16] {
         let mut rk = [0u8; 16];
         for c in 0..4 {
             rk[4 * c..4 * c + 4].copy_from_slice(&self.ek[r][c].to_be_bytes());

@@ -7,27 +7,35 @@
 //!
 //! This is the throughput-critical primitive of the whole reproduction —
 //! every byte crossing the simulated PCIe-SC is sealed and opened in
-//! 4 KiB chunks — so the hot path is built for speed (the paper's §5
-//! "optimization on security operations"):
+//! 4 KiB chunks — and it has two backends computing the same bits,
+//! chosen once per key by [`AesGcm::new`] from the CPU alone:
 //!
-//! * GHASH uses per-key nibble-indexed tables for `H..H⁴`
-//!   ([`crate::ghash`]), absorbing four blocks per aggregated step
-//!   instead of a 128-iteration bit loop per block;
-//! * the CTR keystream encrypts [`PAR_BLOCKS`] counter blocks per call
-//!   through the T-table AES with the round loop interleaved across
-//!   blocks and the nonce's share of round 1 precomputed; sealing fuses
-//!   GHASH into the same pass over the buffer;
-//! * the detached in-place APIs ([`AesGcm::seal_in_place_detached`],
-//!   [`AesGcm::open_in_place_detached`]) let the Packet Handler engine and
-//!   the Adaptor staging path crypt whole buffers with zero concatenation
-//!   or re-copying.
+//! * `aesni-pclmul` (`crate::hw`, x86-64 with AES-NI + PCLMULQDQ): the
+//!   instructions the paper's Adaptor uses — eight counter blocks
+//!   interleaved through `aesenc`, GHASH by carry-less multiply against
+//!   `H¹..H⁸` with one reduction per eight blocks; constant-time, no
+//!   per-key tables. Seal is a CTR pass then a GHASH pass (each at its
+//!   unit's throughput; a naive single loop measured slower than the two);
+//! * `table` (every other CPU, and the differential reference on this
+//!   one): per-key nibble-indexed GHASH tables for `H..H⁴`
+//!   ([`crate::ghash`]) and [`PAR_BLOCKS`] counter blocks per call
+//!   through the T-table AES, GHASH fused into the seal pass.
+//!
+//! Both open in two passes — GHASH-verify, then CTR — so a failed open
+//! leaves the buffer untouched, and the detached in-place APIs
+//! ([`AesGcm::seal_in_place_detached`],
+//! [`AesGcm::open_in_place_detached`]) let the Packet Handler engine and
+//! the Adaptor staging path crypt whole buffers with zero concatenation
+//! or re-copying.
 //!
 //! The seed's scalar implementation survives in [`crate::scalar`] and the
-//! differential tests below hold the two bit-for-bit equal.
+//! differential tests below hold all three bit-for-bit equal.
 
 use crate::aes::{Aes, Key};
 use crate::ct::ct_eq;
 use crate::ghash::{Ghash, GhashTable};
+#[cfg(target_arch = "x86_64")]
+use crate::hw::AesNiGcm;
 use std::fmt;
 
 /// Authentication tag length in bytes (128-bit tags, as in the prototype).
@@ -37,7 +45,8 @@ pub const TAG_LEN: usize = 16;
 /// are the GCM block counter).
 pub const NONCE_LEN: usize = 12;
 
-/// Counter blocks encrypted per keystream call on the bulk path.
+/// Counter blocks encrypted per keystream call on the table backend's
+/// bulk path.
 pub const PAR_BLOCKS: usize = 16;
 
 /// Error returned when authenticated decryption fails.
@@ -67,42 +76,23 @@ impl fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-/// AES-GCM authenticated encryption.
-///
-/// # Example
-///
-/// ```
-/// use ccai_crypto::{AesGcm, Key};
-///
-/// let gcm = AesGcm::new(&Key::Aes128([1; 16]));
-/// let ct = gcm.seal(&[2; 12], b"secret", b"aad");
-/// assert_eq!(gcm.open(&[2; 12], &ct, b"aad").unwrap(), b"secret");
-/// assert!(gcm.open(&[2; 12], &ct, b"bad aad").is_err());
-/// ```
+/// The portable backend: T-table AES and Shoup-table GHASH.
 #[derive(Clone)]
-pub struct AesGcm {
+struct TableGcm {
     aes: Aes,
     ghash: GhashTable,
 }
 
-impl fmt::Debug for AesGcm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AesGcm").field("aes", &self.aes).finish()
-    }
-}
-
-impl AesGcm {
-    /// Creates a GCM instance from an AES key.
-    ///
-    /// Key setup expands the AES round keys, derives the hash key
-    /// `H = E_K(0¹²⁸)` and builds the 32 KiB of GHASH multiplication
-    /// tables (4 powers × 8 KiB); whoever owns the key pays this once and
-    /// keeps the instance.
-    pub fn new(key: &Key) -> AesGcm {
-        let aes = Aes::new(key);
+impl TableGcm {
+    /// Derives the hash key `H = E_K(0¹²⁸)` and builds the 32 KiB of
+    /// GHASH multiplication tables (4 powers × 8 KiB).
+    fn new(aes: Aes) -> TableGcm {
         let mut h_block = [0u8; 16];
         aes.encrypt_block(&mut h_block);
-        AesGcm { aes, ghash: GhashTable::new(u128::from_be_bytes(h_block)) }
+        TableGcm {
+            aes,
+            ghash: GhashTable::new(u128::from_be_bytes(h_block)),
+        }
     }
 
     /// Column words of the counter block `nonce ‖ counter`.
@@ -176,20 +166,11 @@ impl AesGcm {
         (s ^ u128::from_be_bytes(out)).to_be_bytes()
     }
 
-    /// Encrypts `buf` in place and returns the detached authentication
-    /// tag. The ciphertext keeps the plaintext's length; nothing is
-    /// allocated or copied.
-    ///
     /// Encryption and authentication run fused: each keystream slab is
     /// absorbed by GHASH while the ciphertext is still hot, and the
     /// latency-bound GHASH chain overlaps the load-throughput-bound AES
     /// lookups instead of running as a second pass.
-    pub fn seal_in_place_detached(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        buf: &mut [u8],
-        aad: &[u8],
-    ) -> [u8; TAG_LEN] {
+    fn seal(&self, nonce: &[u8; NONCE_LEN], buf: &mut [u8], aad: &[u8]) -> [u8; TAG_LEN] {
         let total = buf.len();
         let mut ghash = Ghash::new(&self.ghash);
         ghash.update(aad);
@@ -204,6 +185,118 @@ impl AesGcm {
         self.ctr_tail(nonce, counter, tail);
         ghash.update(tail);
         self.finish_tag(nonce, ghash.finalize(aad.len(), total))
+    }
+}
+
+/// Which implementation a key's schedule was expanded for. Both compute
+/// the same function; the CPU decides, nothing else can.
+#[derive(Clone)]
+enum Backend {
+    #[cfg(target_arch = "x86_64")]
+    AesNi(AesNiGcm),
+    Table(TableGcm),
+}
+
+/// AES-GCM authenticated encryption.
+///
+/// # Example
+///
+/// ```
+/// use ccai_crypto::{AesGcm, Key};
+///
+/// let gcm = AesGcm::new(&Key::Aes128([1; 16]));
+/// let ct = gcm.seal(&[2; 12], b"secret", b"aad");
+/// assert_eq!(gcm.open(&[2; 12], &ct, b"aad").unwrap(), b"secret");
+/// assert!(gcm.open(&[2; 12], &ct, b"bad aad").is_err());
+/// ```
+#[derive(Clone)]
+pub struct AesGcm {
+    backend: Backend,
+}
+
+impl fmt::Debug for AesGcm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The backend's name and nothing else: never key material.
+        f.debug_struct("AesGcm")
+            .field("backend", &self.backend())
+            .finish()
+    }
+}
+
+impl AesGcm {
+    /// Creates a GCM instance from an AES key.
+    ///
+    /// Key setup expands the AES round keys and derives the hash key
+    /// `H = E_K(0¹²⁸)`, then either its eight `pclmulqdq` powers (where
+    /// the CPU reports AES-NI, PCLMULQDQ, SSSE3 and SSE4.1) or the table
+    /// backend's 32 KiB of GHASH tables; whoever owns the key pays this
+    /// once and keeps the instance.
+    pub fn new(key: &Key) -> AesGcm {
+        let aes = Aes::new(key);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = AesNiGcm::detect(&aes) {
+            return AesGcm {
+                backend: Backend::AesNi(hw),
+            };
+        }
+        AesGcm {
+            backend: Backend::Table(TableGcm::new(aes)),
+        }
+    }
+
+    /// The table backend whatever the CPU offers: the differential
+    /// reference [`AesGcm::new`] is tested against.
+    #[cfg(any(test, feature = "scalar-oracle"))]
+    pub fn portable(key: &Key) -> AesGcm {
+        AesGcm {
+            backend: Backend::Table(TableGcm::new(Aes::new(key))),
+        }
+    }
+
+    /// Name of the backend this instance runs on: `"aesni-pclmul"` or
+    /// `"table"`.
+    pub fn backend(&self) -> &'static str {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(_) => "aesni-pclmul",
+            Backend::Table(_) => "table",
+        }
+    }
+
+    /// XORs the CTR keystream (counters 2..) over `data` in place.
+    fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.ctr_xor(nonce, 2, data), // 1 masks the tag
+            Backend::Table(table) => table.ctr_xor(nonce, data),
+        }
+    }
+
+    fn tag(&self, nonce: &[u8; NONCE_LEN], ciphertext: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(hw) => hw.tag(nonce, ciphertext, aad),
+            Backend::Table(table) => table.tag(nonce, ciphertext, aad),
+        }
+    }
+
+    /// Encrypts `buf` in place and returns the detached authentication
+    /// tag. The ciphertext keeps the plaintext's length; nothing is
+    /// allocated or copied.
+    pub fn seal_in_place_detached(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        buf: &mut [u8],
+        aad: &[u8],
+    ) -> [u8; TAG_LEN] {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::AesNi(_) => {
+                self.ctr_xor(nonce, buf);
+                self.tag(nonce, buf, aad)
+            }
+            Backend::Table(table) => table.seal(nonce, buf, aad),
+        }
     }
 
     /// Verifies `tag` over the ciphertext in `buf` and, on success,
@@ -341,23 +434,54 @@ mod tests {
         n
     }
 
+    /// Whatever [`AesGcm::new`] selects on this CPU, and the pinned table
+    /// backend; logs the pair so a run shows what was compared.
+    fn backends(key: &Key) -> [AesGcm; 2] {
+        let pair = [AesGcm::new(key), AesGcm::portable(key)];
+        eprintln!(
+            "gcm backends under test: {} and {}",
+            pair[0].backend(),
+            pair[1].backend()
+        );
+        pair
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
     /// McGrew–Viega GCM spec test case 1: empty plaintext, zero key.
     #[test]
     fn gcm_test_case_1() {
-        let gcm = AesGcm::new(&Key::Aes128([0; 16]));
-        let sealed = gcm.seal(&[0u8; 12], b"", b"");
-        assert_eq!(sealed, hex("58e2fccefa7e3061367f1d57a4e7455a"));
+        for gcm in backends(&Key::Aes128([0; 16])) {
+            let sealed = gcm.seal(&[0u8; 12], b"", b"");
+            assert_eq!(
+                sealed,
+                hex("58e2fccefa7e3061367f1d57a4e7455a"),
+                "{}",
+                gcm.backend()
+            );
+        }
     }
 
     /// GCM spec test case 2: single zero block.
     #[test]
     fn gcm_test_case_2() {
-        let gcm = AesGcm::new(&Key::Aes128([0; 16]));
-        let sealed = gcm.seal(&[0u8; 12], &[0u8; 16], b"");
-        assert_eq!(
-            sealed,
-            hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
-        );
+        for gcm in backends(&Key::Aes128([0; 16])) {
+            let sealed = gcm.seal(&[0u8; 12], &[0u8; 16], b"");
+            assert_eq!(
+                sealed,
+                hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf"),
+                "{}",
+                gcm.backend()
+            );
+        }
     }
 
     /// Cross-implementation vector: the McGrew–Viega TC4 key/IV/AAD with a
@@ -366,23 +490,32 @@ mod tests {
     #[test]
     fn gcm_cross_impl_partial_block_with_aad() {
         let key = Key::from_bytes(&hex("feffe9928665731c6d6a8f9467308308")).unwrap();
-        let gcm = AesGcm::new(&key);
         let pt = hex(
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
              1c3c0c95956809532fcf0e2449a6b525b16aee8b16d4fa4c",
         );
         let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let sealed = gcm.seal(&nonce(&hex("cafebabefacedbaddecaf888")), &pt, &aad);
-        let (ct, tag) = sealed.split_at(sealed.len() - 16);
-        assert_eq!(
-            ct.to_vec(),
-            hex(
-                "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-                 21d514b25466931c7d8f6a5aac84aa051ba30847d6d3b08c"
-            )
-        );
-        assert_eq!(tag.to_vec(), hex("a446f3f1b5da810b5ae7653a4520861d"));
-        assert_eq!(gcm.open(&nonce(&hex("cafebabefacedbaddecaf888")), &sealed, &aad).unwrap(), pt);
+        let n = nonce(&hex("cafebabefacedbaddecaf888"));
+        for gcm in backends(&key) {
+            let sealed = gcm.seal(&n, &pt, &aad);
+            let (ct, tag) = sealed.split_at(sealed.len() - 16);
+            assert_eq!(
+                ct.to_vec(),
+                hex(
+                    "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                     21d514b25466931c7d8f6a5aac84aa051ba30847d6d3b08c"
+                ),
+                "{}",
+                gcm.backend()
+            );
+            assert_eq!(
+                tag.to_vec(),
+                hex("a446f3f1b5da810b5ae7653a4520861d"),
+                "{}",
+                gcm.backend()
+            );
+            assert_eq!(gcm.open(&n, &sealed, &aad).unwrap(), pt);
+        }
     }
 
     /// Cross-implementation AES-256-GCM vector (OpenSSL-backed reference).
@@ -392,19 +525,22 @@ mod tests {
         for (i, b) in key_bytes.iter_mut().enumerate() {
             *b = i as u8;
         }
-        let gcm = AesGcm::new(&Key::Aes256(key_bytes));
-        let sealed = gcm.seal(
-            &nonce(&hex("101112131415161718191a1b")),
-            b"ccAI cross-implementation vector",
-            b"hdr",
-        );
-        assert_eq!(
-            sealed,
-            hex(
-                "1e9dd95f69aa48dcb906257462090536ba35207a7ab63ede89d994023d203ba9\
-                 6bc2bb79522c0ae2f9fb22031c300a90"
-            )
-        );
+        for gcm in backends(&Key::Aes256(key_bytes)) {
+            let sealed = gcm.seal(
+                &nonce(&hex("101112131415161718191a1b")),
+                b"ccAI cross-implementation vector",
+                b"hdr",
+            );
+            assert_eq!(
+                sealed,
+                hex(
+                    "1e9dd95f69aa48dcb906257462090536ba35207a7ab63ede89d994023d203ba9\
+                     6bc2bb79522c0ae2f9fb22031c300a90"
+                ),
+                "{}",
+                gcm.backend()
+            );
+        }
     }
 
     #[test]
@@ -460,13 +596,21 @@ mod tests {
 
     #[test]
     fn tamper_detection_every_byte() {
-        let gcm = AesGcm::new(&Key::Aes128([0x11; 16]));
-        let n = [3u8; 12];
-        let sealed = gcm.seal(&n, b"sensitive model weights", b"");
-        for i in 0..sealed.len() {
-            let mut bad = sealed.clone();
-            bad[i] ^= 0x80;
-            assert!(gcm.open(&n, &bad, b"").is_err(), "tamper at byte {i} undetected");
+        for gcm in backends(&Key::Aes128([0x11; 16])) {
+            let n = [3u8; 12];
+            // Long enough to tamper inside a full 8-block slab and its tail.
+            let pt: Vec<u8> = (0..150).map(|i| (i * 29) as u8).collect();
+            let sealed = gcm.seal(&n, &pt, b"");
+            for i in 0..sealed.len() {
+                let mut bad = sealed.clone();
+                bad[i] ^= 0x80;
+                assert_eq!(
+                    gcm.open(&n, &bad, b""),
+                    Err(OpenError::TagMismatch),
+                    "{}: tamper at byte {i} undetected",
+                    gcm.backend()
+                );
+            }
         }
     }
 
@@ -493,37 +637,47 @@ mod tests {
     }
 
     /// A failed in-place open must leave the caller's buffer untouched for
-    /// every buffer shape, including the multi-slab bulk path.
+    /// every buffer shape, including the multi-slab bulk path, on both
+    /// backends.
     #[test]
     fn failed_open_never_touches_the_buffer() {
-        let gcm = AesGcm::new(&Key::Aes256([0x5A; 32]));
-        let n = [8u8; 12];
-        for len in [1usize, 16, 127, 128, 129, 4096] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
-            let mut buf = pt.clone();
-            let tag = gcm.seal_in_place_detached(&n, &mut buf, b"aad");
-            let ciphertext = buf.clone();
+        for gcm in backends(&Key::Aes256([0x5A; 32])) {
+            let which = gcm.backend();
+            let n = [8u8; 12];
+            for len in [1usize, 16, 127, 128, 129, 4096] {
+                let pt: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
+                let mut buf = pt.clone();
+                let tag = gcm.seal_in_place_detached(&n, &mut buf, b"aad");
+                let ciphertext = buf.clone();
 
-            let mut bad_tag = tag;
-            bad_tag[TAG_LEN - 1] ^= 0x40;
-            assert_eq!(
-                gcm.open_in_place_detached(&n, &mut buf, &bad_tag, b"aad"),
-                Err(OpenError::TagMismatch),
-                "len {len}"
-            );
-            assert_eq!(buf, ciphertext, "len {len}: buffer modified on bad tag");
+                let mut bad_tag = tag;
+                bad_tag[TAG_LEN - 1] ^= 0x40;
+                assert_eq!(
+                    gcm.open_in_place_detached(&n, &mut buf, &bad_tag, b"aad"),
+                    Err(OpenError::TagMismatch),
+                    "{which} len {len}"
+                );
+                assert_eq!(
+                    buf, ciphertext,
+                    "{which} len {len}: buffer modified on bad tag"
+                );
 
-            // Wrong AAD is also a mismatch and also leaves the bytes alone.
-            assert_eq!(
-                gcm.open_in_place_detached(&n, &mut buf, &tag, b"other"),
-                Err(OpenError::TagMismatch),
-                "len {len}"
-            );
-            assert_eq!(buf, ciphertext, "len {len}: buffer modified on bad AAD");
+                // Wrong AAD is also a mismatch and also leaves the bytes alone.
+                assert_eq!(
+                    gcm.open_in_place_detached(&n, &mut buf, &tag, b"other"),
+                    Err(OpenError::TagMismatch),
+                    "{which} len {len}"
+                );
+                assert_eq!(
+                    buf, ciphertext,
+                    "{which} len {len}: buffer modified on bad AAD"
+                );
 
-            // And the correct tag still opens the untouched ciphertext.
-            gcm.open_in_place_detached(&n, &mut buf, &tag, b"aad").unwrap();
-            assert_eq!(buf, pt, "len {len}");
+                // And the correct tag still opens the untouched ciphertext.
+                gcm.open_in_place_detached(&n, &mut buf, &tag, b"aad")
+                    .unwrap();
+                assert_eq!(buf, pt, "{which} len {len}");
+            }
         }
     }
 
@@ -550,13 +704,7 @@ mod tests {
     /// with the retained scalar oracle on random inputs of every shape.
     #[test]
     fn differential_against_scalar_oracle() {
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
         for trial in 0..24 {
             let key = if trial % 2 == 0 {
                 let mut k = [0u8; 16];
@@ -605,5 +753,138 @@ mod tests {
         let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let n = nonce(&hex("cafebabefacedbaddecaf888"));
         assert_eq!(oracle.seal(&n, &pt, &aad), fast.seal(&n, &pt, &aad));
+    }
+
+    /// The backend is a function of the CPU alone: hardware exactly where
+    /// the features `hw` compiles with are all reported, the table path
+    /// otherwise — so on such a CPU none of the differential tests below
+    /// compares the table path with itself.
+    #[test]
+    fn backend_follows_the_cpu_and_debug_names_only_it() {
+        #[cfg(target_arch = "x86_64")]
+        let hw = is_x86_feature_detected!("aes")
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let hw = false;
+        let [chosen, table] = backends(&Key::Aes128([0xEE; 16]));
+        assert_eq!(chosen.backend(), if hw { "aesni-pclmul" } else { "table" });
+        assert_eq!(table.backend(), "table");
+        for gcm in [chosen, table] {
+            let dbg = format!("{gcm:?}");
+            assert_eq!(dbg, format!("AesGcm {{ backend: {:?} }}", gcm.backend()));
+            assert!(
+                !dbg.to_lowercase().contains("ee") && !dbg.contains("238"),
+                "{dbg}"
+            );
+        }
+    }
+
+    /// One (key, nonce, aad, plaintext) through every entry point of both
+    /// backends and the scalar oracle: identical bytes, and each opens
+    /// what the others sealed.
+    fn assert_backends_agree(
+        [chosen, table]: &[AesGcm; 2],
+        scalar: Option<&ScalarAesGcm>,
+        n: &[u8; 12],
+        pt: &[u8],
+        aad: &[u8],
+    ) {
+        let ctx = format!("pt {} aad {}", pt.len(), aad.len());
+        let sealed = table.seal(n, pt, aad);
+        assert_eq!(chosen.seal(n, pt, aad), sealed, "seal, {ctx}");
+        let (ct, tag) = sealed.split_at(pt.len());
+        let tag: [u8; TAG_LEN] = tag.try_into().unwrap();
+        for gcm in [chosen, table] {
+            let which = gcm.backend();
+            assert_eq!(
+                gcm.seal_detached(n, pt, aad),
+                (ct.to_vec(), tag),
+                "{which} detached, {ctx}"
+            );
+            let mut buf = pt.to_vec();
+            assert_eq!(
+                gcm.seal_in_place_detached(n, &mut buf, aad),
+                tag,
+                "{which} in place, {ctx}"
+            );
+            assert_eq!(buf, ct, "{which} in place, {ctx}");
+            // Opens what either backend sealed, through every open form.
+            assert_eq!(
+                gcm.open(n, &sealed, aad).as_deref(),
+                Ok(pt),
+                "{which} open, {ctx}"
+            );
+            assert_eq!(
+                gcm.open_detached(n, ct, &tag, aad).as_deref(),
+                Ok(pt),
+                "{which}, {ctx}"
+            );
+            gcm.open_in_place_detached(n, &mut buf, &tag, aad).unwrap();
+            assert_eq!(buf, pt, "{which} open in place, {ctx}");
+        }
+        assert_eq!(
+            chosen.tag_only(n, pt),
+            table.tag_only(n, pt),
+            "tag_only, {ctx}"
+        );
+        assert!(
+            table.verify_tag_only(n, aad, &chosen.tag_only(n, aad)),
+            "tag_only, {ctx}"
+        );
+        if let Some(scalar) = scalar {
+            // Same bytes as both backends sealed and opened above, so
+            // this is the cross-open in both directions.
+            assert_eq!(scalar.seal(n, pt, aad), sealed, "scalar seal, {ctx}");
+            assert_eq!(
+                scalar.open(n, &sealed, aad).as_deref(),
+                Ok(pt),
+                "scalar open, {ctx}"
+            );
+        }
+    }
+
+    /// Every plaintext length 0..=300 and every AAD length 0..=300 — all
+    /// residues mod 16 (partial blocks) and mod 128 (the eight-block
+    /// slab and its tail) — under AES-128 and AES-256.
+    #[test]
+    fn backends_agree_bit_for_bit_at_every_length() {
+        let mut next = xorshift(0xA076_1D64_78BD_642F);
+        let data: Vec<u8> = (0..300).map(|_| next() as u8).collect();
+        for key in [Key::Aes128([0x3C; 16]), Key::Aes256([0xC3; 32])] {
+            let pair = backends(&key);
+            let scalar = ScalarAesGcm::new(&key);
+            let mut n = [0u8; 12];
+            for len in 0..=300 {
+                n.iter_mut().for_each(|b| *b = next() as u8);
+                assert_backends_agree(&pair, Some(&scalar), &n, &data[..len], &data[..len % 23]);
+                assert_backends_agree(&pair, Some(&scalar), &n, &data[..77], &data[..len]);
+            }
+        }
+    }
+
+    /// The datapath's sizes: one chunk, one descriptor, one bulk transfer.
+    /// The bit-serial oracle joins everywhere up to 64 KiB and once at
+    /// 1 MiB (seconds per pass unoptimized).
+    #[test]
+    fn backends_agree_on_bulk_sizes() {
+        let mut next = xorshift(0xE703_7ED1_A0B4_28DB);
+        let data: Vec<u8> = (0..(1 << 20) + 5).map(|_| next() as u8).collect();
+        for key in [Key::Aes128([0x6D; 16]), Key::Aes256([0xD6; 32])] {
+            let pair = backends(&key);
+            let scalar = ScalarAesGcm::new(&key);
+            for len in [4096, 4096 + 1, 65536, 65536 - 1, 1 << 20, (1 << 20) + 5] {
+                let slow = len <= 65536 || (len == 1 << 20 && key.len() == 16);
+                let scalar = slow.then_some(&scalar);
+                assert_backends_agree(
+                    &pair,
+                    scalar,
+                    &[len as u8; 12],
+                    &data[..len],
+                    b"chunk header",
+                );
+            }
+        }
     }
 }

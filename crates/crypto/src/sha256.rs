@@ -1,4 +1,10 @@
 //! FIPS-180-4 SHA-256.
+//!
+//! [`Sha256::new`] picks the compress function once from the CPU:
+//! `crate::hw`'s SHA-NI rounds where x86-64 reports them, the portable
+//! word loop below everywhere else (and as the reference the SHA-NI path
+//! is tested against). Either way whole runs of 64-byte blocks are
+//! compressed straight from the caller's slice.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -37,7 +43,7 @@ impl AsRef<[u8]> for Digest {
     }
 }
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -76,6 +82,29 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
+    compress: Compress,
+}
+
+/// Which compress function a hasher runs; a function of the CPU alone.
+#[derive(Debug, Clone, Copy)]
+enum Compress {
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(crate::hw::ShaNi),
+    Portable,
+}
+
+impl Compress {
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into `state`.
+    #[inline]
+    fn run(self, state: &mut [u32; 8], blocks: &[u8]) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Compress::ShaNi(hw) => hw.compress(state, blocks),
+            Compress::Portable => blocks
+                .chunks_exact(64)
+                .for_each(|b| compress_block(state, b)),
+        }
+    }
 }
 
 impl Default for Sha256 {
@@ -87,7 +116,38 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = crate::hw::ShaNi::detect() {
+            return Self::with(Compress::ShaNi(hw));
+        }
+        Self::with(Compress::Portable)
+    }
+
+    /// A hasher pinned to the portable compress whatever the CPU offers:
+    /// the differential reference [`Sha256::new`] is tested against.
+    #[cfg(any(test, feature = "scalar-oracle"))]
+    pub fn portable() -> Self {
+        Self::with(Compress::Portable)
+    }
+
+    fn with(compress: Compress) -> Self {
+        Sha256 {
+            state: H0,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 0,
+            compress,
+        }
+    }
+
+    /// Name of the compress function this hasher runs: `"sha-ni"` or
+    /// `"portable"`.
+    pub fn backend(&self) -> &'static str {
+        match self.compress {
+            #[cfg(target_arch = "x86_64")]
+            Compress::ShaNi(_) => "sha-ni",
+            Compress::Portable => "portable",
+        }
     }
 
     /// Absorbs more input.
@@ -99,37 +159,29 @@ impl Sha256 {
                 .copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            self.compress.run(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        self.compress.run(&mut self.state, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit length.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for &b in &len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
+        // Padding: 0x80, zeros to 56 mod 64, 64-bit length — one or two
+        // blocks after the buffered bytes, compressed in one call.
+        let n = self.buffer_len;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.compress.run(&mut self.state, &tail[..end]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -137,59 +189,45 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+/// The FIPS-180-4 compression function over one 64-byte block.
+fn compress_block(state: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
     }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -268,5 +306,93 @@ mod tests {
         let d = sha256(b"abc");
         assert!(format!("{d}").starts_with("ba7816bf"));
         assert!(format!("{d:?}").contains("ba7816bf"));
+    }
+
+    /// Whatever [`Sha256::new`] selects on this CPU, and the pinned
+    /// portable compress; logs the pair so a run shows what was compared.
+    fn backends() -> [Sha256; 2] {
+        let pair = [Sha256::new(), Sha256::portable()];
+        eprintln!(
+            "sha256 backends under test: {} and {}",
+            pair[0].backend(),
+            pair[1].backend()
+        );
+        pair
+    }
+
+    /// SHA-NI exactly where the CPU reports what `hw` compiles with, so
+    /// on such a CPU the tests below never compare portable with itself.
+    #[test]
+    fn backend_follows_the_cpu() {
+        #[cfg(target_arch = "x86_64")]
+        let hw = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let hw = false;
+        let [chosen, portable] = backends();
+        assert_eq!(chosen.backend(), if hw { "sha-ni" } else { "portable" });
+        assert_eq!(portable.backend(), "portable");
+    }
+
+    /// FIPS-180-4 "abc", the 448-bit message and 10⁶ × 'a' through both.
+    #[test]
+    fn backends_agree_on_fips_vectors() {
+        let million = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        let fresh = backends();
+        for (message, digest) in vectors {
+            for mut h in fresh.clone() {
+                let which = h.backend();
+                h.update(message);
+                assert_eq!(
+                    h.finalize().to_hex(),
+                    digest,
+                    "{which}, {} bytes",
+                    message.len()
+                );
+            }
+        }
+    }
+
+    /// Random lengths fed in random pieces: buffered head, multi-block
+    /// run, buffered tail and both padding shapes, through both.
+    #[test]
+    fn backends_agree_on_random_length_random_split_streams() {
+        let mut x: u64 = 0x8EBC_6AF0_9C88_C6E3;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let fresh = backends();
+        for _ in 0..200 {
+            let data: Vec<u8> = (0..next() % 1500).map(|_| next() as u8).collect();
+            let [mut chosen, mut portable] = fresh.clone();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at((next() % 200) as usize % rest.len() + 1);
+                chosen.update(piece);
+                portable.update(piece);
+                rest = tail;
+            }
+            let digest = portable.finalize();
+            assert_eq!(chosen.finalize(), digest, "len {}", data.len());
+            assert_eq!(sha256(&data), digest, "one-shot, len {}", data.len());
+        }
     }
 }

@@ -18,8 +18,7 @@ use crate::fault::{CompletionVerdict, FaultEvent, FaultInjector, FaultPlan};
 use crate::link::{LinkConfig, LinkSpeed};
 use crate::tlp::{CplStatus, Tlp, TlpPool, TlpPoolStats, TlpType};
 use crate::Bdf;
-use ccai_sim::{Hop, Severity, Telemetry};
-use std::collections::HashMap;
+use ccai_sim::{DetHashMap, Hop, Severity, Telemetry};
 use std::fmt;
 
 /// Identifies a fabric port.
@@ -162,9 +161,9 @@ impl fmt::Debug for Port {
 /// requests.
 #[derive(Debug)]
 pub struct Fabric {
-    ports: HashMap<PortId, Port>,
+    ports: DetHashMap<PortId, Port>,
     address_map: Vec<(std::ops::Range<u64>, PortId)>,
-    bdf_map: HashMap<Bdf, PortId>,
+    bdf_map: DetHashMap<Bdf, PortId>,
     taps: Vec<Box<dyn BusTap>>,
     wire_attack: Option<Box<dyn WireAttack>>,
     /// Interrupt/other messages delivered to the host.
@@ -196,9 +195,9 @@ pub struct Fabric {
 impl Default for Fabric {
     fn default() -> Self {
         Fabric {
-            ports: HashMap::new(),
+            ports: DetHashMap::default(),
             address_map: Vec::new(),
-            bdf_map: HashMap::new(),
+            bdf_map: DetHashMap::default(),
             taps: Vec::new(),
             wire_attack: None,
             host_inbox: Vec::new(),

@@ -9,9 +9,10 @@
 //! TLP deliveries; the higher-level workload models mostly use the simpler
 //! [`crate::Clock`].
 
+use crate::hash::DetHashSet;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,7 +71,7 @@ impl<S> Ord for Entry<S> {
 pub struct Scheduler<S> {
     now: SimTime,
     queue: BinaryHeap<Entry<S>>,
-    cancelled: HashSet<EventId>,
+    cancelled: DetHashSet<EventId>,
     next_seq: u64,
     executed: u64,
 }
@@ -87,7 +88,7 @@ impl<S> Scheduler<S> {
         Scheduler {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            cancelled: DetHashSet::default(),
             next_seq: 0,
             executed: 0,
         }

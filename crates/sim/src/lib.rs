@@ -17,6 +17,8 @@
 //! * [`rate`] — bandwidth/throughput arithmetic ([`Bandwidth`]);
 //! * [`rng`] — a small deterministic PRNG so experiments are reproducible
 //!   without pulling randomness from the host;
+//! * [`hash`] — `HashMap`/`HashSet` with fixed hash keys, for the same
+//!   reason ([`DetHashMap`], [`DetHashSet`]);
 //! * [`stats`] — summary statistics and histograms for measurement series.
 //!
 //! # Example
@@ -35,6 +37,7 @@
 
 pub mod clock;
 pub mod engine;
+pub mod hash;
 pub mod rate;
 pub mod rng;
 pub mod snapshot;
@@ -44,6 +47,7 @@ pub mod time;
 
 pub use clock::Clock;
 pub use engine::{EventId, Scheduler};
+pub use hash::{DetHashMap, DetHashSet};
 pub use rate::{Bandwidth, TokenBucket};
 pub use rng::SimRng;
 pub use snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};

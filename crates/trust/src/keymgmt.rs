@@ -13,8 +13,8 @@
 //! outlives its stream.
 
 use ccai_crypto::{hkdf, AesGcm, IvManager, IvStatus, Key};
+use ccai_sim::DetHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies one protected data stream (e.g. "H2D data", "D2H results").
@@ -64,7 +64,7 @@ impl StreamState {
 /// identically, so their key schedules agree without further traffic.
 pub struct WorkloadKeyManager {
     master: [u8; 32],
-    streams: HashMap<StreamId, StreamState>,
+    streams: DetHashMap<StreamId, StreamState>,
     rotations: u64,
     destroyed: bool,
 }
@@ -82,7 +82,7 @@ impl fmt::Debug for WorkloadKeyManager {
 impl WorkloadKeyManager {
     /// Creates a manager from the post-attestation shared secret.
     pub fn new(master: [u8; 32]) -> Self {
-        WorkloadKeyManager { master, streams: HashMap::new(), rotations: 0, destroyed: false }
+        WorkloadKeyManager { master, streams: DetHashMap::default(), rotations: 0, destroyed: false }
     }
 
     /// Provisions a stream with an IV budget (`iv_limit`); both ends must
@@ -251,7 +251,7 @@ impl WorkloadKeyManager {
         let rotations = dec.u64()?;
         let destroyed = dec.bool()?;
         let n = dec.seq_len()?;
-        let mut streams = HashMap::with_capacity(n);
+        let mut streams = DetHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = StreamId(dec.u32()?);
             let generation = dec.u32()?;

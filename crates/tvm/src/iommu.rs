@@ -8,14 +8,14 @@
 
 use crate::guest_memory::GuestMemory;
 use ccai_pcie::{Bdf, HostMemory};
-use std::collections::HashMap;
+use ccai_sim::DetHashMap;
 use std::fmt;
 use std::ops::Range;
 
 /// A per-device DMA allow-list layered over guest memory.
 pub struct Iommu {
     memory: GuestMemory,
-    allowed: HashMap<Bdf, Vec<Range<u64>>>,
+    allowed: DetHashMap<Bdf, Vec<Range<u64>>>,
     faults: u64,
 }
 
@@ -31,7 +31,7 @@ impl fmt::Debug for Iommu {
 impl Iommu {
     /// Wraps guest memory with an empty (deny-all) policy.
     pub fn new(memory: GuestMemory) -> Self {
-        Iommu { memory, allowed: HashMap::new(), faults: 0 }
+        Iommu { memory, allowed: DetHashMap::default(), faults: 0 }
     }
 
     /// Grants `device` DMA access to `range`.

@@ -7,8 +7,8 @@
 
 use crate::memory::DeviceMemory;
 use ccai_pcie::{Bdf, Tlp};
+use ccai_sim::DetHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// DMA chunk size: one max-sized TLP per chunk.
@@ -77,7 +77,7 @@ pub struct DmaEngine {
     bdf: Bdf,
     status: DmaStatus,
     outbound: Vec<Tlp>,
-    inflight: HashMap<u8, Inflight>,
+    inflight: DetHashMap<u8, Inflight>,
     next_tag: u8,
     /// Remaining H2D chunks not yet issued: (host_addr, device_addr, len).
     pending_reads: Vec<(u64, u64, u64)>,
@@ -111,7 +111,7 @@ impl DmaEngine {
             bdf,
             status: DmaStatus::Idle,
             outbound: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: DetHashMap::default(),
             next_tag: 0,
             pending_reads: Vec::new(),
             bytes_moved: 0,
@@ -399,7 +399,7 @@ impl DmaEngine {
             outbound.push(decode_dma_tlp(dec)?);
         }
         let n_inflight = dec.seq_len()?;
-        let mut inflight = HashMap::with_capacity(n_inflight);
+        let mut inflight = DetHashMap::with_capacity_and_hasher(n_inflight, Default::default());
         for _ in 0..n_inflight {
             let tag = dec.u8()?;
             let host_addr = dec.u64()?;

@@ -412,6 +412,43 @@ proptest! {
     }
 
     #[test]
+    fn hw_datapath_matches_table_and_scalar_chunk_by_chunk(
+        key in arb_key(),
+        nonce_base in any::<[u8; 12]>(),
+        split in arb_chunk_split(),
+        aad in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        // `AesGcm::new` runs on AES-NI + PCLMULQDQ wherever the CPU has
+        // them; the table backend and the scalar seed are two independent
+        // references for it under every chunk geometry. (On a CPU without
+        // the instructions `new` *is* the table path and this degenerates
+        // to the property above.)
+        let (payload, cuts) = split;
+        let chosen = AesGcm::new(&key);
+        let table = AesGcm::portable(&key);
+        let oracle = ScalarAesGcm::new(&key);
+        prop_assert_eq!(table.backend(), "table");
+        let bounds: Vec<usize> = std::iter::once(0)
+            .chain(cuts.iter().copied())
+            .chain(std::iter::once(payload.len()))
+            .collect();
+        for (i, pair) in bounds.windows(2).enumerate() {
+            let chunk = &payload[pair[0]..pair[1]];
+            let mut nonce = nonce_base;
+            nonce[8..].copy_from_slice(&(i as u32).to_be_bytes());
+            // In place and detached, as the staging datapath seals.
+            let mut sealed = chunk.to_vec();
+            let tag = chosen.seal_in_place_detached(&nonce, &mut sealed, &aad);
+            sealed.extend_from_slice(&tag);
+            prop_assert_eq!(&sealed, &table.seal(&nonce, chunk, &aad), "{} vs table", chosen.backend());
+            prop_assert_eq!(&sealed, &oracle.seal(&nonce, chunk, &aad), "{} vs scalar", chosen.backend());
+            // Each opens what the other sealed.
+            prop_assert_eq!(table.open(&nonce, &sealed, &aad).expect("authentic"), chunk.to_vec());
+            prop_assert_eq!(chosen.open(&nonce, &sealed, &aad).expect("authentic"), chunk.to_vec());
+        }
+    }
+
+    #[test]
     fn fast_and_oracle_agree_on_injected_tag_faults(
         key in arb_key(),
         nonce in any::<[u8; 12]>(),
