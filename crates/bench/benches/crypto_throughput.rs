@@ -1,14 +1,12 @@
 //! AES-GCM datapath throughput (§5, §7.2).
 //!
 //! Measures every `AesGcm` backend this CPU can run — what `AesGcm::new`
-//! selects and, where that is hardware, the table path beside it; groups
-//! are named by `backend()` — against the seed's byte-at-a-time scalar
-//! implementation (`scalar::ScalarAesGcm`, kept as the differential
-//! oracle) at the three sizes that matter to the simulated PCIe-SC: one
-//! 4 KiB chunk, a 64 KiB descriptor, and a 1 MiB transfer.
+//! selects and, where that is hardware, the portable reference beside
+//! it; groups are named by `backend()` — at the three sizes that matter
+//! to the simulated PCIe-SC: one 4 KiB chunk, a 64 KiB descriptor, and a
+//! 1 MiB transfer.
 //! `cargo bench -p ccai-bench --bench crypto_throughput`.
 
-use ccai_crypto::scalar::ScalarAesGcm;
 use ccai_crypto::{AesGcm, Key};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -67,27 +65,9 @@ fn bench_open(c: &mut Criterion) {
     }
 }
 
-fn bench_scalar_baseline(c: &mut Criterion) {
-    let key = Key::Aes128([0x42; 16]);
-    let scalar = ScalarAesGcm::new(&key);
-    let mut group = c.benchmark_group("scalar_seal");
-    // The scalar path is ~two orders of magnitude slower; keep the large
-    // sizes from dominating wall-clock.
-    group.sample_size(10);
-    for (label, len) in SIZES {
-        let plaintext = patterned(len);
-        group.throughput(Throughput::Bytes(len as u64));
-        group.bench_function(label, |b| {
-            b.iter(|| std::hint::black_box(scalar.seal(&[7; 12], &plaintext, b"aad")))
-        });
-    }
-    group.finish();
-}
-
 fn bench_key_setup(c: &mut Criterion) {
-    // Per-key cost — the AES schedule plus eight hash-key powers
-    // (hardware) or 32 KiB of GHASH tables (table) — paid once per stream
-    // by `WorkloadKeyManager`.
+    // Per-key cost — the AES schedule and `H`, plus `H²..H⁸` on the
+    // hardware path — paid once per stream by `WorkloadKeyManager`.
     let key = Key::Aes256([0x24; 32]);
     for make in constructors() {
         c.bench_function(
@@ -97,5 +77,5 @@ fn bench_key_setup(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_seal, bench_open, bench_scalar_baseline, bench_key_setup);
+criterion_group!(benches, bench_seal, bench_open, bench_key_setup);
 criterion_main!(benches);

@@ -1,9 +1,9 @@
 //! Crypto datapath benchmark runner: measures AES-GCM seal/open
 //! throughput for every backend this CPU can run — the one
-//! `AesGcm::new` selects (rows carry its `backend()` name), the table
-//! path where that is not already it, and the scalar seed baseline —
-//! plus per-key set-up and SHA-256, then writes machine-readable results
-//! to `BENCH_crypto.json` so the performance trajectory of the crypto
+//! `AesGcm::new` selects and the portable reference where that is not
+//! already it; rows carry their `backend()` name — plus per-key set-up
+//! and SHA-256, then writes machine-readable results to
+//! `BENCH_crypto.json` so the performance trajectory of the crypto
 //! datapath is tracked from PR to PR.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
@@ -18,7 +18,6 @@
 use ccai_bench::distinct_backends;
 use ccai_core::system::{ConfidentialSystem, SystemMode};
 use ccai_core::TelemetrySnapshot;
-use ccai_crypto::scalar::ScalarAesGcm;
 use ccai_crypto::{AesGcm, Key, Sha256};
 use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
@@ -75,7 +74,6 @@ fn run() -> Vec<Sample> {
         distinct_backends(AesGcm::new, AesGcm::portable, |make| make(&key).backend());
     let ciphers: Vec<AesGcm> = constructors.iter().map(|make| make(&key)).collect();
     let hashers = distinct_backends(Sha256::new(), Sha256::portable(), Sha256::backend);
-    let scalar = ScalarAesGcm::new(&key);
     let mut samples = Vec::new();
     let mut push = |op, path, (size_label, bytes), (ns_per_iter, gib_per_s)| {
         samples.push(Sample {
@@ -112,21 +110,6 @@ fn run() -> Vec<Sample> {
             push("open", cipher.backend(), size, open);
         }
 
-        // Scalar baseline (allocating API only; orders of magnitude slower).
-        let seal = measure(len, || {
-            std::hint::black_box(scalar.seal(&[7; 12], &plaintext, b"aad"));
-        });
-        push("seal", "scalar", size, seal);
-        let sealed = scalar.seal(&[7; 12], &plaintext, b"aad");
-        let open = measure(len, || {
-            std::hint::black_box(
-                scalar
-                    .open(&[7; 12], &sealed, b"aad")
-                    .expect("tag verifies"),
-            );
-        });
-        push("open", "scalar", size, open);
-
         for hasher in &hashers {
             let hash = measure(len, || {
                 let mut h = hasher.clone();
@@ -137,10 +120,12 @@ fn run() -> Vec<Sample> {
         }
     }
 
-    // Per-key cost, paid once per stream and key generation: schedule +
-    // hash-key powers (hardware) or 32 KiB of GHASH tables (table).
+    // Per-key cost, paid once per stream and key generation: the round
+    // keys and `H` (portable), plus `H²..H⁸` (hardware).
     for (make, cipher) in constructors.iter().zip(&ciphers) {
-        let setup = measure(0, || drop(std::hint::black_box(make(&key))));
+        let setup = measure(0, || {
+            std::hint::black_box(make(&key));
+        });
         push("key_setup", cipher.backend(), ("key", 0), setup);
     }
     samples
@@ -172,16 +157,14 @@ fn to_json(samples: &[Sample], telemetry: &TelemetrySnapshot) -> String {
         .expect("write to string");
     }
     out.push_str("  ],\n");
-    let table_vs_scalar = speedup_64k(samples, "table", "scalar").unwrap_or(0.0);
+    // `null` on a CPU where `AesGcm::new` selects the portable path itself.
+    let hw_vs_portable =
+        speedup_64k(samples, HW, "portable").map_or("null".into(), |x| format!("{x:.1}"));
     writeln!(
         out,
-        "  \"speedup_table_vs_scalar_seal_64KiB\": {table_vs_scalar:.1},"
+        "  \"speedup_hw_vs_portable_seal_64KiB\": {hw_vs_portable},"
     )
     .expect("write");
-    // `null` on a CPU where `AesGcm::new` selects the table path itself.
-    let hw_vs_table =
-        speedup_64k(samples, HW, "table").map_or("null".into(), |x| format!("{x:.1}"));
-    writeln!(out, "  \"speedup_hw_vs_table_seal_64KiB\": {hw_vs_table},").expect("write");
     out.push_str("  \"telemetry\": ");
     let telemetry_json = telemetry.to_json();
     assert!(
@@ -220,11 +203,8 @@ fn main() {
             s.op, s.path, s.size_label, s.ns_per_iter, s.gib_per_s
         );
     }
-    if let Some(x) = speedup_64k(&samples, "table", "scalar") {
-        println!("table vs scalar seal @64KiB: {x:.1}x");
-    }
-    if let Some(x) = speedup_64k(&samples, HW, "table") {
-        println!("{HW} vs table seal @64KiB: {x:.1}x");
+    if let Some(x) = speedup_64k(&samples, HW, "portable") {
+        println!("{HW} vs portable seal @64KiB: {x:.1}x");
     }
     let snapshot = confidential_workload_snapshot();
     println!("fixed-seed workload trace digest: {}", snapshot.digest_hex());

@@ -1,9 +1,8 @@
 //! TLP datapath benchmark runner: measures classification throughput of
 //! the precompiled filter matcher against the pre-refactor linear scan,
-//! and end-to-end staging throughput of the batched SC pump against the
-//! legacy per-TLP pump, then writes machine-readable results to
-//! `BENCH_datapath.json` so the datapath performance trajectory is
-//! tracked from PR to PR.
+//! and end-to-end staging throughput through the batched SC pump, then
+//! writes machine-readable results to `BENCH_datapath.json` so the
+//! datapath performance trajectory is tracked from PR to PR.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_datapath`.
 //! Pass an output path as the first argument to override the default.
@@ -11,14 +10,14 @@
 //! the CI schema-drift check uses this mode.
 //!
 //! Alongside raw numbers, one fixed-seed confidential workload runs
-//! through the batched pipeline and embeds its telemetry snapshot, TLP
-//! pool hit/miss counters, and the `sc.batch_size` summary — all
-//! deterministic, so those sections are reproducible run-to-run.
+//! through the batched pipeline and embeds its telemetry snapshot and the
+//! `sc.batch_size` summary — both deterministic, so those sections are
+//! reproducible run-to-run.
 
 use ccai_core::filter::{L1Rule, L2Rule, PacketFilter, SecurityAction};
 use ccai_core::system::{ConfidentialSystem, SystemMode};
 use ccai_core::TelemetrySnapshot;
-use ccai_pcie::{Bdf, Tlp, TlpPoolStats, TlpType};
+use ccai_pcie::{Bdf, Tlp, TlpType};
 use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -192,14 +191,13 @@ fn filter_scenarios() -> Vec<Sample> {
 }
 
 /// End-to-end staging throughput: full confidential workloads through
-/// the fabric with the batched pump versus the legacy per-TLP pump.
-fn staging_scenario(path: &'static str, batching: bool) -> Sample {
+/// the fabric and the batched SC pump.
+fn staging_scenario() -> Sample {
     let (weights_len, input_len) =
         if smoke() { (16 * 1024, 2 * 1024) } else { (128 * 1024, 16 * 1024) };
     let weights = patterned(weights_len);
     let input = patterned(input_len);
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
-    system.fabric_mut().set_pump_batching(batching);
     // Warm up (session establishment, rule install), then count the TLPs
     // one steady-state run pushes through the SC filter.
     system.run_workload(&weights, &input).expect("warmup workload");
@@ -209,14 +207,14 @@ fn staging_scenario(path: &'static str, batching: bool) -> Sample {
     let ns = measure(|| {
         system.run_workload(&weights, &input).expect("benchmark workload");
     });
-    sample("bulk_dma_staging", path, tlps_per_run, weights_len + input_len, ns)
+    sample("bulk_dma_staging", "batched", tlps_per_run, weights_len + input_len, ns)
 }
 
 /// One fixed-seed run through the batched pipeline for the deterministic
-/// sections of the report: telemetry snapshot, pool stats, and the SC
-/// batch-size summary. Inputs match `bench_crypto`'s snapshot workload,
-/// so the trace digest is directly comparable across runners.
-fn instrumented_run() -> (TelemetrySnapshot, TlpPoolStats, u64, u64, u64) {
+/// sections of the report: telemetry snapshot and the SC batch-size
+/// summary. Inputs match `bench_crypto`'s snapshot workload, so the trace
+/// digest is directly comparable across runners.
+fn instrumented_run() -> (TelemetrySnapshot, u64, u64, u64) {
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
     let weights = patterned(96 * 1024);
     let input = patterned(8 * 1024);
@@ -226,8 +224,7 @@ fn instrumented_run() -> (TelemetrySnapshot, TlpPoolStats, u64, u64, u64) {
     let tlps = system.telemetry().counter("sc.filter_tlps");
     let histogram_samples =
         system.telemetry().histogram("sc.batch_size").map_or(0, |h| h.total());
-    let pool = system.fabric_mut().pool_stats();
-    (snapshot, pool, batches, tlps, histogram_samples)
+    (snapshot, batches, tlps, histogram_samples)
 }
 
 /// The tentpole's headline number: compiled vs scan flood throughput.
@@ -247,11 +244,9 @@ fn speedup(samples: &[Sample]) -> f64 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn to_json(
     samples: &[Sample],
     telemetry: &TelemetrySnapshot,
-    pool: &TlpPoolStats,
     batches: u64,
     batched_tlps: u64,
     histogram_samples: u64,
@@ -277,12 +272,6 @@ fn to_json(
         "  \"sc_batch\": {{\"batches\": {batches}, \"tlps\": {batched_tlps}, \"mean_batch_size\": {mean_batch:.2}, \"histogram_samples\": {histogram_samples}}},"
     )
     .expect("write");
-    writeln!(
-        out,
-        "  \"pool\": {{\"hits\": {}, \"misses\": {}, \"recycled\": {}}},",
-        pool.hits, pool.misses, pool.recycled
-    )
-    .expect("write");
     out.push_str("  \"telemetry\": ");
     let telemetry_json = telemetry.to_json();
     assert!(
@@ -300,8 +289,7 @@ fn main() {
     let out_path =
         std::env::args().nth(1).unwrap_or_else(|| "BENCH_datapath.json".to_string());
     let mut samples = filter_scenarios();
-    samples.push(staging_scenario("batched", true));
-    samples.push(staging_scenario("per_tlp", false));
+    samples.push(staging_scenario());
     for s in &samples {
         println!(
             "{:>16} {:<8}  {:>14.1} ns/iter  {:>14.0} TLPs/s  {:>8.3} GiB/s",
@@ -309,13 +297,10 @@ fn main() {
         );
     }
     println!("compiled vs scan flood: {:.1}x", speedup(&samples));
-    let (snapshot, pool, batches, tlps, histogram_samples) = instrumented_run();
+    let (snapshot, batches, tlps, histogram_samples) = instrumented_run();
     println!("fixed-seed workload trace digest: {}", snapshot.digest_hex());
-    println!(
-        "sc batches: {batches} ({tlps} TLPs, {histogram_samples} histogram samples); pool hits/misses/recycled: {}/{}/{}",
-        pool.hits, pool.misses, pool.recycled
-    );
-    let json = to_json(&samples, &snapshot, &pool, batches, tlps, histogram_samples);
+    println!("sc batches: {batches} ({tlps} TLPs, {histogram_samples} histogram samples)");
+    let json = to_json(&samples, &snapshot, batches, tlps, histogram_samples);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);

@@ -567,6 +567,15 @@ impl Adaptor {
         }
     }
 
+    /// Allows A3 register writes anywhere in `range` (e.g. a partitioned
+    /// device's register windows) in the SC's environment guard.
+    pub fn allow_window(&self, port: &mut dyn TlpPort, range: std::ops::Range<u64>) {
+        self.state
+            .borrow_mut()
+            .queue_env_record(0, range.start, range.end);
+        self.flush_control(port);
+    }
+
     /// Registers an expected-value guard (e.g. the page-table base
     /// register) with the SC's environment guard.
     pub fn guard_register(&self, port: &mut dyn TlpPort, addr: u64, expected: u64) {

@@ -23,8 +23,7 @@
 //!   matches wins — exactly the scan's first-hit order.
 //!
 //! The scan itself stays available behind the `scan-oracle` feature (and
-//! in unit tests) as a differential oracle, mirroring the
-//! `ccai_crypto::scalar` pattern.
+//! in unit tests) as a differential oracle.
 
 use super::action::SecurityAction;
 use super::rule::{FieldMask, L1Decision, L1Rule, MatchFields, L2Rule};

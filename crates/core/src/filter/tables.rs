@@ -127,8 +127,8 @@ impl PacketFilter {
 
     /// Classifies via the pre-refactor row-by-row linear scan.
     ///
-    /// This is the differential oracle for the compiled matcher (the
-    /// `ccai_crypto::scalar` pattern): available to unit tests always and
+    /// This is the differential oracle for the compiled matcher:
+    /// available to unit tests always and
     /// to external harnesses behind the `scan-oracle` feature, so the
     /// property suite and the datapath benchmark can compare both paths
     /// through identical stats accounting.

@@ -823,37 +823,34 @@ impl PcieSc {
     }
 
     fn register_env_policy(&mut self, payload: &[u8], seq: Option<u64>) -> bool {
-        // Sequenced records carry a MAC (nonced by the envelope sequence)
-        // because env policy is append-only: a corrupted record accepted
-        // here could never be rolled back. Raw 17-byte records remain
-        // accepted for the legacy un-sequenced path.
-        let payload: &[u8] = match (payload.len(), seq) {
-            (ENV_POLICY_RECORD_LEN, _) => payload,
+        // Env policy is append-only — a record accepted here can never be
+        // rolled back — so only a sequenced record whose MAC (nonced by
+        // its envelope sequence, under the env key) verifies is applied.
+        // Anything else, a bare record included, is a forgery or a
+        // mangled write, and the rejection holds the ack back.
+        let authentic = match (payload.len(), seq) {
             (ENV_POLICY_MAC_RECORD_LEN, Some(seq)) => {
                 let (body, tag) = payload.split_at(ENV_POLICY_RECORD_LEN);
                 let tag: [u8; 16] = tag.try_into().expect("16B tag");
                 let nonce = ChunkRef { stream: ENV_STREAM, seq }.nonce();
-                if !self.engine.verify_plain_tag(&self.env_key, &nonce, body, &tag) {
-                    self.alerts.push(ScAlert::WriteProtectFailure {
-                        addr: regs::ENV_POLICY,
-                        reason: "env-policy record failed authentication".to_string(),
-                    });
-                    if let Some(telemetry) = self.telemetry.clone() {
-                        telemetry.record(
-                            Severity::Warn,
-                            "sc.env_reject",
-                            None,
-                            None,
-                            format!("seq={seq}"),
-                        );
-                        telemetry.counter_add("sc.env_rejects", 1);
-                    }
-                    return false;
-                }
-                body
+                self.engine
+                    .verify_plain_tag(&self.env_key, &nonce, body, &tag)
+                    .then_some(body)
             }
-            (_, Some(_)) => return false,
-            (_, None) => return true,
+            _ => None,
+        };
+        let Some(payload) = authentic else {
+            self.alerts.push(ScAlert::WriteProtectFailure {
+                addr: regs::ENV_POLICY,
+                reason: "env-policy record failed authentication".to_string(),
+            });
+            if let Some(telemetry) = self.telemetry.clone() {
+                let detail =
+                    seq.map_or_else(|| "unsequenced".to_string(), |seq| format!("seq={seq}"));
+                telemetry.record(Severity::Warn, "sc.env_reject", None, None, detail);
+                telemetry.counter_add("sc.env_rejects", 1);
+            }
+            return false;
         };
         let addr = u64::from_be_bytes(payload[1..9].try_into().expect("8B"));
         let value_or_end = u64::from_be_bytes(payload[9..17].try_into().expect("8B"));

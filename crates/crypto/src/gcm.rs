@@ -11,29 +11,30 @@
 //! chosen once per key by [`AesGcm::new`] from the CPU alone:
 //!
 //! * `aesni-pclmul` (`crate::hw`, x86-64 with AES-NI + PCLMULQDQ): the
-//!   instructions the paper's Adaptor uses — eight counter blocks
-//!   interleaved through `aesenc`, GHASH by carry-less multiply against
-//!   `H¹..H⁸` with one reduction per eight blocks; constant-time, no
-//!   per-key tables. Seal is a CTR pass then a GHASH pass (each at its
-//!   unit's throughput; a naive single loop measured slower than the two);
-//! * `table` (every other CPU, and the differential reference on this
-//!   one): per-key nibble-indexed GHASH tables for `H..H⁴`
-//!   ([`crate::ghash`]) and [`PAR_BLOCKS`] counter blocks per call
-//!   through the T-table AES, GHASH fused into the seal pass.
+//!   instructions the paper's Adaptor uses — an `aeskeygenassist` key
+//!   schedule, eight counter blocks interleaved through `aesenc`, GHASH
+//!   by carry-less multiply against `H¹..H⁸` with one reduction per
+//!   eight blocks;
+//! * `portable` (every other CPU, and the differential reference on this
+//!   one, [`AesGcm::portable`]): bitsliced AES over four blocks per pass
+//!   ([`crate::aes`]) and GHASH by integer multiplies with holes
+//!   (`crate::ghash`).
 //!
-//! Both open in two passes — GHASH-verify, then CTR — so a failed open
-//! leaves the buffer untouched, and the detached in-place APIs
+//! Both are constant-time — no table indexed by data, no branch on it —
+//! and keep no per-key tables beyond round keys and hash-key powers.
+//! Both seal in two passes — CTR, then GHASH over the ciphertext; on the
+//! hardware each pass runs at its unit's throughput and a fused single
+//! loop measured slower — and open in two passes — GHASH-verify, then
+//! CTR — so a failed open leaves the buffer untouched, and the detached
+//! in-place APIs
 //! ([`AesGcm::seal_in_place_detached`],
 //! [`AesGcm::open_in_place_detached`]) let the Packet Handler engine and
 //! the Adaptor staging path crypt whole buffers with zero concatenation
 //! or re-copying.
-//!
-//! The seed's scalar implementation survives in [`crate::scalar`] and the
-//! differential tests below hold all three bit-for-bit equal.
 
 use crate::aes::{Aes, Key};
 use crate::ct::ct_eq;
-use crate::ghash::{Ghash, GhashTable};
+use crate::ghash::ghash;
 #[cfg(target_arch = "x86_64")]
 use crate::hw::AesNiGcm;
 use std::fmt;
@@ -44,10 +45,6 @@ pub const TAG_LEN: usize = 16;
 /// Nonce length in bytes (96-bit nonces; the remaining 32 bits of the IV
 /// are the GCM block counter).
 pub const NONCE_LEN: usize = 12;
-
-/// Counter blocks encrypted per keystream call on the table backend's
-/// bulk path.
-pub const PAR_BLOCKS: usize = 16;
 
 /// Error returned when authenticated decryption fails.
 ///
@@ -76,115 +73,40 @@ impl fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-/// The portable backend: T-table AES and Shoup-table GHASH.
+/// The portable backend: bitsliced AES and the hash key `H = E_K(0¹²⁸)`.
 #[derive(Clone)]
-struct TableGcm {
+struct PortableGcm {
     aes: Aes,
-    ghash: GhashTable,
+    h: u128,
 }
 
-impl TableGcm {
-    /// Derives the hash key `H = E_K(0¹²⁸)` and builds the 32 KiB of
-    /// GHASH multiplication tables (4 powers × 8 KiB).
-    fn new(aes: Aes) -> TableGcm {
-        let mut h_block = [0u8; 16];
-        aes.encrypt_block(&mut h_block);
-        TableGcm {
+impl PortableGcm {
+    fn new(key: &Key) -> PortableGcm {
+        let aes = Aes::new(key);
+        let mut h = [0u8; 16];
+        aes.encrypt_block(&mut h);
+        PortableGcm {
             aes,
-            ghash: GhashTable::new(u128::from_be_bytes(h_block)),
+            h: u128::from_be_bytes(h),
         }
     }
 
-    /// Column words of the counter block `nonce ‖ counter`.
-    #[inline]
-    fn counter_words(nonce: &[u8; NONCE_LEN], counter: u32) -> [u32; 4] {
-        [
-            u32::from_be_bytes([nonce[0], nonce[1], nonce[2], nonce[3]]),
-            u32::from_be_bytes([nonce[4], nonce[5], nonce[6], nonce[7]]),
-            u32::from_be_bytes([nonce[8], nonce[9], nonce[10], nonce[11]]),
-            counter,
-        ]
-    }
-
-    /// XORs the CTR keystream (counters 2..) over `data` in place.
-    ///
-    /// Bulk traffic runs [`PAR_BLOCKS`] counter blocks per AES call; the
-    /// tail falls back to single blocks.
-    fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-        let mut counter = 2u32; // counter 1 is reserved for the tag
-        let mut bulk = data.chunks_exact_mut(16 * PAR_BLOCKS);
-        for slab in bulk.by_ref() {
-            self.ctr_slab(nonce, counter, slab);
-            counter = counter.wrapping_add(PAR_BLOCKS as u32);
-        }
-        self.ctr_tail(nonce, counter, bulk.into_remainder());
-    }
-
-    /// XORs [`PAR_BLOCKS`] keystream blocks over one full-size slab.
-    #[inline]
-    fn ctr_slab(&self, nonce: &[u8; NONCE_LEN], counter: u32, slab: &mut [u8]) {
-        let n = [
-            u32::from_be_bytes([nonce[0], nonce[1], nonce[2], nonce[3]]),
-            u32::from_be_bytes([nonce[4], nonce[5], nonce[6], nonce[7]]),
-            u32::from_be_bytes([nonce[8], nonce[9], nonce[10], nonce[11]]),
-        ];
-        let states = self.aes.ctr_keystream_para::<PAR_BLOCKS>(n, counter);
-        for (k, state) in states.iter().enumerate() {
-            xor_block_words(&mut slab[16 * k..16 * (k + 1)], state);
-        }
-    }
-
-    /// XORs single keystream blocks over a sub-slab tail.
-    fn ctr_tail(&self, nonce: &[u8; NONCE_LEN], mut counter: u32, data: &mut [u8]) {
-        for chunk in data.chunks_mut(16) {
-            let state = self.aes.encrypt_words(Self::counter_words(nonce, counter));
-            let mut keystream = [0u8; 16];
-            for (c, w) in state.iter().enumerate() {
-                keystream[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-            }
-            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+    /// XORs the CTR keystream for counters `counter..` (wrapping as
+    /// `inc32`) over `data` in place, four blocks per pass.
+    fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], mut counter: u32, data: &mut [u8]) {
+        for chunk in data.chunks_mut(64) {
+            let keystream = self.aes.ctr_keystream(nonce, counter);
+            for (d, k) in chunk.iter_mut().zip(keystream.as_flattened()) {
                 *d ^= k;
             }
-            counter = counter.wrapping_add(1);
+            counter = counter.wrapping_add(4);
         }
     }
 
+    /// The tag over `aad ‖ ciphertext`, masked with `E(K, nonce ‖ 1)`.
     fn tag(&self, nonce: &[u8; NONCE_LEN], ciphertext: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
-        let mut ghash = Ghash::new(&self.ghash);
-        ghash.update(aad);
-        ghash.update(ciphertext);
-        self.finish_tag(nonce, ghash.finalize(aad.len(), ciphertext.len()))
-    }
-
-    /// Masks the GHASH output with `E(K, counter 1)` to form the tag.
-    fn finish_tag(&self, nonce: &[u8; NONCE_LEN], s: u128) -> [u8; TAG_LEN] {
-        let e0 = self.aes.encrypt_words(Self::counter_words(nonce, 1));
-        let mut out = [0u8; TAG_LEN];
-        for (c, w) in e0.iter().enumerate() {
-            out[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        (s ^ u128::from_be_bytes(out)).to_be_bytes()
-    }
-
-    /// Encryption and authentication run fused: each keystream slab is
-    /// absorbed by GHASH while the ciphertext is still hot, and the
-    /// latency-bound GHASH chain overlaps the load-throughput-bound AES
-    /// lookups instead of running as a second pass.
-    fn seal(&self, nonce: &[u8; NONCE_LEN], buf: &mut [u8], aad: &[u8]) -> [u8; TAG_LEN] {
-        let total = buf.len();
-        let mut ghash = Ghash::new(&self.ghash);
-        ghash.update(aad);
-        let mut counter = 2u32;
-        let mut bulk = buf.chunks_exact_mut(16 * PAR_BLOCKS);
-        for slab in bulk.by_ref() {
-            self.ctr_slab(nonce, counter, slab);
-            ghash.update(slab); // whole slabs: no padding until the tail
-            counter = counter.wrapping_add(PAR_BLOCKS as u32);
-        }
-        let tail = bulk.into_remainder();
-        self.ctr_tail(nonce, counter, tail);
-        ghash.update(tail);
-        self.finish_tag(nonce, ghash.finalize(aad.len(), total))
+        let [mask, ..] = self.aes.ctr_keystream(nonce, 1);
+        (ghash(self.h, aad, ciphertext) ^ u128::from_be_bytes(mask)).to_be_bytes()
     }
 }
 
@@ -194,7 +116,7 @@ impl TableGcm {
 enum Backend {
     #[cfg(target_arch = "x86_64")]
     AesNi(AesNiGcm),
-    Table(TableGcm),
+    Portable(PortableGcm),
 }
 
 /// AES-GCM authenticated encryption.
@@ -227,48 +149,45 @@ impl AesGcm {
     /// Creates a GCM instance from an AES key.
     ///
     /// Key setup expands the AES round keys and derives the hash key
-    /// `H = E_K(0¹²⁸)`, then either its eight `pclmulqdq` powers (where
-    /// the CPU reports AES-NI, PCLMULQDQ, SSSE3 and SSE4.1) or the table
-    /// backend's 32 KiB of GHASH tables; whoever owns the key pays this
-    /// once and keeps the instance.
+    /// `H = E_K(0¹²⁸)` — where the CPU reports AES-NI, PCLMULQDQ, SSSE3
+    /// and SSE4.1 entirely on those instructions, plus `H`'s eight
+    /// `pclmulqdq` powers; whoever owns the key pays this once and keeps
+    /// the instance.
     pub fn new(key: &Key) -> AesGcm {
-        let aes = Aes::new(key);
         #[cfg(target_arch = "x86_64")]
-        if let Some(hw) = AesNiGcm::detect(&aes) {
+        if let Some(hw) = AesNiGcm::detect(key) {
             return AesGcm {
                 backend: Backend::AesNi(hw),
             };
         }
-        AesGcm {
-            backend: Backend::Table(TableGcm::new(aes)),
-        }
+        AesGcm::portable(key)
     }
 
-    /// The table backend whatever the CPU offers: the differential
+    /// The portable backend whatever the CPU offers: the differential
     /// reference [`AesGcm::new`] is tested against.
-    #[cfg(any(test, feature = "scalar-oracle"))]
     pub fn portable(key: &Key) -> AesGcm {
         AesGcm {
-            backend: Backend::Table(TableGcm::new(Aes::new(key))),
+            backend: Backend::Portable(PortableGcm::new(key)),
         }
     }
 
     /// Name of the backend this instance runs on: `"aesni-pclmul"` or
-    /// `"table"`.
+    /// `"portable"`.
     pub fn backend(&self) -> &'static str {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::AesNi(_) => "aesni-pclmul",
-            Backend::Table(_) => "table",
+            Backend::Portable(_) => "portable",
         }
     }
 
-    /// XORs the CTR keystream (counters 2..) over `data` in place.
+    /// XORs the CTR keystream (counters 2..; 1 masks the tag) over
+    /// `data` in place.
     fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(hw) => hw.ctr_xor(nonce, 2, data), // 1 masks the tag
-            Backend::Table(table) => table.ctr_xor(nonce, data),
+            Backend::AesNi(hw) => hw.ctr_xor(nonce, 2, data),
+            Backend::Portable(portable) => portable.ctr_xor(nonce, 2, data),
         }
     }
 
@@ -276,7 +195,7 @@ impl AesGcm {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::AesNi(hw) => hw.tag(nonce, ciphertext, aad),
-            Backend::Table(table) => table.tag(nonce, ciphertext, aad),
+            Backend::Portable(portable) => portable.tag(nonce, ciphertext, aad),
         }
     }
 
@@ -289,14 +208,8 @@ impl AesGcm {
         buf: &mut [u8],
         aad: &[u8],
     ) -> [u8; TAG_LEN] {
-        match &self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(_) => {
-                self.ctr_xor(nonce, buf);
-                self.tag(nonce, buf, aad)
-            }
-            Backend::Table(table) => table.seal(nonce, buf, aad),
-        }
+        self.ctr_xor(nonce, buf);
+        self.tag(nonce, buf, aad)
     }
 
     /// Verifies `tag` over the ciphertext in `buf` and, on success,
@@ -404,22 +317,9 @@ impl AesGcm {
     }
 }
 
-/// XORs a 16-byte block of column words into `dst` (16 bytes).
-#[inline]
-fn xor_block_words(dst: &mut [u8], words: &[u32; 4]) {
-    let ks = ((words[0] as u128) << 96)
-        | ((words[1] as u128) << 64)
-        | ((words[2] as u128) << 32)
-        | (words[3] as u128);
-    let block: &mut [u8; 16] = (&mut dst[..16]).try_into().expect("16-byte block");
-    let v = u128::from_be_bytes(*block) ^ ks;
-    *block = v.to_be_bytes();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::ScalarAesGcm;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -434,8 +334,8 @@ mod tests {
         n
     }
 
-    /// Whatever [`AesGcm::new`] selects on this CPU, and the pinned table
-    /// backend; logs the pair so a run shows what was compared.
+    /// Whatever [`AesGcm::new`] selects on this CPU, and the portable
+    /// reference; logs the pair so a run shows what was compared.
     fn backends(key: &Key) -> [AesGcm; 2] {
         let pair = [AesGcm::new(key), AesGcm::portable(key)];
         eprintln!(
@@ -547,7 +447,8 @@ mod tests {
     fn round_trip_various_sizes() {
         let gcm = AesGcm::new(&Key::Aes256([0x33; 32]));
         let n = [9u8; 12];
-        // Sizes straddle the PAR_BLOCKS boundary (128 bytes) both ways.
+        // Sizes straddle both backends' multi-block passes (64 and 128
+        // bytes) both ways.
         for len in [0usize, 1, 15, 16, 17, 100, 127, 128, 129, 255, 256, 4096] {
             let pt: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let sealed = gcm.seal(&n, &pt, b"hdr");
@@ -598,7 +499,8 @@ mod tests {
     fn tamper_detection_every_byte() {
         for gcm in backends(&Key::Aes128([0x11; 16])) {
             let n = [3u8; 12];
-            // Long enough to tamper inside a full 8-block slab and its tail.
+            // Long enough to tamper inside a full 8-block slab, several
+            // 4-block passes and a partial tail.
             let pt: Vec<u8> = (0..150).map(|i| (i * 29) as u8).collect();
             let sealed = gcm.seal(&n, &pt, b"");
             for i in 0..sealed.len() {
@@ -700,10 +602,11 @@ mod tests {
         assert!(!gcm.verify_tag_only(&[6u8; 12], b"mmio command", &tag));
     }
 
-    /// Differential test: the optimized pipeline must agree bit-for-bit
-    /// with the retained scalar oracle on random inputs of every shape.
+    /// Random keys of both widths, random nonce, AAD and plaintext
+    /// shapes: [`AesGcm::new`] and the portable reference seal the same
+    /// bytes and each opens what the other sealed.
     #[test]
-    fn differential_against_scalar_oracle() {
+    fn differential_on_random_keys() {
         let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
         for trial in 0..24 {
             let key = if trial % 2 == 0 {
@@ -715,8 +618,7 @@ mod tests {
                 k.iter_mut().for_each(|b| *b = next() as u8);
                 Key::Aes256(k)
             };
-            let fast = AesGcm::new(&key);
-            let oracle = ScalarAesGcm::new(&key);
+            let [chosen, portable] = backends(&key);
             let mut n = [0u8; 12];
             n.iter_mut().for_each(|b| *b = next() as u8);
             let pt_len = (next() % 700) as usize;
@@ -724,41 +626,58 @@ mod tests {
             let pt: Vec<u8> = (0..pt_len).map(|_| next() as u8).collect();
             let aad: Vec<u8> = (0..aad_len).map(|_| next() as u8).collect();
 
-            let fast_sealed = fast.seal(&n, &pt, &aad);
-            let oracle_sealed = oracle.seal(&n, &pt, &aad);
-            assert_eq!(fast_sealed, oracle_sealed, "trial {trial}");
+            let sealed = chosen.seal(&n, &pt, &aad);
+            assert_eq!(sealed, portable.seal(&n, &pt, &aad), "trial {trial}");
             // Cross-open both ways.
-            assert_eq!(fast.open(&n, &oracle_sealed, &aad).unwrap(), pt);
-            assert_eq!(oracle.open(&n, &fast_sealed, &aad).unwrap(), pt);
+            assert_eq!(portable.open(&n, &sealed, &aad).unwrap(), pt);
+            assert_eq!(chosen.open(&n, &sealed, &aad).unwrap(), pt);
         }
     }
 
-    /// The FIPS/SP 800-38D vectors must pass through the scalar oracle
-    /// exactly as they do through the optimized path.
+    /// More of the McGrew–Viega / SP 800-38D vectors through both
+    /// backends: test cases 3 and 4 (AES-128, four whole blocks; AAD
+    /// and a partial final block) and 13 and 14 (AES-256, empty and one
+    /// zero block).
     #[test]
     fn known_vectors_through_both_paths() {
-        let oracle = ScalarAesGcm::new(&Key::Aes128([0; 16]));
-        assert_eq!(oracle.seal(&[0u8; 12], b"", b""), hex("58e2fccefa7e3061367f1d57a4e7455a"));
-        assert_eq!(
-            oracle.seal(&[0u8; 12], &[0u8; 16], b""),
-            hex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
-        );
         let key = Key::from_bytes(&hex("feffe9928665731c6d6a8f9467308308")).unwrap();
-        let oracle = ScalarAesGcm::new(&key);
-        let fast = AesGcm::new(&key);
+        let n = nonce(&hex("cafebabefacedbaddecaf888"));
         let pt = hex(
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aee8b16d4fa4c",
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+        );
+        let ct = hex(
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
         );
         let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let n = nonce(&hex("cafebabefacedbaddecaf888"));
-        assert_eq!(oracle.seal(&n, &pt, &aad), fast.seal(&n, &pt, &aad));
+        let zero256 = Key::Aes256([0; 32]);
+        for gcm in backends(&key) {
+            let which = gcm.backend();
+            let tc3 = [&ct[..], &hex("4d5c2af327cd64a62cf35abd2ba6fab4")].concat();
+            assert_eq!(gcm.seal(&n, &pt, b""), tc3, "{which} TC3");
+            let tc4 = [&ct[..60], &hex("5bc94fbc3221a5db94fae95ae7121a47")].concat();
+            assert_eq!(gcm.seal(&n, &pt[..60], &aad), tc4, "{which} TC4");
+        }
+        for gcm in backends(&zero256) {
+            let which = gcm.backend();
+            assert_eq!(
+                gcm.seal(&[0; 12], b"", b""),
+                hex("530f8afbc74536b9a963b4f1c4cb738b"),
+                "{which} TC13"
+            );
+            assert_eq!(
+                gcm.seal(&[0; 12], &[0; 16], b""),
+                hex("cea7403d4d606b6e074ec5d3baf39d18d0d1c8a799996bf0265b98b5d48ab919"),
+                "{which} TC14"
+            );
+        }
     }
 
     /// The backend is a function of the CPU alone: hardware exactly where
-    /// the features `hw` compiles with are all reported, the table path
-    /// otherwise — so on such a CPU none of the differential tests below
-    /// compares the table path with itself.
+    /// the features `hw` compiles with are all reported, the portable
+    /// path otherwise — so on such a CPU none of the differential tests
+    /// compares the portable path with itself.
     #[test]
     fn backend_follows_the_cpu_and_debug_names_only_it() {
         #[cfg(target_arch = "x86_64")]
@@ -768,10 +687,10 @@ mod tests {
             && is_x86_feature_detected!("sse4.1");
         #[cfg(not(target_arch = "x86_64"))]
         let hw = false;
-        let [chosen, table] = backends(&Key::Aes128([0xEE; 16]));
-        assert_eq!(chosen.backend(), if hw { "aesni-pclmul" } else { "table" });
-        assert_eq!(table.backend(), "table");
-        for gcm in [chosen, table] {
+        let [chosen, portable] = backends(&Key::Aes128([0xEE; 16]));
+        assert_eq!(chosen.backend(), if hw { "aesni-pclmul" } else { "portable" });
+        assert_eq!(portable.backend(), "portable");
+        for gcm in [chosen, portable] {
             let dbg = format!("{gcm:?}");
             assert_eq!(dbg, format!("AesGcm {{ backend: {:?} }}", gcm.backend()));
             assert!(
@@ -782,21 +701,19 @@ mod tests {
     }
 
     /// One (key, nonce, aad, plaintext) through every entry point of both
-    /// backends and the scalar oracle: identical bytes, and each opens
-    /// what the others sealed.
+    /// backends: identical bytes, and each opens what the other sealed.
     fn assert_backends_agree(
-        [chosen, table]: &[AesGcm; 2],
-        scalar: Option<&ScalarAesGcm>,
+        [chosen, portable]: &[AesGcm; 2],
         n: &[u8; 12],
         pt: &[u8],
         aad: &[u8],
     ) {
         let ctx = format!("pt {} aad {}", pt.len(), aad.len());
-        let sealed = table.seal(n, pt, aad);
+        let sealed = portable.seal(n, pt, aad);
         assert_eq!(chosen.seal(n, pt, aad), sealed, "seal, {ctx}");
         let (ct, tag) = sealed.split_at(pt.len());
         let tag: [u8; TAG_LEN] = tag.try_into().unwrap();
-        for gcm in [chosen, table] {
+        for gcm in [chosen, portable] {
             let which = gcm.backend();
             assert_eq!(
                 gcm.seal_detached(n, pt, aad),
@@ -826,64 +743,43 @@ mod tests {
         }
         assert_eq!(
             chosen.tag_only(n, pt),
-            table.tag_only(n, pt),
+            portable.tag_only(n, pt),
             "tag_only, {ctx}"
         );
         assert!(
-            table.verify_tag_only(n, aad, &chosen.tag_only(n, aad)),
+            portable.verify_tag_only(n, aad, &chosen.tag_only(n, aad)),
             "tag_only, {ctx}"
         );
-        if let Some(scalar) = scalar {
-            // Same bytes as both backends sealed and opened above, so
-            // this is the cross-open in both directions.
-            assert_eq!(scalar.seal(n, pt, aad), sealed, "scalar seal, {ctx}");
-            assert_eq!(
-                scalar.open(n, &sealed, aad).as_deref(),
-                Ok(pt),
-                "scalar open, {ctx}"
-            );
-        }
     }
 
     /// Every plaintext length 0..=300 and every AAD length 0..=300 — all
-    /// residues mod 16 (partial blocks) and mod 128 (the eight-block
-    /// slab and its tail) — under AES-128 and AES-256.
+    /// residues mod 16 (partial blocks), mod 64 (the portable four-block
+    /// pass) and mod 128 (the hardware eight-block slab and its tail) —
+    /// under AES-128 and AES-256.
     #[test]
     fn backends_agree_bit_for_bit_at_every_length() {
         let mut next = xorshift(0xA076_1D64_78BD_642F);
         let data: Vec<u8> = (0..300).map(|_| next() as u8).collect();
         for key in [Key::Aes128([0x3C; 16]), Key::Aes256([0xC3; 32])] {
             let pair = backends(&key);
-            let scalar = ScalarAesGcm::new(&key);
             let mut n = [0u8; 12];
             for len in 0..=300 {
                 n.iter_mut().for_each(|b| *b = next() as u8);
-                assert_backends_agree(&pair, Some(&scalar), &n, &data[..len], &data[..len % 23]);
-                assert_backends_agree(&pair, Some(&scalar), &n, &data[..77], &data[..len]);
+                assert_backends_agree(&pair, &n, &data[..len], &data[..len % 23]);
+                assert_backends_agree(&pair, &n, &data[..77], &data[..len]);
             }
         }
     }
 
     /// The datapath's sizes: one chunk, one descriptor, one bulk transfer.
-    /// The bit-serial oracle joins everywhere up to 64 KiB and once at
-    /// 1 MiB (seconds per pass unoptimized).
     #[test]
     fn backends_agree_on_bulk_sizes() {
         let mut next = xorshift(0xE703_7ED1_A0B4_28DB);
         let data: Vec<u8> = (0..(1 << 20) + 5).map(|_| next() as u8).collect();
         for key in [Key::Aes128([0x6D; 16]), Key::Aes256([0xD6; 32])] {
             let pair = backends(&key);
-            let scalar = ScalarAesGcm::new(&key);
             for len in [4096, 4096 + 1, 65536, 65536 - 1, 1 << 20, (1 << 20) + 5] {
-                let slow = len <= 65536 || (len == 1 << 20 && key.len() == 16);
-                let scalar = slow.then_some(&scalar);
-                assert_backends_agree(
-                    &pair,
-                    scalar,
-                    &[len as u8; 12],
-                    &data[..len],
-                    b"chunk header",
-                );
+                assert_backends_agree(&pair, &[len as u8; 12], &data[..len], b"chunk header");
             }
         }
     }

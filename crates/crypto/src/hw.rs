@@ -13,10 +13,11 @@
 //! `_mm_cvtsi128_si64`), never through a pointer.
 //!
 //! `aesenc` and `pclmulqdq` are data-independent in time and need no
-//! per-key tables: key set-up is the eight hash-key powers. On every
-//! other CPU — and as the differential reference on this one — the
-//! table path in [`crate::aes`] / [`crate::ghash`] and the portable
-//! compress in [`crate::sha256`] compute the same bits.
+//! per-key tables: key set-up is the `aeskeygenassist` schedule and the
+//! eight hash-key powers, and runs no portable code. On every other CPU
+//! — and as the differential reference on this one — the portable
+//! backend ([`crate::aes`] / [`crate::ghash`]) and the portable compress
+//! in [`crate::sha256`] compute the same bits.
 //!
 //! **GHASH by carry-less multiply.** A GCM block is the polynomial whose
 //! x⁰ coefficient is the top bit of byte 0. Read as a big-endian integer
@@ -31,7 +32,7 @@
 
 #![allow(unsafe_code)]
 
-use crate::aes::Aes;
+use crate::aes::Key;
 use crate::gcm::{NONCE_LEN, TAG_LEN};
 use std::arch::x86_64::*;
 
@@ -123,6 +124,39 @@ impl Product {
     }
 }
 
+/// `aeskeygenassist` with FIPS-197's `Rcon[step]` (none for step 0);
+/// the instruction takes the constant as an immediate.
+#[inline]
+#[target_feature(enable = "sse2,aes")]
+fn keygen_assist(x: __m128i, step: usize) -> __m128i {
+    match step {
+        0 => _mm_aeskeygenassist_si128::<0x00>(x),
+        1 => _mm_aeskeygenassist_si128::<0x01>(x),
+        2 => _mm_aeskeygenassist_si128::<0x02>(x),
+        3 => _mm_aeskeygenassist_si128::<0x04>(x),
+        4 => _mm_aeskeygenassist_si128::<0x08>(x),
+        5 => _mm_aeskeygenassist_si128::<0x10>(x),
+        6 => _mm_aeskeygenassist_si128::<0x20>(x),
+        7 => _mm_aeskeygenassist_si128::<0x40>(x),
+        8 => _mm_aeskeygenassist_si128::<0x80>(x),
+        9 => _mm_aeskeygenassist_si128::<0x1b>(x),
+        _ => _mm_aeskeygenassist_si128::<0x36>(x),
+    }
+}
+
+/// The next round key from the one `Nk` words back, `prev`, and the
+/// transformed word `t` broadcast to all four lanes: word `i` is
+/// `t ⊕ prev[0] ⊕ … ⊕ prev[i]`.
+#[inline]
+#[target_feature(enable = "sse2")]
+fn schedule_step(prev: __m128i, t: __m128i) -> __m128i {
+    let mut k = prev;
+    for _ in 0..3 {
+        k = _mm_xor_si128(k, _mm_slli_si128::<4>(k));
+    }
+    _mm_xor_si128(k, t)
+}
+
 /// AES-GCM on `aesenc` + `pclmulqdq`: the expanded round keys and
 /// `H¹..H⁸` (each stored as `h̄ⁱ·y mod Q`) of one key.
 #[derive(Clone)]
@@ -131,12 +165,16 @@ pub(crate) struct AesNiGcm {
     rounds: usize,
     /// `h[i]` multiplies by `H^(i+1)`.
     h: [__m128i; LANES],
+    /// The round keys in FIPS-197 byte order, for the key-expansion
+    /// vectors.
+    #[cfg(test)]
+    pub(crate) schedule: Vec<[u8; 16]>,
 }
 
 impl AesNiGcm {
-    /// The hardware schedule for `aes`'s key, if this CPU has the
+    /// The hardware schedule for `key`, if this CPU has the
     /// instructions.
-    pub(crate) fn detect(aes: &Aes) -> Option<AesNiGcm> {
+    pub(crate) fn detect(key: &Key) -> Option<AesNiGcm> {
         let supported = is_x86_feature_detected!("aes")
             && is_x86_feature_detected!("pclmulqdq")
             && is_x86_feature_detected!("sse2")
@@ -146,19 +184,41 @@ impl AesNiGcm {
             return None;
         }
         // SAFETY: `supported` is `expand`'s feature list, detected just above.
-        Some(unsafe { AesNiGcm::expand(aes) })
+        Some(unsafe { AesNiGcm::expand(key) })
     }
 
     #[target_feature(enable = "sse2,ssse3,sse4.1,aes,pclmulqdq")]
-    fn expand(aes: &Aes) -> AesNiGcm {
+    fn expand(key: &Key) -> AesNiGcm {
+        // FIPS-197 §5.2 a round key at a time: the key fills the first
+        // `span` (1 or 2) round keys; each later one folds the key `span`
+        // back with RotWord(SubWord(w)) ⊕ Rcon of the previous one's last
+        // word — or, for AES-256's odd steps, SubWord(w) alone.
+        let span = key.len() / 16;
+        let rounds = key.len() / 4 + 6;
         let mut rk = [_mm_setzero_si128(); 15];
-        for (r, k) in rk.iter_mut().enumerate().take(aes.rounds() + 1) {
-            *k = load(&aes.round_key_bytes(r));
+        for (k, bytes) in rk.iter_mut().zip(key.as_bytes().chunks_exact(16)) {
+            *k = load(bytes);
+        }
+        for i in span..=rounds {
+            let t = if i % span == 0 {
+                _mm_shuffle_epi32::<0xff>(keygen_assist(rk[i - 1], i / span))
+            } else {
+                _mm_shuffle_epi32::<0xaa>(keygen_assist(rk[i - 1], 0))
+            };
+            rk[i] = schedule_step(rk[i - span], t);
+        }
+        #[cfg(test)]
+        let mut schedule = Vec::new();
+        #[cfg(test)]
+        for k in &rk[..=rounds] {
+            schedule.push(val(*k).to_le_bytes());
         }
         let mut key = AesNiGcm {
             rk,
-            rounds: aes.rounds(),
+            rounds,
             h: [_mm_setzero_si128(); LANES],
+            #[cfg(test)]
+            schedule,
         };
         // H = E_K(0¹²⁸); h' = h̄·y mod Q, one shift and a conditional fold.
         let h = val(bswap(key.encrypt(_mm_setzero_si128())));
@@ -376,7 +436,7 @@ fn compress_impl(state: &mut [u32; 8], blocks: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aes::Key;
+    use crate::aes::Aes;
 
     /// `inc32`: the counter wraps inside its own 32 bits and never
     /// carries into the nonce, on the slab path and on the block tail.
@@ -384,11 +444,11 @@ mod tests {
     #[test]
     fn backend_counter_wraps_as_inc32() {
         for key in [Key::Aes128([0x37; 16]), Key::Aes256([0x59; 32])] {
-            let aes = Aes::new(&key);
-            let Some(hw) = AesNiGcm::detect(&aes) else {
+            let Some(hw) = AesNiGcm::detect(&key) else {
                 eprintln!("aesni-pclmul backend not available on this CPU: nothing to compare");
                 return;
             };
+            let aes = Aes::new(&key);
             let nonce = [0xA5u8; NONCE_LEN];
             for start in [2u32, 0xffff_fff9, 0xffff_ffff] {
                 // Two slabs, three single blocks, one partial block.
@@ -401,6 +461,38 @@ mod tests {
                     aes.encrypt_block(&mut want);
                     assert_eq!(chunk, &want[..chunk.len()], "start {start:#x} block {i}");
                 }
+            }
+        }
+    }
+
+    /// `aesenc` under the `aeskeygenassist` schedule against the
+    /// portable cipher on arbitrary blocks: the keystream of counter
+    /// `c` under nonce `n` is `E(n ‖ c)`, so random nonces and counters
+    /// make random blocks.
+    #[test]
+    fn random_blocks_match_the_portable_cipher() {
+        let mut x: u64 = 0x243F_6A88_85A3_08D3;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        for key in [Key::Aes128([0x5A; 16]), Key::Aes256([0xC3; 32])] {
+            let Some(hw) = AesNiGcm::detect(&key) else {
+                eprintln!("aesni-pclmul backend not available on this CPU: nothing to compare");
+                return;
+            };
+            let aes = Aes::new(&key);
+            for _ in 0..64 {
+                let mut block = [0u8; 16];
+                block.iter_mut().for_each(|b| *b = (next() >> 56) as u8);
+                let nonce: [u8; NONCE_LEN] = block[..NONCE_LEN].try_into().unwrap();
+                let counter = u32::from_be_bytes(block[NONCE_LEN..].try_into().unwrap());
+                let mut keystream = [0u8; 16];
+                hw.ctr_xor(&nonce, counter, &mut keystream);
+                aes.encrypt_block(&mut block);
+                assert_eq!(keystream, block);
             }
         }
     }

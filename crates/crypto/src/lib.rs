@@ -15,7 +15,8 @@
 //! No crypto crates exist in the sanctioned offline dependency set, so every
 //! primitive is implemented here from the public definitions:
 //!
-//! * [`aes`] — FIPS-197 AES-128/256 block cipher;
+//! * [`aes`] — AES-128/256 keys, and the FIPS-197 block cipher behind the
+//!   portable backend (bitsliced, constant-time);
 //! * [`gcm`] — NIST SP 800-38D Galois/Counter Mode ([`AesGcm`]);
 //! * [`sha256`](mod@sha256) — FIPS-180-4 SHA-256;
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 and RFC 5869 HKDF;
@@ -29,12 +30,13 @@
 //! simulated PCIe-SC, so the bulk AEAD path and SHA-256 run on the
 //! instructions the paper names wherever the CPU reports them (AES-NI,
 //! PCLMULQDQ, SHA-NI — the private `hw` module, the only code in the
-//! workspace allowed an `unsafe` block) and on a portable table path
-//! everywhere else (compile-time AES T-tables, per-key GHASH tables for
-//! `H..H⁴`; see [`gcm`]). The choice is a function of the CPU alone. The
-//! seed's byte-at-a-time implementations are retained in [`scalar`]
-//! (tests + the `scalar-oracle` feature) as differential oracles and as
-//! the baseline the crypto benchmarks compare against. The asymmetric
+//! workspace allowed an `unsafe` block) and on one portable backend
+//! everywhere else: bitsliced AES ([`aes`]) and GHASH by integer
+//! multiplies ([`gcm`]), constant-time by construction because that
+//! fallback is what the trusted Adaptor would run on a core whose caches
+//! the untrusted host shares. The choice is a function of the CPU alone;
+//! [`AesGcm::portable`] / [`Sha256::portable`] pin the portable path as the
+//! differential reference for the hardware one. The asymmetric
 //! primitives still favour clarity over speed.
 //!
 //! # Example
@@ -65,12 +67,10 @@ pub mod hmac;
 #[cfg(target_arch = "x86_64")]
 mod hw;
 pub mod iv;
-#[cfg(any(test, feature = "scalar-oracle"))]
-pub mod scalar;
 pub mod schnorr;
 pub mod sha256;
 
-pub use aes::{Aes, Key};
+pub use aes::Key;
 pub use dh::{DhGroup, DhKeyPair, DhPublic};
 pub use gcm::{AesGcm, OpenError, NONCE_LEN, TAG_LEN};
 pub use hmac::{hkdf, hmac_sha256};

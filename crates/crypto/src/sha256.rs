@@ -125,7 +125,6 @@ impl Sha256 {
 
     /// A hasher pinned to the portable compress whatever the CPU offers:
     /// the differential reference [`Sha256::new`] is tested against.
-    #[cfg(any(test, feature = "scalar-oracle"))]
     pub fn portable() -> Self {
         Self::with(Compress::Portable)
     }

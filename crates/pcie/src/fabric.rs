@@ -185,11 +185,6 @@ pub struct Fabric {
     /// Recycled payload storage for the DMA hot path: device-write
     /// payloads retire into the pool, read completions are built from it.
     pool: TlpPool,
-    /// When true (the default), `pump` hands each poll round's burst to
-    /// the interposer as one batch; when false it replays the legacy
-    /// packet-at-a-time path (kept as a differential baseline for the
-    /// golden-trace tests).
-    pump_batching: bool,
 }
 
 impl Default for Fabric {
@@ -207,7 +202,6 @@ impl Default for Fabric {
             telemetry: None,
             bus_link: LinkConfig::new(LinkSpeed::Gen4, 16),
             pool: TlpPool::new(),
-            pump_batching: true,
         }
     }
 }
@@ -216,13 +210,6 @@ impl Fabric {
     /// Creates an empty fabric.
     pub fn new() -> Self {
         Fabric::default()
-    }
-
-    /// Selects between the batched pump (default) and the legacy
-    /// packet-at-a-time pump. Both must produce bit-identical telemetry
-    /// traces; the toggle exists so tests can prove it.
-    pub fn set_pump_batching(&mut self, batching: bool) {
-        self.pump_batching = batching;
     }
 
     /// Recycling counters of the fabric's TLP payload pool.
@@ -609,42 +596,22 @@ impl Fabric {
         };
         for port_id in port_ids {
             loop {
-                let batching = self.pump_batching;
                 let port = self.ports.get_mut(&port_id).expect("port exists");
                 let outbound = port.device.poll_outbound();
                 if outbound.is_empty() {
                     break;
                 }
-                let mut to_bus_all = Vec::new();
-                if batching {
-                    // One burst per poll round: the interposer amortises
-                    // filter dispatch + telemetry stamping over the batch.
-                    moved += outbound.len();
-                    let outcome = match &mut port.interposer {
-                        Some(ip) => ip.on_upstream_batch(outbound),
-                        None => InterposeOutcome { forward: outbound, reply: Vec::new() },
-                    };
-                    for back in outcome.reply {
-                        port.device.handle(back);
-                    }
-                    to_bus_all = outcome.forward;
-                } else {
-                    for tlp in outbound {
-                        moved += 1;
-                        // Upstream through the interposer.
-                        let (to_bus, to_device) = match &mut port.interposer {
-                            Some(ip) => {
-                                let outcome = ip.on_upstream(tlp);
-                                (outcome.forward, outcome.reply)
-                            }
-                            None => (vec![tlp], Vec::new()),
-                        };
-                        for back in to_device {
-                            port.device.handle(back);
-                        }
-                        to_bus_all.extend(to_bus);
-                    }
+                // One burst per poll round: the interposer amortises
+                // filter dispatch + telemetry stamping over the batch.
+                moved += outbound.len();
+                let outcome = match &mut port.interposer {
+                    Some(ip) => ip.on_upstream_batch(outbound),
+                    None => InterposeOutcome { forward: outbound, reply: Vec::new() },
+                };
+                for back in outcome.reply {
+                    port.device.handle(back);
                 }
+                let mut to_bus_all = outcome.forward;
                 // The injected fault segment sits between the interposer
                 // and the host: the PCIe-SC has already classified and
                 // encrypted this traffic, so every surviving mutation is
@@ -773,17 +740,16 @@ fn unsupported_request_reply(tlp: &Tlp) -> Vec<Tlp> {
 // --- snapshot support -------------------------------------------------
 
 impl Fabric {
-    /// Serializes the fabric's mutable transit state: the pump-batching
-    /// mode, every in-flight queue (host inbox, delayed device
-    /// completions, delayed host-bound completions) and the fault
-    /// injector (plan + seeded-stream position), when installed.
+    /// Serializes the fabric's mutable transit state: every in-flight
+    /// queue (host inbox, delayed device completions, delayed host-bound
+    /// completions) and the fault injector (plan + seeded-stream
+    /// position), when installed.
     ///
     /// Topology — attached devices, interposers, address/BDF maps, taps —
     /// is *not* serialized; the restoring side rebuilds it from its own
     /// configuration and then lays this transit state on top.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         use ccai_sim::snapshot::SnapshotState as _;
-        enc.bool(self.pump_batching);
         enc.u64(self.host_inbox.len() as u64);
         for tlp in &self.host_inbox {
             crate::fault::encode_tlp(enc, tlp);
@@ -822,7 +788,6 @@ impl Fabric {
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
         use ccai_sim::snapshot::SnapshotState as _;
-        self.pump_batching = dec.bool()?;
         let mut host_inbox = Vec::new();
         for _ in 0..dec.seq_len()? {
             host_inbox.push(crate::fault::decode_tlp(dec)?);

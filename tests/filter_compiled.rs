@@ -2,10 +2,10 @@
 //!
 //! The Packet Filter classifies through a dispatch tree compiled from the
 //! L1/L2 tables; the pre-refactor row-by-row scan survives as
-//! `classify_scan` (the `scan-oracle` feature, mirroring
-//! `ccai_crypto::scalar`). These properties pit the two paths against
-//! each other on randomized rule tables with overlapping masks, dead
-//! rows, and catch-alls — first-hit insertion-order semantics must be
+//! `classify_scan` (the `scan-oracle` feature). These properties pit the
+//! two paths against each other on randomized rule tables with
+//! overlapping masks, dead rows, and catch-alls — first-hit
+//! insertion-order semantics must be
 //! preserved bit-for-bit, stats accounting included — and prove the
 //! matcher is rebuilt on every install path (`push_l1` / `push_l2` /
 //! `replace_tables`), never left stale.

@@ -157,13 +157,14 @@ fn build() -> Rig {
         vec![1, 0, 0, 0, 0, 0, 0, 0],
     ));
 
-    // Environment policy (primary-installed): the register windows of
-    // both virtual functions are legitimate A3 targets.
-    let mut env = Vec::with_capacity(17);
-    env.push(0u8);
-    env.extend_from_slice(&XPU_BAR.to_be_bytes());
-    env.extend_from_slice(&(XPU_BAR + ccai_xpu::device::BAR0_SIZE).to_be_bytes());
-    fabric.host_request(Tlp::memory_write(tvm_bdf(0), SC_REGION + regs::ENV_POLICY, env));
+    // Environment policy (primary-installed, MACed under tenant 0's env
+    // key): the register windows of both virtual functions are
+    // legitimate A3 targets.
+    let primary = tenants[0].2.clone();
+    primary.allow_window(
+        &mut primary.port(&mut fabric),
+        XPU_BAR..XPU_BAR + ccai_xpu::device::BAR0_SIZE,
+    );
 
     Rig {
         fabric,

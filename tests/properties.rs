@@ -5,7 +5,6 @@
 
 use ccai_core::filter::{L1Rule, L2Rule, PacketFilter, PolicyBlob, SecurityAction};
 use ccai_crypto::bignum::BigUint;
-use ccai_crypto::scalar::ScalarAesGcm;
 use ccai_crypto::{AesGcm, Key, OpenError};
 use ccai_pcie::{Bdf, Tlp, TlpType};
 use ccai_xpu::DeviceMemory;
@@ -388,12 +387,12 @@ proptest! {
         split in arb_chunk_split(),
         aad in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        // The bench crate enables ccai-crypto's `scalar-oracle` feature,
-        // so the seed's byte-at-a-time AEAD is an independent reference
-        // for the optimized pipeline under every chunk geometry.
+        // The attached form under every chunk geometry, against the
+        // portable backend: the constant-time reference that replaced the
+        // byte-at-a-time scalar oracle this property is named after.
         let (payload, cuts) = split;
         let fast = AesGcm::new(&key);
-        let oracle = ScalarAesGcm::new(&key);
+        let oracle = AesGcm::portable(&key);
         let bounds: Vec<usize> = std::iter::once(0)
             .chain(cuts.iter().copied())
             .chain(std::iter::once(payload.len()))
@@ -419,15 +418,14 @@ proptest! {
         aad in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
         // `AesGcm::new` runs on AES-NI + PCLMULQDQ wherever the CPU has
-        // them; the table backend and the scalar seed are two independent
-        // references for it under every chunk geometry. (On a CPU without
-        // the instructions `new` *is* the table path and this degenerates
-        // to the property above.)
+        // them; the portable backend, which took the place of the table
+        // and scalar references, is the independent reference for it
+        // under every chunk geometry. (On a CPU without the instructions
+        // `new` *is* the portable path and this checks it against itself.)
         let (payload, cuts) = split;
         let chosen = AesGcm::new(&key);
-        let table = AesGcm::portable(&key);
-        let oracle = ScalarAesGcm::new(&key);
-        prop_assert_eq!(table.backend(), "table");
+        let portable = AesGcm::portable(&key);
+        prop_assert_eq!(portable.backend(), "portable");
         let bounds: Vec<usize> = std::iter::once(0)
             .chain(cuts.iter().copied())
             .chain(std::iter::once(payload.len()))
@@ -440,10 +438,9 @@ proptest! {
             let mut sealed = chunk.to_vec();
             let tag = chosen.seal_in_place_detached(&nonce, &mut sealed, &aad);
             sealed.extend_from_slice(&tag);
-            prop_assert_eq!(&sealed, &table.seal(&nonce, chunk, &aad), "{} vs table", chosen.backend());
-            prop_assert_eq!(&sealed, &oracle.seal(&nonce, chunk, &aad), "{} vs scalar", chosen.backend());
+            prop_assert_eq!(&sealed, &portable.seal(&nonce, chunk, &aad), "{} vs portable", chosen.backend());
             // Each opens what the other sealed.
-            prop_assert_eq!(table.open(&nonce, &sealed, &aad).expect("authentic"), chunk.to_vec());
+            prop_assert_eq!(portable.open(&nonce, &sealed, &aad).expect("authentic"), chunk.to_vec());
             prop_assert_eq!(chosen.open(&nonce, &sealed, &aad).expect("authentic"), chunk.to_vec());
         }
     }
@@ -457,14 +454,14 @@ proptest! {
         xor in 1u8..=255,
     ) {
         // A single flipped bit anywhere in ciphertext or tag must be a
-        // TagMismatch on the fast path and a rejection on the oracle.
+        // TagMismatch on the fast path and on the portable oracle.
         let fast = AesGcm::new(&key);
-        let oracle = ScalarAesGcm::new(&key);
+        let oracle = AesGcm::portable(&key);
         let mut sealed = fast.seal(&nonce, &plaintext, b"hdr");
         let idx = fault_at.index(sealed.len());
         sealed[idx] ^= xor;
         prop_assert_eq!(fast.open(&nonce, &sealed, b"hdr"), Err(OpenError::TagMismatch));
-        prop_assert_eq!(oracle.open(&nonce, &sealed, b"hdr"), Err(()));
+        prop_assert_eq!(oracle.open(&nonce, &sealed, b"hdr"), Err(OpenError::TagMismatch));
     }
 
     #[test]
@@ -476,11 +473,11 @@ proptest! {
         // Shorter than one tag: a distinct Truncated error, never a
         // plaintext, and the oracle rejects the same inputs.
         let fast = AesGcm::new(&key);
-        let oracle = ScalarAesGcm::new(&key);
+        let oracle = AesGcm::portable(&key);
         let sealed = fast.seal(&nonce, b"payload", b"");
         let truncated = &sealed[..keep];
         prop_assert_eq!(fast.open(&nonce, truncated, b""), Err(OpenError::Truncated));
-        prop_assert_eq!(oracle.open(&nonce, truncated, b""), Err(()));
+        prop_assert_eq!(oracle.open(&nonce, truncated, b""), Err(OpenError::Truncated));
     }
 
     #[test]
@@ -491,7 +488,7 @@ proptest! {
         xor in 1u8..=255,
     ) {
         let fast = AesGcm::new(&key);
-        let oracle = ScalarAesGcm::new(&key);
+        let oracle = AesGcm::portable(&key);
         let mut buf = plaintext.clone();
         let tag = fast.seal_in_place_detached(&nonce, &mut buf, b"aad");
         // Detached form ≡ the oracle's attached form.

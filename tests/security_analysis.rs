@@ -4,7 +4,10 @@
 
 use ccai_core::sc::ScAlert;
 use ccai_core::system::{layout, ConfidentialSystem, SystemMode};
-use ccai_pcie::{parse_ctrl_envelope, Bdf, BusAdversary, FaultPlan, TamperMode, Tlp, TlpType, WireAttack};
+use ccai_pcie::{
+    parse_ctrl_envelope, seal_ctrl_envelope, Bdf, BusAdversary, FaultPlan, TamperMode, Tlp,
+    TlpType, WireAttack,
+};
 use ccai_tvm::hypervisor::AttackOutcome;
 use ccai_tvm::HostAdversary;
 use ccai_xpu::{CommandProcessor, XpuSpec};
@@ -303,6 +306,79 @@ fn environment_guard_blocks_page_table_retargeting() {
             .any(|a| matches!(a, ScAlert::WriteProtectFailure { .. })),
         "page-table retargeting must be caught: {alerts:?}"
     );
+}
+
+#[test]
+fn forged_env_policy_records_are_refused() {
+    // The env policy is append-only inside the SC, so a record must carry
+    // the env-key MAC nonced by its envelope sequence. An adversary that
+    // can write the control window as the primary TVM's requester ID but
+    // lacks the key forges the bare 17-byte record instead — raw, and
+    // enveloped at the very sequence the SC expects next — here pinning a
+    // register the workload never writes to a value it never writes.
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    system.run_workload(b"w", b"i").unwrap();
+    let tvm = system.tvm_bdf();
+    let victim = layout::XPU_BAR_BASE + 0x40;
+    let mut record = vec![1u8]; // kind 1: expected-value guard
+    record.extend_from_slice(&victim.to_be_bytes());
+    record.extend_from_slice(&0xBAD0_0000u64.to_be_bytes());
+    let env = layout::SC_REGION + ccai_core::sc::regs::ENV_POLICY;
+    let ack = system.sc().unwrap().ctrl_ack(tvm).unwrap();
+    system
+        .fabric_mut()
+        .host_request(Tlp::memory_write(tvm, env, record.clone()));
+    system.fabric_mut().host_request(Tlp::memory_write(
+        tvm,
+        env,
+        seal_ctrl_envelope(&record, ack + 1),
+    ));
+
+    let sc = system.sc().unwrap();
+    let refusals = sc
+        .alerts()
+        .iter()
+        .filter(|a| matches!(a, ScAlert::WriteProtectFailure { addr, .. } if *addr == ccai_core::sc::regs::ENV_POLICY))
+        .count();
+    assert_eq!(
+        refusals,
+        2,
+        "both forgeries must raise an alert: {:?}",
+        sc.alerts()
+    );
+    assert_eq!(system.telemetry().counter("sc.env_rejects"), 2);
+    assert_eq!(
+        system.sc().unwrap().ctrl_ack(tvm),
+        Some(ack),
+        "a refused record must not consume its sequence"
+    );
+
+    // No guard was installed: an authentic write of another value to the
+    // victim register passes the environment guard.
+    let (_, _, _, _, adaptor) = system.parts();
+    let adaptor = adaptor.expect("ccai mode");
+    {
+        use ccai_tvm::TlpPort;
+        let fabric = system.fabric_mut();
+        let mut port = adaptor.port(fabric);
+        port.request(Tlp::memory_write(
+            tvm,
+            victim,
+            0x1234u64.to_le_bytes().to_vec(),
+        ));
+    }
+    assert!(
+        !system
+            .sc()
+            .unwrap()
+            .alerts()
+            .iter()
+            .any(|a| matches!(a, ScAlert::WriteProtectFailure { addr, .. } if *addr == victim)),
+        "a forged guard was applied: {:?}",
+        system.sc().unwrap().alerts()
+    );
+    // And the platform still serves.
+    system.run_workload(b"w2", b"i2").unwrap();
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! the digests it computed so CI can diff two consecutive runs.
 
 use ccai_core::{ConfidentialSystem, SystemMode, TelemetryEvent};
-use ccai_pcie::FaultPlan;
+use ccai_pcie::{FaultPlan, InterposeOutcome, Interposer, PortId, Tlp};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::XpuSpec;
 
@@ -23,20 +23,51 @@ fn workload() -> (Vec<u8>, Vec<u8>) {
     (weights, input)
 }
 
+/// Forwards every packet to the wrapped PCIe-SC but leaves
+/// `on_upstream_batch` at the trait default, so each pump burst reaches
+/// the SC one `on_upstream` at a time: the per-TLP oracle for the SC's
+/// batch hook.
+#[derive(Debug)]
+struct PerTlp(Box<dyn Interposer>);
+
+impl Interposer for PerTlp {
+    fn on_downstream(&mut self, tlp: Tlp) -> InterposeOutcome {
+        self.0.on_downstream(tlp)
+    }
+
+    fn on_upstream(&mut self, tlp: Tlp) -> InterposeOutcome {
+        self.0.on_upstream(tlp)
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.0.as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self.0.as_any_mut()
+    }
+}
+
 /// Runs one fixed-seed workload and returns (digest hex, event trace).
 fn run_traced(plan: Option<FaultPlan>) -> (String, Vec<TelemetryEvent>) {
     run_traced_with_pump(plan, true)
 }
 
-/// Like [`run_traced`], but selecting between the batched SC pump (the
-/// default) and the legacy per-TLP pump. Also returns the count of SC
-/// filter batches so tests can prove which pump actually ran.
+/// Like [`run_traced`], but with the SC either taking each pump burst
+/// through its batch hook (as deployed) or wrapped in [`PerTlp`]; checks
+/// the SC filter-batch count to prove which path actually ran.
 fn run_traced_with_pump(
     plan: Option<FaultPlan>,
     batching: bool,
 ) -> (String, Vec<TelemetryEvent>) {
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
-    system.fabric_mut().set_pump_batching(batching);
+    if !batching {
+        let fabric = system.fabric_mut();
+        let sc = fabric
+            .remove_interposer(PortId(0))
+            .expect("the SC sits on the xPU port");
+        fabric.interpose(PortId(0), Box::new(PerTlp(sc)));
+    }
     system
         .driver_mut()
         .set_retry_policy(RetryPolicy { max_attempts: 6, backoff_base: 2, ..Default::default() });
@@ -54,7 +85,7 @@ fn run_traced_with_pump(
             "every batch must land one sc.batch_size histogram sample"
         );
     } else {
-        assert_eq!(batches, 0, "legacy per-TLP pump must not record batches");
+        assert_eq!(batches, 0, "the per-TLP path must not record batches");
     }
     (telemetry.digest_hex(), telemetry.events())
 }
@@ -88,11 +119,11 @@ fn same_seed_produces_identical_trace() {
     }
 }
 
-/// The §5 metadata-batching refactor must be invisible to the golden
-/// trace: batch boundaries surface only as counters and histogram
-/// samples, which never feed the digest or the sim clock, so the event
-/// stream of the batched pump is bit-identical to the legacy per-TLP
-/// pump — with and without injected faults.
+/// The §5 metadata batching must be invisible to the golden trace: batch
+/// boundaries surface only as counters and histogram samples, which
+/// never feed the digest or the sim clock, so the event stream with the
+/// SC's batch hook is bit-identical to the SC fed one TLP at a time —
+/// with and without injected faults.
 #[test]
 fn batched_pump_replays_the_per_tlp_trace_bit_identically() {
     for faulted in [false, true] {
