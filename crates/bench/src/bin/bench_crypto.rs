@@ -9,17 +9,12 @@
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
 //! Pass an output path as the first argument to override the default.
 //!
-//! Besides raw crypto throughput, the runner drives one fixed-seed
-//! confidential workload through the functional datapath and embeds the
-//! telemetry snapshot — the per-hop latency breakdown (adaptor staging,
-//! adaptor crypt, SC filter, SC crypt, link, DMA), event counters, and
-//! the deterministic trace digest — under the `telemetry` key.
+//! Raw crypto only: the fixed-seed workload's telemetry snapshot (per-hop
+//! latency breakdown, counters, trace digest) lives in `bench_datapath`'s
+//! report.
 
 use ccai_bench::distinct_backends;
-use ccai_core::system::{ConfidentialSystem, SystemMode};
-use ccai_core::TelemetrySnapshot;
 use ccai_crypto::{AesGcm, Key, Sha256};
-use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -131,21 +126,7 @@ fn run() -> Vec<Sample> {
     samples
 }
 
-/// Runs one fixed-seed confidential inference through the functional
-/// datapath and returns its telemetry snapshot. Every input is
-/// deterministic, so the snapshot's trace digest is reproducible
-/// run-to-run.
-fn confidential_workload_snapshot() -> TelemetrySnapshot {
-    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
-    let weights = patterned(96 * 1024);
-    let input = patterned(8 * 1024);
-    system
-        .run_workload(&weights, &input)
-        .expect("fixed-seed workload succeeds");
-    system.telemetry_snapshot()
-}
-
-fn to_json(samples: &[Sample], telemetry: &TelemetrySnapshot) -> String {
+fn to_json(samples: &[Sample]) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"crypto_throughput\",\n  \"unit\": \"GiB/s\",\n  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
@@ -160,21 +141,8 @@ fn to_json(samples: &[Sample], telemetry: &TelemetrySnapshot) -> String {
     // `null` on a CPU where `AesGcm::new` selects the portable path itself.
     let hw_vs_portable =
         speedup_64k(samples, HW, "portable").map_or("null".into(), |x| format!("{x:.1}"));
-    writeln!(
-        out,
-        "  \"speedup_hw_vs_portable_seal_64KiB\": {hw_vs_portable},"
-    )
-    .expect("write");
-    out.push_str("  \"telemetry\": ");
-    let telemetry_json = telemetry.to_json();
-    assert!(
-        telemetry_json.contains(ccai_core::telemetry::SNAPSHOT_SCHEMA),
-        "embedded telemetry snapshot must carry the pinned schema"
-    );
-    out.push_str(telemetry_json.trim_end());
-    out.push('\n');
-    out.push('}');
-    out.push('\n');
+    writeln!(out, "  \"speedup_hw_vs_portable_seal_64KiB\": {hw_vs_portable}").expect("write");
+    out.push_str("}\n");
     out
 }
 
@@ -206,17 +174,7 @@ fn main() {
     if let Some(x) = speedup_64k(&samples, HW, "portable") {
         println!("{HW} vs portable seal @64KiB: {x:.1}x");
     }
-    let snapshot = confidential_workload_snapshot();
-    println!("fixed-seed workload trace digest: {}", snapshot.digest_hex());
-    for hop in &snapshot.hops {
-        println!(
-            "{:>14}  count {:>5}  total {}",
-            hop.hop.as_str(),
-            hop.count,
-            hop.total
-        );
-    }
-    let json = to_json(&samples, &snapshot);
+    let json = to_json(&samples);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);

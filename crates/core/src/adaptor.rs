@@ -731,13 +731,11 @@ impl DmaStager for Adaptor {
                 telemetry.advance_span(
                     Hop::AdaptorCrypt,
                     tenant,
-                    stream_tag,
                     state.config.opts.crypto_bandwidth().transfer_time(data.len() as u64),
                 );
                 telemetry.advance_span(
                     Hop::AdaptorStage,
                     tenant,
-                    stream_tag,
                     crate::perf::MMIO_POSTED_WRITE * control_count
                         + crate::perf::MMIO_ROUND_TRIP * metadata_reads.len() as u64,
                 );
@@ -781,7 +779,6 @@ impl DmaStager for Adaptor {
                 telemetry.advance_span(
                     Hop::AdaptorStage,
                     state.tenant(),
-                    Some(u64::from(stream.0)),
                     crate::perf::MMIO_POSTED_WRITE,
                 );
             }
@@ -858,7 +855,6 @@ impl DmaStager for Adaptor {
             telemetry.advance_span(
                 Hop::AdaptorCrypt,
                 tenant,
-                stream_tag,
                 state.config.opts.crypto_bandwidth().transfer_time(buffer.len),
             );
             telemetry.record(

@@ -424,7 +424,7 @@ impl PcieSc {
     /// under its security action (A1–A4).
     fn note_filter_decision(&self, action: SecurityAction, tenant: Option<u32>) {
         if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.advance_span(Hop::ScFilter, tenant, None, SC_PIPELINE_LATENCY);
+            telemetry.advance_span(Hop::ScFilter, tenant, SC_PIPELINE_LATENCY);
             let counter = match action {
                 SecurityAction::Disallow => "sc.a1_disallow",
                 SecurityAction::CryptProtect => "sc.a2_crypt",
@@ -902,7 +902,6 @@ impl PcieSc {
                     telemetry.advance_span(
                         Hop::ScCrypt,
                         self.tenant_tag(tenant),
-                        Some(u64::from(chunk.stream.0)),
                         Bandwidth::from_bytes_per_sec(AES_NI_RATE)
                             .transfer_time(plain.len() as u64),
                     );
@@ -998,7 +997,6 @@ impl PcieSc {
             telemetry.advance_span(
                 Hop::ScCrypt,
                 self.tenant_tag(tenant),
-                Some(u64::from(chunk.stream.0)),
                 Bandwidth::from_bytes_per_sec(AES_NI_RATE).transfer_time(ct.len() as u64),
             );
             telemetry.counter_add("sc.chunks_encrypted", 1);

@@ -99,17 +99,17 @@ fn charge_breakdown(
     protected: bool,
     scale: u64,
 ) {
-    telemetry.advance_span(Hop::Link, None, None, cost.base_transfer * scale);
-    telemetry.advance_span(Hop::AdaptorStage, None, None, cost.base_mmio * scale);
+    telemetry.advance_span(Hop::Link, None, cost.base_transfer * scale);
+    telemetry.advance_span(Hop::AdaptorStage, None, cost.base_mmio * scale);
     if protected {
-        telemetry.advance_span(Hop::AdaptorCrypt, None, None, cost.crypto * scale);
-        telemetry.advance_span(Hop::Link, None, None, cost.tag_traffic * scale);
-        telemetry.advance_span(Hop::AdaptorStage, None, None, cost.sc_interaction * scale);
-        telemetry.advance_span(Hop::ScFilter, None, None, cost.sc_pipeline * scale);
+        telemetry.advance_span(Hop::AdaptorCrypt, None, cost.crypto * scale);
+        telemetry.advance_span(Hop::Link, None, cost.tag_traffic * scale);
+        telemetry.advance_span(Hop::AdaptorStage, None, cost.sc_interaction * scale);
+        telemetry.advance_span(Hop::ScFilter, None, cost.sc_pipeline * scale);
         // The SC's crypt engine runs at line rate, fully overlapped with
         // the wire: the hop shows up in the report with zero exposed
         // latency.
-        telemetry.advance_span(Hop::ScCrypt, None, None, SimDuration::ZERO);
+        telemetry.advance_span(Hop::ScCrypt, None, SimDuration::ZERO);
         telemetry.counter_add("llm.chunks", chunks * scale);
     }
 }

@@ -466,14 +466,13 @@ impl FleetServer {
             let done = std::mem::take(&mut self.shards[i].in_flight);
             for inf in done {
                 let tenant = Some(inf.req.tenant);
-                let stream = Some(inf.req.id);
                 self.hub.advance_idle(tenant, inf.wait);
-                self.hub.advance_span(Hop::AdaptorStage, tenant, stream, inf.stage);
-                self.hub.advance_span(Hop::AdaptorCrypt, tenant, stream, inf.crypt);
-                self.hub.advance_span(Hop::ScFilter, tenant, stream, inf.filter);
-                self.hub.advance_span(Hop::ScCrypt, tenant, stream, SimDuration::ZERO);
-                self.hub.advance_span(Hop::Link, tenant, stream, inf.link);
-                self.hub.advance_span(Hop::Dma, tenant, stream, inf.compute);
+                self.hub.advance_span(Hop::AdaptorStage, tenant, inf.stage);
+                self.hub.advance_span(Hop::AdaptorCrypt, tenant, inf.crypt);
+                self.hub.advance_span(Hop::ScFilter, tenant, inf.filter);
+                self.hub.advance_span(Hop::ScCrypt, tenant, SimDuration::ZERO);
+                self.hub.advance_span(Hop::Link, tenant, inf.link);
+                self.hub.advance_span(Hop::Dma, tenant, inf.compute);
                 let service = inf.service();
                 let s = self.stats.get_mut(&inf.req.tenant).expect("stats exist for tenant");
                 s.served += 1;

@@ -405,7 +405,7 @@ impl Fabric {
     fn wire(&mut self, tlp: Tlp, downstream: bool) -> Option<Tlp> {
         if let Some(telemetry) = &self.telemetry {
             let wire_bytes = (tlp.payload().len() as u64).max(32);
-            telemetry.advance_span(Hop::Link, None, None, self.bus_link.dma_time(wire_bytes));
+            telemetry.advance_span(Hop::Link, None, self.bus_link.dma_time(wire_bytes));
         }
         self.tap_all(&tlp, downstream);
         match &mut self.wire_attack {

@@ -24,7 +24,7 @@ use std::fmt;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ccAIsnap";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Typed decode failure. Corrupt input yields one of these — never a
 /// panic.

@@ -296,7 +296,6 @@ impl Xpu {
                     telemetry.advance_span(
                         Hop::Dma,
                         tenant,
-                        None,
                         self.spec.memory_bandwidth().transfer_time(bytes),
                     );
                     match status {
