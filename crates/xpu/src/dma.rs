@@ -127,7 +127,7 @@ impl DmaEngine {
         self.status
     }
 
-    /// Total payload bytes moved since creation.
+    /// Payload bytes the current (or most recent) transfer has moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
     }
@@ -145,7 +145,7 @@ impl DmaEngine {
     }
 
     /// Total bytes requested via H2D read TLPs since creation (counts
-    /// re-fetched chunks again, unlike [`DmaEngine::bytes_moved`]).
+    /// re-fetched chunks again).
     pub fn read_bytes_requested(&self) -> u64 {
         self.read_bytes_requested
     }
@@ -161,6 +161,7 @@ impl DmaEngine {
         assert_ne!(self.status, DmaStatus::Busy, "DMA engine is busy");
         assert!(request.len > 0, "zero-length DMA");
         self.status = DmaStatus::Busy;
+        self.bytes_moved = 0;
         match request.direction {
             DmaDirection::DeviceToHost => {
                 let mut offset = 0;

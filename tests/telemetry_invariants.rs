@@ -9,12 +9,17 @@
 //! * every `transfer_retries` / `rekeys` counter increment has a
 //!   matching trace event;
 //! * a quarantine trip is visible coherently in the alert log, the
-//!   event trace, and the per-tenant deny counter.
+//!   event trace, and the per-tenant deny counter;
+//! * span records stay bounded: a long-lived system serving same-size
+//!   requests stops growing its telemetry state, and equal DMA transfers
+//!   are charged equal DMA time however long the system has run.
 
 use ccai_core::sc::ScAlert;
 use ccai_core::system::layout;
 use ccai_core::{ConfidentialSystem, SystemMode};
 use ccai_pcie::{Bdf, FaultPlan, Tlp};
+use ccai_sim::snapshot::Encoder;
+use ccai_sim::{Hop, SimDuration};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::XpuSpec;
 use std::collections::BTreeMap;
@@ -267,5 +272,74 @@ fn quarantine_is_coherently_observable() {
         system.telemetry().counter(&deny_counter),
         denied_before + 1,
         "each blocked packet increments the quarantined tenant's deny counter"
+    );
+}
+
+/// A system with a small model loaded, ready to serve chat requests.
+fn chat_system() -> ConfidentialSystem {
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    let weights: Vec<u8> = (0..4_096).map(|i| (i * 131 % 251) as u8).collect();
+    system.load_model(&weights).expect("model loads");
+    system
+}
+
+/// One chat request: a 512-byte prompt whose content varies with `i`.
+fn chat(system: &mut ConfidentialSystem, i: usize) {
+    let prompt: Vec<u8> = (0..512).map(|j| ((i * 7 + j * 17) % 241) as u8).collect();
+    system
+        .run_inference(&prompt)
+        .expect("chat request succeeds");
+}
+
+fn dma_total(system: &ConfidentialSystem) -> SimDuration {
+    let snapshot = system.telemetry_snapshot();
+    snapshot
+        .hops
+        .iter()
+        .find(|h| h.hop == Hop::Dma)
+        .expect("dma hop reported")
+        .total
+}
+
+#[test]
+fn hub_state_stops_growing_under_same_size_requests() {
+    const N: usize = 10;
+    let mut system = chat_system();
+    let encoded_len = |system: &ConfidentialSystem| {
+        let mut enc = Encoder::new();
+        system.telemetry().encode_snapshot(&mut enc);
+        enc.len()
+    };
+    for i in 0..N {
+        chat(&mut system, i);
+    }
+    let after_n = encoded_len(&system);
+    for i in N..10 * N {
+        chat(&mut system, i);
+    }
+    let after_10n = encoded_len(&system);
+    println!(
+        "hub encode_snapshot: {after_n} bytes after {N} requests, {after_10n} after {}",
+        10 * N
+    );
+    assert_eq!(
+        after_n, after_10n,
+        "span records must grow with distinct durations, not with requests"
+    );
+}
+
+#[test]
+fn equal_dma_transfers_charge_equal_dma_spans() {
+    let mut system = chat_system();
+    let mut charged = Vec::new();
+    for i in 0..3 {
+        let before = dma_total(&system);
+        chat(&mut system, i);
+        charged.push(dma_total(&system) - before);
+    }
+    assert!(!charged[0].is_zero(), "a chat request moves data over DMA");
+    assert!(
+        charged.iter().all(|&d| d == charged[0]),
+        "same-size requests must be charged the same DMA time, got {charged:?}"
     );
 }
