@@ -71,6 +71,23 @@ pub struct AdaptorCounters {
     pub control_retries: u64,
 }
 
+ccai_sim::snapshot_state!(AdaptorCounters {
+    sc_mmio_reads,
+    sc_mmio_writes,
+    tag_packets,
+    doorbells,
+    bytes_encrypted,
+    bytes_decrypted,
+    chunks_staged,
+    chunks_recovered,
+    driver_mmio_writes,
+    driver_mmio_reads,
+    mmio_tags,
+    transfer_retries,
+    rekeys,
+    control_retries,
+});
+
 /// Static configuration captured when the Adaptor loads.
 #[derive(Debug, Clone)]
 pub struct AdaptorConfig {
@@ -940,48 +957,20 @@ impl Adaptor {
     /// layer).
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         let state = self.state.borrow();
-        enc.u32(state.epoch);
+        enc.put(&state.epoch);
         state.keys.encode_snapshot(enc);
-        state.engine.encode_snapshot(enc);
-        enc.u64(state.counters.sc_mmio_reads);
-        enc.u64(state.counters.sc_mmio_writes);
-        enc.u64(state.counters.tag_packets);
-        enc.u64(state.counters.doorbells);
-        enc.u64(state.counters.bytes_encrypted);
-        enc.u64(state.counters.bytes_decrypted);
-        enc.u64(state.counters.chunks_staged);
-        enc.u64(state.counters.chunks_recovered);
-        enc.u64(state.counters.driver_mmio_writes);
-        enc.u64(state.counters.driver_mmio_reads);
-        enc.u64(state.counters.mmio_tags);
-        enc.u64(state.counters.transfer_retries);
-        enc.u64(state.counters.rekeys);
-        enc.u64(state.counters.control_retries);
-        enc.u32(state.next_stream);
-        enc.u64(state.staging_cursor);
-        enc.u64(state.pending_d2h.len() as u64);
-        for (addr, stream, chunks) in &state.pending_d2h {
-            enc.u64(*addr);
-            enc.u32(stream.0);
-            enc.u64(*chunks);
-        }
-        enc.u64(state.stream_of.len() as u64);
-        for (addr, stream) in &state.stream_of {
-            enc.u64(*addr);
-            enc.u32(stream.0);
-        }
-        enc.u64(state.tag_cursor);
-        enc.u64(state.mmio_seq);
-        enc.u64(state.ctrl_seq);
-        enc.u64(state.unacked.len() as u64);
-        for (seq, tlp) in &state.unacked {
-            enc.u64(*seq);
-            enc.bytes(&tlp.encode());
-        }
-        enc.u8(state.ctrl_read_tag);
-        enc.u32(state.retry.max_attempts);
-        enc.u32(state.retry.backoff_base);
-        enc.u64(state.retry.backoff_unit.as_picos());
+        enc.put(&state.engine);
+        enc.put(&state.counters);
+        enc.put(&state.next_stream);
+        enc.put(&state.staging_cursor);
+        enc.put(&state.pending_d2h);
+        enc.put(&state.stream_of);
+        enc.put(&state.tag_cursor);
+        enc.put(&state.mmio_seq);
+        enc.put(&state.ctrl_seq);
+        enc.put(&state.unacked);
+        enc.put(&state.ctrl_read_tag);
+        enc.put(&state.retry);
     }
 
     /// Restores a freshly loaded Adaptor to a snapshotted state. The
@@ -992,65 +981,27 @@ impl Adaptor {
     /// # Errors
     ///
     /// Any [`ccai_sim::SnapshotError`] for truncated or inconsistent
-    /// input.
+    /// input; the Adaptor is left untouched on failure.
     pub fn restore_snapshot(
         &self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::SnapshotError> {
-        use ccai_sim::SnapshotError;
         let mut state = self.state.borrow_mut();
-        let epoch = dec.u32()?;
+        let epoch = dec.get()?;
         let mut keys = WorkloadKeyManager::new(crate::sc::epoch_master(&state.master, epoch));
         keys.restore_snapshot(dec)?;
-        let mut engine = CryptoEngine::new();
-        engine.restore_snapshot(dec)?;
-        let counters = AdaptorCounters {
-            sc_mmio_reads: dec.u64()?,
-            sc_mmio_writes: dec.u64()?,
-            tag_packets: dec.u64()?,
-            doorbells: dec.u64()?,
-            bytes_encrypted: dec.u64()?,
-            bytes_decrypted: dec.u64()?,
-            chunks_staged: dec.u64()?,
-            chunks_recovered: dec.u64()?,
-            driver_mmio_writes: dec.u64()?,
-            driver_mmio_reads: dec.u64()?,
-            mmio_tags: dec.u64()?,
-            transfer_retries: dec.u64()?,
-            rekeys: dec.u64()?,
-            control_retries: dec.u64()?,
-        };
-        let next_stream = dec.u32()?;
-        let staging_cursor = dec.u64()?;
-        let d2h_count = dec.seq_len()?;
-        let mut pending_d2h = Vec::with_capacity(d2h_count);
-        for _ in 0..d2h_count {
-            pending_d2h.push((dec.u64()?, StreamId(dec.u32()?), dec.u64()?));
-        }
-        let map_count = dec.seq_len()?;
-        let mut stream_of = Vec::with_capacity(map_count);
-        for _ in 0..map_count {
-            stream_of.push((dec.u64()?, StreamId(dec.u32()?)));
-        }
-        let tag_cursor = dec.u64()?;
-        let mmio_seq = dec.u64()?;
-        let ctrl_seq = dec.u64()?;
-        let unacked_count = dec.seq_len()?;
-        let mut unacked = Vec::with_capacity(unacked_count);
-        for _ in 0..unacked_count {
-            let seq = dec.u64()?;
-            let bytes = dec.bytes()?;
-            let tlp =
-                Tlp::decode(&bytes).map_err(|_| SnapshotError::Invalid("embedded TLP"))?;
-            unacked.push((seq, tlp));
-        }
-        let ctrl_read_tag = dec.u8()?;
-        let max_attempts = dec.u32()?;
-        if max_attempts == 0 {
-            return Err(SnapshotError::Invalid("retry policy needs an attempt"));
-        }
-        let backoff_base = dec.u32()?;
-        let backoff_unit = ccai_sim::SimDuration::from_picos(dec.u64()?);
+        let engine = dec.get()?;
+        let counters = dec.get()?;
+        let next_stream = dec.get()?;
+        let staging_cursor = dec.get()?;
+        let pending_d2h = dec.get()?;
+        let stream_of = dec.get()?;
+        let tag_cursor = dec.get()?;
+        let mmio_seq = dec.get()?;
+        let ctrl_seq = dec.get()?;
+        let unacked = dec.get()?;
+        let ctrl_read_tag = dec.get()?;
+        let retry = dec.get()?;
         state.epoch = epoch;
         state.keys = keys;
         state.engine = engine;
@@ -1064,7 +1015,7 @@ impl Adaptor {
         state.ctrl_seq = ctrl_seq;
         state.unacked = unacked;
         state.ctrl_read_tag = ctrl_read_tag;
-        state.retry = RetryPolicy { max_attempts, backoff_base, backoff_unit };
+        state.retry = retry;
         Ok(())
     }
 }

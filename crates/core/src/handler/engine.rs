@@ -154,35 +154,17 @@ impl CryptoEngine {
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
-
-    /// Serializes the engine's activity counters.
-    pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u64(self.stats.bytes_encrypted);
-        enc.u64(self.stats.bytes_decrypted);
-        enc.u64(self.stats.seal_ops);
-        enc.u64(self.stats.open_ops);
-        enc.u64(self.stats.auth_failures);
-    }
-
-    /// Restores the activity counters from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`ccai_sim::SnapshotError::Truncated`] on exhausted input.
-    pub fn restore_snapshot(
-        &mut self,
-        dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::SnapshotError> {
-        self.stats = EngineStats {
-            bytes_encrypted: dec.u64()?,
-            bytes_decrypted: dec.u64()?,
-            seal_ops: dec.u64()?,
-            open_ops: dec.u64()?,
-            auth_failures: dec.u64()?,
-        };
-        Ok(())
-    }
 }
+
+ccai_sim::snapshot_state!(EngineStats {
+    bytes_encrypted,
+    bytes_decrypted,
+    seal_ops,
+    open_ops,
+    auth_failures,
+});
+
+ccai_sim::snapshot_state!(CryptoEngine { stats });
 
 #[cfg(test)]
 mod tests {

@@ -135,64 +135,37 @@ impl EnvGuard {
     pub fn violations(&self) -> &[EnvViolation] {
         &self.violations
     }
+}
 
-    /// Serializes the installed policy, recorded violations and reset
-    /// counter.
-    pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u64(self.policies.len() as u64);
-        for policy in &self.policies {
-            match policy {
-                MmioPolicy::ExpectedValue { addr, expected } => {
-                    enc.u8(0);
-                    enc.u64(*addr);
-                    enc.u64(*expected);
-                }
-                MmioPolicy::AllowedWindow { range } => {
-                    enc.u8(1);
-                    enc.u64(range.start);
-                    enc.u64(range.end);
-                }
+impl ccai_sim::SnapshotState for MmioPolicy {
+    fn encode_state(&self, enc: &mut ccai_sim::Encoder) {
+        match self {
+            MmioPolicy::ExpectedValue { addr, expected } => {
+                enc.u8(0);
+                enc.put(&(*addr, *expected));
+            }
+            MmioPolicy::AllowedWindow { range } => {
+                enc.u8(1);
+                enc.put(range);
             }
         }
-        enc.u64(self.violations.len() as u64);
-        for violation in &self.violations {
-            enc.u64(violation.addr);
-            enc.str(&violation.reason);
-        }
-        enc.u64(self.resets_requested);
     }
 
-    /// Restores the guard from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ccai_sim::SnapshotError`] for truncated input or an unknown
-    /// policy kind.
-    pub fn restore_snapshot(
-        &mut self,
-        dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::SnapshotError> {
-        let n = dec.seq_len()?;
-        let mut policies = Vec::with_capacity(n);
-        for _ in 0..n {
-            policies.push(match dec.u8()? {
-                0 => MmioPolicy::ExpectedValue { addr: dec.u64()?, expected: dec.u64()? },
-                1 => MmioPolicy::AllowedWindow { range: dec.u64()?..dec.u64()? },
-                _ => return Err(ccai_sim::SnapshotError::Invalid("MMIO policy kind")),
-            });
+    fn decode_state(dec: &mut ccai_sim::Decoder<'_>) -> Result<Self, ccai_sim::SnapshotError> {
+        match dec.u8()? {
+            0 => {
+                let (addr, expected) = dec.get()?;
+                Ok(MmioPolicy::ExpectedValue { addr, expected })
+            }
+            1 => Ok(MmioPolicy::AllowedWindow { range: dec.get()? }),
+            _ => Err(ccai_sim::SnapshotError::Invalid("MMIO policy kind")),
         }
-        let v = dec.seq_len()?;
-        let mut violations = Vec::with_capacity(v);
-        for _ in 0..v {
-            violations.push(EnvViolation { addr: dec.u64()?, reason: dec.str()? });
-        }
-        let resets_requested = dec.u64()?;
-        self.policies = policies;
-        self.violations = violations;
-        self.resets_requested = resets_requested;
-        Ok(())
     }
 }
+
+ccai_sim::snapshot_state!(EnvViolation { addr, reason });
+
+ccai_sim::snapshot_state!(EnvGuard { policies, violations, resets_requested });
 
 #[cfg(test)]
 mod tests {

@@ -35,6 +35,11 @@ pub enum StreamDirection {
     DeviceToHost,
 }
 
+ccai_sim::snapshot_state!(enum StreamDirection: "stream direction" {
+    HostToDevice = 0,
+    DeviceToHost = 1,
+});
+
 /// A resolved reference to one encrypted chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRef {
@@ -67,6 +72,8 @@ struct StreamEntry {
     base_seq: u64,
     seen: DetHashSet<u64>,
 }
+
+ccai_sim::snapshot_state!(StreamEntry { id, direction, host_range, base_seq, seen });
 
 /// The parameters manager: stream registry + key schedule + anti-replay.
 pub struct ParamsManager {
@@ -209,64 +216,27 @@ impl ParamsManager {
     }
 
     /// Serializes the key-schedule positions, the stream registry (in
-    /// registration order; per-stream seen-sets sorted for deterministic
-    /// bytes) and the replay counter.
+    /// registration order) and the replay counter.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         self.keys.encode_snapshot(enc);
-        enc.u64(self.streams.len() as u64);
-        for entry in &self.streams {
-            enc.u32(entry.id.0);
-            enc.u8(match entry.direction {
-                StreamDirection::HostToDevice => 0,
-                StreamDirection::DeviceToHost => 1,
-            });
-            enc.u64(entry.host_range.start);
-            enc.u64(entry.host_range.end);
-            enc.u64(entry.base_seq);
-            let mut seen: Vec<u64> = entry.seen.iter().copied().collect();
-            seen.sort_unstable();
-            enc.u64(seen.len() as u64);
-            for seq in seen {
-                enc.u64(seq);
-            }
-        }
-        enc.u64(self.replays_blocked);
+        enc.put(&self.streams);
+        enc.put(&self.replays_blocked);
     }
 
-    /// Restores the manager from a snapshot. Keys are re-derived via the
-    /// key schedule's own restore (never carried in snapshot bytes).
+    /// Rebuilds a manager from a snapshot over `keys`, a fresh schedule
+    /// seeded with the master the snapshotted one held: its positions are
+    /// restored and every key re-derived, never carried in snapshot bytes.
     ///
     /// # Errors
     ///
     /// Any [`ccai_sim::SnapshotError`] for truncated or inconsistent
     /// input.
-    pub fn restore_snapshot(
-        &mut self,
+    pub fn from_snapshot(
+        mut keys: WorkloadKeyManager,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::SnapshotError> {
-        self.keys.restore_snapshot(dec)?;
-        let n = dec.seq_len()?;
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = StreamId(dec.u32()?);
-            let direction = match dec.u8()? {
-                0 => StreamDirection::HostToDevice,
-                1 => StreamDirection::DeviceToHost,
-                _ => return Err(ccai_sim::SnapshotError::Invalid("stream direction")),
-            };
-            let host_range = dec.u64()?..dec.u64()?;
-            let base_seq = dec.u64()?;
-            let seen_len = dec.seq_len()?;
-            let mut seen = DetHashSet::with_capacity_and_hasher(seen_len, Default::default());
-            for _ in 0..seen_len {
-                seen.insert(dec.u64()?);
-            }
-            streams.push(StreamEntry { id, direction, host_range, base_seq, seen });
-        }
-        let replays_blocked = dec.u64()?;
-        self.streams = streams;
-        self.replays_blocked = replays_blocked;
-        Ok(())
+    ) -> Result<ParamsManager, ccai_sim::SnapshotError> {
+        keys.restore_snapshot(dec)?;
+        Ok(ParamsManager { keys, streams: dec.get()?, replays_blocked: dec.get()? })
     }
 }
 

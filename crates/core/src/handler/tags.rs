@@ -133,54 +133,9 @@ impl TagManager {
     pub fn clear(&mut self) {
         self.pending.clear();
     }
-
-    /// Serializes the queue (pending tags in sorted `(stream, seq)` order
-    /// for deterministic bytes) and its counters.
-    pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        let mut rows: Vec<(&(u32, u64), &[u8; 16])> = self.pending.iter().collect();
-        rows.sort_by_key(|(k, _)| **k);
-        enc.u64(rows.len() as u64);
-        for ((stream, seq), tag) in rows {
-            enc.u32(*stream);
-            enc.u64(*seq);
-            enc.raw(&tag[..]);
-        }
-        enc.u64(self.received);
-        enc.u64(self.matched);
-        enc.u64(self.missing);
-    }
-
-    /// Restores the queue from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ccai_sim::SnapshotError`] for truncated input or duplicate
-    /// queue keys.
-    pub fn restore_snapshot(
-        &mut self,
-        dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::SnapshotError> {
-        let n = dec.seq_len()?;
-        let mut pending = DetHashMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let stream = dec.u32()?;
-            let seq = dec.u64()?;
-            let mut tag = [0u8; 16];
-            tag.copy_from_slice(dec.raw(16)?);
-            if pending.insert((stream, seq), tag).is_some() {
-                return Err(ccai_sim::SnapshotError::Invalid("duplicate tag-queue key"));
-            }
-        }
-        let received = dec.u64()?;
-        let matched = dec.u64()?;
-        let missing = dec.u64()?;
-        self.pending = pending;
-        self.received = received;
-        self.matched = matched;
-        self.missing = missing;
-        Ok(())
-    }
 }
+
+ccai_sim::snapshot_state!(TagManager { pending, received, matched, missing });
 
 impl fmt::Display for TagManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

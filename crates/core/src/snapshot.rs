@@ -60,22 +60,11 @@ impl SystemSnapshot {
     }
 }
 
-fn mode_code(mode: SystemMode) -> u8 {
-    match mode {
-        SystemMode::Vanilla => 0,
-        SystemMode::CcAi => 1,
-        SystemMode::CcAiUnoptimized => 2,
-    }
-}
-
-fn mode_from_code(code: u8) -> Result<SystemMode, SnapshotError> {
-    Ok(match code {
-        0 => SystemMode::Vanilla,
-        1 => SystemMode::CcAi,
-        2 => SystemMode::CcAiUnoptimized,
-        _ => return Err(SnapshotError::Invalid("system mode code")),
-    })
-}
+ccai_sim::snapshot_state!(enum SystemMode: "system mode code" {
+    Vanilla = 0,
+    CcAi = 1,
+    CcAiUnoptimized = 2,
+});
 
 fn spec_by_name(name: &str) -> Result<XpuSpec, SnapshotError> {
     XpuSpec::evaluation_set()
@@ -91,28 +80,23 @@ impl ConfidentialSystem {
     /// requests); in-flight TLPs parked in fabric queues are included.
     pub fn snapshot(&self) -> SystemSnapshot {
         let mut enc = Encoder::versioned();
-        enc.str(self.with_xpu_ref(|xpu| xpu.spec().name().to_string()).as_str());
-        enc.u8(mode_code(self.mode()));
+        self.with_xpu_ref(|xpu| enc.str(xpu.spec().name()));
+        enc.put(&self.mode());
         self.telemetry().encode_snapshot(&mut enc);
         self.fabric().encode_snapshot(&mut enc);
         self.with_xpu_ref(|xpu| xpu.encode_snapshot(&mut enc));
         self.driver().encode_snapshot(&mut enc);
         self.memory().encode_snapshot(&mut enc);
-        enc.u64(self.stager_cursor());
-        enc.bool(self.policy_installed());
-        match self.sc() {
-            Some(sc) => {
-                enc.bool(true);
-                sc.encode_snapshot(&mut enc);
-            }
-            None => enc.bool(false),
+        enc.put(&self.stager_cursor());
+        enc.put(&self.policy_installed());
+        enc.put(&self.sc().is_some());
+        if let Some(sc) = self.sc() {
+            sc.encode_snapshot(&mut enc);
         }
-        match self.adaptor_handle() {
-            Some(adaptor) => {
-                enc.bool(true);
-                adaptor.encode_snapshot(&mut enc);
-            }
-            None => enc.bool(false),
+        let adaptor = self.adaptor_handle();
+        enc.put(&adaptor.is_some());
+        if let Some(adaptor) = adaptor {
+            adaptor.encode_snapshot(&mut enc);
         }
         SystemSnapshot { bytes: enc.finish() }
     }
@@ -134,29 +118,24 @@ impl ConfidentialSystem {
     pub fn resume(snapshot: &SystemSnapshot) -> Result<ConfidentialSystem, SnapshotError> {
         let mut dec = Decoder::versioned(snapshot.as_bytes())?;
         let spec = spec_by_name(&dec.str()?)?;
-        let mode = mode_from_code(dec.u8()?)?;
+        let mode: SystemMode = dec.get()?;
         let mut system = ConfidentialSystem::build(spec, mode);
         system.telemetry().restore_snapshot(&mut dec)?;
         system.fabric_mut().restore_snapshot(&mut dec)?;
         system.with_xpu_mut(|xpu| xpu.restore_snapshot(&mut dec))?;
         system.driver_mut().restore_snapshot(&mut dec)?;
         system.memory_mut().restore_snapshot(&mut dec)?;
-        let cursor = dec.u64()?;
+        let cursor = dec.get()?;
         system.set_stager_cursor(cursor);
-        let policy_installed = dec.bool()?;
+        let policy_installed = dec.get()?;
         system.set_policy_installed(policy_installed);
-        let has_sc = dec.bool()?;
-        if has_sc != mode.protected() {
+        if dec.get::<bool>()? != mode.protected() {
             return Err(SnapshotError::Invalid("SC presence contradicts mode"));
         }
-        if has_sc {
-            system
-                .sc_mut()
-                .ok_or(SnapshotError::Invalid("rebuilt system lost its SC"))?
-                .restore_snapshot(&mut dec)?;
+        if let Some(sc) = system.sc_mut() {
+            sc.restore_snapshot(&mut dec)?;
         }
-        let has_adaptor = dec.bool()?;
-        if has_adaptor != mode.protected() {
+        if dec.get::<bool>()? != mode.protected() {
             return Err(SnapshotError::Invalid("Adaptor presence contradicts mode"));
         }
         if let Some(adaptor) = system.adaptor_handle() {
@@ -170,7 +149,7 @@ impl ConfidentialSystem {
     /// and replaces it with a factory-fresh one that carries over *only*
     /// the power-cycle-persistent security state — per-tenant quarantine
     /// standing and the `ctrl_last_seq`/`mmio_last_seq` anti-replay
-    /// floors plus the task epoch (via [`PcieSc::encode_persistent`]).
+    /// floors plus the task epoch (see [`PcieSc::persistent_state`]).
     /// Everything volatile — key-schedule positions, tag queues, staged
     /// policy, filter tables, outstanding reads, counters, alerts — is
     /// gone, exactly as on real hardware.
@@ -186,32 +165,15 @@ impl ConfidentialSystem {
     /// [`SnapshotError`] if the system is unprotected (no SC to cycle)
     /// or the persistent state does not fit the rebuilt controller.
     pub fn reset(&mut self) -> Result<(), SnapshotError> {
-        let (config, bindings, persistent) = {
-            let sc = self
-                .sc()
-                .ok_or(SnapshotError::Invalid("no SC interposed (vanilla mode)"))?;
-            let mut enc = Encoder::versioned();
-            sc.encode_persistent(&mut enc);
-            (sc.config().clone(), sc.tenant_bindings(), enc.finish())
-        };
-        let telemetry = self.telemetry().clone();
-        let port = self.xpu_port();
-        let old = self.fabric_mut().remove_interposer(port);
-        debug_assert!(old.is_some(), "sc() above proved an interposer existed");
-        let mut fresh = PcieSc::new(config, ConfidentialSystem::attested_master());
-        for (tvm_bdf, xpu_bdf, master) in bindings.into_iter().skip(1) {
-            fresh.add_tenant(tvm_bdf, xpu_bdf, master);
-        }
-        fresh.set_telemetry(telemetry.clone());
-        let mut dec = Decoder::versioned(&persistent)?;
-        fresh.restore_persistent(&mut dec)?;
-        dec.finish()?;
-        fresh.set_serving(false);
-        self.fabric_mut().interpose(port, Box::new(fresh));
+        self.replace_sc(|old, fresh| {
+            fresh.restore_persistent(old.persistent_state())?;
+            fresh.set_serving(false);
+            Ok(())
+        })?;
         // The policy died with the old controller; the next bring-up (or
         // workload) must reinstall it through the control window.
         self.set_policy_installed(false);
-        telemetry.record(
+        self.telemetry().record(
             Severity::Warn,
             "trust.bringup.power_cycle",
             None,
@@ -220,44 +182,55 @@ impl ConfidentialSystem {
         );
         Ok(())
     }
+
+    /// The one replace step behind a power cycle and a firmware swap:
+    /// builds a factory-fresh SC from the running one's config and tenant
+    /// bindings, lets `restore` carry state from the running SC into it,
+    /// and only then swaps it onto the xPU port. In-flight TLPs live in
+    /// fabric queues, not inside the interposer, so nothing is lost at
+    /// the swap — and a failed restore leaves the running SC in place.
+    fn replace_sc(
+        &mut self,
+        restore: impl FnOnce(&PcieSc, &mut PcieSc) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let old = self.sc().ok_or(SnapshotError::Invalid("no SC interposed (vanilla mode)"))?;
+        let mut fresh = PcieSc::new(old.config().clone(), ConfidentialSystem::attested_master());
+        // Tenant 0 is the config's own binding, made by `PcieSc::new`.
+        for (tvm_bdf, xpu_bdf, master) in old.tenant_bindings().into_iter().skip(1) {
+            fresh.add_tenant(tvm_bdf, xpu_bdf, master);
+        }
+        fresh.set_telemetry(self.telemetry().clone());
+        restore(old, &mut fresh)?;
+        let port = self.xpu_port();
+        self.fabric_mut().remove_interposer(port);
+        self.fabric_mut().interpose(port, Box::new(fresh));
+        Ok(())
+    }
 }
 
 /// Scenario (a): live SC "firmware swap".
 ///
-/// Snapshots the running SC's security state, tears the interposer off
-/// the fabric (the drain point), constructs a *fresh* SC — as a new
-/// firmware image would — from the same deterministic key agreement,
-/// restores the snapshotted state into it and re-interposes it. Traffic
-/// resumes against the new controller with filter tables, tenant
-/// windows, quarantine flags and key-schedule positions intact.
+/// Snapshots the running SC's security state into a *fresh* SC —
+/// constructed, as a new firmware image would be, from the same
+/// deterministic key agreement and bound to the same tenants — and swaps
+/// it onto the port. Traffic resumes against the new controller with
+/// filter tables, tenant windows, quarantine flags and key-schedule
+/// positions intact.
 ///
 /// # Errors
 ///
 /// [`SnapshotError`] if the system is unprotected (no SC to swap) or the
-/// snapshot does not fit the rebuilt controller.
+/// snapshot does not fit the rebuilt controller; the running SC stays on
+/// the port then.
 pub fn firmware_swap_sc(system: &mut ConfidentialSystem) -> Result<(), SnapshotError> {
-    let (config, state) = {
-        let sc = system
-            .sc()
-            .ok_or(SnapshotError::Invalid("no SC interposed (vanilla mode)"))?;
+    system.replace_sc(|old, fresh| {
         let mut enc = Encoder::versioned();
-        sc.encode_snapshot(&mut enc);
-        (sc.config().clone(), enc.finish())
-    };
-    let telemetry = system.telemetry().clone();
-    let port = system.xpu_port();
-    // Drain point: pull the old controller off the port. In-flight TLPs
-    // live in fabric queues, not inside the interposer, so nothing is
-    // lost while the slot is empty.
-    let old = system.fabric_mut().remove_interposer(port);
-    debug_assert!(old.is_some(), "sc() above proved an interposer existed");
-    let mut fresh = PcieSc::new(config, ConfidentialSystem::attested_master());
-    fresh.set_telemetry(telemetry);
-    let mut dec = Decoder::versioned(&state)?;
-    fresh.restore_snapshot(&mut dec)?;
-    dec.finish()?;
-    system.fabric_mut().interpose(port, Box::new(fresh));
-    Ok(())
+        old.encode_snapshot(&mut enc);
+        let state = enc.finish();
+        let mut dec = Decoder::versioned(&state)?;
+        fresh.restore_snapshot(&mut dec)?;
+        dec.finish()
+    })
 }
 
 /// Scenario (b): mid-transfer snapshot.

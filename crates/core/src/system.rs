@@ -489,10 +489,7 @@ impl ConfidentialSystem {
     /// material is ever serialized: schedules re-derive from the target's
     /// own attested master. Returns `None` in vanilla mode.
     pub fn export_tenant_slice(&self) -> Option<Vec<u8>> {
-        let sc = self.sc()?;
-        let mut enc = ccai_sim::snapshot::Encoder::versioned();
-        sc.encode_persistent(&mut enc);
-        Some(enc.finish())
+        Some(ccai_sim::snapshot::encode_versioned(&self.sc()?.persistent_state()))
     }
 
     /// Imports a tenant slice exported by
@@ -505,14 +502,19 @@ impl ConfidentialSystem {
     /// schedule the source never held, so ciphertext captured against the
     /// source's keys can never open here. Returns the tenant's
     /// post-rotation epoch (source epoch + 1).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] in vanilla mode, or for a slice that does not
+    /// decode completely or does not fit this SC's tenants. The slice is
+    /// decoded and checked in full first, so a refused import leaves the
+    /// target exactly as it was.
     pub fn import_tenant_slice(&mut self, slice: &[u8]) -> Result<u32, SnapshotError> {
         let tvm_bdf = self.tvm_bdf;
         let sc = self
             .sc_mut()
             .ok_or(SnapshotError::Invalid("no PCIe-SC to migrate into (vanilla mode)"))?;
-        let mut dec = ccai_sim::snapshot::Decoder::versioned(slice)?;
-        sc.restore_persistent(&mut dec)?;
-        dec.finish()?;
+        sc.restore_persistent(ccai_sim::snapshot::decode_versioned(slice)?)?;
         sc.rekey_all_epochs();
         let epoch = sc
             .tenant_epoch(tvm_bdf)

@@ -14,7 +14,7 @@
 //! drains the last replica, hot-plugs under fresh never-reused ids, and
 //! migrates tenants onto replicas that exist at that point in the plan.
 
-use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError};
+use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 use ccai_sim::{SimDuration, SimRng, SimTime};
 
 /// One replica-scoped chaos event.
@@ -71,41 +71,24 @@ impl ChaosEvent {
             ChaosEvent::Migrate { .. } => "migrate",
         }
     }
+}
 
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            ChaosEvent::Crash { replica } => {
-                enc.u8(0);
-                enc.u32(*replica);
-                enc.u32(0);
-            }
-            ChaosEvent::Drain { replica } => {
-                enc.u8(1);
-                enc.u32(*replica);
-                enc.u32(0);
-            }
-            ChaosEvent::HotUnplug { replica } => {
-                enc.u8(2);
-                enc.u32(*replica);
-                enc.u32(0);
-            }
-            ChaosEvent::HotPlug { replica } => {
-                enc.u8(3);
-                enc.u32(*replica);
-                enc.u32(0);
-            }
-            ChaosEvent::Migrate { tenant, to } => {
-                enc.u8(4);
-                enc.u32(*tenant);
-                enc.u32(*to);
-            }
-        }
+/// A tag byte and two `u32` operands (the second zero unless the event
+/// names two ids).
+impl SnapshotState for ChaosEvent {
+    fn encode_state(&self, enc: &mut Encoder) {
+        let (tag, a, b) = match *self {
+            ChaosEvent::Crash { replica } => (0u8, replica, 0),
+            ChaosEvent::Drain { replica } => (1, replica, 0),
+            ChaosEvent::HotUnplug { replica } => (2, replica, 0),
+            ChaosEvent::HotPlug { replica } => (3, replica, 0),
+            ChaosEvent::Migrate { tenant, to } => (4, tenant, to),
+        };
+        enc.put(&(tag, a, b));
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<ChaosEvent, SnapshotError> {
-        let tag = dec.u8()?;
-        let a = dec.u32()?;
-        let b = dec.u32()?;
+    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let (tag, a, b): (u8, u32, u32) = dec.get()?;
         Ok(match tag {
             0 => ChaosEvent::Crash { replica: a },
             1 => ChaosEvent::Drain { replica: a },
@@ -200,25 +183,18 @@ impl ChaosPlan {
         }
         ChaosPlan { events }
     }
+}
 
-    pub(crate) fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.events.len() as u64);
-        for (at, event) in &self.events {
-            enc.u64(at.as_picos());
-            event.encode(enc);
-        }
+/// A restored plan must be time-sorted.
+impl SnapshotState for ChaosPlan {
+    fn encode_state(&self, enc: &mut Encoder) {
+        enc.put(&self.events);
     }
 
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<ChaosPlan, SnapshotError> {
-        let mut events = Vec::new();
-        let mut last = 0u64;
-        for _ in 0..dec.seq_len()? {
-            let at = dec.u64()?;
-            if at < last {
-                return Err(SnapshotError::Invalid("chaos plan not time-sorted"));
-            }
-            last = at;
-            events.push((SimTime::from_picos(at), ChaosEvent::decode(dec)?));
+    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let events: Vec<(SimTime, ChaosEvent)> = dec.get()?;
+        if events.windows(2).any(|w| w[1].0 < w[0].0) {
+            return Err(SnapshotError::Invalid("chaos plan not time-sorted"));
         }
         Ok(ChaosPlan { events })
     }
@@ -281,10 +257,10 @@ mod tests {
         let plan =
             ChaosPlan::seeded(7, &[0, 1, 2], &[100, 101], SimDuration::from_millis(10), 12);
         let mut enc = Encoder::new();
-        plan.encode(&mut enc);
+        enc.put(&plan);
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        let back = ChaosPlan::decode(&mut dec).unwrap();
+        let back: ChaosPlan = dec.get().unwrap();
         dec.finish().unwrap();
         assert_eq!(back, plan);
     }

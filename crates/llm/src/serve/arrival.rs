@@ -12,7 +12,7 @@
 //! stream, using the `u²` long-tail mapping the prompt generator uses:
 //! mostly short exchanges with a heavy tail of long ones.
 
-use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError};
+use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 use ccai_sim::{SimDuration, SimRng, SimTime};
 
 /// Smallest sampled inter-arrival gap: two requests never land on the
@@ -43,21 +43,18 @@ pub struct Request {
     pub output_tokens: u32,
 }
 
-impl Request {
-    pub(crate) fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.id);
-        enc.u32(self.tenant);
-        enc.u64(self.arrived.as_picos());
-        enc.u32(self.input_tokens);
-        enc.u32(self.output_tokens);
+/// A restored request must ask for at least one token each way.
+impl SnapshotState for Request {
+    fn encode_state(&self, enc: &mut Encoder) {
+        enc.put(&self.id);
+        enc.put(&self.tenant);
+        enc.put(&self.arrived);
+        enc.put(&self.input_tokens);
+        enc.put(&self.output_tokens);
     }
 
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Request, SnapshotError> {
-        let id = dec.u64()?;
-        let tenant = dec.u32()?;
-        let arrived = SimTime::from_picos(dec.u64()?);
-        let input_tokens = dec.u32()?;
-        let output_tokens = dec.u32()?;
+    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let (id, tenant, arrived, input_tokens, output_tokens) = dec.get()?;
         if input_tokens == 0 || output_tokens == 0 {
             return Err(SnapshotError::Invalid("request token counts"));
         }
@@ -72,6 +69,8 @@ struct Lane {
     mean: SimDuration,
     next_at: SimTime,
 }
+
+ccai_sim::snapshot_state!(Lane { tag, mean, next_at });
 
 /// Merged multi-tenant arrival stream.
 ///
@@ -147,37 +146,25 @@ impl ArrivalProcess {
         self.next_id += 1;
         Request { id, tenant, arrived, input_tokens, output_tokens }
     }
+}
 
-    pub(crate) fn encode(&self, enc: &mut Encoder) {
-        for s in self.rng.state() {
-            enc.u64(s);
-        }
-        enc.u64(self.next_id);
-        enc.u64(self.lanes.len() as u64);
-        for lane in &self.lanes {
-            enc.u32(lane.tag);
-            enc.u64(lane.mean.as_picos());
-            enc.u64(lane.next_at.as_picos());
-        }
+/// A restored process needs at least one lane, none with a zero mean.
+impl SnapshotState for ArrivalProcess {
+    fn encode_state(&self, enc: &mut Encoder) {
+        enc.put(&self.rng);
+        enc.put(&self.next_id);
+        enc.put(&self.lanes);
     }
 
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<ArrivalProcess, SnapshotError> {
-        let state = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
-        let next_id = dec.u64()?;
-        let mut lanes = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            let tag = dec.u32()?;
-            let mean = SimDuration::from_picos(dec.u64()?);
-            if mean.is_zero() {
-                return Err(SnapshotError::Invalid("arrival lane mean"));
-            }
-            let next_at = SimTime::from_picos(dec.u64()?);
-            lanes.push(Lane { tag, mean, next_at });
+    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let (rng, next_id, lanes): (SimRng, u64, Vec<Lane>) = dec.get()?;
+        if lanes.iter().any(|lane| lane.mean.is_zero()) {
+            return Err(SnapshotError::Invalid("arrival lane mean"));
         }
         if lanes.is_empty() {
             return Err(SnapshotError::Invalid("arrival process has no lanes"));
         }
-        Ok(ArrivalProcess { rng: SimRng::from_state(state), next_id, lanes })
+        Ok(ArrivalProcess { rng, next_id, lanes })
     }
 }
 
@@ -247,10 +234,10 @@ mod tests {
             let _ = a.next_request();
         }
         let mut enc = Encoder::new();
-        a.encode(&mut enc);
+        enc.put(&a);
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        let mut b = ArrivalProcess::decode(&mut dec).unwrap();
+        let mut b: ArrivalProcess = dec.get().unwrap();
         dec.finish().unwrap();
         for _ in 0..200 {
             assert_eq!(a.next_request(), b.next_request());

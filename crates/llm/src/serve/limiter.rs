@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 use ccai_sim::{SimDuration, SimTime, TokenBucket};
 
 /// Why an arrival was refused admission.
@@ -95,30 +94,14 @@ impl RateLimiter {
     pub fn budget_pico_tokens(&self, tenant: u32) -> Option<u128> {
         self.buckets.get(&tenant).map(TokenBucket::budget_pico_tokens)
     }
-
-    pub(crate) fn encode(&self, enc: &mut Encoder) {
-        enc.bool(self.enabled);
-        enc.u64(self.buckets.len() as u64);
-        for (&tenant, bucket) in &self.buckets {
-            enc.u32(tenant);
-            bucket.encode_state(enc);
-        }
-    }
-
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<RateLimiter, SnapshotError> {
-        let enabled = dec.bool()?;
-        let mut buckets = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let tenant = dec.u32()?;
-            buckets.insert(tenant, TokenBucket::decode_state(dec)?);
-        }
-        Ok(RateLimiter { enabled, buckets })
-    }
 }
+
+ccai_sim::snapshot_state!(RateLimiter { enabled, buckets });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccai_sim::snapshot::{Decoder, Encoder};
 
     fn at(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
@@ -176,10 +159,10 @@ mod tests {
         assert!(lim.try_admit(9, at(0.5)));
 
         let mut enc = Encoder::new();
-        lim.encode(&mut enc);
+        enc.put(&lim);
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        let mut back = RateLimiter::decode(&mut dec).unwrap();
+        let mut back: RateLimiter = dec.get().unwrap();
         dec.finish().unwrap();
 
         assert_eq!(back.enabled(), lim.enabled());

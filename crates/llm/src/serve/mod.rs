@@ -161,29 +161,9 @@ impl InFlight {
     fn service(&self) -> SimDuration {
         self.stage + self.crypt + self.filter + self.link + self.compute
     }
-
-    fn encode(&self, enc: &mut Encoder) {
-        self.req.encode(enc);
-        enc.u64(self.wait.as_picos());
-        enc.u64(self.stage.as_picos());
-        enc.u64(self.crypt.as_picos());
-        enc.u64(self.filter.as_picos());
-        enc.u64(self.link.as_picos());
-        enc.u64(self.compute.as_picos());
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<InFlight, SnapshotError> {
-        Ok(InFlight {
-            req: Request::decode(dec)?,
-            wait: SimDuration::from_picos(dec.u64()?),
-            stage: SimDuration::from_picos(dec.u64()?),
-            crypt: SimDuration::from_picos(dec.u64()?),
-            filter: SimDuration::from_picos(dec.u64()?),
-            link: SimDuration::from_picos(dec.u64()?),
-            compute: SimDuration::from_picos(dec.u64()?),
-        })
-    }
 }
+
+ccai_sim::snapshot_state!(InFlight { req, wait, stage, crypt, filter, link, compute });
 
 /// One service lane (a sharded PCIe-SC fronting one xPU system).
 #[derive(Debug)]
@@ -206,6 +186,8 @@ impl ShardState {
     }
 }
 
+ccai_sim::snapshot_state!(ShardState { id, busy_until, rounds, draining, in_flight });
+
 /// Per-tenant serving counters and latency samples.
 #[derive(Debug, Default)]
 struct TenantStats {
@@ -219,51 +201,16 @@ struct TenantStats {
     e2e_us: Vec<f64>,
 }
 
-impl TenantStats {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.generated);
-        enc.u64(self.admitted);
-        enc.u64(self.served);
-        enc.u64(self.shed_rate_limited);
-        enc.u64(self.shed_queue_full);
-        enc.u64(self.shed_quarantined);
-        enc.u64(self.queue_delay_us.len() as u64);
-        for &s in &self.queue_delay_us {
-            enc.f64(s);
-        }
-        enc.u64(self.e2e_us.len() as u64);
-        for &s in &self.e2e_us {
-            enc.f64(s);
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<TenantStats, SnapshotError> {
-        let generated = dec.u64()?;
-        let admitted = dec.u64()?;
-        let served = dec.u64()?;
-        let shed_rate_limited = dec.u64()?;
-        let shed_queue_full = dec.u64()?;
-        let shed_quarantined = dec.u64()?;
-        let mut queue_delay_us = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            queue_delay_us.push(dec.f64()?);
-        }
-        let mut e2e_us = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            e2e_us.push(dec.f64()?);
-        }
-        Ok(TenantStats {
-            generated,
-            admitted,
-            served,
-            shed_rate_limited,
-            shed_queue_full,
-            shed_quarantined,
-            queue_delay_us,
-            e2e_us,
-        })
-    }
-}
+ccai_sim::snapshot_state!(TenantStats {
+    generated,
+    admitted,
+    served,
+    shed_rate_limited,
+    shed_queue_full,
+    shed_quarantined,
+    queue_delay_us,
+    e2e_us,
+});
 
 /// Which event the loop services next; variant order is the tie-break
 /// (completions quiesce a shard before the chaos/refill/arrival that
@@ -1014,49 +961,21 @@ impl FleetServer {
     /// stats and telemetry — into a resumable byte image.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut enc = Encoder::versioned();
-        enc.u64(self.config.fingerprint());
-        enc.u64(self.now.as_picos());
-        self.arrivals.encode(&mut enc);
-        self.limiter.encode(&mut enc);
-        enc.u64(self.pending.len() as u64);
-        for (&tag, queue) in &self.pending {
-            enc.u32(tag);
-            enc.u64(queue.len() as u64);
-            for req in queue {
-                req.encode(&mut enc);
-            }
-        }
-        self.batcher.encode(&mut enc);
-        enc.u64(self.quarantined.len() as u64);
-        for &t in &self.quarantined {
-            enc.u32(t);
-        }
-        enc.u64(self.shards.len() as u64);
-        for s in &self.shards {
-            enc.u32(s.id);
-            enc.u64(s.busy_until.as_picos());
-            enc.u64(s.rounds);
-            enc.bool(s.draining);
-            enc.u64(s.in_flight.len() as u64);
-            for inf in &s.in_flight {
-                inf.encode(&mut enc);
-            }
-        }
-        enc.u64(self.overrides.len() as u64);
-        for (&tenant, &to) in &self.overrides {
-            enc.u32(tenant);
-            enc.u32(to);
-        }
-        self.chaos.encode(&mut enc);
-        enc.u64(self.chaos_cursor as u64);
-        enc.u64(self.chaos_applied);
-        enc.u64(self.requeued);
-        enc.u64(self.migrations);
-        enc.u64(self.stats.len() as u64);
-        for (&tag, s) in &self.stats {
-            enc.u32(tag);
-            s.encode(&mut enc);
-        }
+        enc.put(&self.config.fingerprint());
+        enc.put(&self.now);
+        enc.put(&self.arrivals);
+        enc.put(&self.limiter);
+        enc.put(&self.pending);
+        enc.put(&self.batcher);
+        enc.put(&self.quarantined);
+        enc.put(&self.shards);
+        enc.put(&self.overrides);
+        enc.put(&self.chaos);
+        enc.put(&self.chaos_cursor);
+        enc.put(&self.chaos_applied);
+        enc.put(&self.requeued);
+        enc.put(&self.migrations);
+        enc.put(&self.stats);
         self.hub.encode_snapshot(&mut enc);
         enc.finish()
     }
@@ -1069,38 +988,16 @@ impl FleetServer {
     /// different [`FleetConfig`] (fingerprint mismatch).
     pub fn resume(config: FleetConfig, bytes: &[u8]) -> Result<FleetServer, SnapshotError> {
         let mut dec = Decoder::versioned(bytes)?;
-        if dec.u64()? != config.fingerprint() {
+        if dec.get::<u64>()? != config.fingerprint() {
             return Err(SnapshotError::Invalid("fleet config fingerprint mismatch"));
         }
-        let now = SimTime::from_picos(dec.u64()?);
-        let arrivals = ArrivalProcess::decode(&mut dec)?;
-        let limiter = RateLimiter::decode(&mut dec)?;
-        let mut pending: BTreeMap<u32, VecDeque<Request>> = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let tag = dec.u32()?;
-            let mut queue = VecDeque::new();
-            for _ in 0..dec.seq_len()? {
-                queue.push_back(Request::decode(&mut dec)?);
-            }
-            pending.insert(tag, queue);
-        }
-        let batcher = ContinuousBatcher::decode(&mut dec)?;
-        let mut quarantined = BTreeSet::new();
-        for _ in 0..dec.seq_len()? {
-            quarantined.insert(dec.u32()?);
-        }
-        let mut shards = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            let id = dec.u32()?;
-            let busy_until = SimTime::from_picos(dec.u64()?);
-            let rounds = dec.u64()?;
-            let draining = dec.bool()?;
-            let mut in_flight = Vec::new();
-            for _ in 0..dec.seq_len()? {
-                in_flight.push(InFlight::decode(&mut dec)?);
-            }
-            shards.push(ShardState { id, busy_until, rounds, in_flight, draining });
-        }
+        let now = dec.get()?;
+        let arrivals = dec.get()?;
+        let limiter = dec.get()?;
+        let pending = dec.get()?;
+        let batcher = dec.get()?;
+        let quarantined = dec.get()?;
+        let shards: Vec<ShardState> = dec.get()?;
         if shards.is_empty() {
             return Err(SnapshotError::Invalid("fleet snapshot has no shards"));
         }
@@ -1110,26 +1007,16 @@ impl FleetServer {
             return Err(SnapshotError::Invalid("fleet snapshot has no live shards"));
         }
         let router = ShardRouter::new(&live);
-        let mut overrides = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let tenant = dec.u32()?;
-            let to = dec.u32()?;
-            overrides.insert(tenant, to);
-        }
-        let chaos = ChaosPlan::decode(&mut dec)?;
-        let chaos_cursor = usize::try_from(dec.u64()?)
-            .map_err(|_| SnapshotError::Invalid("chaos cursor"))?;
+        let overrides = dec.get()?;
+        let chaos: ChaosPlan = dec.get()?;
+        let chaos_cursor = dec.get()?;
         if chaos_cursor > chaos.len() {
             return Err(SnapshotError::Invalid("chaos cursor out of range"));
         }
-        let chaos_applied = dec.u64()?;
-        let requeued = dec.u64()?;
-        let migrations = dec.u64()?;
-        let mut stats = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let tag = dec.u32()?;
-            stats.insert(tag, TenantStats::decode(&mut dec)?);
-        }
+        let chaos_applied = dec.get()?;
+        let requeued = dec.get()?;
+        let migrations = dec.get()?;
+        let stats = dec.get()?;
         let hub = Telemetry::new(EVENT_CAPACITY);
         hub.restore_snapshot(&mut dec)?;
         dec.finish()?;

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError};
+use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 
 use super::arrival::Request;
 
@@ -159,44 +159,27 @@ impl ContinuousBatcher {
             None => Vec::new(),
         }
     }
+}
 
-    pub(crate) fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.cursor as u64);
-        enc.u64(self.queues.len() as u64);
-        for (&tenant, queue) in &self.queues {
-            enc.u32(tenant);
-            enc.u64(queue.len() as u64);
-            for req in queue {
-                req.encode(enc);
-            }
-        }
+/// The rotation cursor and the per-tenant queues; the rotation and the
+/// queued total are derived. A restored batcher needs a tenant, a cursor
+/// inside the rotation and every request queued under its own tenant.
+impl SnapshotState for ContinuousBatcher {
+    fn encode_state(&self, enc: &mut Encoder) {
+        enc.put(&self.cursor);
+        enc.put(&self.queues);
     }
 
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<ContinuousBatcher, SnapshotError> {
-        let cursor = usize::try_from(dec.u64()?)
-            .map_err(|_| SnapshotError::Invalid("batcher cursor"))?;
-        let mut queues: BTreeMap<u32, VecDeque<Request>> = BTreeMap::new();
-        let mut queued = 0usize;
-        for _ in 0..dec.seq_len()? {
-            let tenant = dec.u32()?;
-            let mut queue = VecDeque::new();
-            for _ in 0..dec.seq_len()? {
-                let req = Request::decode(dec)?;
-                if req.tenant != tenant {
-                    return Err(SnapshotError::Invalid("queued request under wrong tenant"));
-                }
-                queue.push_back(req);
-            }
-            queued += queue.len();
-            queues.insert(tenant, queue);
-        }
-        if queues.is_empty() {
-            return Err(SnapshotError::Invalid("batcher has no tenants"));
+    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let (cursor, queues): (usize, BTreeMap<u32, VecDeque<Request>>) = dec.get()?;
+        if queues.iter().any(|(&tenant, queue)| queue.iter().any(|r| r.tenant != tenant)) {
+            return Err(SnapshotError::Invalid("queued request under wrong tenant"));
         }
         let rotation: Vec<u32> = queues.keys().copied().collect();
         if cursor >= rotation.len() {
             return Err(SnapshotError::Invalid("batcher cursor out of range"));
         }
+        let queued = queues.values().map(VecDeque::len).sum();
         Ok(ContinuousBatcher { queues, rotation, cursor, queued })
     }
 }
@@ -288,10 +271,10 @@ mod tests {
         }
         let _ = b.form_batch(2); // move the cursor off zero
         let mut enc = Encoder::new();
-        b.encode(&mut enc);
+        enc.put(&b);
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
-        let mut back = ContinuousBatcher::decode(&mut dec).unwrap();
+        let mut back: ContinuousBatcher = dec.get().unwrap();
         dec.finish().unwrap();
         assert_eq!(back.queued(), b.queued());
         // Identical state must form identical batches from here on.

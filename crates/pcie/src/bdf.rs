@@ -70,6 +70,17 @@ impl Bdf {
     }
 }
 
+/// Snapshots carry the 16-bit wire form.
+impl ccai_sim::SnapshotState for Bdf {
+    fn encode_state(&self, enc: &mut ccai_sim::Encoder) {
+        enc.u16(self.to_u16());
+    }
+
+    fn decode_state(dec: &mut ccai_sim::Decoder<'_>) -> Result<Self, ccai_sim::SnapshotError> {
+        Ok(Bdf::from_u16(dec.u16()?))
+    }
+}
+
 impl fmt::Display for Bdf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:02x}:{:02x}.{}", self.bus, self.device, self.function)

@@ -739,6 +739,8 @@ fn unsupported_request_reply(tlp: &Tlp) -> Vec<Tlp> {
 
 // --- snapshot support -------------------------------------------------
 
+ccai_sim::snapshot_state!(PortId { 0 });
+
 impl Fabric {
     /// Serializes the fabric's mutable transit state: every in-flight
     /// queue (host inbox, delayed device completions, delayed host-bound
@@ -749,71 +751,38 @@ impl Fabric {
     /// is *not* serialized; the restoring side rebuilds it from its own
     /// configuration and then lays this transit state on top.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        use ccai_sim::snapshot::SnapshotState as _;
-        enc.u64(self.host_inbox.len() as u64);
-        for tlp in &self.host_inbox {
-            crate::fault::encode_tlp(enc, tlp);
-        }
-        enc.u64(self.delayed.len() as u64);
-        for (port, tlp) in &self.delayed {
-            enc.u8(port.0);
-            crate::fault::encode_tlp(enc, tlp);
-        }
-        enc.u64(self.delayed_to_host.len() as u64);
-        for tlp in &self.delayed_to_host {
-            crate::fault::encode_tlp(enc, tlp);
-        }
-        match &self.fault {
-            Some(injector) => {
-                enc.bool(true);
-                injector.plan().encode_state(enc);
-                injector.encode_snapshot(enc);
-            }
-            None => enc.bool(false),
-        }
+        enc.put(&self.host_inbox);
+        enc.put(&self.delayed);
+        enc.put(&self.delayed_to_host);
+        enc.put(&self.fault);
     }
 
     /// Restores the transit state captured by
     /// [`Fabric::encode_snapshot`]. The fabric must already carry the
     /// same topology (devices attached, interposers installed) as the
-    /// snapshotted one. A snapshotted fault injector is re-created from
-    /// its plan and resumed mid-stream; an absent one clears any
-    /// installed injector.
+    /// snapshotted one. A snapshotted fault injector resumes mid-stream
+    /// on this fabric's telemetry hub; an absent one clears any installed
+    /// injector.
     ///
     /// # Errors
     ///
-    /// Any [`ccai_sim::snapshot::SnapshotError`] on corrupt input.
+    /// Any [`ccai_sim::snapshot::SnapshotError`] on corrupt input; the
+    /// fabric is left untouched on failure.
     pub fn restore_snapshot(
         &mut self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        use ccai_sim::snapshot::SnapshotState as _;
-        let mut host_inbox = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            host_inbox.push(crate::fault::decode_tlp(dec)?);
-        }
-        let mut delayed = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            let port = PortId(dec.u8()?);
-            delayed.push((port, crate::fault::decode_tlp(dec)?));
-        }
-        let mut delayed_to_host = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            delayed_to_host.push(crate::fault::decode_tlp(dec)?);
-        }
-        if dec.bool()? {
-            let plan = FaultPlan::decode_state(dec)?;
-            self.inject_faults(plan);
-            self.fault
-                .as_mut()
-                .expect("injector just installed")
-                .restore_snapshot(dec)?;
-        } else {
-            self.fault = None;
+        let host_inbox = dec.get()?;
+        let delayed = dec.get()?;
+        let delayed_to_host = dec.get()?;
+        let mut fault: Option<FaultInjector> = dec.get()?;
+        if let (Some(injector), Some(telemetry)) = (&mut fault, &self.telemetry) {
+            injector.set_telemetry(telemetry.clone());
         }
         self.host_inbox = host_inbox;
         self.delayed = delayed;
         self.delayed_to_host = delayed_to_host;
+        self.fault = fault;
         Ok(())
     }
 }

@@ -449,174 +449,55 @@ impl FaultInjector {
 
 use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 
-fn fault_kind_code(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::Corrupt => 0,
-        FaultKind::Drop => 1,
-        FaultKind::Duplicate => 2,
-        FaultKind::Reorder => 3,
-        FaultKind::LinkFlap => 4,
-        FaultKind::DelayCompletion => 5,
-    }
-}
+ccai_sim::snapshot_state!(enum FaultKind: "fault kind code" {
+    Corrupt = 0,
+    Drop = 1,
+    Duplicate = 2,
+    Reorder = 3,
+    LinkFlap = 4,
+    DelayCompletion = 5,
+});
 
-fn fault_kind_from_code(code: u8) -> Result<FaultKind, SnapshotError> {
-    Ok(match code {
-        0 => FaultKind::Corrupt,
-        1 => FaultKind::Drop,
-        2 => FaultKind::Duplicate,
-        3 => FaultKind::Reorder,
-        4 => FaultKind::LinkFlap,
-        5 => FaultKind::DelayCompletion,
-        _ => return Err(SnapshotError::Invalid("fault kind code")),
-    })
-}
+ccai_sim::snapshot_state!(FaultPlan {
+    seed,
+    corrupt_per_1024,
+    drop_per_1024,
+    duplicate_per_1024,
+    reorder_per_1024,
+    flap_per_1024,
+    flap_len,
+    delay_per_1024,
+    fault_control_path,
+});
 
-fn tlp_type_code(t: TlpType) -> u8 {
-    match t {
-        TlpType::MemRead => 0,
-        TlpType::MemWrite => 1,
-        TlpType::IoRead => 2,
-        TlpType::IoWrite => 3,
-        TlpType::CfgRead => 4,
-        TlpType::CfgWrite => 5,
-        TlpType::Completion => 6,
-        TlpType::CompletionData => 7,
-        TlpType::Message => 8,
-    }
-}
+ccai_sim::snapshot_state!(FaultEvent { at, packet_index, kind, tlp_type, address });
 
-fn tlp_type_from_code(code: u8) -> Result<TlpType, SnapshotError> {
-    Ok(match code {
-        0 => TlpType::MemRead,
-        1 => TlpType::MemWrite,
-        2 => TlpType::IoRead,
-        3 => TlpType::IoWrite,
-        4 => TlpType::CfgRead,
-        5 => TlpType::CfgWrite,
-        6 => TlpType::Completion,
-        7 => TlpType::CompletionData,
-        8 => TlpType::Message,
-        _ => return Err(SnapshotError::Invalid("tlp type code")),
-    })
-}
-
-/// Encodes a TLP through its exact wire codec (length-prefixed).
-pub(crate) fn encode_tlp(enc: &mut Encoder, tlp: &Tlp) {
-    enc.bytes(&tlp.encode());
-}
-
-/// Decodes a TLP written by [`encode_tlp`].
-pub(crate) fn decode_tlp(dec: &mut Decoder<'_>) -> Result<Tlp, SnapshotError> {
-    let bytes = dec.bytes()?;
-    Tlp::decode(&bytes).map_err(|_| SnapshotError::Invalid("embedded TLP"))
-}
-
-impl SnapshotState for FaultPlan {
+/// The plan followed by the injector's mutable state (seeded-stream
+/// position, virtual clock, flap window, held write, trace): a restored
+/// injector continues exactly where the snapshot left off. The telemetry
+/// handle is not state; the owner reattaches it.
+impl SnapshotState for FaultInjector {
     fn encode_state(&self, enc: &mut Encoder) {
-        enc.u64(self.seed);
-        enc.u16(self.corrupt_per_1024);
-        enc.u16(self.drop_per_1024);
-        enc.u16(self.duplicate_per_1024);
-        enc.u16(self.reorder_per_1024);
-        enc.u16(self.flap_per_1024);
-        enc.u8(self.flap_len);
-        enc.u16(self.delay_per_1024);
-        enc.bool(self.fault_control_path);
+        enc.put(&self.plan);
+        enc.put(&self.rng);
+        enc.put(&self.clock);
+        enc.put(&self.packet_index);
+        enc.put(&self.flap_remaining);
+        enc.put(&self.held_request);
+        enc.put(&self.trace);
     }
 
     fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultPlan {
-            seed: dec.u64()?,
-            corrupt_per_1024: dec.u16()?,
-            drop_per_1024: dec.u16()?,
-            duplicate_per_1024: dec.u16()?,
-            reorder_per_1024: dec.u16()?,
-            flap_per_1024: dec.u16()?,
-            flap_len: dec.u8()?,
-            delay_per_1024: dec.u16()?,
-            fault_control_path: dec.bool()?,
+        let plan = dec.get()?;
+        Ok(FaultInjector {
+            rng: dec.get()?,
+            clock: dec.get()?,
+            packet_index: dec.get()?,
+            flap_remaining: dec.get()?,
+            held_request: dec.get()?,
+            trace: dec.get()?,
+            ..FaultInjector::new(plan)
         })
-    }
-}
-
-impl SnapshotState for FaultEvent {
-    fn encode_state(&self, enc: &mut Encoder) {
-        enc.u64(self.at.as_picos());
-        enc.u64(self.packet_index);
-        enc.u8(fault_kind_code(self.kind));
-        enc.u8(tlp_type_code(self.tlp_type));
-        match self.address {
-            Some(addr) => {
-                enc.bool(true);
-                enc.u64(addr);
-            }
-            None => enc.bool(false),
-        }
-    }
-
-    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let at = SimTime::ZERO + ccai_sim::SimDuration::from_picos(dec.u64()?);
-        let packet_index = dec.u64()?;
-        let kind = fault_kind_from_code(dec.u8()?)?;
-        let tlp_type = tlp_type_from_code(dec.u8()?)?;
-        let address = if dec.bool()? { Some(dec.u64()?) } else { None };
-        Ok(FaultEvent { at, packet_index, kind, tlp_type, address })
-    }
-}
-
-impl FaultInjector {
-    /// Serializes the injector's mutable state (seeded-stream position,
-    /// virtual clock, flap window, held write, trace). The plan itself is
-    /// *not* included — the caller re-creates the injector from the plan
-    /// and then restores this state on top.
-    pub fn encode_snapshot(&self, enc: &mut Encoder) {
-        for &word in &self.rng.state() {
-            enc.u64(word);
-        }
-        enc.u64(self.clock.now().as_picos());
-        enc.u64(self.packet_index);
-        enc.u32(self.flap_remaining);
-        match &self.held_request {
-            Some(tlp) => {
-                enc.bool(true);
-                encode_tlp(enc, tlp);
-            }
-            None => enc.bool(false),
-        }
-        enc.u64(self.trace.len() as u64);
-        for event in &self.trace {
-            event.encode_state(enc);
-        }
-    }
-
-    /// Restores the state captured by [`FaultInjector::encode_snapshot`]
-    /// onto this injector. The seeded random stream, clock and trace
-    /// continue exactly where the snapshot left off.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] on corrupt input.
-    pub fn restore_snapshot(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = dec.u64()?;
-        }
-        let now = SimTime::ZERO + ccai_sim::SimDuration::from_picos(dec.u64()?);
-        let packet_index = dec.u64()?;
-        let flap_remaining = dec.u32()?;
-        let held_request = if dec.bool()? { Some(decode_tlp(dec)?) } else { None };
-        let mut trace = Vec::new();
-        for _ in 0..dec.seq_len()? {
-            trace.push(FaultEvent::decode_state(dec)?);
-        }
-        self.rng = SimRng::from_state(state);
-        self.clock = Clock::starting_at(now);
-        self.packet_index = packet_index;
-        self.flap_remaining = flap_remaining;
-        self.held_request = held_request;
-        self.trace = trace;
-        Ok(())
     }
 }
 

@@ -42,6 +42,18 @@ pub enum TlpType {
     Message,
 }
 
+ccai_sim::snapshot_state!(enum TlpType: "tlp type code" {
+    MemRead = 0,
+    MemWrite = 1,
+    IoRead = 2,
+    IoWrite = 3,
+    CfgRead = 4,
+    CfgWrite = 5,
+    Completion = 6,
+    CompletionData = 7,
+    Message = 8,
+});
+
 impl TlpType {
     /// True for MWr / IOWrt / CfgWr0.
     pub fn is_write(self) -> bool {
@@ -699,6 +711,18 @@ impl Tlp {
             Vec::new()
         };
         Ok(Tlp { header, payload })
+    }
+}
+
+/// A TLP embedded in a snapshot travels as its exact wire encoding,
+/// length-prefixed, and decodes in place from the snapshot bytes.
+impl ccai_sim::SnapshotState for Tlp {
+    fn encode_state(&self, enc: &mut ccai_sim::Encoder) {
+        enc.bytes(&self.encode());
+    }
+
+    fn decode_state(dec: &mut ccai_sim::Decoder<'_>) -> Result<Self, ccai_sim::SnapshotError> {
+        Tlp::decode(dec.byte_slice()?).map_err(|_| ccai_sim::SnapshotError::Invalid("embedded TLP"))
     }
 }
 

@@ -28,6 +28,8 @@ pub struct Clock {
     now: SimTime,
 }
 
+crate::snapshot_state!(Clock { now });
+
 impl Clock {
     /// Creates a clock at the timeline origin.
     pub fn new() -> Self {

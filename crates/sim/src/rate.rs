@@ -232,28 +232,27 @@ impl TokenBucket {
 }
 
 impl crate::snapshot::SnapshotState for TokenBucket {
+    /// The pico-token budget travels as its high then low `u64` half.
     fn encode_state(&self, enc: &mut crate::snapshot::Encoder) {
-        enc.u64(self.burst);
-        enc.u64(self.rate_per_sec);
-        enc.u64((self.budget_pt >> 64) as u64);
-        enc.u64(self.budget_pt as u64);
-        enc.u64(self.refilled_at.as_picos());
+        enc.put(&self.burst);
+        enc.put(&self.rate_per_sec);
+        enc.put(&((self.budget_pt >> 64) as u64, self.budget_pt as u64));
+        enc.put(&self.refilled_at);
     }
 
     fn decode_state(
         dec: &mut crate::snapshot::Decoder<'_>,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
-        let burst = dec.u64()?;
-        let rate_per_sec = dec.u64()?;
+        let (burst, rate_per_sec, (high, low), refilled_at): (u64, u64, (u64, u64), SimTime) =
+            dec.get()?;
         if burst == 0 || rate_per_sec == 0 {
             return Err(SnapshotError::Invalid("token bucket shape"));
         }
-        let budget_pt = (u128::from(dec.u64()?) << 64) | u128::from(dec.u64()?);
+        let budget_pt = (u128::from(high) << 64) | u128::from(low);
         if budget_pt > u128::from(burst) * PICO_TOKENS_PER_TOKEN {
             return Err(SnapshotError::Invalid("token bucket budget"));
         }
-        let refilled_at = SimTime::ZERO + SimDuration::from_picos(dec.u64()?);
         Ok(TokenBucket { burst, rate_per_sec, budget_pt, refilled_at })
     }
 }

@@ -117,18 +117,10 @@ impl SimRng {
     pub fn choose_index(&mut self, len: usize) -> usize {
         self.next_bounded(len as u64) as usize
     }
-
-    /// The raw xoshiro256++ state, for snapshot/restore.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a previously captured state. The stream
-    /// continues exactly where [`SimRng::state`] left off.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SimRng { s }
-    }
 }
+
+// A restored generator continues the stream exactly where it was captured.
+crate::snapshot_state!(SimRng { s });
 
 #[cfg(test)]
 mod tests {

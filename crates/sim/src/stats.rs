@@ -244,34 +244,25 @@ impl Histogram {
 
 impl crate::snapshot::SnapshotState for Histogram {
     fn encode_state(&self, enc: &mut crate::snapshot::Encoder) {
-        enc.f64(self.lo);
-        enc.f64(self.hi);
-        enc.u64(self.buckets.len() as u64);
-        for &b in &self.buckets {
-            enc.u64(b);
-        }
-        enc.u64(self.underflow);
-        enc.u64(self.overflow);
+        enc.put(&self.lo);
+        enc.put(&self.hi);
+        enc.put(&self.buckets);
+        enc.put(&self.underflow);
+        enc.put(&self.overflow);
     }
 
     fn decode_state(
         dec: &mut crate::snapshot::Decoder<'_>,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let lo = dec.f64()?;
-        let hi = dec.f64()?;
+        use crate::snapshot::SnapshotError;
+        let (lo, hi, buckets): (f64, f64, Vec<u64>) = dec.get()?;
+        let (underflow, overflow) = dec.get()?;
         if lo >= hi || lo.is_nan() || hi.is_nan() {
-            return Err(crate::snapshot::SnapshotError::Invalid("histogram range"));
+            return Err(SnapshotError::Invalid("histogram range"));
         }
-        let n = dec.seq_len()?;
-        if n == 0 {
-            return Err(crate::snapshot::SnapshotError::Invalid("histogram buckets"));
+        if buckets.is_empty() {
+            return Err(SnapshotError::Invalid("histogram buckets"));
         }
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            buckets.push(dec.u64()?);
-        }
-        let underflow = dec.u64()?;
-        let overflow = dec.u64()?;
         Ok(Histogram { lo, hi, buckets, underflow, overflow })
     }
 }

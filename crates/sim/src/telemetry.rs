@@ -87,6 +87,15 @@ pub enum Hop {
     Dma,
 }
 
+crate::snapshot_state!(enum Hop: "hop index" {
+    AdaptorStage = 0,
+    AdaptorCrypt = 1,
+    ScFilter = 2,
+    ScCrypt = 3,
+    Link = 4,
+    Dma = 5,
+});
+
 /// All hops, in snapshot order.
 pub const ALL_HOPS: [Hop; 6] = [
     Hop::AdaptorStage,
@@ -166,13 +175,6 @@ fn hop_report(hop: Hop, store: &SpanStore) -> HopReport {
         total: store_total(store),
         summary_us: store_summary_us(store),
     }
-}
-
-fn hop_index(hop: Hop) -> u8 {
-    ALL_HOPS
-        .iter()
-        .position(|&h| h == hop)
-        .expect("hop missing from ALL_HOPS") as u8
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -523,42 +525,17 @@ impl Telemetry {
     /// reconstructed from bytes — so a restored hub starts with an empty
     /// ring but continues the digest, clock and metrics bit-exactly.
     pub fn encode_snapshot(&self, enc: &mut crate::snapshot::Encoder) {
-        use crate::snapshot::SnapshotState as _;
         let inner = self.inner.borrow();
-        enc.u64(inner.clock.now().as_picos());
-        enc.u64(inner.capacity as u64);
-        enc.u64(inner.events_recorded);
-        enc.u64(inner.events_dropped);
-        enc.u64(inner.digest);
-        enc.u64(inner.counters.len() as u64);
-        for (name, value) in &inner.counters {
-            enc.str(name);
-            enc.u64(*value);
-        }
-        enc.u64(inner.histograms.len() as u64);
-        for (name, hist) in &inner.histograms {
-            enc.str(name);
-            hist.encode_state(enc);
-        }
-        enc.u64(inner.spans.len() as u64);
-        for (&(tenant, hop), store) in &inner.spans {
-            enc.bool(tenant.is_some());
-            if let Some(t) = tenant {
-                enc.u32(t);
-            }
-            enc.u8(hop_index(hop));
-            enc.u64(store.len() as u64);
-            for (&picos, &n) in store {
-                enc.u64(picos);
-                enc.u64(n);
-            }
-        }
-        enc.u64(inner.idle_total.as_picos());
-        enc.u64(inner.idle_by_tenant.len() as u64);
-        for (tenant, idle) in &inner.idle_by_tenant {
-            enc.u32(*tenant);
-            enc.u64(idle.as_picos());
-        }
+        enc.put(&inner.clock);
+        enc.put(&inner.capacity);
+        enc.put(&inner.events_recorded);
+        enc.put(&inner.events_dropped);
+        enc.put(&inner.digest);
+        enc.put(&inner.counters);
+        enc.put(&inner.histograms);
+        enc.put(&inner.spans);
+        enc.put(&inner.idle_total);
+        enc.put(&inner.idle_by_tenant);
     }
 
     /// Overwrites the hub's state from a snapshot produced by
@@ -574,78 +551,42 @@ impl Telemetry {
         &self,
         dec: &mut crate::snapshot::Decoder<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{SnapshotError, SnapshotState as _};
-        let now = SimTime::ZERO + SimDuration::from_picos(dec.u64()?);
-        let capacity = dec.u64()? as usize;
+        use crate::snapshot::SnapshotError;
+        let clock: Clock = dec.get()?;
+        let capacity: usize = dec.get()?;
         if capacity == 0 {
             return Err(SnapshotError::Invalid("telemetry ring capacity"));
         }
-        let events_recorded = dec.u64()?;
-        let events_dropped = dec.u64()?;
-        let digest = dec.u64()?;
-        let mut counters = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let name = dec.str()?;
-            let value = dec.u64()?;
-            counters.insert(name, value);
-        }
-        let mut histograms = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let name = dec.str()?;
-            histograms.insert(name, Histogram::decode_state(dec)?);
-        }
-        // Canonical form only: keys strictly ascending, no empty store, no
-        // zero count, and every store's total representable.
-        let mut spans: BTreeMap<(Option<u32>, Hop), SpanStore> = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let tenant = if dec.bool()? { Some(dec.u32()?) } else { None };
-            let hop = *ALL_HOPS
-                .get(dec.u8()? as usize)
-                .ok_or(SnapshotError::Invalid("hop index"))?;
-            if spans
-                .last_key_value()
-                .is_some_and(|(&last, _)| (tenant, hop) <= last)
-            {
-                return Err(SnapshotError::Invalid("span stores out of order"));
-            }
-            let mut store = SpanStore::new();
-            let mut total = 0u64;
-            for _ in 0..dec.seq_len()? {
-                let picos = dec.u64()?;
-                let n = dec.u64()?;
-                if n == 0 {
-                    return Err(SnapshotError::Invalid("zero span count"));
-                }
-                if store
-                    .last_key_value()
-                    .is_some_and(|(&last, _)| picos <= last)
-                {
-                    return Err(SnapshotError::Invalid("span durations out of order"));
-                }
-                total = picos
-                    .checked_mul(n)
-                    .and_then(|t| t.checked_add(total))
-                    .ok_or(SnapshotError::Invalid("span total overflows"))?;
-                store.insert(picos, n);
-            }
+        let events_recorded = dec.get()?;
+        let events_dropped = dec.get()?;
+        let digest = dec.get()?;
+        let counters = dec.get()?;
+        let histograms = dec.get()?;
+        let spans: BTreeMap<(Option<u32>, Hop), SpanStore> = dec.get()?;
+        let idle_total = dec.get()?;
+        let idle_by_tenant = dec.get()?;
+        // Canonical stores only (the codec already refuses unsorted keys):
+        // no empty store, no zero count, every store's total representable.
+        for store in spans.values() {
             if store.is_empty() {
                 return Err(SnapshotError::Invalid("empty span store"));
             }
-            spans.insert((tenant, hop), store);
-        }
-        let idle_total = SimDuration::from_picos(dec.u64()?);
-        let mut idle_by_tenant = BTreeMap::new();
-        for _ in 0..dec.seq_len()? {
-            let tenant = dec.u32()?;
-            let idle = SimDuration::from_picos(dec.u64()?);
-            idle_by_tenant.insert(tenant, idle);
+            if store.values().any(|&n| n == 0) {
+                return Err(SnapshotError::Invalid("zero span count"));
+            }
+            store
+                .iter()
+                .try_fold(0u64, |total, (&picos, &n)| {
+                    picos.checked_mul(n).and_then(|t| t.checked_add(total))
+                })
+                .ok_or(SnapshotError::Invalid("span total overflows"))?;
         }
         let mut inner = self.inner.borrow_mut();
         // The sink is a live consumer attached to this handle, not
         // snapshotted state: carry it across the restore.
         let sink = inner.sink.take();
         *inner = TelemetryInner {
-            clock: Clock::starting_at(now),
+            clock,
             capacity,
             events: VecDeque::with_capacity(capacity.min(1024)),
             events_recorded,
@@ -1198,7 +1139,7 @@ mod tests {
         unsorted[run(1)..run(1) + 8].copy_from_slice(&1_000u64.to_le_bytes());
         assert_eq!(
             restore(&unsorted),
-            Err(SnapshotError::Invalid("span durations out of order"))
+            Err(SnapshotError::Invalid("keys not strictly ascending"))
         );
     }
 

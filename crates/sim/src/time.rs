@@ -18,6 +18,8 @@ pub struct SimDuration {
     picos: u64,
 }
 
+crate::snapshot_state!(SimDuration { picos });
+
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration { picos: 0 };
@@ -173,6 +175,8 @@ impl fmt::Display for SimDuration {
 pub struct SimTime {
     picos: u64,
 }
+
+crate::snapshot_state!(SimTime { picos });
 
 impl SimTime {
     /// The origin of the virtual timeline.

@@ -15,6 +15,7 @@
 use ccai_crypto::{hkdf, AesGcm, IvManager, IvStatus, Key};
 use ccai_sim::DetHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies one protected data stream (e.g. "H2D data", "D2H results").
@@ -22,6 +23,8 @@ use std::fmt;
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
 )]
 pub struct StreamId(pub u32);
+
+ccai_sim::snapshot_state!(StreamId { 0 });
 
 /// Errors from key-management operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,21 +219,14 @@ impl WorkloadKeyManager {
     /// master secret. A restore re-derives every key from the master the
     /// receiving manager was constructed with.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u64(self.rotations);
-        enc.bool(self.destroyed);
-        let mut rows: Vec<(StreamId, u32, u64, u64)> = self
+        let positions: BTreeMap<StreamId, (u32, u64, u64)> = self
             .streams
             .iter()
-            .map(|(id, s)| (*id, s.generation, s.ivs.issued(), s.ivs.limit()))
+            .map(|(id, s)| (*id, (s.generation, s.ivs.issued(), s.ivs.limit())))
             .collect();
-        rows.sort_by_key(|r| r.0);
-        enc.u64(rows.len() as u64);
-        for (id, generation, issued, limit) in rows {
-            enc.u32(id.0);
-            enc.u32(generation);
-            enc.u64(issued);
-            enc.u64(limit);
-        }
+        enc.put(&self.rotations);
+        enc.put(&self.destroyed);
+        enc.put(&positions);
     }
 
     /// Rebuilds the schedule from a snapshot: every stream key is
@@ -248,23 +244,16 @@ impl WorkloadKeyManager {
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::SnapshotError> {
         use ccai_sim::SnapshotError;
-        let rotations = dec.u64()?;
-        let destroyed = dec.bool()?;
-        let n = dec.seq_len()?;
-        let mut streams = DetHashMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = StreamId(dec.u32()?);
-            let generation = dec.u32()?;
-            let issued = dec.u64()?;
-            let limit = dec.u64()?;
+        let rotations = dec.get()?;
+        let destroyed = dec.get()?;
+        let positions: BTreeMap<StreamId, (u32, u64, u64)> = dec.get()?;
+        let mut streams = DetHashMap::with_capacity_and_hasher(positions.len(), Default::default());
+        for (id, (generation, issued, limit)) in positions {
             if limit == 0 {
                 return Err(SnapshotError::Invalid("stream IV budget is zero"));
             }
             if issued > limit {
                 return Err(SnapshotError::Invalid("stream IV cursor past budget"));
-            }
-            if streams.contains_key(&id) {
-                return Err(SnapshotError::Invalid("duplicate stream id"));
             }
             let key = self.derive_key(id, generation);
             let mut ivs = IvManager::with_limit(id.0, limit);

@@ -99,6 +99,23 @@ impl RetryPolicy {
     }
 }
 
+/// A restored policy must allow at least one attempt.
+impl ccai_sim::SnapshotState for RetryPolicy {
+    fn encode_state(&self, enc: &mut ccai_sim::Encoder) {
+        enc.put(&self.max_attempts);
+        enc.put(&self.backoff_base);
+        enc.put(&self.backoff_unit);
+    }
+
+    fn decode_state(dec: &mut ccai_sim::Decoder<'_>) -> Result<Self, ccai_sim::SnapshotError> {
+        let (max_attempts, backoff_base, backoff_unit) = dec.get()?;
+        if max_attempts == 0 {
+            return Err(ccai_sim::SnapshotError::Invalid("retry policy needs an attempt"));
+        }
+        Ok(RetryPolicy { max_attempts, backoff_base, backoff_unit })
+    }
+}
+
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
@@ -606,13 +623,11 @@ impl XpuDriver {
     /// counters/cursors that sequence its control traffic. Probe-time
     /// identity (BDFs, BARs, register layout) is rebuilt, not captured.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u32(self.retry.max_attempts);
-        enc.u32(self.retry.backoff_base);
-        enc.u64(self.retry.backoff_unit.as_picos());
-        enc.u64(self.retries.get());
-        enc.u64(self.ctrl_seq.get());
-        enc.u64(self.control_retries.get());
-        enc.u8(self.read_tag.get());
+        enc.put(&self.retry);
+        enc.put(&self.retries.get());
+        enc.put(&self.ctrl_seq.get());
+        enc.put(&self.control_retries.get());
+        enc.put(&self.read_tag.get());
     }
 
     /// Restores state captured by [`XpuDriver::encode_snapshot`].
@@ -624,21 +639,12 @@ impl XpuDriver {
         &mut self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        use ccai_sim::snapshot::SnapshotError;
-        let max_attempts = dec.u32()?;
-        if max_attempts == 0 {
-            return Err(SnapshotError::Invalid("retry policy needs an attempt"));
-        }
-        let backoff_base = dec.u32()?;
-        let backoff_unit = SimDuration::from_picos(dec.u64()?);
-        let retries = dec.u64()?;
-        let ctrl_seq = dec.u64()?;
-        let control_retries = dec.u64()?;
-        let read_tag = dec.u8()?;
+        let retry = dec.get()?;
+        let (retries, ctrl_seq, control_retries, read_tag) = dec.get()?;
         if read_tag > MAX_READ_TAG {
-            return Err(SnapshotError::Invalid("read tag out of range"));
+            return Err(ccai_sim::snapshot::SnapshotError::Invalid("read tag out of range"));
         }
-        self.retry = RetryPolicy { max_attempts, backoff_base, backoff_unit };
+        self.retry = retry;
         self.retries.set(retries);
         self.ctrl_seq.set(ctrl_seq);
         self.control_retries.set(control_retries);

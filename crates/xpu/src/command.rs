@@ -165,46 +165,9 @@ impl fmt::Display for CommandProcessor {
     }
 }
 
-impl CommandProcessor {
-    /// Serializes the loaded-model descriptor, last status and counter.
-    pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.bool(self.model.is_some());
-        if let Some((addr, len)) = self.model {
-            enc.u64(addr);
-            enc.u64(len);
-        }
-        enc.u8(self.status.to_code() as u8);
-        enc.u64(self.executed);
-    }
+ccai_sim::snapshot_state!(enum CmdStatus: "command status code" { Idle = 0, Done = 1, Error = 2 });
 
-    /// Restores state captured by [`CommandProcessor::encode_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input.
-    pub fn restore_snapshot(
-        &mut self,
-        dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        use ccai_sim::snapshot::SnapshotError;
-        let model = if dec.bool()? {
-            Some((dec.u64()?, dec.u64()?))
-        } else {
-            None
-        };
-        let status = match dec.u8()? {
-            0 => CmdStatus::Idle,
-            1 => CmdStatus::Done,
-            2 => CmdStatus::Error,
-            _ => return Err(SnapshotError::Invalid("command status code")),
-        };
-        let executed = dec.u64()?;
-        self.model = model;
-        self.status = status;
-        self.executed = executed;
-        Ok(())
-    }
-}
+ccai_sim::snapshot_state!(CommandProcessor { model, status, executed });
 
 #[cfg(test)]
 mod tests {

@@ -473,16 +473,13 @@ impl Xpu {
     /// spec name is included only to refuse restoring onto the wrong part.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         enc.str(self.spec.name());
-        self.registers.encode_snapshot(enc);
+        enc.put(&self.registers.values);
         self.memory.encode_snapshot(enc);
-        enc.bool(self.mmu.is_some());
-        if let Some(mmu) = &self.mmu {
-            mmu.encode_snapshot(enc);
-        }
+        enc.put(&self.mmu);
         self.dma.encode_snapshot(enc);
-        self.commands.encode_snapshot(enc);
-        enc.u64(self.interrupts_sent);
-        enc.u64(self.cold_boots);
+        enc.put(&self.commands);
+        enc.put(&self.interrupts_sent);
+        enc.put(&self.cold_boots);
     }
 
     /// Restores device state captured by [`Xpu::encode_snapshot`] onto a
@@ -491,7 +488,7 @@ impl Xpu {
     /// # Errors
     ///
     /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input or a
-    /// spec/MMU mismatch.
+    /// spec/MMU mismatch; the device is left untouched on failure.
     pub fn restore_snapshot(
         &mut self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
@@ -500,19 +497,24 @@ impl Xpu {
         if dec.str()? != self.spec.name() {
             return Err(SnapshotError::Invalid("xPU spec mismatch"));
         }
-        self.registers.restore_snapshot(dec)?;
-        self.memory.restore_snapshot(dec)?;
-        let has_mmu = dec.bool()?;
-        if has_mmu != self.mmu.is_some() {
+        let registers = dec.get()?;
+        let mut memory = DeviceMemory::new(self.memory.capacity());
+        memory.restore_snapshot(dec)?;
+        let mmu: Option<Mmu> = dec.get()?;
+        if mmu.is_some() != self.mmu.is_some() {
             return Err(SnapshotError::Invalid("MMU presence mismatch"));
         }
-        if let Some(mmu) = &mut self.mmu {
-            mmu.restore_snapshot(dec)?;
-        }
-        self.dma.restore_snapshot(dec)?;
-        self.commands.restore_snapshot(dec)?;
-        self.interrupts_sent = dec.u64()?;
-        self.cold_boots = dec.u64()?;
+        let mut dma = DmaEngine::new(self.bdf);
+        dma.restore_snapshot(dec)?;
+        let commands = dec.get()?;
+        let (interrupts_sent, cold_boots) = dec.get()?;
+        self.registers.values = registers;
+        self.memory = memory;
+        self.mmu = mmu;
+        self.dma = dma;
+        self.commands = commands;
+        self.interrupts_sent = interrupts_sent;
+        self.cold_boots = cold_boots;
         Ok(())
     }
 }

@@ -332,108 +332,56 @@ impl DmaEngine {
     }
 }
 
-fn encode_dma_tlp(enc: &mut ccai_sim::snapshot::Encoder, tlp: &Tlp) {
-    enc.bytes(&tlp.encode());
-}
+ccai_sim::snapshot_state!(enum DmaStatus: "DMA status code" {
+    Idle = 0,
+    Busy = 1,
+    Done = 2,
+    Error = 3,
+});
 
-fn decode_dma_tlp(
-    dec: &mut ccai_sim::snapshot::Decoder<'_>,
-) -> Result<Tlp, ccai_sim::snapshot::SnapshotError> {
-    Tlp::decode(&dec.bytes()?)
-        .map_err(|_| ccai_sim::snapshot::SnapshotError::Invalid("embedded TLP"))
-}
+ccai_sim::snapshot_state!(Inflight { host_addr, device_addr, len });
 
 impl DmaEngine {
     /// Serializes the engine mid-transfer: status, queued outbound TLPs,
-    /// in-flight read tags (in sorted order), pending chunks and every
-    /// counter. The requester BDF is identity, rebuilt by the caller.
+    /// in-flight read tags, pending chunks and every counter. The
+    /// requester BDF is identity, rebuilt by the caller.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u8(self.status.to_code() as u8);
-        enc.u64(self.outbound.len() as u64);
-        for tlp in &self.outbound {
-            encode_dma_tlp(enc, tlp);
-        }
-        let mut tags: Vec<u8> = self.inflight.keys().copied().collect();
-        tags.sort_unstable();
-        enc.u64(tags.len() as u64);
-        for tag in tags {
-            let inflight = &self.inflight[&tag];
-            enc.u8(tag);
-            enc.u64(inflight.host_addr);
-            enc.u64(inflight.device_addr);
-            enc.u64(inflight.len);
-        }
-        enc.u8(self.next_tag);
-        enc.u64(self.pending_reads.len() as u64);
-        for &(host_addr, device_addr, len) in &self.pending_reads {
-            enc.u64(host_addr);
-            enc.u64(device_addr);
-            enc.u64(len);
-        }
-        enc.u64(self.bytes_moved);
-        enc.u32(self.refetch_limit);
-        enc.u32(self.refetch_budget);
-        enc.u64(self.refetches);
-        enc.u64(self.read_bytes_requested);
+        enc.put(&self.status);
+        enc.put(&self.outbound);
+        enc.put(&self.inflight);
+        enc.put(&self.next_tag);
+        enc.put(&self.pending_reads);
+        enc.put(&self.bytes_moved);
+        enc.put(&self.refetch_limit);
+        enc.put(&self.refetch_budget);
+        enc.put(&self.refetches);
+        enc.put(&self.read_bytes_requested);
     }
 
-    /// Restores state captured by [`DmaEngine::encode_snapshot`].
+    /// Restores state captured by [`DmaEngine::encode_snapshot`] onto an
+    /// engine built for the same requester.
     ///
     /// # Errors
     ///
-    /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input.
+    /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input; the
+    /// engine is left untouched on failure.
     pub fn restore_snapshot(
         &mut self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        use ccai_sim::snapshot::SnapshotError;
-        let status = match dec.u8()? {
-            0 => DmaStatus::Idle,
-            1 => DmaStatus::Busy,
-            2 => DmaStatus::Done,
-            3 => DmaStatus::Error,
-            _ => return Err(SnapshotError::Invalid("DMA status code")),
+        *self = DmaEngine {
+            bdf: self.bdf,
+            status: dec.get()?,
+            outbound: dec.get()?,
+            inflight: dec.get()?,
+            next_tag: dec.get()?,
+            pending_reads: dec.get()?,
+            bytes_moved: dec.get()?,
+            refetch_limit: dec.get()?,
+            refetch_budget: dec.get()?,
+            refetches: dec.get()?,
+            read_bytes_requested: dec.get()?,
         };
-        let n_outbound = dec.seq_len()?;
-        let mut outbound = Vec::with_capacity(n_outbound);
-        for _ in 0..n_outbound {
-            outbound.push(decode_dma_tlp(dec)?);
-        }
-        let n_inflight = dec.seq_len()?;
-        let mut inflight = DetHashMap::with_capacity_and_hasher(n_inflight, Default::default());
-        for _ in 0..n_inflight {
-            let tag = dec.u8()?;
-            let host_addr = dec.u64()?;
-            let device_addr = dec.u64()?;
-            let len = dec.u64()?;
-            if inflight
-                .insert(tag, Inflight { host_addr, device_addr, len })
-                .is_some()
-            {
-                return Err(SnapshotError::Invalid("duplicate in-flight DMA tag"));
-            }
-        }
-        let next_tag = dec.u8()?;
-        let n_pending = dec.seq_len()?;
-        let mut pending_reads = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending_reads.push((dec.u64()?, dec.u64()?, dec.u64()?));
-        }
-        let bytes_moved = dec.u64()?;
-        let refetch_limit = dec.u32()?;
-        let refetch_budget = dec.u32()?;
-        let refetches = dec.u64()?;
-        let read_bytes_requested = dec.u64()?;
-        self.status = status;
-        self.outbound = outbound;
-        self.inflight = inflight;
-        self.next_tag = next_tag;
-        self.pending_reads = pending_reads;
-        self.bytes_moved = bytes_moved;
-        self.refetch_limit = refetch_limit;
-        self.refetch_budget = refetch_budget;
-        self.refetches = refetches;
-        self.read_bytes_requested = read_bytes_requested;
         Ok(())
     }
 }

@@ -133,45 +133,24 @@ impl Mmu {
     }
 }
 
-impl Mmu {
-    /// Serializes the page table, base register and TLB counter.
-    pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u64(self.table_base);
-        enc.u64(self.entries.len() as u64);
-        for (va, pa) in &self.entries {
-            enc.u64(*va);
-            enc.u64(*pa);
-        }
-        enc.u64(self.tlb_fills);
+/// The page table, base register and TLB counter; a restored table must
+/// be page-aligned.
+impl ccai_sim::SnapshotState for Mmu {
+    fn encode_state(&self, enc: &mut ccai_sim::Encoder) {
+        enc.put(&self.table_base);
+        enc.put(&self.entries);
+        enc.put(&self.tlb_fills);
     }
 
-    /// Restores state captured by [`Mmu::encode_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input or
-    /// misaligned page-table entries.
-    pub fn restore_snapshot(
-        &mut self,
-        dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        use ccai_sim::snapshot::SnapshotError;
-        let table_base = dec.u64()?;
-        let n = dec.seq_len()?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let va = dec.u64()?;
-            let pa = dec.u64()?;
-            if !va.is_multiple_of(PAGE_SIZE) || !pa.is_multiple_of(PAGE_SIZE) {
-                return Err(SnapshotError::Invalid("misaligned page-table entry"));
-            }
-            entries.insert(va, pa);
+    fn decode_state(dec: &mut ccai_sim::Decoder<'_>) -> Result<Self, ccai_sim::SnapshotError> {
+        let (table_base, entries, tlb_fills): (u64, BTreeMap<u64, u64>, u64) = dec.get()?;
+        if entries
+            .iter()
+            .any(|(va, pa)| !va.is_multiple_of(PAGE_SIZE) || !pa.is_multiple_of(PAGE_SIZE))
+        {
+            return Err(ccai_sim::SnapshotError::Invalid("misaligned page-table entry"));
         }
-        let tlb_fills = dec.u64()?;
-        self.table_base = table_base;
-        self.entries = entries;
-        self.tlb_fills = tlb_fills;
-        Ok(())
+        Ok(Mmu { table_base, entries, tlb_fills })
     }
 }
 

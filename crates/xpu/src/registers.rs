@@ -69,6 +69,23 @@ impl Reg {
     ];
 }
 
+ccai_sim::snapshot_state!(enum Reg: "unknown register index" {
+    DmaSrc = 0,
+    DmaDst = 1,
+    DmaLen = 2,
+    DmaCtrl = 3,
+    DmaStatus = 4,
+    IntStatus = 5,
+    PageTableBase = 6,
+    CmdDoorbell = 7,
+    CmdArg0 = 8,
+    CmdArg1 = 9,
+    CmdArg2 = 10,
+    CmdStatus = 11,
+    ResetCtrl = 12,
+    FirmwareVersion = 13,
+});
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
@@ -93,7 +110,9 @@ pub const RESET_MAGIC: u64 = 0xC01D_B007; // "cold boot"
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegisterFile {
     offsets: BTreeMap<Reg, u64>,
-    values: BTreeMap<Reg, u64>,
+    /// The only mutable state; the owning device snapshots it, since the
+    /// offsets are a pure function of the vendor layout.
+    pub(crate) values: BTreeMap<Reg, u64>,
 }
 
 impl RegisterFile {
@@ -147,44 +166,6 @@ impl RegisterFile {
     /// Zeroes every register — part of the cold-boot reset.
     pub fn wipe(&mut self) {
         self.values.clear();
-    }
-}
-
-impl RegisterFile {
-    /// Serializes register *values*. Offsets are a pure function of the
-    /// vendor layout and are rebuilt, not captured.
-    pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.u64(self.values.len() as u64);
-        for (reg, value) in &self.values {
-            let idx = Reg::ALL.iter().position(|r| r == reg).expect("register in ALL");
-            enc.u8(idx as u8);
-            enc.u64(*value);
-        }
-    }
-
-    /// Restores register values captured by
-    /// [`RegisterFile::encode_snapshot`]; the layout of `self` is kept.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input or an
-    /// unknown register index.
-    pub fn restore_snapshot(
-        &mut self,
-        dec: &mut ccai_sim::snapshot::Decoder<'_>,
-    ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        use ccai_sim::snapshot::SnapshotError;
-        let n = dec.seq_len()?;
-        let mut values = BTreeMap::new();
-        for _ in 0..n {
-            let idx = dec.u8()? as usize;
-            let reg = *Reg::ALL
-                .get(idx)
-                .ok_or(SnapshotError::Invalid("unknown register index"))?;
-            values.insert(reg, dec.u64()?);
-        }
-        self.values = values;
-        Ok(())
     }
 }
 

@@ -734,3 +734,181 @@ proptest! {
         prop_assert!(next >= wait.min(SimDuration::from_picos(1)));
     }
 }
+
+// --- snapshot codec laws -----------------------------------------------------
+
+/// One value exercising every generic `SnapshotState` impl (and the
+/// field-list macro that composes them).
+#[derive(Debug, Clone, PartialEq)]
+struct CodecSample {
+    ints: (u8, u16, u32, u64),
+    flag: bool,
+    float: f64,
+    text: String,
+    cursor: usize,
+    at: ccai_sim::SimTime,
+    span: ccai_sim::SimDuration,
+    window: std::ops::Range<u64>,
+    tag: [u8; 16],
+    maybe: Option<u64>,
+    list: Vec<u32>,
+    queue: std::collections::VecDeque<u16>,
+    map: std::collections::BTreeMap<u32, String>,
+    set: std::collections::BTreeSet<u64>,
+    hash_map: ccai_sim::DetHashMap<u16, (u8, u64)>,
+    hash_set: ccai_sim::DetHashSet<u32>,
+}
+
+ccai_sim::snapshot_state!(CodecSample {
+    ints,
+    flag,
+    float,
+    text,
+    cursor,
+    at,
+    span,
+    window,
+    tag,
+    maybe,
+    list,
+    queue,
+    map,
+    set,
+    hash_map,
+    hash_set,
+});
+
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(32u8..127, 0..12)
+        .prop_map(|chars| String::from_utf8(chars).expect("printable ASCII"))
+}
+
+fn arb_codec_sample() -> impl Strategy<Value = CodecSample> {
+    use proptest::collection::vec;
+    (
+        (
+            (any::<u8>(), any::<u16>(), any::<u32>(), any::<u64>()),
+            any::<bool>(),
+            any::<u32>().prop_map(|bits| f64::from(bits) * 0.25 - 1e6),
+            arb_text(),
+            any::<usize>(),
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        ),
+        (
+            any::<[u8; 16]>(),
+            (any::<bool>(), any::<u64>()),
+            vec(any::<u32>(), 0..8),
+            vec(any::<u16>(), 0..8),
+            vec((any::<u32>(), arb_text()), 0..8),
+            vec(any::<u64>(), 0..8),
+        ),
+        (vec((any::<u16>(), any::<u8>(), any::<u64>()), 0..8), vec(any::<u32>(), 0..8)),
+    )
+        .prop_map(|(scalars, containers, hashed)| {
+            let (ints, flag, float, text, cursor, (at, span, start, end)) = scalars;
+            let (tag, (some, value), list, queue, map, set) = containers;
+            let (hash_map, hash_set) = hashed;
+            CodecSample {
+                ints,
+                flag,
+                float,
+                text,
+                cursor,
+                at: ccai_sim::SimTime::from_picos(at),
+                span: ccai_sim::SimDuration::from_picos(span),
+                window: start..end,
+                tag,
+                maybe: some.then_some(value),
+                list,
+                queue: queue.into_iter().collect(),
+                map: map.into_iter().collect(),
+                set: set.into_iter().collect(),
+                hash_map: hash_map.into_iter().map(|(k, a, b)| (k, (a, b))).collect(),
+                hash_set: hash_set.into_iter().collect(),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Decoding inverts encoding, and hash containers encode exactly like
+    /// the sorted `BTree` container of the same entries.
+    #[test]
+    fn codec_round_trips_every_generic_impl(sample in arb_codec_sample()) {
+        use ccai_sim::snapshot::{decode_versioned, encode_versioned};
+        use std::collections::{BTreeMap, BTreeSet};
+        let bytes = encode_versioned(&sample);
+        let back: CodecSample = decode_versioned(&bytes).expect("round-trips");
+        prop_assert_eq!(&back, &sample);
+        prop_assert_eq!(encode_versioned(&back), bytes, "one value, one encoding");
+        let sorted_map: BTreeMap<u16, (u8, u64)> = sample.hash_map.clone().into_iter().collect();
+        prop_assert_eq!(encode_versioned(&sample.hash_map), encode_versioned(&sorted_map));
+        let sorted_set: BTreeSet<u32> = sample.hash_set.iter().copied().collect();
+        prop_assert_eq!(encode_versioned(&sample.hash_set), encode_versioned(&sorted_set));
+    }
+
+    /// Every strict prefix of an encoding is a typed error, never a panic
+    /// and never a silently short value.
+    #[test]
+    fn codec_strict_prefixes_are_typed_errors(sample in arb_codec_sample()) {
+        use ccai_sim::snapshot::{decode_versioned, encode_versioned};
+        let bytes = encode_versioned(&sample);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_versioned::<CodecSample>(&bytes[..cut]).is_err(), "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn codec_refuses_a_trailing_byte(sample in arb_codec_sample(), extra in any::<u8>()) {
+        use ccai_sim::snapshot::{decode_versioned, encode_versioned, SnapshotError};
+        let mut bytes = encode_versioned(&sample);
+        bytes.push(extra);
+        prop_assert_eq!(
+            decode_versioned::<CodecSample>(&bytes).err(),
+            Some(SnapshotError::TrailingBytes(1))
+        );
+    }
+
+    /// Map and set decoders accept exactly the strictly ascending key
+    /// sequences: a repeated key or two keys out of order is refused, by
+    /// the `BTree` and the hash containers alike.
+    #[test]
+    fn codec_refuses_duplicate_and_out_of_order_keys(
+        keys in proptest::collection::vec(any::<u32>(), 2..12),
+        at in any::<prop::sample::Index>(),
+    ) {
+        use ccai_sim::snapshot::{decode_versioned, encode_versioned, SnapshotError};
+        use ccai_sim::{DetHashMap, DetHashSet};
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut keys = keys;
+        keys.sort_unstable();
+        keys.dedup();
+        prop_assume!(keys.len() >= 2);
+        let i = at.index(keys.len() - 1);
+        let mut duplicated = keys.clone();
+        duplicated.insert(i + 1, keys[i]);
+        let mut swapped = keys.clone();
+        swapped.swap(i, i + 1);
+        let refused = Some(SnapshotError::Invalid("keys not strictly ascending"));
+        for (sequence, accepted) in [(&keys, true), (&duplicated, false), (&swapped, false)] {
+            // A sequence of keys (or of rows) has the layout of a set (or map).
+            let set_bytes = encode_versioned(sequence);
+            let rows: Vec<(u32, u8)> = sequence.iter().map(|&k| (k, k as u8)).collect();
+            let map_bytes = encode_versioned(&rows);
+            let outcomes = [
+                decode_versioned::<BTreeSet<u32>>(&set_bytes).err(),
+                decode_versioned::<DetHashSet<u32>>(&set_bytes).err(),
+                decode_versioned::<BTreeMap<u32, u8>>(&map_bytes).err(),
+                decode_versioned::<DetHashMap<u32, u8>>(&map_bytes).err(),
+            ];
+            for outcome in outcomes {
+                if accepted {
+                    prop_assert_eq!(outcome, None);
+                } else {
+                    prop_assert_eq!(&outcome, &refused);
+                }
+            }
+        }
+    }
+}

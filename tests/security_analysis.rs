@@ -545,6 +545,65 @@ fn quarantine_and_replay_floors_survive_a_power_cycle() {
 }
 
 #[test]
+fn failed_slice_import_leaves_the_target_untouched() {
+    // A migration slice crosses the host. One the target refuses must be
+    // refused before it touches anything: a half-applied slice rolls the
+    // target's replay floors back — envelopes it already accepted become
+    // replayable — and leaves its SC and Adaptor disagreeing.
+    let source = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    let mut slice = source.export_tenant_slice().expect("a protected source exports");
+    let mut target = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    target.run_workload(b"weights", b"prompt").unwrap();
+    let tvm_bdf = target.tvm_bdf();
+    let floors = target.sc().unwrap().replay_floors(tvm_bdf);
+    let epoch = target.tenant_epoch();
+    assert_ne!(floors, Some((0, 0)), "the target must have accepted sequenced traffic");
+
+    slice.push(0);
+    assert!(target.import_tenant_slice(&slice).is_err(), "a trailing byte is refused");
+    assert_eq!(target.sc().unwrap().replay_floors(tvm_bdf), floors, "floors moved");
+    assert_eq!(target.tenant_epoch(), epoch, "epoch moved");
+    assert_eq!(
+        target.run_workload(b"weights-2", b"prompt-2").unwrap(),
+        CommandProcessor::surrogate_inference(b"weights-2", b"prompt-2"),
+        "the target keeps serving after the refused import"
+    );
+}
+
+#[test]
+fn firmware_swap_carries_every_bound_tenant() {
+    // §9 multi-user: the swapped-in controller must take over every
+    // tenant the running one serves, and the port must never be left
+    // without an SC.
+    use ccai_core::sc::PcieSc;
+    use ccai_core::snapshot::firmware_swap_sc;
+    use ccai_pcie::PortId;
+
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    system.run_workload(b"weights", b"prompt").unwrap();
+    let tvm_bdf = system.tvm_bdf();
+    let second_tvm = Bdf::new(0, 3, 0);
+    system
+        .fabric_mut()
+        .interposer_mut(PortId(0))
+        .and_then(|ip| ip.as_any_mut().downcast_mut::<PcieSc>())
+        .expect("the SC sits on the xPU port")
+        .add_tenant(second_tvm, Bdf::new(0x17, 0, 1), [0x77; 32]);
+    let sc = system.sc().unwrap();
+    let before = (sc.replay_floors(tvm_bdf), sc.replay_floors(second_tvm));
+    assert_ne!(before.0, Some((0, 0)), "the data tenant must have accepted sequenced traffic");
+
+    firmware_swap_sc(&mut system).expect("a two-tenant SC swaps");
+    let sc = system.sc().expect("the port keeps an SC");
+    assert_eq!(sc.tenant_count(), 2);
+    assert_eq!((sc.replay_floors(tvm_bdf), sc.replay_floors(second_tvm)), before);
+    assert_eq!(
+        system.run_workload(b"weights-2", b"prompt-2").unwrap(),
+        CommandProcessor::surrogate_inference(b"weights-2", b"prompt-2")
+    );
+}
+
+#[test]
 fn control_authority_is_scoped_to_the_sc_trust_domain() {
     // Keys released for one SC are worthless against another trust
     // domain: an Adaptor holding a different attested master cannot

@@ -14,6 +14,7 @@
 use ccai_core::sc::ScCounters;
 use ccai_core::snapshot::snapshot_mid_task;
 use ccai_core::{ConfidentialSystem, SystemMode};
+use ccai_crypto::sha256;
 use ccai_pcie::{FaultEvent, FaultPlan};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::{CommandProcessor, RegisterFile, XpuSpec};
@@ -95,8 +96,10 @@ fn baseline(plan: Option<&FaultPlan>) -> Outcome {
 }
 
 /// Runs to `point`, snapshots, resumes into a fresh system, finishes the
-/// workload there, and observes the *resumed* system.
-fn resumed_at(plan: Option<&FaultPlan>, point: SnapPoint) -> Outcome {
+/// workload there, and observes the *resumed* system. Also returns the
+/// SHA-256 of the snapshot image, after checking that the freshly resumed
+/// system snapshots back to the very same bytes.
+fn resumed_at(plan: Option<&FaultPlan>, point: SnapPoint) -> (Outcome, String) {
     let (weights, input) = workload();
     let mut system = build(plan);
     let snap = match point {
@@ -110,6 +113,8 @@ fn resumed_at(plan: Option<&FaultPlan>, point: SnapPoint) -> Outcome {
     };
     drop(system); // the original is gone; only the snapshot survives
     let mut resumed = ConfidentialSystem::resume(&snap).expect("resume");
+    assert!(resumed.snapshot() == snap, "resume -> re-snapshot must reproduce the image");
+    let image = sha256(snap.as_bytes()).to_hex();
     let result = match point {
         SnapPoint::PreTraffic => {
             resumed.load_model(&weights).expect("resumed model load");
@@ -124,7 +129,7 @@ fn resumed_at(plan: Option<&FaultPlan>, point: SnapPoint) -> Outcome {
             CommandProcessor::surrogate_inference(&weights, &input).to_vec()
         }
     };
-    observe(&resumed, result)
+    (observe(&resumed, result), image)
 }
 
 #[test]
@@ -144,7 +149,7 @@ fn resume_is_indistinguishable_from_an_uninterrupted_run() {
             ("mid_task", SnapPoint::MidTask),
             ("post_task", SnapPoint::PostTask),
         ] {
-            let resumed = resumed_at(plan.as_ref(), point);
+            let (resumed, _) = resumed_at(plan.as_ref(), point);
             assert_eq!(
                 resumed, reference,
                 "{name}/{point_name}: resumed run diverged from the uninterrupted baseline"
@@ -158,7 +163,7 @@ fn faulted_resume_still_exercises_the_injector() {
     // The guarantee is only interesting if faults actually fire on both
     // sides of the snapshot point.
     let plan = FaultPlan::corrupt_only(13, 24);
-    let outcome = resumed_at(Some(&plan), SnapPoint::MidTask);
+    let (outcome, _) = resumed_at(Some(&plan), SnapPoint::MidTask);
     assert!(
         !outcome.fault_trace.is_empty(),
         "data-fault regime must inject at least one fault"
@@ -186,8 +191,10 @@ fn snapshot_itself_leaves_no_trace() {
 fn trace_digests_replay_across_suite_runs() {
     // CI hook, mirroring `telemetry_trace`: dump one digest per
     // (regime × snapshot point) so two consecutive suite runs can be
-    // diffed without parsing test output.
+    // diffed without parsing test output. The snapshot images' hashes
+    // follow the digests, so a codec change that moves a byte shows up.
     let mut dump = String::new();
+    let mut images = String::new();
     for (name, plan) in regimes() {
         let reference = baseline(plan.as_ref());
         dump.push_str(&format!("{name}_baseline={}\n", reference.telemetry_digest));
@@ -196,11 +203,13 @@ fn trace_digests_replay_across_suite_runs() {
             ("mid_task", SnapPoint::MidTask),
             ("post_task", SnapPoint::PostTask),
         ] {
-            let resumed = resumed_at(plan.as_ref(), point);
+            let (resumed, image) = resumed_at(plan.as_ref(), point);
             assert_eq!(resumed.telemetry_digest, reference.telemetry_digest);
             dump.push_str(&format!("{name}_{point_name}={}\n", resumed.telemetry_digest));
+            images.push_str(&format!("{name}_{point_name}_image={image}\n"));
         }
     }
+    dump.push_str(&images);
     if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
         std::fs::write(&path, dump).expect("write digest dump");
     }
@@ -233,6 +242,7 @@ fn fleet_serving_resume_matches_the_uninterrupted_run() {
     let image = first.snapshot();
     drop(first);
     let mut resumed = FleetServer::resume(config, &image).expect("fleet resumes");
+    assert!(resumed.snapshot() == image, "fleet resume -> re-snapshot must reproduce the image");
     resumed.generate(TOTAL);
     resumed.drain();
 
@@ -246,7 +256,11 @@ fn fleet_serving_resume_matches_the_uninterrupted_run() {
     // Sibling dump file: tests run in parallel, so appending to the main
     // CCAI_TRACE_DIGEST_OUT file would race the other dump test.
     if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
-        let dump = format!("fleet_serving={}\n", resumed.telemetry().digest_hex());
+        let dump = format!(
+            "fleet_serving={}\nfleet_serving_image={}\n",
+            resumed.telemetry().digest_hex(),
+            sha256(&image).to_hex()
+        );
         std::fs::write(format!("{path}.fleet"), dump).expect("write digest dump");
     }
 }
