@@ -42,25 +42,8 @@ impl CryptoEngine {
         Self::default()
     }
 
-    /// Encrypts a chunk; returns `(ciphertext, tag)` with
-    /// `ciphertext.len() == plaintext.len()`. Rides the cipher's detached
-    /// API directly: one allocation for the ciphertext, no concatenation
-    /// or truncation.
-    pub fn seal_detached(
-        &mut self,
-        cipher: &AesGcm,
-        nonce: &[u8; 12],
-        plaintext: &[u8],
-        aad: &[u8],
-    ) -> (Vec<u8>, [u8; 16]) {
-        self.stats.seal_ops += 1;
-        self.stats.bytes_encrypted += plaintext.len() as u64;
-        cipher.seal_detached(nonce, plaintext, aad)
-    }
-
-    /// Encrypts a chunk in place, returning the detached tag. The
-    /// zero-copy variant of [`CryptoEngine::seal_detached`] for callers
-    /// that already own a mutable staging buffer.
+    /// Encrypts a chunk in place, returning the detached tag; the
+    /// ciphertext keeps the plaintext's length.
     pub fn seal_in_place_detached(
         &mut self,
         cipher: &AesGcm,
@@ -73,40 +56,13 @@ impl CryptoEngine {
         cipher.seal_in_place_detached(nonce, buf, aad)
     }
 
-    /// Decrypts a chunk against its detached tag.
-    ///
-    /// # Errors
-    ///
-    /// `Err(())` if the tag fails to verify (tampered data, wrong key,
-    /// wrong nonce or wrong AAD). No plaintext is released.
-    #[allow(clippy::result_unit_err)]
-    pub fn open_detached(
-        &mut self,
-        cipher: &AesGcm,
-        nonce: &[u8; 12],
-        ciphertext: &[u8],
-        tag: &[u8; 16],
-        aad: &[u8],
-    ) -> Result<Vec<u8>, ()> {
-        self.stats.open_ops += 1;
-        match cipher.open_detached(nonce, ciphertext, tag, aad) {
-            Ok(plain) => {
-                self.stats.bytes_decrypted += plain.len() as u64;
-                Ok(plain)
-            }
-            Err(_) => {
-                self.stats.auth_failures += 1;
-                Err(())
-            }
-        }
-    }
-
     /// Verifies and decrypts a chunk in place against its detached tag.
     /// On failure the buffer is left as ciphertext.
     ///
     /// # Errors
     ///
-    /// `Err(())` if the tag fails to verify; no plaintext is produced.
+    /// `Err(())` if the tag fails to verify (tampered data, wrong key,
+    /// wrong nonce or wrong AAD); no plaintext is produced.
     #[allow(clippy::result_unit_err)]
     pub fn open_in_place_detached(
         &mut self,
@@ -179,33 +135,37 @@ mod tests {
     fn detached_round_trip_preserves_length() {
         let mut engine = CryptoEngine::new();
         let plaintext = vec![0x44u8; 4096];
-        let (ct, tag) = engine.seal_detached(&key(), &[1; 12], &plaintext, b"aad");
-        assert_eq!(ct.len(), plaintext.len(), "CTR ciphertext is size-preserving");
-        assert_ne!(ct, plaintext);
-        let back = engine.open_detached(&key(), &[1; 12], &ct, &tag, b"aad").unwrap();
-        assert_eq!(back, plaintext);
+        let mut buf = plaintext.clone();
+        let tag = engine.seal_in_place_detached(&key(), &[1; 12], &mut buf, b"aad");
+        assert_eq!(buf.len(), plaintext.len(), "CTR ciphertext is size-preserving");
+        assert_ne!(buf, plaintext);
+        engine.open_in_place_detached(&key(), &[1; 12], &mut buf, &tag, b"aad").unwrap();
+        assert_eq!(buf, plaintext);
     }
 
     #[test]
     fn tamper_and_wrong_context_fail() {
         let mut engine = CryptoEngine::new();
-        let (ct, tag) = engine.seal_detached(&key(), &[1; 12], b"data", b"aad");
+        let mut ct = b"data".to_vec();
+        let tag = engine.seal_in_place_detached(&key(), &[1; 12], &mut ct, b"aad");
         let mut bad_ct = ct.clone();
         bad_ct[0] ^= 1;
-        assert!(engine.open_detached(&key(), &[1; 12], &bad_ct, &tag, b"aad").is_err());
-        assert!(engine.open_detached(&key(), &[2; 12], &ct, &tag, b"aad").is_err());
-        assert!(engine.open_detached(&key(), &[1; 12], &ct, &tag, b"dad").is_err());
+        assert!(engine.open_in_place_detached(&key(), &[1; 12], &mut bad_ct, &tag, b"aad").is_err());
+        // A failed open leaves `ct` as it was, so each try sees the same bytes.
+        assert!(engine.open_in_place_detached(&key(), &[2; 12], &mut ct, &tag, b"aad").is_err());
+        assert!(engine.open_in_place_detached(&key(), &[1; 12], &mut ct, &tag, b"dad").is_err());
         let mut bad_tag = tag;
         bad_tag[15] ^= 1;
-        assert!(engine.open_detached(&key(), &[1; 12], &ct, &bad_tag, b"aad").is_err());
+        assert!(engine.open_in_place_detached(&key(), &[1; 12], &mut ct, &bad_tag, b"aad").is_err());
         assert_eq!(engine.stats().auth_failures, 4);
     }
 
     #[test]
     fn counters_track_bytes() {
         let mut engine = CryptoEngine::new();
-        let (ct, tag) = engine.seal_detached(&key(), &[1; 12], &[0; 1000], b"");
-        engine.open_detached(&key(), &[1; 12], &ct, &tag, b"").unwrap();
+        let mut buf = [0; 1000];
+        let tag = engine.seal_in_place_detached(&key(), &[1; 12], &mut buf, b"");
+        engine.open_in_place_detached(&key(), &[1; 12], &mut buf, &tag, b"").unwrap();
         let stats = engine.stats();
         assert_eq!(stats.bytes_encrypted, 1000);
         assert_eq!(stats.bytes_decrypted, 1000);
@@ -257,11 +217,13 @@ mod tests {
         let mut engine = CryptoEngine::new();
         let k128 = AesGcm::new(&Key::Aes128([0; 16]));
         let k256 = AesGcm::new(&Key::Aes256([0; 32]));
-        let (ct1, tag1) = engine.seal_detached(&k128, &[0; 12], b"same input", b"");
-        let (ct2, _) = engine.seal_detached(&k256, &[0; 12], b"same input", b"");
+        let (mut ct1, mut ct2) = (b"same input".to_vec(), b"same input".to_vec());
+        let tag1 = engine.seal_in_place_detached(&k128, &[0; 12], &mut ct1, b"");
+        engine.seal_in_place_detached(&k256, &[0; 12], &mut ct2, b"");
         assert_ne!(ct1, ct2);
-        assert!(engine.open_detached(&k128, &[0; 12], &ct1, &tag1, b"").is_ok());
-        assert!(engine.open_detached(&k256, &[0; 12], &ct1, &tag1, b"").is_err());
+        // The failing open first: a successful one decrypts `ct1` in place.
+        assert!(engine.open_in_place_detached(&k256, &[0; 12], &mut ct1, &tag1, b"").is_err());
+        assert!(engine.open_in_place_detached(&k128, &[0; 12], &mut ct1, &tag1, b"").is_ok());
     }
 
     #[test]
@@ -269,10 +231,11 @@ mod tests {
         let mut engine = CryptoEngine::new();
         let k1 = AesGcm::new(&Key::Aes128([1; 16]));
         let k2 = AesGcm::new(&Key::Aes128([2; 16]));
-        let (ct1, tag1) = engine.seal_detached(&k1, &[0; 12], b"x", b"");
-        let (ct2, _) = engine.seal_detached(&k2, &[0; 12], b"x", b"");
+        let (mut ct1, mut ct2) = (b"x".to_vec(), b"x".to_vec());
+        let tag1 = engine.seal_in_place_detached(&k1, &[0; 12], &mut ct1, b"");
+        engine.seal_in_place_detached(&k2, &[0; 12], &mut ct2, b"");
         assert_ne!(ct1, ct2);
-        assert!(engine.open_detached(&k1, &[0; 12], &ct1, &tag1, b"").is_ok());
-        assert!(engine.open_detached(&k2, &[0; 12], &ct1, &tag1, b"").is_err());
+        assert!(engine.open_in_place_detached(&k2, &[0; 12], &mut ct1, &tag1, b"").is_err());
+        assert!(engine.open_in_place_detached(&k1, &[0; 12], &mut ct1, &tag1, b"").is_ok());
     }
 }

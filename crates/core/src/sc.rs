@@ -969,27 +969,40 @@ impl PcieSc {
 
     // ---- A2: decrypt H2D completions ----
 
-    fn decrypt_completion(&mut self, tenant: usize, tlp: Tlp, chunk: ChunkRef) -> InterposeOutcome {
+    /// Opens a protected completion's payload in place, in the TLP's own
+    /// buffer. `Err` is the outcome to send instead; the tag is checked
+    /// before any byte is decrypted, so the payload then still holds the
+    /// ciphertext that arrived.
+    fn decrypt_completion(
+        &mut self,
+        tenant: usize,
+        tlp: &mut Tlp,
+        chunk: ChunkRef,
+    ) -> Result<(), InterposeOutcome> {
         let (requester, cpl_tag) = (tlp.header().requester(), tlp.header().tag());
         if !self.tenants[tenant].params.mark_processed(chunk) {
             self.alert_crypt(tenant, chunk, "replayed chunk");
-            return InterposeOutcome::drop_packet();
+            return Err(InterposeOutcome::drop_packet());
         }
         let Some(tag) = self.tenants[tenant].tags.take(chunk.stream, chunk.seq) else {
             self.tenants[tenant].params.unmark(chunk);
             self.alert_crypt(tenant, chunk, "missing authentication tag");
-            return self.abort_completion(requester, cpl_tag);
+            return Err(self.abort_completion(requester, cpl_tag));
         };
         let Ok(cipher) = self.tenants[tenant].params.cipher(chunk.stream) else {
             self.tenants[tenant].params.unmark(chunk);
             self.alert_crypt(tenant, chunk, "no key for stream");
-            return self.abort_completion(requester, cpl_tag);
+            return Err(self.abort_completion(requester, cpl_tag));
         };
-        match self
-            .engine
-            .open_detached(cipher, &chunk.nonce(), tlp.payload(), &tag, &chunk.aad())
-        {
-            Ok(plain) => {
+        let payload = tlp.payload_mut();
+        match self.engine.open_in_place_detached(
+            cipher,
+            &chunk.nonce(),
+            payload,
+            &tag,
+            &chunk.aad(),
+        ) {
+            Ok(()) => {
                 self.counters.chunks_decrypted += 1;
                 self.tenants[tenant].consecutive_crypt_failures = 0;
                 if let Some(telemetry) = self.telemetry.clone() {
@@ -997,11 +1010,11 @@ impl PcieSc {
                         Hop::ScCrypt,
                         self.tenant_tag(tenant),
                         Bandwidth::from_bytes_per_sec(AES_NI_RATE)
-                            .transfer_time(plain.len() as u64),
+                            .transfer_time(payload.len() as u64),
                     );
                     telemetry.counter_add("sc.chunks_decrypted", 1);
                 }
-                InterposeOutcome::pass(tlp.with_payload(plain))
+                Ok(())
             }
             Err(()) => {
                 // Roll back the consumed per-chunk state: the staging
@@ -1015,7 +1028,7 @@ impl PcieSc {
                     tag,
                 });
                 self.alert_crypt(tenant, chunk, "authentication failed");
-                self.abort_completion(requester, cpl_tag)
+                Err(self.abort_completion(requester, cpl_tag))
             }
         }
     }
@@ -1077,25 +1090,33 @@ impl PcieSc {
 
     // ---- A2: encrypt D2H writes ----
 
-    fn encrypt_device_write(&mut self, tenant: usize, tlp: Tlp, chunk: ChunkRef) -> InterposeOutcome {
+    /// Seals a device write's payload in place, in the TLP's own buffer,
+    /// and forwards it with its tag record.
+    fn encrypt_device_write(
+        &mut self,
+        tenant: usize,
+        mut tlp: Tlp,
+        chunk: ChunkRef,
+    ) -> InterposeOutcome {
         let Ok(cipher) = self.tenants[tenant].params.cipher(chunk.stream) else {
             self.alert_crypt(tenant, chunk, "no key for stream");
             return InterposeOutcome::drop_packet();
         };
-        let (ct, tag) =
-            self.engine
-                .seal_detached(cipher, &chunk.nonce(), tlp.payload(), &chunk.aad());
+        let payload = tlp.payload_mut();
+        let tag = self
+            .engine
+            .seal_in_place_detached(cipher, &chunk.nonce(), payload, &chunk.aad());
         self.counters.chunks_encrypted += 1;
         self.tenants[tenant].consecutive_crypt_failures = 0;
         if let Some(telemetry) = self.telemetry.clone() {
             telemetry.advance_span(
                 Hop::ScCrypt,
                 self.tenant_tag(tenant),
-                Bandwidth::from_bytes_per_sec(AES_NI_RATE).transfer_time(ct.len() as u64),
+                Bandwidth::from_bytes_per_sec(AES_NI_RATE).transfer_time(payload.len() as u64),
             );
             telemetry.counter_add("sc.chunks_encrypted", 1);
         }
-        let mut outcome = InterposeOutcome::pass(tlp.with_payload(ct));
+        let mut outcome = InterposeOutcome::pass(tlp);
         let ctx = &mut self.tenants[tenant];
         if let Some(landing) = ctx.tag_landing {
             let record = TagRecord { stream: chunk.stream, seq: chunk.seq, tag };
@@ -1434,7 +1455,7 @@ impl Interposer for PcieSc {
         self
     }
 
-    fn on_downstream(&mut self, tlp: Tlp) -> InterposeOutcome {
+    fn on_downstream(&mut self, mut tlp: Tlp) -> InterposeOutcome {
         self.counters.packets_seen += 1;
         let header = *tlp.header();
 
@@ -1477,7 +1498,10 @@ impl Interposer for PcieSc {
                         .params
                         .resolve(addr, StreamDirection::HostToDevice)
                     {
-                        return self.decrypt_completion(tenant, tlp, chunk);
+                        return match self.decrypt_completion(tenant, &mut tlp, chunk) {
+                            Ok(()) => InterposeOutcome::pass(tlp),
+                            Err(refusal) => refusal,
+                        };
                     }
                 }
                 return InterposeOutcome::pass(tlp); // plain DMA
@@ -1774,8 +1798,7 @@ mod tests {
         let cipher = sc.tenants[0].params.cipher(StreamId(1)).unwrap();
         let chunk = ChunkRef { stream: StreamId(1), seq: 0 };
         let plaintext = vec![0x5A; 4096];
-        let (ct, tag) =
-            CryptoEngine::new().seal_detached(cipher, &chunk.nonce(), &plaintext, &chunk.aad());
+        let (ct, tag) = cipher.seal_detached(&chunk.nonce(), &plaintext, &chunk.aad());
         sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
 
         // Device issues the read...
@@ -1788,6 +1811,49 @@ mod tests {
         let outcome = sc.on_downstream(cpl);
         assert_eq!(outcome.forward.len(), 1);
         assert_eq!(outcome.forward[0].payload(), plaintext, "device sees plaintext");
+        assert_eq!(sc.counters().chunks_decrypted, 1);
+    }
+
+    /// Opening happens in the completion's own buffer, tag first: a
+    /// tampered chunk is refused with its payload still the ciphertext
+    /// that arrived, and the rollback leaves the tag for an intact
+    /// re-fetch.
+    #[test]
+    fn tampered_completion_is_refused_and_keeps_its_ciphertext() {
+        let mut sc = sc_with_policy();
+        sc.tenants[0].params.register_stream(
+            StreamId(1),
+            StreamDirection::HostToDevice,
+            0x1_0000..0x2_0000,
+            0,
+        );
+        let cipher = sc.tenants[0].params.cipher(StreamId(1)).unwrap();
+        let chunk = ChunkRef { stream: StreamId(1), seq: 0 };
+        let plaintext = vec![0x3C; 4096];
+        let (ct, tag) = cipher.seal_detached(&chunk.nonce(), &plaintext, &chunk.aad());
+        sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
+
+        let mut tampered = ct.clone();
+        tampered[1000] ^= 0x01;
+        let mut cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), xpu(), 9, tampered.clone());
+        let Err(refusal) = sc.decrypt_completion(0, &mut cpl, chunk) else {
+            panic!("a tampered completion must be refused");
+        };
+        assert_eq!(refusal.forward.len(), 1);
+        assert_eq!(refusal.forward[0].header().cpl_status(), Some(CplStatus::CompleterAbort));
+        assert_eq!(cpl.payload(), tampered, "payload still holds the ciphertext that arrived");
+        assert_eq!(sc.engine_stats().auth_failures, 1);
+        assert_eq!(sc.counters().chunks_decrypted, 0);
+        assert!(matches!(
+            sc.alerts().last().unwrap(),
+            ScAlert::CryptFailure { reason, .. } if reason.contains("authentication")
+        ));
+
+        // The intact re-fetch finds its tag and replay slot and opens in place.
+        let mut cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), xpu(), 10, ct);
+        assert!(sc.decrypt_completion(0, &mut cpl, chunk).is_ok());
+        assert_eq!(cpl.payload(), plaintext);
+        assert_eq!(cpl.header().payload_len(), 4096);
         assert_eq!(sc.counters().chunks_decrypted, 1);
     }
 
@@ -1847,8 +1913,7 @@ mod tests {
         );
         let cipher = sc.tenants[0].params.cipher(StreamId(1)).unwrap();
         let chunk = ChunkRef { stream: StreamId(1), seq: 0 };
-        let (ct, tag) =
-            CryptoEngine::new().seal_detached(cipher, &chunk.nonce(), &[1; 64], &chunk.aad());
+        let (ct, tag) = cipher.seal_detached(&chunk.nonce(), &[1; 64], &chunk.aad());
         sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
         sc.tenants[0].tags.push(TagRecord { stream: StreamId(1), seq: 0, tag });
 

@@ -10,11 +10,16 @@
 //! 4 KiB chunks — and it has two backends computing the same bits,
 //! chosen once per key by [`AesGcm::new`] from the CPU alone:
 //!
-//! * `aesni-pclmul` (`crate::hw`, x86-64 with AES-NI + PCLMULQDQ): the
+//! * hardware (`crate::hw`, x86-64 with AES-NI + PCLMULQDQ): the
 //!   instructions the paper's Adaptor uses — an `aeskeygenassist` key
 //!   schedule, eight counter blocks interleaved through `aesenc`, GHASH
 //!   by carry-less multiply against `H¹..H⁸` with one reduction per
-//!   eight blocks;
+//!   eight blocks (`aesni-pclmul`). Where the CPU also reports AVX-512F,
+//!   AVX-512BW, VAES and VPCLMULQDQ, whole 256-byte slabs run first,
+//!   sixteen blocks in four 512-bit registers through `vaesenc` and
+//!   GHASH against `H¹⁶..H¹` with one reduction per slab, and the rest
+//!   takes the eight-lane path (`vaes-vpclmul`). Same key, same bits; the
+//!   CPU alone decides;
 //! * `portable` (every other CPU, and the differential reference on this
 //!   one, [`AesGcm::portable`]): bitsliced AES over four blocks per pass
 //!   ([`crate::aes`]) and GHASH by integer multiplies with holes
@@ -23,11 +28,11 @@
 //! Both are constant-time — no table indexed by data, no branch on it —
 //! and keep no per-key tables beyond round keys and hash-key powers.
 //! Both seal in two passes — CTR, then GHASH over the ciphertext; on the
-//! hardware each pass runs at its unit's throughput and a fused single
-//! loop measured slower — and open in two passes — GHASH-verify, then
-//! CTR — so a failed open leaves the buffer untouched, and the detached
-//! in-place APIs
-//! ([`AesGcm::seal_in_place_detached`],
+//! hardware each pass runs at its unit's throughput, a fused single loop
+//! measured slower on the eight-lane path, and the wide path keeps the
+//! same two passes — and open in two passes —
+//! GHASH-verify, then CTR — so a failed open leaves the buffer untouched,
+//! and the detached in-place APIs ([`AesGcm::seal_in_place_detached`],
 //! [`AesGcm::open_in_place_detached`]) let the Packet Handler engine and
 //! the Adaptor staging path crypt whole buffers with zero concatenation
 //! or re-copying.
@@ -112,6 +117,9 @@ impl PortableGcm {
 
 /// Which implementation a key's schedule was expanded for. Both compute
 /// the same function; the CPU decides, nothing else can.
+// The hardware variant is the one in use wherever it exists; boxing it
+// would put a heap allocation into every key set-up.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Backend {
     #[cfg(target_arch = "x86_64")]
@@ -151,8 +159,8 @@ impl AesGcm {
     /// Key setup expands the AES round keys and derives the hash key
     /// `H = E_K(0¹²⁸)` — where the CPU reports AES-NI, PCLMULQDQ, SSSE3
     /// and SSE4.1 entirely on those instructions, plus `H`'s eight
-    /// `pclmulqdq` powers; whoever owns the key pays this once and keeps
-    /// the instance.
+    /// `pclmulqdq` powers (sixteen where the wide slab path runs);
+    /// whoever owns the key pays this once and keeps the instance.
     pub fn new(key: &Key) -> AesGcm {
         #[cfg(target_arch = "x86_64")]
         if let Some(hw) = AesNiGcm::detect(key) {
@@ -171,12 +179,28 @@ impl AesGcm {
         }
     }
 
-    /// Name of the backend this instance runs on: `"aesni-pclmul"` or
-    /// `"portable"`.
+    /// The hardware backend with its wide slab path switched off: on a
+    /// VAES CPU, the eight-lane path [`AesGcm::new`] no longer picks.
+    #[cfg(test)]
+    fn narrow(key: &Key) -> Option<AesGcm> {
+        #[cfg(target_arch = "x86_64")]
+        return AesNiGcm::detect(key).map(|hw| AesGcm {
+            backend: Backend::AesNi(hw.narrow()),
+        });
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = key;
+            None
+        }
+    }
+
+    /// Name of the path this instance runs: `"vaes-vpclmul"` (hardware,
+    /// whole 256-byte slabs on 512-bit registers), `"aesni-pclmul"`
+    /// (hardware, 128-bit registers) or `"portable"`.
     pub fn backend(&self) -> &'static str {
         match &self.backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::AesNi(_) => "aesni-pclmul",
+            Backend::AesNi(hw) => hw.name(),
             Backend::Portable(_) => "portable",
         }
     }
@@ -334,16 +358,18 @@ mod tests {
         n
     }
 
-    /// Whatever [`AesGcm::new`] selects on this CPU, and the portable
-    /// reference; logs the pair so a run shows what was compared.
-    fn backends(key: &Key) -> [AesGcm; 2] {
-        let pair = [AesGcm::new(key), AesGcm::portable(key)];
-        eprintln!(
-            "gcm backends under test: {} and {}",
-            pair[0].backend(),
-            pair[1].backend()
-        );
-        pair
+    /// Whatever [`AesGcm::new`] selects on this CPU, the eight-lane
+    /// hardware path where `new` runs wide slabs, and the portable
+    /// reference last; logs the set so a run shows what was compared.
+    fn backends(key: &Key) -> Vec<AesGcm> {
+        let chosen = AesGcm::new(key);
+        let narrow = AesGcm::narrow(key).filter(|n| n.backend() != chosen.backend());
+        let mut all = vec![chosen];
+        all.extend(narrow);
+        all.push(AesGcm::portable(key));
+        let names: Vec<&str> = all.iter().map(AesGcm::backend).collect();
+        eprintln!("gcm backends under test: {}", names.join(", "));
+        all
     }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -618,7 +644,8 @@ mod tests {
                 k.iter_mut().for_each(|b| *b = next() as u8);
                 Key::Aes256(k)
             };
-            let [chosen, portable] = backends(&key);
+            let gcms = backends(&key);
+            let (portable, hardware) = gcms.split_last().expect("portable is last");
             let mut n = [0u8; 12];
             n.iter_mut().for_each(|b| *b = next() as u8);
             let pt_len = (next() % 700) as usize;
@@ -626,11 +653,14 @@ mod tests {
             let pt: Vec<u8> = (0..pt_len).map(|_| next() as u8).collect();
             let aad: Vec<u8> = (0..aad_len).map(|_| next() as u8).collect();
 
-            let sealed = chosen.seal(&n, &pt, &aad);
-            assert_eq!(sealed, portable.seal(&n, &pt, &aad), "trial {trial}");
-            // Cross-open both ways.
+            let sealed = portable.seal(&n, &pt, &aad);
+            for chosen in hardware {
+                let which = chosen.backend();
+                assert_eq!(chosen.seal(&n, &pt, &aad), sealed, "{which} trial {trial}");
+                // Cross-open both ways.
+                assert_eq!(chosen.open(&n, &sealed, &aad).unwrap(), pt, "{which}");
+            }
             assert_eq!(portable.open(&n, &sealed, &aad).unwrap(), pt);
-            assert_eq!(chosen.open(&n, &sealed, &aad).unwrap(), pt);
         }
     }
 
@@ -675,22 +705,37 @@ mod tests {
     }
 
     /// The backend is a function of the CPU alone: hardware exactly where
-    /// the features `hw` compiles with are all reported, the portable
-    /// path otherwise — so on such a CPU none of the differential tests
+    /// the features `hw` compiles with are all reported — its wide slab
+    /// path exactly where the 512-bit ones are too — the portable path
+    /// otherwise, so on such a CPU none of the differential tests
     /// compares the portable path with itself.
     #[test]
     fn backend_follows_the_cpu_and_debug_names_only_it() {
         #[cfg(target_arch = "x86_64")]
-        let hw = is_x86_feature_detected!("aes")
-            && is_x86_feature_detected!("pclmulqdq")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("sse4.1");
+        let (hw, wide) = (
+            is_x86_feature_detected!("aes")
+                && is_x86_feature_detected!("pclmulqdq")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1"),
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("vaes")
+                && is_x86_feature_detected!("vpclmulqdq"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let hw = false;
-        let [chosen, portable] = backends(&Key::Aes128([0xEE; 16]));
-        assert_eq!(chosen.backend(), if hw { "aesni-pclmul" } else { "portable" });
-        assert_eq!(portable.backend(), "portable");
-        for gcm in [chosen, portable] {
+        let (hw, wide) = (false, false);
+        let gcms = backends(&Key::Aes128([0xEE; 16]));
+        let expected = match (hw, wide) {
+            (true, true) => "vaes-vpclmul",
+            (true, false) => "aesni-pclmul",
+            (false, _) => "portable",
+        };
+        assert_eq!(gcms[0].backend(), expected);
+        assert_eq!(gcms.last().unwrap().backend(), "portable");
+        if hw && wide {
+            assert_eq!(gcms[1].backend(), "aesni-pclmul", "the narrowed path names itself");
+        }
+        for gcm in gcms {
             let dbg = format!("{gcm:?}");
             assert_eq!(dbg, format!("AesGcm {{ backend: {:?} }}", gcm.backend()));
             assert!(
@@ -700,21 +745,18 @@ mod tests {
         }
     }
 
-    /// One (key, nonce, aad, plaintext) through every entry point of both
-    /// backends: identical bytes, and each opens what the other sealed.
-    fn assert_backends_agree(
-        [chosen, portable]: &[AesGcm; 2],
-        n: &[u8; 12],
-        pt: &[u8],
-        aad: &[u8],
-    ) {
+    /// One (key, nonce, aad, plaintext) through every entry point of
+    /// every backend in `gcms` (portable last): identical bytes, and each
+    /// opens what the others sealed.
+    fn assert_backends_agree(gcms: &[AesGcm], n: &[u8; 12], pt: &[u8], aad: &[u8]) {
         let ctx = format!("pt {} aad {}", pt.len(), aad.len());
+        let (portable, hardware) = gcms.split_last().expect("portable is last");
         let sealed = portable.seal(n, pt, aad);
-        assert_eq!(chosen.seal(n, pt, aad), sealed, "seal, {ctx}");
         let (ct, tag) = sealed.split_at(pt.len());
         let tag: [u8; TAG_LEN] = tag.try_into().unwrap();
-        for gcm in [chosen, portable] {
+        for gcm in gcms {
             let which = gcm.backend();
+            assert_eq!(gcm.seal(n, pt, aad), sealed, "{which} seal, {ctx}");
             assert_eq!(
                 gcm.seal_detached(n, pt, aad),
                 (ct.to_vec(), tag),
@@ -741,45 +783,59 @@ mod tests {
             gcm.open_in_place_detached(n, &mut buf, &tag, aad).unwrap();
             assert_eq!(buf, pt, "{which} open in place, {ctx}");
         }
-        assert_eq!(
-            chosen.tag_only(n, pt),
-            portable.tag_only(n, pt),
-            "tag_only, {ctx}"
-        );
-        assert!(
-            portable.verify_tag_only(n, aad, &chosen.tag_only(n, aad)),
-            "tag_only, {ctx}"
-        );
+        for gcm in hardware {
+            let which = gcm.backend();
+            assert_eq!(
+                gcm.tag_only(n, pt),
+                portable.tag_only(n, pt),
+                "{which} tag_only, {ctx}"
+            );
+            assert!(
+                portable.verify_tag_only(n, aad, &gcm.tag_only(n, aad)),
+                "{which} tag_only, {ctx}"
+            );
+        }
     }
+
+    /// Lengths around the wide path's 256-byte slab, its eight-lane
+    /// remainder and the 4 KiB chunk.
+    const SLAB_EDGES: [usize; 11] = [255, 256, 257, 383, 384, 385, 511, 513, 4095, 4096, 4097];
 
     /// Every plaintext length 0..=300 and every AAD length 0..=300 — all
     /// residues mod 16 (partial blocks), mod 64 (the portable four-block
     /// pass) and mod 128 (the hardware eight-block slab and its tail) —
+    /// plus the lengths either side of the wide path's 256-byte slabs,
     /// under AES-128 and AES-256.
     #[test]
     fn backends_agree_bit_for_bit_at_every_length() {
         let mut next = xorshift(0xA076_1D64_78BD_642F);
-        let data: Vec<u8> = (0..300).map(|_| next() as u8).collect();
+        let data: Vec<u8> = (0..4097).map(|_| next() as u8).collect();
         for key in [Key::Aes128([0x3C; 16]), Key::Aes256([0xC3; 32])] {
-            let pair = backends(&key);
+            let gcms = backends(&key);
             let mut n = [0u8; 12];
-            for len in 0..=300 {
+            for len in (0..=300).chain(SLAB_EDGES) {
                 n.iter_mut().for_each(|b| *b = next() as u8);
-                assert_backends_agree(&pair, &n, &data[..len], &data[..len % 23]);
-                assert_backends_agree(&pair, &n, &data[..77], &data[..len]);
+                assert_backends_agree(&gcms, &n, &data[..len], &data[..len % 23]);
+                assert_backends_agree(&gcms, &n, &data[..77], &data[..len]);
             }
         }
     }
 
-    /// The datapath's sizes: one chunk, one descriptor, one bulk transfer.
+    /// The datapath's sizes: one chunk, one descriptor, one bulk
+    /// transfer; then the slab edges as plaintext and as AAD.
     #[test]
     fn backends_agree_on_bulk_sizes() {
         let mut next = xorshift(0xE703_7ED1_A0B4_28DB);
         let data: Vec<u8> = (0..(1 << 20) + 5).map(|_| next() as u8).collect();
         for key in [Key::Aes128([0x6D; 16]), Key::Aes256([0xD6; 32])] {
-            let pair = backends(&key);
+            let gcms = backends(&key);
             for len in [4096, 4096 + 1, 65536, 65536 - 1, 1 << 20, (1 << 20) + 5] {
-                assert_backends_agree(&pair, &[len as u8; 12], &data[..len], b"chunk header");
+                assert_backends_agree(&gcms, &[len as u8; 12], &data[..len], b"chunk header");
+            }
+            for len in SLAB_EDGES {
+                let n = [len as u8; 12];
+                assert_backends_agree(&gcms, &n, &data[..len], &data[len..len + 300]);
+                assert_backends_agree(&gcms, &n, &data[..4096], &data[len..2 * len]);
             }
         }
     }

@@ -3,21 +3,35 @@
 //! §7.2's AES-GCM-SHA engine), for x86-64 CPUs that report them.
 //!
 //! This module owns every `core::arch` instruction in the workspace.
-//! [`AesNiGcm::detect`] and [`ShaNi::detect`] are the only constructors
-//! and succeed only when `is_x86_feature_detected!` reports every
-//! feature the backend's code is compiled with, so *holding* a value of
-//! either type is the proof that its `#[target_feature]` entry points
-//! may be called — the one fact every `unsafe` block below cites.
-//! Inside those functions the intrinsics are safe: bytes enter and leave
-//! registers through value intrinsics (`_mm_set_epi64x`,
-//! `_mm_cvtsi128_si64`), never through a pointer.
+//! [`AesNiGcm::detect`], [`Wide::detect`] and [`ShaNi::detect`] are the
+//! only constructors and succeed only when `is_x86_feature_detected!`
+//! reports every feature the code behind them is compiled with, so
+//! *holding* a value of one of those types is the proof that its
+//! `#[target_feature]` entry points may be called — the one fact each of
+//! the six one-line `unsafe` calls below cites. Inside those functions
+//! the intrinsics are safe: bytes enter and leave registers through
+//! value intrinsics (`_mm_set_epi64x`, `_mm512_set_epi64`,
+//! `_mm_cvtsi128_si64`, `_mm512_extracti32x4_epi32`), never through a
+//! pointer.
+//!
+//! **Wide slabs.** Where the CPU also reports `avx512f`, `avx512bw`,
+//! `vaes` and `vpclmulqdq`, an [`AesNiGcm`] carries a [`Wide`] token and
+//! runs whole 256-byte slabs sixteen blocks at a time, four to a `zmm`
+//! register: CTR through `_mm512_aesenc_epi128`, GHASH against
+//! `H¹⁶..H¹` through `_mm512_clmulepi64_epi128` with the four lanes
+//! folded into one [`Product`] and one reduction per slab. What is left
+//! over runs the eight-lane loop and the block tail, exactly as on a CPU
+//! without the token. The 512-bit round keys and hash powers are
+//! broadcast from the `__m128i` ones at the top of each call, so the key
+//! grows only by `H⁹..H¹⁶`, and only when the token exists. Seal stays a
+//! CTR pass then a GHASH pass, and open verifies first.
 //!
 //! `aesenc` and `pclmulqdq` are data-independent in time and need no
 //! per-key tables: key set-up is the `aeskeygenassist` schedule and the
-//! eight hash-key powers, and runs no portable code. On every other CPU
-//! — and as the differential reference on this one — the portable
-//! backend ([`crate::aes`] / [`crate::ghash`]) and the portable compress
-//! in [`crate::sha256`] compute the same bits.
+//! eight (or sixteen) hash-key powers, and runs no portable code. On
+//! every other CPU — and as the differential reference on this one — the
+//! portable backend ([`crate::aes`] / [`crate::ghash`]) and the portable
+//! compress in [`crate::sha256`] compute the same bits.
 //!
 //! **GHASH by carry-less multiply.** A GCM block is the polynomial whose
 //! x⁰ coefficient is the top bit of byte 0. Read as a big-endian integer
@@ -28,7 +42,8 @@
 //! stored once as `h' = h̄·y mod Q`, and each product is a 128×128
 //! carry-less multiply followed by a Montgomery reduction by y¹²⁸ —
 //! two more `pclmulqdq`, because Q ≡ 1 mod y⁶⁴. Reduction is linear, so
-//! eight products against `H⁸..H¹` are summed unreduced and reduced once.
+//! eight products against `H⁸..H¹` (sixteen against `H¹⁶..H¹` on the
+//! wide path) are summed unreduced and reduced once.
 
 #![allow(unsafe_code)]
 
@@ -38,6 +53,9 @@ use std::arch::x86_64::*;
 
 /// Blocks per interleaved AES call and per aggregated GHASH reduction.
 const LANES: usize = 8;
+
+/// Blocks per wide slab: four `zmm` registers of four blocks.
+const WIDE_LANES: usize = 16;
 
 /// 128 bits → register (bit `i` of `v` is bit `i` of the register).
 #[inline]
@@ -124,6 +142,80 @@ impl Product {
     }
 }
 
+/// `a · b`, reduced: on stored powers `h̄ⁱ·y`, the stored form of the
+/// product.
+#[inline]
+#[target_feature(enable = "sse2,pclmulqdq")]
+fn gf_mul(a: __m128i, b: __m128i) -> __m128i {
+    let mut p = Product::zero();
+    p.add_mul(a, b);
+    p.reduce()
+}
+
+/// Proof that this CPU runs the wide slab path: zero-sized, and only
+/// [`Wide::detect`] makes one.
+#[derive(Debug, Clone, Copy)]
+struct Wide(());
+
+impl Wide {
+    /// The token, if this CPU has VAES and VPCLMULQDQ on 512-bit
+    /// registers.
+    fn detect() -> Option<Wide> {
+        let supported = is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("vaes")
+            && is_x86_feature_detected!("vpclmulqdq");
+        supported.then_some(Wide(()))
+    }
+}
+
+/// 64 bytes in memory order → four blocks, block `i` in lane `i`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load4(bytes: &[u8]) -> __m512i {
+    let w = |i: usize| i64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
+}
+
+/// Inverse of [`load4`].
+#[inline]
+#[target_feature(enable = "avx512f,sse4.1")]
+fn store4(x: __m512i, bytes: &mut [u8]) {
+    let lanes = [
+        _mm512_extracti32x4_epi32::<0>(x),
+        _mm512_extracti32x4_epi32::<1>(x),
+        _mm512_extracti32x4_epi32::<2>(x),
+        _mm512_extracti32x4_epi32::<3>(x),
+    ];
+    for (lane, out) in lanes.iter().zip(bytes.chunks_exact_mut(16)) {
+        out.copy_from_slice(&val(*lane).to_le_bytes());
+    }
+}
+
+/// Four 128-bit values → one register, `a` in lane 0.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn lanes4(a: __m128i, b: __m128i, c: __m128i, d: __m128i) -> __m512i {
+    let x = _mm512_inserti32x4::<1>(_mm512_zextsi128_si512(a), b);
+    _mm512_inserti32x4::<3>(_mm512_inserti32x4::<2>(x, c), d)
+}
+
+/// XOR of a register's four lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn fold4(x: __m512i) -> __m128i {
+    _mm_xor_si128(
+        _mm_xor_si128(
+            _mm512_extracti32x4_epi32::<0>(x),
+            _mm512_extracti32x4_epi32::<1>(x),
+        ),
+        _mm_xor_si128(
+            _mm512_extracti32x4_epi32::<2>(x),
+            _mm512_extracti32x4_epi32::<3>(x),
+        ),
+    )
+}
+
 /// `aeskeygenassist` with FIPS-197's `Rcon[step]` (none for step 0);
 /// the instruction takes the constant as an immediate.
 #[inline]
@@ -158,13 +250,15 @@ fn schedule_step(prev: __m128i, t: __m128i) -> __m128i {
 }
 
 /// AES-GCM on `aesenc` + `pclmulqdq`: the expanded round keys and
-/// `H¹..H⁸` (each stored as `h̄ⁱ·y mod Q`) of one key.
+/// `H¹..H⁸` — `H¹..H¹⁶` with the [`Wide`] token — of one key, each power
+/// stored as `h̄ⁱ·y mod Q`.
 #[derive(Clone)]
 pub(crate) struct AesNiGcm {
     rk: [__m128i; 15],
     rounds: usize,
-    /// `h[i]` multiplies by `H^(i+1)`.
-    h: [__m128i; LANES],
+    /// `h[i]` multiplies by `H^(i+1)`; `h[LANES..]` only with `wide`.
+    h: [__m128i; WIDE_LANES],
+    wide: Option<Wide>,
     /// The round keys in FIPS-197 byte order, for the key-expansion
     /// vectors.
     #[cfg(test)]
@@ -184,11 +278,27 @@ impl AesNiGcm {
             return None;
         }
         // SAFETY: `supported` is `expand`'s feature list, detected just above.
-        Some(unsafe { AesNiGcm::expand(key) })
+        Some(unsafe { AesNiGcm::expand(key, Wide::detect()) })
+    }
+
+    /// The same key with the wide token cleared: the eight-lane path on
+    /// a CPU that has the wide one, for the differential tests.
+    #[cfg(test)]
+    pub(crate) fn narrow(mut self) -> AesNiGcm {
+        self.wide = None;
+        self
+    }
+
+    /// `"vaes-vpclmul"` when whole slabs run wide, else `"aesni-pclmul"`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.wide {
+            Some(_) => "vaes-vpclmul",
+            None => "aesni-pclmul",
+        }
     }
 
     #[target_feature(enable = "sse2,ssse3,sse4.1,aes,pclmulqdq")]
-    fn expand(key: &Key) -> AesNiGcm {
+    fn expand(key: &Key, wide: Option<Wide>) -> AesNiGcm {
         // FIPS-197 §5.2 a round key at a time: the key fills the first
         // `span` (1 or 2) round keys; each later one folds the key `span`
         // back with RotWord(SubWord(w)) ⊕ Rcon of the previous one's last
@@ -216,7 +326,8 @@ impl AesNiGcm {
         let mut key = AesNiGcm {
             rk,
             rounds,
-            h: [_mm_setzero_si128(); LANES],
+            h: [_mm_setzero_si128(); WIDE_LANES],
+            wide,
             #[cfg(test)]
             schedule,
         };
@@ -224,8 +335,14 @@ impl AesNiGcm {
         let h = val(bswap(key.encrypt(_mm_setzero_si128())));
         let q = 0xc200_0000_0000_0000_0000_0000_0000_0001_u128;
         key.h[0] = reg((h << 1) ^ ((h >> 127) * q));
-        for i in 1..LANES {
-            key.h[i] = key.mul_h(key.h[i - 1]);
+        // By doubling: `Hⁿ⁺¹..H²ⁿ = H¹..Hⁿ · Hⁿ`, independent products.
+        let top = if wide.is_some() { WIDE_LANES } else { LANES };
+        let mut n = 1;
+        while n < top {
+            for i in n..2 * n {
+                key.h[i] = gf_mul(key.h[i - n], key.h[n - 1]);
+            }
+            n *= 2;
         }
         key
     }
@@ -269,20 +386,25 @@ impl AesNiGcm {
     #[inline]
     #[target_feature(enable = "sse2,pclmulqdq")]
     fn mul_h(&self, x: __m128i) -> __m128i {
-        let mut p = Product::zero();
-        p.add_mul(x, self.h[0]);
-        p.reduce()
+        gf_mul(x, self.h[0])
     }
 
     /// Absorbs `data`, zero-padding the final partial block. Each run of
     /// [`LANES`] blocks costs one reduction:
-    /// `(acc⊕b₀)·H⁸ ⊕ b₁·H⁷ ⊕ … ⊕ b₇·H`.
+    /// `(acc⊕b₀)·H⁸ ⊕ b₁·H⁷ ⊕ … ⊕ b₇·H`; with the [`Wide`] token the
+    /// whole 256-byte slabs go first, sixteen blocks per reduction.
     #[target_feature(enable = "sse2,ssse3,pclmulqdq")]
-    fn ghash(&self, mut acc: __m128i, data: &[u8]) -> __m128i {
+    fn ghash(&self, mut acc: __m128i, mut data: &[u8]) -> __m128i {
+        if self.wide.is_some() && data.len() >= 16 * WIDE_LANES {
+            let (slabs, rest) = data.split_at(data.len() - data.len() % (16 * WIDE_LANES));
+            // SAFETY: `self.wide` is set, so `Wide::detect` saw every feature `ghash_wide` enables.
+            acc = unsafe { self.ghash_wide(acc, slabs) };
+            data = rest;
+        }
         let mut slabs = data.chunks_exact(16 * LANES);
         for slab in slabs.by_ref() {
             let mut p = Product::zero();
-            for (block, h) in slab.chunks_exact(16).zip(self.h.iter().rev()) {
+            for (block, h) in slab.chunks_exact(16).zip(self.h[..LANES].iter().rev()) {
                 p.add_mul(_mm_xor_si128(acc, bswap(load(block))), *h);
                 acc = _mm_setzero_si128(); // only b₀ carries the accumulator
             }
@@ -296,9 +418,98 @@ impl AesNiGcm {
         acc
     }
 
+    /// [`AesNiGcm::ghash`] over whole 256-byte slabs: per slab
+    /// `(acc⊕b₀)·H¹⁶ ⊕ b₁·H¹⁵ ⊕ … ⊕ b₁₅·H`, four blocks to a register,
+    /// the lanes folded into one [`Product`] and reduced once.
+    #[target_feature(enable = "sse2,ssse3,sse4.1,pclmulqdq,avx512f,avx512bw,vpclmulqdq")]
+    fn ghash_wide(&self, mut acc: __m128i, slabs: &[u8]) -> __m128i {
+        // Register `k` holds blocks 4k..4k+4, which take H^(16-4k)..H^(13-4k).
+        let h = &self.h;
+        let powers = [
+            lanes4(h[15], h[14], h[13], h[12]),
+            lanes4(h[11], h[10], h[9], h[8]),
+            lanes4(h[7], h[6], h[5], h[4]),
+            lanes4(h[3], h[2], h[1], h[0]),
+        ];
+        let swap =
+            _mm512_broadcast_i32x4(_mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f));
+        for slab in slabs.chunks_exact(16 * WIDE_LANES) {
+            let (mut lo, mut mid, mut hi) = (
+                _mm512_setzero_si512(),
+                _mm512_setzero_si512(),
+                _mm512_setzero_si512(),
+            );
+            let mut carry = _mm512_zextsi128_si512(acc); // only b₀ carries it
+            for (bytes, h) in slab.chunks_exact(64).zip(&powers) {
+                let x = _mm512_xor_si512(_mm512_shuffle_epi8(load4(bytes), swap), carry);
+                carry = _mm512_setzero_si512();
+                lo = _mm512_xor_si512(lo, _mm512_clmulepi64_epi128::<0x00>(x, *h));
+                hi = _mm512_xor_si512(hi, _mm512_clmulepi64_epi128::<0x11>(x, *h));
+                let cross = _mm512_xor_si512(
+                    _mm512_clmulepi64_epi128::<0x10>(x, *h),
+                    _mm512_clmulepi64_epi128::<0x01>(x, *h),
+                );
+                mid = _mm512_xor_si512(mid, cross);
+            }
+            acc = Product {
+                lo: fold4(lo),
+                mid: fold4(mid),
+                hi: fold4(hi),
+            }
+            .reduce();
+        }
+        acc
+    }
+
+    /// [`AesNiGcm::ctr_impl`] over whole 256-byte slabs: sixteen counter
+    /// blocks per slab through four registers of `vaesenc`. Returns the
+    /// next counter.
+    #[target_feature(enable = "sse2,sse4.1,aes,avx512f,avx512bw,vaes")]
+    fn ctr_wide(&self, nonce: &[u8; NONCE_LEN], counter: u32, slabs: &mut [u8]) -> u32 {
+        let mut rk = [_mm512_setzero_si512(); 15];
+        for (wide, k) in rk.iter_mut().zip(&self.rk[..=self.rounds]) {
+            *wide = _mm512_broadcast_i32x4(*k);
+        }
+        // `nonce ‖ counter` with the counter a native 32-bit lane in every
+        // block: `_mm512_add_epi32` wraps it within its lane (inc32, never
+        // a carry into the nonce), and one byte shuffle makes it big-endian.
+        let mut next =
+            _mm512_broadcast_i32x4(_mm_insert_epi32::<3>(nonce_block(nonce), counter as i32));
+        let big_endian =
+            _mm512_broadcast_i32x4(_mm_set_epi64x(0x0c0d_0e0f_0b0a_0908, 0x0706_0504_0302_0100));
+        let lane_step =
+            |k: i32| _mm512_set_epi32(k + 3, 0, 0, 0, k + 2, 0, 0, 0, k + 1, 0, 0, 0, k, 0, 0, 0);
+        let steps = [lane_step(0), lane_step(4), lane_step(8), lane_step(12)];
+        let slab_step = _mm512_set_epi32(16, 0, 0, 0, 16, 0, 0, 0, 16, 0, 0, 0, 16, 0, 0, 0);
+        for slab in slabs.chunks_exact_mut(16 * WIDE_LANES) {
+            let mut s = [_mm512_setzero_si512(); 4];
+            for (s, step) in s.iter_mut().zip(&steps) {
+                let block = _mm512_shuffle_epi8(_mm512_add_epi32(next, *step), big_endian);
+                *s = _mm512_xor_si512(block, rk[0]);
+            }
+            next = _mm512_add_epi32(next, slab_step);
+            for rk in &rk[1..self.rounds] {
+                for s in s.iter_mut() {
+                    *s = _mm512_aesenc_epi128(*s, *rk);
+                }
+            }
+            for (s, bytes) in s.iter().zip(slab.chunks_exact_mut(64)) {
+                let ks = _mm512_aesenclast_epi128(*s, rk[self.rounds]);
+                store4(_mm512_xor_si512(ks, load4(bytes)), bytes);
+            }
+        }
+        counter.wrapping_add((slabs.len() / 16) as u32)
+    }
+
     #[target_feature(enable = "sse2,sse4.1,aes")]
-    fn ctr_impl(&self, nonce: &[u8; NONCE_LEN], mut counter: u32, data: &mut [u8]) {
-        let nonce = nonce_block(nonce);
+    fn ctr_impl(&self, nonce_bytes: &[u8; NONCE_LEN], mut counter: u32, mut data: &mut [u8]) {
+        if self.wide.is_some() && data.len() >= 16 * WIDE_LANES {
+            let (slabs, rest) = data.split_at_mut(data.len() - data.len() % (16 * WIDE_LANES));
+            // SAFETY: `self.wide` is set, so `Wide::detect` saw every feature `ctr_wide` enables.
+            counter = unsafe { self.ctr_wide(nonce_bytes, counter, slabs) };
+            data = rest;
+        }
+        let nonce = nonce_block(nonce_bytes);
         let mut slabs = data.chunks_exact_mut(16 * LANES);
         for slab in slabs.by_ref() {
             let ks = self.keystream(nonce, counter);
@@ -339,8 +550,8 @@ impl AesNiGcm {
     }
 
     /// XORs the CTR keystream for counters `counter..` (wrapping as
-    /// `inc32`) over `data` in place, [`LANES`] blocks at a time and then
-    /// block by block.
+    /// `inc32`) over `data` in place: [`WIDE_LANES`] blocks at a time with
+    /// the [`Wide`] token, then [`LANES`] at a time, then block by block.
     pub(crate) fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
         // SAFETY: `self` exists, so `detect` saw every feature `ctr_impl` enables.
         unsafe { self.ctr_impl(nonce, counter, data) }
@@ -438,28 +649,52 @@ mod tests {
     use super::*;
     use crate::aes::Aes;
 
+    /// The hardware paths for `key` on this CPU: what `detect` picks and,
+    /// where that is the wide one, the same key narrowed. Logs them.
+    fn paths(key: &Key) -> Vec<AesNiGcm> {
+        let Some(hw) = AesNiGcm::detect(key) else {
+            eprintln!("aesni-pclmul backend not available on this CPU: nothing to compare");
+            return Vec::new();
+        };
+        let mut paths = vec![hw.clone()];
+        if hw.wide.is_some() {
+            paths.push(hw.narrow());
+        } else {
+            eprintln!("vaes-vpclmul path not available on this CPU: eight-lane path only");
+        }
+        let names: Vec<&str> = paths.iter().map(AesNiGcm::name).collect();
+        eprintln!("hw paths under test: {}", names.join(", "));
+        paths
+    }
+
     /// `inc32`: the counter wraps inside its own 32 bits and never
-    /// carries into the nonce, on the slab path and on the block tail.
-    /// (Through `AesGcm` a wrap takes 64 GiB, so it is driven here.)
+    /// carries into the nonce, in every lane of a wide slab, on the
+    /// eight-lane slab and on the block tail. (Through `AesGcm` a wrap
+    /// takes 64 GiB, so it is driven here.)
     #[test]
     fn backend_counter_wraps_as_inc32() {
         for key in [Key::Aes128([0x37; 16]), Key::Aes256([0x59; 32])] {
-            let Some(hw) = AesNiGcm::detect(&key) else {
-                eprintln!("aesni-pclmul backend not available on this CPU: nothing to compare");
-                return;
-            };
             let aes = Aes::new(&key);
             let nonce = [0xA5u8; NONCE_LEN];
-            for start in [2u32, 0xffff_fff9, 0xffff_ffff] {
-                // Two slabs, three single blocks, one partial block.
-                let mut got = vec![0u8; 16 * (2 * LANES + 3) + 5];
-                hw.ctr_xor(&nonce, start, &mut got);
-                for (i, chunk) in got.chunks(16).enumerate() {
-                    let mut want = [0u8; 16];
-                    want[..NONCE_LEN].copy_from_slice(&nonce);
-                    want[NONCE_LEN..].copy_from_slice(&start.wrapping_add(i as u32).to_be_bytes());
-                    aes.encrypt_block(&mut want);
-                    assert_eq!(chunk, &want[..chunk.len()], "start {start:#x} block {i}");
+            for hw in paths(&key) {
+                for start in std::iter::once(2u32).chain((0..16).map(|k| 0xffff_fff0 + k)) {
+                    // Two wide slabs, one eight-lane slab, three single
+                    // blocks, one partial block.
+                    let mut got = vec![0u8; 16 * (2 * WIDE_LANES + LANES + 3) + 5];
+                    hw.ctr_xor(&nonce, start, &mut got);
+                    for (i, chunk) in got.chunks(16).enumerate() {
+                        let mut want = [0u8; 16];
+                        want[..NONCE_LEN].copy_from_slice(&nonce);
+                        want[NONCE_LEN..]
+                            .copy_from_slice(&start.wrapping_add(i as u32).to_be_bytes());
+                        aes.encrypt_block(&mut want);
+                        assert_eq!(
+                            chunk,
+                            &want[..chunk.len()],
+                            "{} start {start:#x} block {i}",
+                            hw.name()
+                        );
+                    }
                 }
             }
         }

@@ -29,7 +29,8 @@
 //! The functional datapath seals and opens every byte that crosses the
 //! simulated PCIe-SC, so the bulk AEAD path and SHA-256 run on the
 //! instructions the paper names wherever the CPU reports them (AES-NI,
-//! PCLMULQDQ, SHA-NI — the private `hw` module, the only code in the
+//! PCLMULQDQ, SHA-NI, and VAES + VPCLMULQDQ on 512-bit registers for
+//! whole 256-byte slabs — the private `hw` module, the only code in the
 //! workspace allowed an `unsafe` block) and on one portable backend
 //! everywhere else: bitsliced AES ([`aes`]) and GHASH by integer
 //! multiplies ([`gcm`]), constant-time by construction because that

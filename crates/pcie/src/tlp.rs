@@ -482,6 +482,12 @@ impl Tlp {
         &self.payload
     }
 
+    /// The data payload, writable in place. A slice, not the `Vec`: its
+    /// length — and so the header's `payload_len` — cannot change.
+    pub fn payload_mut(&mut self) -> &mut [u8] {
+        &mut self.payload
+    }
+
     /// Consumes the TLP, returning its payload.
     pub fn into_payload(self) -> Vec<u8> {
         self.payload
@@ -960,6 +966,15 @@ mod tests {
         let bigger = tlp.with_payload(vec![1; 32]);
         assert_eq!(bigger.header().payload_len(), 32);
         assert_eq!(Tlp::decode(&bigger.encode()).unwrap(), bigger);
+    }
+
+    #[test]
+    fn payload_mut_rewrites_in_place_and_keeps_the_header() {
+        let mut tlp = Tlp::completion_with_data(req(), req(), 7, vec![0; 24]);
+        tlp.payload_mut().iter_mut().for_each(|b| *b ^= 0x5A);
+        assert_eq!(tlp.payload(), [0x5A; 24]);
+        assert_eq!(tlp.header().payload_len(), 24);
+        assert_eq!(Tlp::decode(&tlp.encode()).unwrap(), tlp);
     }
 
     #[test]

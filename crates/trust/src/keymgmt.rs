@@ -12,7 +12,7 @@
 //! where the key is (rotation, retirement, destruction), so no schedule
 //! outlives its stream.
 
-use ccai_crypto::{hkdf, AesGcm, IvManager, IvStatus, Key};
+use ccai_crypto::{hmac_sha256, AesGcm, IvManager, IvStatus, Key};
 use ccai_sim::DetHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -65,8 +65,15 @@ impl StreamState {
 /// Manages per-stream symmetric keys derived from the attested session
 /// secret. Both the Adaptor and the PCIe-SC hold one of these, seeded
 /// identically, so their key schedules agree without further traffic.
+///
+/// Stream keys are RFC 5869 HKDF-SHA256 with salt `"ccai-workload-keys"`,
+/// the master as input keying material, info `"stream" ‖ id ‖ generation`
+/// (big-endian) and L = 16. The extract step depends on the master alone,
+/// so it runs once, in [`WorkloadKeyManager::new`]: the manager holds the
+/// pseudorandom key, not the master, and each stream pays one HMAC.
 pub struct WorkloadKeyManager {
-    master: [u8; 32],
+    /// PRK = HMAC-SHA256(`"ccai-workload-keys"`, master).
+    prk: [u8; 32],
     streams: DetHashMap<StreamId, StreamState>,
     rotations: u64,
     destroyed: bool,
@@ -85,7 +92,8 @@ impl fmt::Debug for WorkloadKeyManager {
 impl WorkloadKeyManager {
     /// Creates a manager from the post-attestation shared secret.
     pub fn new(master: [u8; 32]) -> Self {
-        WorkloadKeyManager { master, streams: DetHashMap::default(), rotations: 0, destroyed: false }
+        let prk = hmac_sha256(b"ccai-workload-keys", &master).0;
+        WorkloadKeyManager { prk, streams: DetHashMap::default(), rotations: 0, destroyed: false }
     }
 
     /// Provisions a stream with an IV budget (`iv_limit`); both ends must
@@ -101,13 +109,16 @@ impl WorkloadKeyManager {
             .insert(id, StreamState::new(key, IvManager::with_limit(id.0, iv_limit), 0));
     }
 
+    /// HKDF-Expand with L = 16: the first 16 bytes of
+    /// T(1) = HMAC(PRK, info ‖ 0x01).
     fn derive_key(&self, id: StreamId, generation: u32) -> Key {
-        let mut info = Vec::with_capacity(16);
-        info.extend_from_slice(b"stream");
-        info.extend_from_slice(&id.0.to_be_bytes());
-        info.extend_from_slice(&generation.to_be_bytes());
-        let okm = hkdf(b"ccai-workload-keys", &self.master, &info, 16);
-        Key::from_bytes(&okm).expect("16-byte key")
+        let mut message = [0u8; 15];
+        message[..6].copy_from_slice(b"stream");
+        message[6..10].copy_from_slice(&id.0.to_be_bytes());
+        message[10..14].copy_from_slice(&generation.to_be_bytes());
+        message[14] = 0x01;
+        let t1 = hmac_sha256(&self.prk, &message);
+        Key::Aes128(t1.0[..16].try_into().expect("16 of 32 bytes"))
     }
 
     /// The stream's current key.
@@ -205,7 +216,7 @@ impl WorkloadKeyManager {
     /// the PCIe-SC securely destroy shared symmetric keys").
     pub fn destroy(&mut self) {
         self.streams.clear();
-        self.master = [0u8; 32];
+        self.prk = [0u8; 32];
         self.destroyed = true;
     }
 
@@ -215,9 +226,9 @@ impl WorkloadKeyManager {
     }
 
     /// Serializes the schedule's *positions* — per-stream generation and
-    /// IV cursor plus the rotation counter — never key bytes or the
-    /// master secret. A restore re-derives every key from the master the
-    /// receiving manager was constructed with.
+    /// IV cursor plus the rotation counter — never key bytes, the PRK or
+    /// the master secret. A restore re-derives every key from the master
+    /// the receiving manager was constructed with.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         let positions: BTreeMap<StreamId, (u32, u64, u64)> = self
             .streams
@@ -352,11 +363,32 @@ mod tests {
         assert_eq!(m.rotate(StreamId(9)), Err(KeyManagerError::UnknownStream(StreamId(9))));
     }
 
+    /// The extract-once derivation is RFC 5869 HKDF with L = 16, byte for
+    /// byte, for any stream id and generation.
+    #[test]
+    fn stream_keys_are_rfc5869_hkdf() {
+        let master = [0x33; 32];
+        let m = WorkloadKeyManager::new(master);
+        for (id, generation) in [(0, 0), (1, 0), (7, 2), (0x100, 1), (u32::MAX, u32::MAX)] {
+            let mut info = b"stream".to_vec();
+            info.extend_from_slice(&u32::to_be_bytes(id));
+            info.extend_from_slice(&u32::to_be_bytes(generation));
+            let okm = ccai_crypto::hkdf(b"ccai-workload-keys", &master, &info, 16);
+            assert_eq!(
+                m.derive_key(StreamId(id), generation),
+                Key::from_bytes(&okm).unwrap(),
+                "stream {id} generation {generation}"
+            );
+        }
+    }
+
     #[test]
     fn destroy_wipes_material() {
         let mut m = manager();
         m.provision_stream(StreamId(1), 10);
+        assert_ne!(m.prk, [0; 32]);
         m.destroy();
+        assert_eq!(m.prk, [0; 32], "the PRK is key material too");
         assert!(m.is_destroyed());
         assert_eq!(
             m.stream_key(StreamId(1)),

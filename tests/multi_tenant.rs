@@ -201,16 +201,17 @@ fn tenants_cannot_decrypt_each_others_streams() {
 
     let chunk = ChunkRef { stream: StreamId(0x100), seq: 0 };
     let mut engine = CryptoEngine::new();
-    let (ct, tag) = engine.seal_detached(
+    let mut buf = b"tenant B plaintext".to_vec();
+    let tag = engine.seal_in_place_detached(
         keys_b.stream_cipher(StreamId(0x100)).unwrap(),
         &chunk.nonce(),
-        b"tenant B plaintext",
+        &mut buf,
         &chunk.aad(),
     );
-    let verdict = engine.open_detached(
+    let verdict = engine.open_in_place_detached(
         keys_a.stream_cipher(StreamId(0x100)).unwrap(),
         &chunk.nonce(),
-        &ct,
+        &mut buf,
         &tag,
         &chunk.aad(),
     );
