@@ -1,65 +1,111 @@
-//! Functional data-path microbenchmarks: the real packet filter, AES-GCM
-//! engine and end-to-end confidential workload (not the analytic model).
+//! TLP filter throughput: the precompiled matcher against the linear-scan
+//! oracle on one fleet-scale rule table and one mixed 1024-TLP flood.
+//! `cargo bench -p ccai-bench --bench datapath` prints both rows; one
+//! element is one TLP.
+//!
+//! Both paths must classify the flood identically, packet by packet and
+//! in their stats; that check runs before any timing, so the smoke test
+//! in `tests/bench_smoke.rs` holds it on every `cargo test`.
 
 use ccai_core::filter::{L1Rule, L2Rule, PacketFilter, SecurityAction};
-use ccai_core::system::{ConfidentialSystem, SystemMode};
-use ccai_crypto::{AesGcm, Key};
 use ccai_pcie::{Bdf, Tlp, TlpType};
-use ccai_xpu::XpuSpec;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-fn bench_filter(c: &mut Criterion) {
-    let tvm = Bdf::new(0, 2, 0);
+/// Number of headers in the small-TLP flood.
+const FLOOD_LEN: usize = 1024;
+/// Requesters in the synthetic fleet-scale rule table.
+const FLEET: usize = 8;
+/// Address ranges per requester in the L2 table.
+const RANGES_PER_REQUESTER: usize = 12;
+
+fn requester(j: usize) -> Bdf {
+    Bdf::new(j as u8 + 1, 0, 0)
+}
+
+/// A fleet-scale policy: `FLEET` TVM requesters, each admitted for
+/// memory reads and writes at L1, each with `RANGES_PER_REQUESTER`
+/// disjoint L2 address stripes cycling through the three permissive
+/// actions. The linear scan walks up to `FLEET * RANGES_PER_REQUESTER`
+/// L2 rows per packet; the compiled tree probes one (type, requester)
+/// bucket.
+fn fleet_filter() -> PacketFilter {
     let mut filter = PacketFilter::new();
-    filter.push_l1(L1Rule::admit(TlpType::MemWrite, tvm));
-    for i in 0..16u64 {
-        filter.push_l2(L2Rule::for_range(
-            TlpType::MemWrite,
-            tvm,
-            (i * 0x1000)..((i + 1) * 0x1000),
-            SecurityAction::CryptProtect,
-        ));
+    for j in 0..FLEET {
+        filter.push_l1(L1Rule::admit(TlpType::MemWrite, requester(j)));
+        filter.push_l1(L1Rule::admit(TlpType::MemRead, requester(j)));
     }
-    let tlp = Tlp::memory_write(tvm, 0xF800, vec![0u8; 64]);
-    c.bench_function("packet_filter_classify", |b| {
-        b.iter(|| std::hint::black_box(filter.classify(tlp.header())))
-    });
+    filter.push_l1(L1Rule::default_deny());
+    let actions = [
+        SecurityAction::CryptProtect,
+        SecurityAction::WriteProtect,
+        SecurityAction::PassThrough,
+    ];
+    for j in 0..FLEET {
+        for k in 0..RANGES_PER_REQUESTER {
+            let base = ((j * RANGES_PER_REQUESTER + k) as u64) * 0x1000;
+            filter.push_l2(L2Rule::for_range(
+                TlpType::MemWrite,
+                requester(j),
+                base..base + 0x1000,
+                actions[k % actions.len()],
+            ));
+        }
+    }
+    filter
 }
 
-fn bench_gcm(c: &mut Criterion) {
-    let gcm = AesGcm::new(&Key::Aes128([7; 16]));
-    let chunk = vec![0xA5u8; 4096];
-    let mut group = c.benchmark_group("aes_gcm");
-    group.throughput(Throughput::Bytes(4096));
-    group.bench_function("seal_4k_chunk", |b| {
-        b.iter(|| std::hint::black_box(gcm.seal(&[1; 12], &chunk, b"aad")))
+/// A deterministic flood mixing in-range writes, out-of-range writes
+/// (L2 miss), reads (scan the whole L2 table before missing), and a
+/// rogue requester (caught by the default-deny row).
+fn flood() -> Vec<Tlp> {
+    let rogue = Bdf::new(0x3F, 0, 0);
+    (0..FLOOD_LEN)
+        .map(|i| {
+            let req = requester(i % FLEET);
+            let stripe = ((i % FLEET) * RANGES_PER_REQUESTER + (i / FLEET) % RANGES_PER_REQUESTER)
+                as u64
+                * 0x1000;
+            match i % 4 {
+                0 => Tlp::memory_write(req, stripe + (i as u64 % 0x1000), vec![0x5C; 16]),
+                1 => Tlp::memory_write(req, 0x00DE_0000 + i as u64, vec![0x5C; 16]),
+                2 => Tlp::memory_read(req, stripe, 64, (i % 256) as u8),
+                _ => Tlp::memory_write(rogue, stripe, vec![0x5C; 16]),
+            }
+        })
+        .collect()
+}
+
+fn bench_filter_flood(c: &mut Criterion) {
+    let flood = flood();
+    let mut compiled = fleet_filter();
+    let mut scan = fleet_filter();
+    for tlp in &flood {
+        assert_eq!(
+            compiled.classify(tlp.header()),
+            scan.classify_scan(tlp.header()),
+            "the flood must classify identically on both paths: {tlp}"
+        );
+    }
+    assert_eq!(compiled.stats(), scan.stats());
+
+    let mut group = c.benchmark_group("filter_flood");
+    group.throughput(Throughput::Elements(FLOOD_LEN as u64));
+    group.bench_function("compiled", |b| {
+        b.iter(|| {
+            for tlp in &flood {
+                std::hint::black_box(compiled.classify(tlp.header()));
+            }
+        })
     });
-    let sealed = gcm.seal(&[1; 12], &chunk, b"aad");
-    group.bench_function("open_4k_chunk", |b| {
-        b.iter(|| std::hint::black_box(gcm.open(&[1; 12], &sealed, b"aad").unwrap()))
+    group.bench_function("scan", |b| {
+        b.iter(|| {
+            for tlp in &flood {
+                std::hint::black_box(scan.classify_scan(tlp.header()));
+            }
+        })
     });
     group.finish();
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("functional_workload");
-    group.sample_size(10);
-    let weights = vec![0x11u8; 256 * 1024];
-    let input = vec![0x22u8; 16 * 1024];
-    group.bench_function("vanilla_256k", |b| {
-        b.iter(|| {
-            let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::Vanilla);
-            std::hint::black_box(system.run_workload(&weights, &input).unwrap())
-        })
-    });
-    group.bench_function("ccai_256k", |b| {
-        b.iter(|| {
-            let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
-            std::hint::black_box(system.run_workload(&weights, &input).unwrap())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_filter, bench_gcm, bench_end_to_end);
+criterion_group!(benches, bench_filter_flood);
 criterion_main!(benches);

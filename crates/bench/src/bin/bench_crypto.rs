@@ -9,11 +9,9 @@
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
 //! Pass an output path as the first argument to override the default.
 //!
-//! Raw crypto only: the fixed-seed workload's telemetry snapshot (per-hop
-//! latency breakdown, counters, trace digest) lives in `bench_datapath`'s
-//! report.
+//! Raw crypto only: a request through the whole datapath is timed by
+//! the end-to-end ledger in `bench_e2e/`.
 
-use ccai_bench::distinct_backends;
 use ccai_crypto::{AesGcm, Key, Sha256};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -61,6 +59,18 @@ fn measure<F: FnMut()>(bytes: usize, mut f: F) -> (f64, f64) {
 
 fn patterned(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 % 251) as u8).collect()
+}
+
+/// The backends to measure on this CPU: what the primitive's `new`
+/// selects and, only where that is a different implementation, the
+/// portable reference beside it — so every row is labelled by what
+/// actually ran.
+fn distinct_backends<T>(chosen: T, reference: T, name: impl Fn(&T) -> &'static str) -> Vec<T> {
+    if name(&chosen) == name(&reference) {
+        vec![chosen]
+    } else {
+        vec![chosen, reference]
+    }
 }
 
 fn run() -> Vec<Sample> {

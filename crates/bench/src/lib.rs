@@ -13,15 +13,3 @@ pub mod figures;
 pub mod render;
 
 pub use figures::*;
-
-/// The backends a crypto bench has to measure on this CPU: what the
-/// primitive's `new` selects and, only where that is a different
-/// implementation, the portable reference beside it — so every row or
-/// group is labelled by what actually ran.
-pub fn distinct_backends<T>(chosen: T, reference: T, name: impl Fn(&T) -> &'static str) -> Vec<T> {
-    if name(&chosen) == name(&reference) {
-        vec![chosen]
-    } else {
-        vec![chosen, reference]
-    }
-}

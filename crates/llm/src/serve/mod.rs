@@ -1303,12 +1303,26 @@ mod tests {
         let json = f.report().to_json();
         for key in [
             "\"schema\": \"ccai.fleet.v1\"",
+            "\"seed\":",
+            "\"shards\":",
+            "\"rate_limiting\":",
+            "\"generated\":",
+            "\"rounds\":",
+            "\"replicas\":",
+            "\"chaos\": { \"events\":",
+            "\"requeued\":",
+            "\"migrations\":",
+            "\"now_picos\":",
             "\"tenants\":",
+            "\"admitted\":",
+            "\"served\":",
             "\"shed\":",
             "\"queue_delay_us\":",
             "\"e2e_us\":",
+            "\"idle_picos\":",
             "\"telemetry\":",
             "\"schema\": \"ccai.telemetry.v2\"",
+            "\"idle_by_tenant\":",
         ] {
             assert!(json.contains(key), "missing key {key} in:\n{json}");
         }

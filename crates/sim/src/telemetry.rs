@@ -716,9 +716,9 @@ impl TelemetrySnapshot {
 
     /// Renders the snapshot as a JSON document.
     ///
-    /// The vendored `serde` stand-in is a no-op, so — like the benchmark
-    /// runners — this serializer is written by hand. The key set is pinned
-    /// by the snapshot-schema CI check.
+    /// The vendored `serde` stand-in is a no-op, so this serializer is
+    /// written by hand. The key set is pinned by the snapshot-schema CI
+    /// check.
     pub fn to_json(&self) -> String {
         fn write_hops(out: &mut String, hops: &[HopReport], indent: &str) {
             for (i, hop) in hops.iter().enumerate() {

@@ -213,6 +213,14 @@ fn acceptance_scale_run_accounts_every_request() {
     // The telemetry invariant holds at fleet scale: every picosecond is
     // either a tagged hop span or idle.
     let t = fleet.telemetry();
+    // The hub clock sums every request's tenant time, so it runs far
+    // ahead of the fleet loop; `--nocapture` shows how close it sits to
+    // `u64::MAX`.
+    eprintln!(
+        "hub now {} ps, fleet loop now {} ps, at {REQUESTS} requests",
+        t.now().as_picos(),
+        report.now.as_picos()
+    );
     assert_eq!(
         (t.span_total() + t.idle_total()).as_picos(),
         t.now().as_picos()

@@ -174,8 +174,8 @@ fn trace_is_ordered_and_stamped_monotonically() {
 #[test]
 fn snapshot_serializes_with_the_pinned_schema() {
     // The schema name is pinned here — everywhere else (the exporter,
-    // both bench binaries, this test's key check below) references the
-    // one constant, so a rename shows up exactly once: in this assert.
+    // this test's key check below) references the one constant, so a
+    // rename shows up exactly once: in this assert.
     assert_eq!(ccai_core::telemetry::SNAPSHOT_SCHEMA, "ccai.telemetry.v2");
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
     let (weights, input) = workload();
@@ -190,6 +190,7 @@ fn snapshot_serializes_with_the_pinned_schema() {
         "\"events_dropped\"",
         "\"counters\"",
         "\"hops\"",
+        "\"tenants\"",
         "\"span_total_picos\"",
         "\"idle_total_picos\"",
         "\"idle_by_tenant\"",
