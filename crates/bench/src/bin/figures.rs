@@ -6,35 +6,7 @@
 //! cargo run -p ccai-bench --bin figures -- fig8     # one artifact
 //! ```
 
-use ccai_bench::{figures, render};
-use std::path::Path;
-
-fn count_repo_loc() -> Option<u32> {
-    // Best-effort: count non-empty lines in crates/*/src/**/*.rs from the
-    // workspace root if it is reachable.
-    fn walk(dir: &Path, total: &mut u32) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, total);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                if let Ok(text) = std::fs::read_to_string(&path) {
-                    *total += text.lines().filter(|l| !l.trim().is_empty()).count() as u32;
-                }
-            }
-        }
-    }
-    let root = Path::new("crates");
-    if !root.exists() {
-        return None;
-    }
-    let mut total = 0;
-    walk(root, &mut total);
-    Some(total)
-}
+use ccai_bench::{figures, render, tcb};
 
 fn main() {
     let filter: Option<String> = std::env::args().nth(1);
@@ -47,7 +19,7 @@ fn main() {
         println!("{}", render::table2());
     }
     if want("table3") {
-        println!("{}", render::table3(count_repo_loc()));
+        println!("{}", render::table3(&tcb::row_lines()));
     }
     if want("fig6") {
         use ccai_crypto::{DhGroup, SchnorrKeyPair};

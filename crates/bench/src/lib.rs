@@ -11,5 +11,6 @@
 
 pub mod figures;
 pub mod render;
+pub mod tcb;
 
 pub use figures::*;

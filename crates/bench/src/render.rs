@@ -146,41 +146,43 @@ pub fn table2() -> String {
     out
 }
 
-/// Renders Table 3 (the TCB breakdown) with this repository's live line
-/// counts alongside the paper's reported numbers.
-pub fn table3(repo_loc: Option<u32>) -> String {
+/// Renders Table 3 (the TCB breakdown): the paper's reported numbers, and
+/// this reproduction's line count per component (`repo_loc`, as
+/// [`crate::tcb::row_lines`] returns it) in the last column.
+pub fn table3(repo_loc: &[(&str, usize)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Table 3: TCB addition (paper-reported) ==");
     let _ = writeln!(
         out,
-        "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8}",
-        "Side", "Component", "LoC", "ALUTs", "Regs", "BRAMs"
+        "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8} {:>9}",
+        "Side", "Component", "LoC", "ALUTs", "Regs", "BRAMs", "repo LoC"
     );
     let fmt_opt = |v: Option<u32>| v.map_or("-".to_string(), |x| x.to_string());
     for row in ccai_core::compat::table3() {
+        let repo = repo_loc.iter().find(|(name, _)| *name == row.component);
         let _ = writeln!(
             out,
-            "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8}",
+            "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8} {:>9}",
             row.side,
             row.component,
             fmt_opt(row.loc),
             fmt_opt(row.aluts),
             fmt_opt(row.regs),
-            fmt_opt(row.brams)
+            fmt_opt(row.brams),
+            repo.map_or("-".to_string(), |(_, lines)| lines.to_string())
         );
     }
     let (loc, aluts, regs, brams) = ccai_core::compat::table3_totals();
+    let repo_total: usize = repo_loc.iter().map(|(_, lines)| lines).sum();
     let _ = writeln!(
         out,
-        "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8}",
-        "Total", "", loc, aluts, regs, brams
+        "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8} {:>9}",
+        "Total", "", loc, aluts, regs, brams, repo_total
     );
-    if let Some(repo) = repo_loc {
-        let _ = writeln!(
-            out,
-            "(this reproduction's Rust source: {repo} lines across the workspace)"
-        );
-    }
+    let _ = writeln!(
+        out,
+        "(repo LoC: this reproduction's non-blank Rust lines before each file's tests)"
+    );
     out
 }
 
@@ -193,8 +195,9 @@ mod tests {
     fn tables_render_nonempty() {
         assert!(table1().contains("Write-Read Protected"));
         assert!(table2().contains("ccAI"));
-        assert!(table3(Some(12345)).contains("Packet Filter"));
-        assert!(table3(Some(12345)).contains("12345"));
+        let table = table3(&[("Packet Filter", 12345)]);
+        assert!(table.contains("Packet Filter"));
+        assert!(table.contains("12345"));
     }
 
     #[test]

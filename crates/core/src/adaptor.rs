@@ -107,11 +107,11 @@ pub struct AdaptorConfig {
     pub staging_len: u64,
     /// Guest address of the tag landing buffer (inside a shared range).
     pub tag_landing: u64,
-    /// Guest address of the metadata batch buffer.
+    /// Guest address of the metadata batch buffer (registered with the SC
+    /// only when `opts.metadata_batching` is on).
     pub metadata_buf: u64,
-    /// Whether MMIO writes are mirrored with integrity tags.
-    pub mmio_integrity: bool,
-    /// The §5 optimization switches.
+    /// The §5 optimization switches. Sequenced driver register writes are
+    /// always mirrored with integrity tags; that is not a switch.
     pub opts: OptimizationConfig,
 }
 
@@ -131,7 +131,6 @@ struct AdaptorState {
     /// `pending_d2h` are consumed by recovery even when it fails).
     stream_of: Vec<(u64, StreamId)>,
     tag_cursor: u64,
-    mmio_seq: u64,
     /// Control-envelope sequence counter: monotonic for the lifetime of
     /// the binding (never reset at task end, so the SC's strict in-order
     /// window survives epochs).
@@ -182,6 +181,34 @@ impl AdaptorState {
     fn raw_control_write(&mut self, offset: u64, payload: Vec<u8>) -> Tlp {
         self.counters.sc_mmio_writes += 1;
         Tlp::memory_write(self.config.tvm_bdf, self.config.sc_region_base + offset, payload)
+    }
+
+    /// Counts a driver register access and, for a sequenced BAR0 write,
+    /// builds its integrity-tag mirror so bus tampering of control traffic
+    /// is detectable (A3). The tag is keyed by the envelope sequence, so a
+    /// retransmit regenerates the very same record and the SC's monotone
+    /// acceptance dedups it. The SC refuses an un-enveloped register
+    /// write, so such a write gets no tag.
+    fn mirror_driver_write(&mut self, tlp: &Tlp) -> Option<Tlp> {
+        let header = tlp.header();
+        let addr = header.address().filter(|a| self.config.xpu_bar0.contains(a))?;
+        match header.tlp_type() {
+            TlpType::MemWrite => self.counters.driver_mmio_writes += 1,
+            TlpType::MemRead => self.counters.driver_mmio_reads += 1,
+            _ => {}
+        }
+        if header.tlp_type() != TlpType::MemWrite {
+            return None;
+        }
+        let (_, seq) = parse_ctrl_envelope(tlp.payload())?;
+        let cipher = stream_cipher(&mut self.keys, MMIO_STREAM);
+        let chunk = ChunkRef { stream: MMIO_STREAM, seq };
+        let mut signed = addr.to_be_bytes().to_vec();
+        signed.extend_from_slice(tlp.payload());
+        let tag = self.engine.plain_tag(cipher, &chunk.nonce(), &signed);
+        let record = TagRecord { stream: MMIO_STREAM, seq, tag };
+        self.counters.mmio_tags += 1;
+        Some(self.raw_control_write(regs::TAG_QUEUE, record.to_bytes().to_vec()))
     }
 
     /// Queues a sequenced control-window write into the go-back-N window.
@@ -280,7 +307,6 @@ impl Adaptor {
             pending_d2h: Vec::new(),
             stream_of: Vec::new(),
             tag_cursor: 0,
-            mmio_seq: 0,
             ctrl_seq: 0,
             unacked: Vec::new(),
             ctrl_read_tag: 0,
@@ -336,13 +362,33 @@ impl Adaptor {
         }
     }
 
+    /// Runs `attempt_once` until it returns `Some`, at most
+    /// `retry.max_attempts` times, noting a control retry against `what`
+    /// before every re-attempt.
+    fn with_control_retries<T>(
+        &self,
+        what: &str,
+        mut attempt_once: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        let max_attempts = self.state.borrow().retry.max_attempts;
+        let mut attempt = 0u32;
+        loop {
+            if let Some(value) = attempt_once() {
+                return Some(value);
+            }
+            attempt += 1;
+            if attempt >= max_attempts {
+                return None;
+            }
+            self.note_control_retry(what, attempt);
+        }
+    }
+
     /// Reads a control-window register with a rotating tag, re-issuing a
     /// bounded number of times when the completion goes missing or comes
     /// back mangled.
     fn control_read_u64(&self, port: &mut dyn TlpPort, offset: u64) -> Option<u64> {
-        let max_attempts = self.state.borrow().retry.max_attempts;
-        let mut attempt = 0u32;
-        loop {
+        self.with_control_retries("read", || {
             let (read, tag) = {
                 let mut state = self.state.borrow_mut();
                 state.counters.sc_mmio_reads += 1;
@@ -350,22 +396,13 @@ impl Adaptor {
                 let addr = state.config.sc_region_base + offset;
                 (Tlp::memory_read(state.config.tvm_bdf, addr, 8, tag), tag)
             };
-            let replies = port.request(read);
-            let value = replies.iter().find_map(|r| {
+            port.request(read).iter().find_map(|r| {
                 (r.header().tlp_type() == TlpType::CompletionData
                     && r.header().tag() == tag
                     && r.payload().len() >= 8)
                     .then(|| u64::from_le_bytes(r.payload()[..8].try_into().expect("8B")))
-            });
-            if value.is_some() {
-                return value;
-            }
-            attempt += 1;
-            if attempt >= max_attempts {
-                return None;
-            }
-            self.note_control_retry("read", attempt);
-        }
+            })
+        })
     }
 
     /// Drives the go-back-N window: sends every unacknowledged sequenced
@@ -381,102 +418,79 @@ impl Adaptor {
     /// On retry-budget exhaustion the unacknowledged suffix stays queued
     /// and rides the next flush.
     fn flush_control(&self, port: &mut dyn TlpPort) -> bool {
-        let max_attempts = self.state.borrow().retry.max_attempts;
-        let mut attempt = 0u32;
-        loop {
+        self.with_control_retries("flush", || {
             let resend: Vec<Tlp> = {
                 let state = self.state.borrow();
                 state.unacked.iter().map(|(_, tlp)| tlp.clone()).collect()
             };
             if resend.is_empty() {
-                return true;
+                return Some(());
             }
             for tlp in resend {
                 port.request(tlp);
             }
             let first = self.control_read_u64(port, regs::CTRL_SEQ_ACK);
             let second = self.control_read_u64(port, regs::CTRL_SEQ_ACK);
-            if let (Some(a), Some(b)) = (first, second) {
-                if a == b {
-                    let mut state = self.state.borrow_mut();
-                    if a <= state.ctrl_seq {
-                        state.unacked.retain(|(seq, _)| *seq > a);
-                    }
-                    if state.unacked.is_empty() {
-                        return true;
-                    }
-                }
+            let ack = match (first, second) {
+                (Some(a), Some(b)) if a == b => a,
+                _ => return None,
+            };
+            let mut state = self.state.borrow_mut();
+            if ack <= state.ctrl_seq {
+                state.unacked.retain(|(seq, _)| *seq > ack);
             }
-            attempt += 1;
-            if attempt >= max_attempts {
-                return false;
-            }
-            self.note_control_retry("flush", attempt);
-        }
+            state.unacked.is_empty().then_some(())
+        })
+        .is_some()
     }
 
     /// Writes a control register through the sequenced path and verifies
     /// its content by read-back, re-writing (with a fresh sequence) until
     /// the SC holds the intended value. Cures both dropped writes and
     /// payloads corrupted in flight.
-    fn write_control_verified(&self, port: &mut dyn TlpPort, offset: u64, value: u64) -> bool {
-        let max_attempts = self.state.borrow().retry.max_attempts;
-        let mut attempt = 0u32;
-        loop {
-            {
-                let mut state = self.state.borrow_mut();
-                state.queue_control_write(offset, value.to_le_bytes().to_vec());
-            }
+    fn write_control_verified(&self, port: &mut dyn TlpPort, offset: u64, value: u64) {
+        self.with_control_retries("write_verify", || {
+            self.state
+                .borrow_mut()
+                .queue_control_write(offset, value.to_le_bytes().to_vec());
             self.flush_control(port);
-            if self.control_read_u64(port, offset) == Some(value) {
-                return true;
-            }
-            attempt += 1;
-            if attempt >= max_attempts {
-                return false;
-            }
-            self.note_control_retry("write_verify", attempt);
-        }
+            (self.control_read_u64(port, offset) == Some(value)).then_some(())
+        });
     }
 
-    /// `hw_init` (§7.1): registers the tag landing and metadata buffers
-    /// with the SC, verifying each address survived the wire intact.
+    /// `hw_init` (§7.1): registers the tag landing buffer with the SC, and
+    /// the metadata buffer when §5 metadata batching is on, verifying each
+    /// address survived the wire intact. An SC with no metadata buffer
+    /// registered answers per-chunk [`regs::METADATA_QUERY`] reads instead.
     pub fn hw_init(&self, port: &mut dyn TlpPort) {
         let (landing, metadata) = {
             let mut state = self.state.borrow_mut();
             // Registering the landing buffer resets the SC's record
             // cursor; mirror that locally so both sides stay in step.
             state.tag_cursor = 0;
-            (state.config.tag_landing, state.config.metadata_buf)
+            let c = &state.config;
+            (c.tag_landing, c.opts.metadata_batching.then_some(c.metadata_buf))
         };
         self.write_control_verified(port, regs::TAG_LANDING_ADDR, landing);
-        self.write_control_verified(port, regs::METADATA_BUF_ADDR, metadata);
+        if let Some(metadata) = metadata {
+            self.write_control_verified(port, regs::METADATA_BUF_ADDR, metadata);
+        }
     }
 
     /// `pkt_filter_manage` (§7.1): builds the default policy for this
     /// platform, seals it under the config key, stages it into the SC's
     /// configuration space and applies it. Returns `true` if the SC
-    /// reports successful application.
+    /// reports successful application. POLICY_ERR (corrupted staging
+    /// bytes or length) or a lost status re-stages the whole blob under
+    /// fresh sequence numbers and applies it again.
     pub fn install_default_policy(&self, port: &mut dyn TlpPort, master: &[u8; 32]) -> bool {
-        let max_attempts = self.state.borrow().retry.max_attempts;
-        let mut attempt = 0u32;
-        loop {
+        self.with_control_retries("policy", || {
             self.queue_default_policy(master);
             self.flush_control(port);
-            match self.control_read_u64(port, regs::STATUS) {
-                Some(status) if status & status_bits::POLICY_OK != 0 => return true,
-                _ => {
-                    attempt += 1;
-                    if attempt >= max_attempts {
-                        return false;
-                    }
-                    // POLICY_ERR (corrupted staging bytes or length) or a
-                    // lost status: re-stage the whole blob under fresh
-                    // sequence numbers and apply again.
-                    self.note_control_retry("policy", attempt);
-                }
-            }
-        }
+            let status = self.control_read_u64(port, regs::STATUS)?;
+            (status & status_bits::POLICY_OK != 0).then_some(())
+        })
+        .is_some()
     }
 
     /// Queues the full default-policy installation sequence: staged blob
@@ -633,26 +647,25 @@ impl Adaptor {
     /// same epoch to stay in lockstep. The old schedule is destroyed
     /// first — the pre-migration keys cease to exist on this side too.
     ///
-    /// The sequence counters *adopt* the imported anti-replay floors
-    /// (`mmio_floor` / `ctrl_floor`) exactly: the SC now enforces the
-    /// *source's* high-water marks, and its control window is strict
+    /// The control sequence counter *adopts* the imported floor
+    /// (`ctrl_floor`, the SC's CTRL_SEQ_ACK) exactly: the SC now enforces
+    /// the *source's* high-water mark, and its control window is strict
     /// in-order — the only acceptable next sequence is `floor + 1`.
     /// Jumping merely *past* the floor is not enough: a replacement
-    /// blade's own post-reset bring-up writes leave its counters above
+    /// blade's own post-reset bring-up writes leave its counter above
     /// the floor the source exported, and every later write would then
     /// be dropped as a gap. Rewinding is safe because the epoch rotation
     /// puts every future seal under a schedule neither side has used.
     /// Unacknowledged pre-migration control writes are dropped — they
     /// were sealed under the retired epoch and would only ever be
     /// suppressed.
-    pub(crate) fn sync_epoch(&self, epoch: u32, mmio_floor: u64, ctrl_floor: u64) {
+    pub(crate) fn sync_epoch(&self, epoch: u32, ctrl_floor: u64) {
         let mut state = self.state.borrow_mut();
         state.keys.destroy();
         state.epoch = epoch;
         let master = state.master;
         state.keys = WorkloadKeyManager::new(crate::sc::epoch_master(&master, epoch));
         state.keys.provision_stream(MMIO_STREAM, u64::MAX - 1);
-        state.mmio_seq = mmio_floor;
         state.ctrl_seq = ctrl_floor;
         state.unacked.clear();
     }
@@ -966,7 +979,6 @@ impl Adaptor {
         enc.put(&state.pending_d2h);
         enc.put(&state.stream_of);
         enc.put(&state.tag_cursor);
-        enc.put(&state.mmio_seq);
         enc.put(&state.ctrl_seq);
         enc.put(&state.unacked);
         enc.put(&state.ctrl_read_tag);
@@ -997,7 +1009,6 @@ impl Adaptor {
         let pending_d2h = dec.get()?;
         let stream_of = dec.get()?;
         let tag_cursor = dec.get()?;
-        let mmio_seq = dec.get()?;
         let ctrl_seq = dec.get()?;
         let unacked = dec.get()?;
         let ctrl_read_tag = dec.get()?;
@@ -1011,7 +1022,6 @@ impl Adaptor {
         state.pending_d2h = pending_d2h;
         state.stream_of = stream_of;
         state.tag_cursor = tag_cursor;
-        state.mmio_seq = mmio_seq;
         state.ctrl_seq = ctrl_seq;
         state.unacked = unacked;
         state.ctrl_read_tag = ctrl_read_tag;
@@ -1034,51 +1044,7 @@ impl fmt::Debug for AdaptorPort<'_> {
 
 impl TlpPort for AdaptorPort<'_> {
     fn request(&mut self, tlp: Tlp) -> Vec<Tlp> {
-        // Mirror write-protected MMIO register writes with integrity tags
-        // so bus tampering of control traffic is detectable (A3).
-        let mirror = {
-            let mut state = self.state.borrow_mut();
-            let state = &mut *state;
-            let header = tlp.header();
-            let is_bar0_write = header.tlp_type() == TlpType::MemWrite
-                && header
-                    .address()
-                    .is_some_and(|a| state.config.xpu_bar0.contains(&a));
-            if is_bar0_write {
-                state.counters.driver_mmio_writes += 1;
-            } else if header.tlp_type() == TlpType::MemRead
-                && header
-                    .address()
-                    .is_some_and(|a| state.config.xpu_bar0.contains(&a))
-            {
-                state.counters.driver_mmio_reads += 1;
-            }
-            if is_bar0_write && state.config.mmio_integrity {
-                // Sequenced driver writes key their mirror tag by the
-                // envelope sequence, so a retransmit regenerates the very
-                // same record and the SC's monotone acceptance dedups it.
-                // Raw (legacy) writes keep the local counter.
-                let seq = match parse_ctrl_envelope(tlp.payload()) {
-                    Some((_, seq)) => seq,
-                    None => {
-                        let seq = state.mmio_seq;
-                        state.mmio_seq += 1;
-                        seq
-                    }
-                };
-                let cipher = stream_cipher(&mut state.keys, MMIO_STREAM);
-                let chunk = ChunkRef { stream: MMIO_STREAM, seq };
-                let mut signed =
-                    tlp.header().address().expect("checked").to_be_bytes().to_vec();
-                signed.extend_from_slice(tlp.payload());
-                let tag = state.engine.plain_tag(cipher, &chunk.nonce(), &signed);
-                let record = TagRecord { stream: MMIO_STREAM, seq, tag };
-                state.counters.mmio_tags += 1;
-                Some(state.raw_control_write(regs::TAG_QUEUE, record.to_bytes().to_vec()))
-            } else {
-                None
-            }
-        };
+        let mirror = self.state.borrow_mut().mirror_driver_write(&tlp);
         if let Some(mirror) = mirror {
             self.fabric.host_request(mirror);
         }

@@ -228,7 +228,11 @@ impl SnapshotState for ScAlert {
     }
 }
 
-/// Configuration fixed at SC construction.
+/// Configuration fixed at SC construction: who the SC is and whom it
+/// serves. Behaviour is not configured here. A3 always verifies a
+/// sequenced write's mirrored integrity tag, and a tenant gets §5
+/// metadata batches exactly when its Adaptor registered a buffer at
+/// [`regs::METADATA_BUF_ADDR`].
 #[derive(Debug, Clone)]
 pub struct ScConfig {
     /// The SC's own BDF (it authors tag-landing/metadata DMA writes).
@@ -239,12 +243,6 @@ pub struct ScConfig {
     pub tvm_bdf: Bdf,
     /// The protected xPU's requester id.
     pub xpu_bdf: Bdf,
-    /// Whether A3 MMIO writes require mirrored integrity tags.
-    pub mmio_integrity: bool,
-    /// Whether to push metadata batches to the TVM buffer (the §5
-    /// I/O-read optimization); off = the Adaptor polls
-    /// [`regs::METADATA_QUERY`] per chunk.
-    pub metadata_batching: bool,
 }
 
 /// Per-tenant security context: one per (TVM, xPU-or-VF) binding, keyed
@@ -259,7 +257,6 @@ struct TenantCtx {
     tag_landing: Option<u64>,
     tag_landing_cursor: u64,
     metadata_buf: Option<u64>,
-    mmio_seq: u64,
     /// Highest envelope sequence accepted on the A3 MMIO path (monotone
     /// acceptance; duplicates at or below are suppressed).
     mmio_last_seq: u64,
@@ -291,7 +288,6 @@ impl TenantCtx {
             tag_landing: None,
             tag_landing_cursor: 0,
             metadata_buf: None,
-            mmio_seq: 0,
             mmio_last_seq: 0,
             ctrl_last_seq: 0,
             consecutive_crypt_failures: 0,
@@ -318,7 +314,6 @@ impl TenantCtx {
         enc.put(&self.tag_landing);
         enc.put(&self.tag_landing_cursor);
         enc.put(&self.metadata_buf);
-        enc.put(&self.mmio_seq);
         enc.put(&self.mmio_last_seq);
         enc.put(&self.ctrl_last_seq);
         enc.put(&self.consecutive_crypt_failures);
@@ -346,7 +341,6 @@ impl TenantCtx {
             tag_landing: dec.get()?,
             tag_landing_cursor: dec.get()?,
             metadata_buf: dec.get()?,
-            mmio_seq: dec.get()?,
             mmio_last_seq: dec.get()?,
             ctrl_last_seq: dec.get()?,
             consecutive_crypt_failures: dec.get()?,
@@ -599,9 +593,10 @@ impl PcieSc {
 
     /// The anti-replay floors `(mmio_last_seq, ctrl_last_seq)` of the
     /// tenant bound to `tvm_bdf`. After a migration import these carry
-    /// the *source's* high-water marks, and the target's Adaptor must
-    /// fast-forward its own sequence counters past them or every fresh
-    /// sequenced write would be suppressed as a replay.
+    /// the *source's* high-water marks. The target's Adaptor adopts the
+    /// control floor ([`PcieSc::ctrl_ack`]); a driver envelope at or below
+    /// the MMIO floor still verifies, because a fresh mirror tag sits at
+    /// its sequence.
     pub fn replay_floors(&self, tvm_bdf: Bdf) -> Option<(u64, u64)> {
         self.tenant_by_tvm(tvm_bdf)
             .map(|t| (self.tenants[t].mmio_last_seq, self.tenants[t].ctrl_last_seq))
@@ -718,9 +713,10 @@ impl PcieSc {
             TlpType::MemWrite => {
                 match parse_ctrl_envelope(tlp.payload()) {
                     Some((body, seq)) => self.sequenced_control_write(tenant, offset, body, seq),
-                    // Legacy raw writes (and envelope trailers mangled in
-                    // flight) bypass the sequence machinery; a lost raw
-                    // write surfaces as a stalled ack and is re-sent.
+                    // Raw writes (the Adaptor's MMIO tag mirror, and
+                    // envelopes whose trailer was mangled in flight) bypass
+                    // the sequence machinery; a lost one surfaces as a
+                    // failed read-back or a stalled ack and is re-sent.
                     None => {
                         self.control_write(tenant, offset, tlp.payload(), None);
                     }
@@ -821,23 +817,17 @@ impl PcieSc {
                 }),
             },
             regs::NOTIFY => {
-                // Transfer announcement. With metadata batching the SC
-                // pushes one batch describing the upcoming chunks into the
-                // TVM's metadata buffer.
-                let chunks = read_u64(payload);
-                if self.config.metadata_batching {
-                    let ctx = &self.tenants[tenant];
-                    if let Some(buf) = ctx.metadata_buf {
-                        let mut batch = Vec::with_capacity(16);
-                        batch.extend_from_slice(&chunks.to_be_bytes());
-                        batch.extend_from_slice(&ctx.tag_landing_cursor.to_be_bytes());
-                        self.pending_host_writes.push(Tlp::memory_write(
-                            self.config.sc_bdf,
-                            buf,
-                            batch,
-                        ));
-                        self.counters.metadata_batches += 1;
-                    }
+                // Transfer announcement. A tenant that registered a
+                // metadata buffer (§5 metadata batching) gets one batch
+                // describing the upcoming chunks pushed into it.
+                let ctx = &self.tenants[tenant];
+                if let Some(buf) = ctx.metadata_buf {
+                    let mut batch = Vec::with_capacity(16);
+                    batch.extend_from_slice(&read_u64(payload).to_be_bytes());
+                    batch.extend_from_slice(&ctx.tag_landing_cursor.to_be_bytes());
+                    let batch = Tlp::memory_write(self.config.sc_bdf, buf, batch);
+                    self.pending_host_writes.push(batch);
+                    self.counters.metadata_batches += 1;
                 }
             }
             regs::REKEY => {
@@ -1143,69 +1133,58 @@ impl PcieSc {
             self.block_a3(addr, "write-protected MMIO from unbound requester");
             return InterposeOutcome::drop_packet();
         };
-        if self.config.mmio_integrity {
-            // Sequenced (enveloped) writes key their integrity tag by the
-            // envelope sequence and accept monotonically: a duplicate
-            // delivery of an already-verified write is suppressed without
-            // consuming tag state or raising an alert, so driver
-            // retransmits converge to exactly-once semantics.
-            let envelope_seq = parse_ctrl_envelope(tlp.payload()).map(|(_, seq)| seq);
-            let ctx = &mut self.tenants[tenant];
-            let seq = match envelope_seq {
-                Some(seq) => {
-                    // A write at-or-below the acceptance mark is a stale
-                    // duplicate *unless* a fresh mirror tag sits at this
-                    // exact sequence: the Adaptor only mirrors writes the
-                    // TVM actually issued, so a fresh tag at an old seq
-                    // means a re-bound driver restarting its counter, not
-                    // a replay. Re-verifying and re-applying is safe —
-                    // registers are idempotent and triggers use the
-                    // pre-clear protocol.
-                    if seq <= ctx.mmio_last_seq && !ctx.tags.contains(MMIO_STREAM, seq) {
-                        self.counters.control_dup_suppressed += 1;
-                        if let Some(telemetry) = self.telemetry.clone() {
-                            telemetry.record(
-                                Severity::Info,
-                                "sc.control_dup",
-                                self.tenant_tag(tenant),
-                                None,
-                                format!("mmio addr={addr:#x} seq={seq}"),
-                            );
-                            telemetry.counter_add("sc.control_dup_suppressed", 1);
-                        }
-                        return InterposeOutcome::drop_packet();
-                    }
-                    seq
-                }
-                None => {
-                    let seq = ctx.mmio_seq;
-                    ctx.mmio_seq += 1;
-                    seq
-                }
-            };
-            let chunk = ChunkRef { stream: MMIO_STREAM, seq };
-            let Some(tag) = self.tenants[tenant].tags.take(MMIO_STREAM, seq) else {
-                self.block_a3(addr, "missing MMIO integrity tag");
-                return InterposeOutcome::drop_packet();
-            };
-            let Ok(cipher) = self.tenants[tenant].params.cipher(MMIO_STREAM) else {
-                self.block_a3(addr, "no MMIO stream key");
-                return InterposeOutcome::drop_packet();
-            };
-            let mut signed = addr.to_be_bytes().to_vec();
-            signed.extend_from_slice(tlp.payload());
-            if !self.engine.verify_plain_tag(cipher, &chunk.nonce(), &signed, &tag) {
-                self.block_a3(addr, "MMIO integrity tag mismatch");
-                return InterposeOutcome::drop_packet();
+        // The integrity tag is keyed by the envelope sequence, so a write
+        // without one (or whose trailer was mangled in flight) has nothing
+        // to verify against; the driver's read-back re-sends it intact.
+        let Some((_, seq)) = parse_ctrl_envelope(tlp.payload()) else {
+            self.block_a3(addr, "unsequenced MMIO write");
+            return InterposeOutcome::drop_packet();
+        };
+        // Acceptance is monotone: a duplicate delivery of an
+        // already-verified write is suppressed without consuming tag state
+        // or raising an alert, so driver retransmits converge to
+        // exactly-once semantics. A write at-or-below the mark is a stale
+        // duplicate *unless* a fresh mirror tag sits at this exact
+        // sequence: the Adaptor only mirrors writes the TVM actually
+        // issued, so a fresh tag at an old seq means a re-bound driver
+        // restarting its counter, not a replay. Re-verifying and
+        // re-applying is safe — registers are idempotent and triggers use
+        // the pre-clear protocol.
+        let ctx = &self.tenants[tenant];
+        if seq <= ctx.mmio_last_seq && !ctx.tags.contains(MMIO_STREAM, seq) {
+            self.counters.control_dup_suppressed += 1;
+            if let Some(telemetry) = self.telemetry.clone() {
+                telemetry.record(
+                    Severity::Info,
+                    "sc.control_dup",
+                    self.tenant_tag(tenant),
+                    None,
+                    format!("mmio addr={addr:#x} seq={seq}"),
+                );
+                telemetry.counter_add("sc.control_dup_suppressed", 1);
             }
-            if let Some(seq) = envelope_seq {
-                // `max`: a re-bound driver's restarted counter must not
-                // drag the acceptance mark down and re-open the window for
-                // stale duplicates of earlier sequences.
-                let ctx = &mut self.tenants[tenant];
-                ctx.mmio_last_seq = ctx.mmio_last_seq.max(seq);
-            }
+            return InterposeOutcome::drop_packet();
         }
+        let chunk = ChunkRef { stream: MMIO_STREAM, seq };
+        let Some(tag) = self.tenants[tenant].tags.take(MMIO_STREAM, seq) else {
+            self.block_a3(addr, "missing MMIO integrity tag");
+            return InterposeOutcome::drop_packet();
+        };
+        let Ok(cipher) = self.tenants[tenant].params.cipher(MMIO_STREAM) else {
+            self.block_a3(addr, "no MMIO stream key");
+            return InterposeOutcome::drop_packet();
+        };
+        let mut signed = addr.to_be_bytes().to_vec();
+        signed.extend_from_slice(tlp.payload());
+        if !self.engine.verify_plain_tag(cipher, &chunk.nonce(), &signed, &tag) {
+            self.block_a3(addr, "MMIO integrity tag mismatch");
+            return InterposeOutcome::drop_packet();
+        }
+        // `max`: a re-bound driver's restarted counter must not drag the
+        // acceptance mark down and re-open the window for stale
+        // duplicates of earlier sequences.
+        let ctx = &mut self.tenants[tenant];
+        ctx.mmio_last_seq = ctx.mmio_last_seq.max(seq);
 
         let value = read_u64(tlp.payload());
         if let Err(violation) = self.env_guard.verify_write(addr, value) {
@@ -1629,9 +1608,26 @@ mod tests {
             region_base: 0x7F00_0000,
             tvm_bdf: tvm(),
             xpu_bdf: xpu(),
-            mmio_integrity: false,
-            metadata_batching: true,
         }
+    }
+
+    /// Queues the tag the primary tenant's Adaptor would mirror for a
+    /// register write of `payload` to `addr` at MMIO sequence `seq`.
+    fn mirror_tag(sc: &mut PcieSc, addr: u64, payload: &[u8], seq: u64) {
+        let mut signed = addr.to_be_bytes().to_vec();
+        signed.extend_from_slice(payload);
+        let nonce = ChunkRef { stream: MMIO_STREAM, seq }.nonce();
+        let cipher = sc.tenants[0].params.cipher(MMIO_STREAM).unwrap();
+        let tag = CryptoEngine::new().plain_tag(cipher, &nonce, &signed);
+        sc.tenants[0].tags.push(TagRecord { stream: MMIO_STREAM, seq, tag });
+    }
+
+    /// A sequenced register write of `value` to `addr` with its mirror tag
+    /// queued, as the driver and Adaptor send it.
+    fn sequenced_write(sc: &mut PcieSc, addr: u64, value: u64, seq: u64) -> Tlp {
+        let payload = ccai_pcie::seal_ctrl_envelope(&value.to_le_bytes(), seq);
+        mirror_tag(sc, addr, &payload, seq);
+        Tlp::memory_write(tvm(), addr, payload)
     }
 
     fn sc_with_policy() -> PcieSc {
@@ -1698,10 +1694,30 @@ mod tests {
     #[test]
     fn authorized_mmio_passes_a3() {
         let mut sc = sc_with_policy();
-        let write = Tlp::memory_write(tvm(), 0x8000_0040, vec![1, 0, 0, 0, 0, 0, 0, 0]);
+        let write = sequenced_write(&mut sc, 0x8000_0040, 1, 1);
         let outcome = sc.on_downstream(write);
         assert_eq!(outcome.forward.len(), 1);
         assert_eq!(sc.filter_stats().write_protected, 1);
+        assert!(sc.alerts().is_empty(), "{:?}", sc.alerts());
+    }
+
+    /// A3 verifies only sequenced writes: a raw register write is refused
+    /// even when a valid mirror tag waits at sequence 0.
+    #[test]
+    fn unsequenced_mmio_write_is_refused() {
+        let mut sc = sc_with_policy();
+        let payload = 1u64.to_le_bytes();
+        mirror_tag(&mut sc, 0x8000_0040, &payload, 0);
+        let outcome = sc.on_downstream(Tlp::memory_write(tvm(), 0x8000_0040, payload.to_vec()));
+        assert!(outcome.forward.is_empty());
+        assert!(outcome.reply.is_empty());
+        assert_eq!(
+            sc.alerts(),
+            [ScAlert::WriteProtectFailure {
+                addr: 0x8000_0040,
+                reason: "unsequenced MMIO write".to_string(),
+            }]
+        );
     }
 
     #[test]
@@ -1939,13 +1955,13 @@ mod tests {
             addr: 0x8000_0100,
             expected: 0xAB,
         });
-        let good = Tlp::memory_write(tvm(), 0x8000_0100, 0xABu64.to_le_bytes().to_vec());
+        let good = sequenced_write(&mut sc, 0x8000_0100, 0xAB, 1);
         assert_eq!(sc.on_downstream(good).forward.len(), 1);
-        let bad = Tlp::memory_write(tvm(), 0x8000_0100, 0xCDu64.to_le_bytes().to_vec());
+        let bad = sequenced_write(&mut sc, 0x8000_0100, 0xCD, 2);
         assert!(sc.on_downstream(bad).forward.is_empty());
         assert!(matches!(
-            sc.alerts().last().unwrap(),
-            ScAlert::WriteProtectFailure { .. }
+            sc.alerts(),
+            [ScAlert::WriteProtectFailure { reason, .. }] if reason.starts_with("guarded register")
         ));
     }
 

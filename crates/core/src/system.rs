@@ -11,7 +11,7 @@ use crate::adaptor::{Adaptor, AdaptorConfig, AdaptorCounters};
 use crate::perf::OptimizationConfig;
 use crate::sc::{regs, PcieSc, ScConfig, ScCounters};
 use ccai_crypto::{DhGroup, DhKeyPair};
-use ccai_pcie::{Bdf, Fabric, FaultEvent, FaultInjector, FaultPlan, PortId, Tlp};
+use ccai_pcie::{Bdf, Fabric, FaultEvent, FaultInjector, FaultPlan, PortId};
 use ccai_sim::{SnapshotError, Telemetry, TelemetrySnapshot};
 use ccai_tvm::{DmaStager, DriverError, GuestMemory, IdentityStager, TlpPort, XpuDriver};
 use ccai_xpu::{Reg, Xpu, XpuSpec, registers::RESET_MAGIC};
@@ -178,23 +178,9 @@ impl ConfidentialSystem {
         let identity_stager = IdentityStager::new(layout::STAGING_BASE, layout::STAGING_LEN);
 
         let adaptor = if mode.protected() {
-            // §6 workload-key negotiation: a DH exchange between the TVM
-            // trust module and the SC's HRoT-Blade.
-            let group = DhGroup::sim512();
-            let tvm_kp = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");
-            let sc_kp = DhKeyPair::generate(&group, b"hrot-blade-boot-entropy-00000002");
-            let master = tvm_kp.agree(sc_kp.public()).expect("valid exchange");
-            debug_assert_eq!(master, sc_kp.agree(tvm_kp.public()).expect("valid exchange"));
-
+            let master = Self::attested_master();
             let mut sc = PcieSc::new(
-                ScConfig {
-                    sc_bdf,
-                    region_base: layout::SC_REGION,
-                    tvm_bdf,
-                    xpu_bdf,
-                    mmio_integrity: true,
-                    metadata_batching: mode.opts().metadata_batching,
-                },
+                ScConfig { sc_bdf, region_base: layout::SC_REGION, tvm_bdf, xpu_bdf },
                 master,
             );
             sc.set_telemetry(telemetry.clone());
@@ -211,7 +197,6 @@ impl ConfidentialSystem {
                     staging_len: layout::STAGING_LEN,
                     tag_landing: layout::TAG_LANDING,
                     metadata_buf: layout::METADATA_BUF,
-                    mmio_integrity: true,
                     opts: mode.opts(),
                 },
                 master,
@@ -277,16 +262,9 @@ impl ConfidentialSystem {
             return Ok(());
         }
         let adaptor = self.adaptor.clone().expect("protected mode has adaptor");
-        // Recompute the master the same way build() did (both sides hold
-        // it; the adaptor derives the config key from it).
-        let group = DhGroup::sim512();
-        let tvm_kp = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");
-        let sc_kp = DhKeyPair::generate(&group, b"hrot-blade-boot-entropy-00000002");
-        let master = tvm_kp.agree(sc_kp.public()).expect("valid exchange");
-
         let mut port = adaptor.port(&mut self.fabric);
         adaptor.hw_init(&mut port);
-        if !adaptor.install_default_policy(&mut port, &master) {
+        if !adaptor.install_default_policy(&mut port, &Self::attested_master()) {
             return Err(WorkloadError::PolicyRejected);
         }
         adaptor.register_reset_address(&mut port, self.reset_reg_addr);
@@ -364,32 +342,10 @@ impl ConfidentialSystem {
     /// Driver failures and policy-installation failures.
     pub fn load_model(&mut self, weights: &[u8]) -> Result<(), WorkloadError> {
         self.ensure_policy()?;
-        match self.adaptor.clone() {
-            None => {
-                let driver = &self.driver;
-                driver.init(&mut self.fabric)?;
-                driver.load_model(
-                    &mut self.fabric,
-                    &mut self.memory,
-                    &mut self.identity_stager,
-                    weights,
-                    layout::DEV_WEIGHTS,
-                )?;
-            }
-            Some(adaptor) => {
-                let mut stager = adaptor.clone();
-                let driver = &self.driver;
-                let mut port = adaptor.port(&mut self.fabric);
-                driver.init(&mut port)?;
-                driver.load_model(
-                    &mut port,
-                    &mut self.memory,
-                    &mut stager,
-                    weights,
-                    layout::DEV_WEIGHTS,
-                )?;
-            }
-        }
+        self.with_driver(|driver, port, memory, stager| {
+            driver.init(port)?;
+            driver.load_model(port, memory, stager, weights, layout::DEV_WEIGHTS)
+        })?;
         Ok(())
     }
 
@@ -402,60 +358,36 @@ impl ConfidentialSystem {
     ///
     /// Driver failures (including integrity failures under attack).
     pub fn run_inference(&mut self, input: &[u8]) -> Result<Vec<u8>, WorkloadError> {
-        match self.adaptor.clone() {
-            None => {
-                let driver = &self.driver;
-                let result = driver.run_inference(
-                    &mut self.fabric,
-                    &mut self.memory,
-                    &mut self.identity_stager,
-                    input,
-                    layout::DEV_INPUT,
-                    layout::DEV_OUTPUT,
-                )?;
-                self.identity_stager.release_all();
-                Ok(result)
-            }
-            Some(adaptor) => {
-                let mut stager = adaptor.clone();
-                let driver = &self.driver;
-                let mut port = adaptor.port(&mut self.fabric);
-                let result = driver.run_inference(
-                    &mut port,
-                    &mut self.memory,
-                    &mut stager,
-                    input,
-                    layout::DEV_INPUT,
-                    layout::DEV_OUTPUT,
-                )?;
-                stager.release_all();
-                Ok(result)
-            }
-        }
+        let result = self.with_driver(|driver, port, memory, stager| {
+            let result = driver.run_inference(
+                port,
+                memory,
+                stager,
+                input,
+                layout::DEV_INPUT,
+                layout::DEV_OUTPUT,
+            )?;
+            stager.release_all();
+            Ok::<_, DriverError>(result)
+        })?;
+        Ok(result)
     }
 
     /// Terminates the confidential task: performs the
     /// environment-cleaning reset (§4.2) and destroys keys on both sides.
     ///
-    /// The reset write goes first — through the Adaptor port so it carries
-    /// its A3 integrity tag — and the subsequent `TASK_END` doorbell finds
-    /// the environment already clean.
+    /// The reset goes first, as the driver's sequenced register write, so
+    /// it carries its A3 integrity tag under ccAI. The subsequent
+    /// `TASK_END` doorbell then finds the environment already clean.
     pub fn end_task(&mut self) {
-        let reset = Tlp::memory_write(
-            self.tvm_bdf,
-            self.reset_reg_addr,
-            RESET_MAGIC.to_le_bytes().to_vec(),
-        );
-        match self.adaptor.clone() {
-            Some(adaptor) => {
-                let mut port = adaptor.port(&mut self.fabric);
-                port.request(reset);
-                adaptor.end_task(&mut port);
+        let adaptor = self.adaptor.clone();
+        self.with_driver(|driver, port, _, _| {
+            // `ResetCtrl` is posted without read-back, so this cannot fail.
+            let _ = driver.write_register(port, Reg::ResetCtrl, RESET_MAGIC);
+            if let Some(adaptor) = adaptor {
+                adaptor.end_task(port);
             }
-            None => {
-                self.fabric.host_request(reset);
-            }
-        }
+        });
     }
 
     /// Borrows the PCIe-SC for inspection (protected modes only).
@@ -519,11 +451,9 @@ impl ConfidentialSystem {
         let epoch = sc
             .tenant_epoch(tvm_bdf)
             .ok_or(SnapshotError::Invalid("migrated slice lacks the data tenant"))?;
-        let (mmio_floor, ctrl_floor) = sc
-            .replay_floors(tvm_bdf)
-            .expect("tenant_epoch above proved the tenant exists");
+        let ctrl_floor = sc.ctrl_ack(tvm_bdf).expect("tenant_epoch above proved the tenant exists");
         if let Some(adaptor) = &self.adaptor {
-            adaptor.sync_epoch(epoch, mmio_floor, ctrl_floor);
+            adaptor.sync_epoch(epoch, ctrl_floor);
         }
         self.telemetry.record(
             ccai_sim::Severity::Warn,
@@ -663,12 +593,25 @@ impl ConfidentialSystem {
     /// Runs `f` with a TLP port appropriate for this mode (the Adaptor
     /// port under ccAI, the raw fabric otherwise).
     pub fn with_port<R>(&mut self, f: impl FnOnce(&mut dyn TlpPort, &mut GuestMemory) -> R) -> R {
+        self.with_driver(|_, port, memory, _| f(port, memory))
+    }
+
+    /// Runs `f` with the driver and this mode's port, guest memory and
+    /// stager: the Adaptor's port with the Adaptor as stager under ccAI,
+    /// the bare fabric with the identity stager in vanilla mode.
+    fn with_driver<R>(
+        &mut self,
+        f: impl FnOnce(&XpuDriver, &mut dyn TlpPort, &mut GuestMemory, &mut dyn DmaStager) -> R,
+    ) -> R {
         match self.adaptor.clone() {
             Some(adaptor) => {
+                let mut stager = adaptor.clone();
                 let mut port = adaptor.port(&mut self.fabric);
-                f(&mut port, &mut self.memory)
+                f(&self.driver, &mut port, &mut self.memory, &mut stager)
             }
-            None => f(&mut self.fabric, &mut self.memory),
+            None => {
+                f(&self.driver, &mut self.fabric, &mut self.memory, &mut self.identity_stager)
+            }
         }
     }
 
@@ -719,9 +662,9 @@ impl ConfidentialSystem {
         self.policy_installed = installed;
     }
 
-    /// Re-derives the attested master secret exactly as
-    /// [`ConfidentialSystem::build`] negotiated it (fixed boot entropy on
-    /// both endpoints makes the DH exchange deterministic).
+    /// The attested master secret: the §6 workload-key negotiation, a DH
+    /// exchange between the TVM trust module and the SC's HRoT-Blade
+    /// (fixed boot entropy on both endpoints makes it deterministic).
     pub(crate) fn attested_master() -> [u8; 32] {
         let group = DhGroup::sim512();
         let tvm_kp = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");

@@ -22,11 +22,12 @@
 //! sequence numbers. Receivers that *do* understand the envelope strip
 //! it with [`parse_ctrl_envelope`] before dispatching the body.
 //!
-//! Legacy raw (un-enveloped) writes remain valid: a payload that does
-//! not end in the magic parses as `None` and takes the legacy path.
-//! The magic makes a false positive require 8 exact bytes in attacker-
-//! or corruption-controlled positions; a corrupted trailer simply
-//! demotes the write to a raw one, which the sender's read-back
+//! A payload that does not end in the magic parses as `None`, a raw
+//! write. The PCIe-SC accepts raw writes only on its own control window
+//! (the Adaptor's MMIO tag mirror is one); a raw xPU register write is
+//! refused. The magic makes a false positive require 8 exact bytes in
+//! attacker- or corruption-controlled positions; a corrupted trailer
+//! simply demotes the write to a raw one, which the sender's read-back
 //! verification then catches and re-sends.
 
 /// Magic marking an enveloped control write; chosen to never collide
@@ -46,7 +47,7 @@ pub fn seal_ctrl_envelope(body: &[u8], seq: u64) -> Vec<u8> {
 }
 
 /// Splits an enveloped payload into `(body, seq)`; `None` if the payload
-/// is not enveloped (legacy raw write).
+/// is not enveloped (a raw write).
 pub fn parse_ctrl_envelope(payload: &[u8]) -> Option<(&[u8], u64)> {
     if payload.len() < CTRL_ENVELOPE_LEN {
         return None;

@@ -11,8 +11,10 @@
 //! SC filter state converge to the fault-free baseline — while the same
 //! seed replays the identical fault trace and telemetry digest.
 
+use ccai_core::sc::ScAlert;
+use ccai_core::system::layout;
 use ccai_core::{ConfidentialSystem, SystemMode};
-use ccai_pcie::{FaultEvent, FaultPlan};
+use ccai_pcie::{parse_ctrl_envelope, FaultEvent, FaultPlan, Tlp, TlpType, WireAttack};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::{CommandProcessor, Reg, RegisterFile, XpuSpec};
 
@@ -168,4 +170,58 @@ fn control_faults_leave_datapath_free_plans_untouched() {
     assert_eq!(armed.result, clean.result);
     assert_eq!(armed.memory_digest, clean.memory_digest);
     assert_eq!(armed.control_retries, 0);
+}
+
+/// Flips one magic byte in the trailer of the next enveloped driver
+/// register write, the way a corrupt control-path fault can.
+#[derive(Debug)]
+struct TrailerMangler {
+    armed: bool,
+}
+
+impl WireAttack for TrailerMangler {
+    fn mangle(&mut self, mut tlp: Tlp, downstream: bool) -> Option<Tlp> {
+        let bar0 = layout::XPU_BAR_BASE..layout::XPU_BAR_BASE + ccai_xpu::device::BAR0_SIZE;
+        if self.armed
+            && downstream
+            && tlp.header().tlp_type() == TlpType::MemWrite
+            && tlp.header().address().is_some_and(|a| bar0.contains(&a))
+            && parse_ctrl_envelope(tlp.payload()).is_some()
+        {
+            self.armed = false;
+            let magic_at = tlp.payload().len() - 16;
+            tlp.payload_mut()[magic_at] ^= 0x40;
+        }
+        Some(tlp)
+    }
+}
+
+#[test]
+fn environment_reset_survives_a_mangled_register_trailer() {
+    // A register write whose envelope trailer is mangled in flight reaches
+    // the SC unsequenced and is refused; the driver's read-back re-sends
+    // it intact. Nothing of that refusal may linger: the task's
+    // environment-cleaning reset must still verify.
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    let (weights, input) = workload();
+    system.run_workload(&weights, &input).expect("clean run");
+
+    let expected = CommandProcessor::surrogate_inference(&weights, &input);
+    let mangler = TrailerMangler { armed: true };
+    system.fabric_mut().set_wire_attack(Box::new(mangler));
+    let result = system.run_inference(&input).expect("the driver re-sends the mangled write");
+    assert_eq!(result, expected);
+    system.fabric_mut().clear_wire_attack();
+    system.end_task();
+
+    let reset_addr =
+        layout::XPU_BAR_BASE + system.xpu_register_snapshot().offset(Reg::ResetCtrl);
+    let alerts = system.sc().unwrap().alerts();
+    let reset_refusals: Vec<_> = alerts
+        .iter()
+        .filter(|a| matches!(a, ScAlert::WriteProtectFailure { addr, .. } if *addr == reset_addr))
+        .collect();
+    assert!(reset_refusals.is_empty(), "environment reset refused: {reset_refusals:?}");
+    let next = system.run_workload(&weights, &input).expect("the next task runs");
+    assert_eq!(next, expected);
 }

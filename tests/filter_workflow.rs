@@ -23,8 +23,6 @@ fn fresh_sc(master: [u8; 32]) -> PcieSc {
             region_base: 0x7F00_0000,
             tvm_bdf: tvm(),
             xpu_bdf: xpu(),
-            mmio_integrity: false,
-            metadata_batching: true,
         },
         master,
     )

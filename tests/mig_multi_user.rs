@@ -52,8 +52,6 @@ fn build() -> Rig {
             region_base: SC_REGION,
             tvm_bdf: tvm_bdf(0),
             xpu_bdf: vf_bdfs[0],
-            mmio_integrity: true,
-            metadata_batching: true,
         },
         MASTERS[0],
     );
@@ -86,7 +84,6 @@ fn build() -> Rig {
                 staging_len: STAGING[i].1,
                 tag_landing: TAG_LANDING[i],
                 metadata_buf: METADATA[i],
-                mmio_integrity: true,
                 opts: OptimizationConfig::all_on(),
             },
             MASTERS[i],

@@ -67,8 +67,6 @@ fn build_rig() -> TwoTenantRig {
                 region_base: SC_REGIONS[i],
                 tvm_bdf,
                 xpu_bdf,
-                mmio_integrity: true,
-                metadata_batching: true,
             },
             master,
         );
@@ -85,7 +83,6 @@ fn build_rig() -> TwoTenantRig {
                 staging_len: STAGING[i].1,
                 tag_landing: TAG_LANDING[i],
                 metadata_buf: METADATA[i],
-                mmio_integrity: true,
                 opts: OptimizationConfig::all_on(),
             },
             master,

@@ -283,9 +283,11 @@ fn environment_guard_blocks_page_table_retargeting() {
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
     system.run_workload(b"w", b"i").unwrap();
     // Register a guarded page-table base, then attack it via the Adaptor
-    // port (so the MMIO integrity tag is valid — the *value* is the attack).
+    // port with a sequenced write (so the MMIO integrity tag is valid —
+    // the *value* is the attack).
     let guarded_addr = layout::XPU_BAR_BASE + 0x40;
     let tvm = system.tvm_bdf();
+    let seq = system.sc().unwrap().replay_floors(tvm).unwrap().0 + 1;
     let (_, _, _, _, adaptor) = system.parts();
     let adaptor = adaptor.expect("ccai mode");
     {
@@ -296,15 +298,17 @@ fn environment_guard_blocks_page_table_retargeting() {
         port.request(Tlp::memory_write(
             tvm,
             guarded_addr,
-            0xBAD0_0000u64.to_le_bytes().to_vec(),
+            seal_ctrl_envelope(&0xBAD0_0000u64.to_le_bytes(), seq),
         ));
     }
     let alerts = system.sc().unwrap().alerts();
     assert!(
-        alerts
-            .iter()
-            .any(|a| matches!(a, ScAlert::WriteProtectFailure { .. })),
-        "page-table retargeting must be caught: {alerts:?}"
+        matches!(
+            alerts,
+            [ScAlert::WriteProtectFailure { addr, reason }]
+                if *addr == guarded_addr && reason.starts_with("guarded register")
+        ),
+        "the environment guard must catch page-table retargeting: {alerts:?}"
     );
 }
 
@@ -353,8 +357,9 @@ fn forged_env_policy_records_are_refused() {
         "a refused record must not consume its sequence"
     );
 
-    // No guard was installed: an authentic write of another value to the
-    // victim register passes the environment guard.
+    // No guard was installed: an authentic sequenced write of another
+    // value to the victim register passes the environment guard.
+    let seq = system.sc().unwrap().replay_floors(tvm).unwrap().0 + 1;
     let (_, _, _, _, adaptor) = system.parts();
     let adaptor = adaptor.expect("ccai mode");
     {
@@ -364,7 +369,7 @@ fn forged_env_policy_records_are_refused() {
         port.request(Tlp::memory_write(
             tvm,
             victim,
-            0x1234u64.to_le_bytes().to_vec(),
+            seal_ctrl_envelope(&0x1234u64.to_le_bytes(), seq),
         ));
     }
     assert!(
