@@ -18,8 +18,8 @@
 //!   (epoch-derived GCM keys diverge) and at the bus level (replayed
 //!   pre-migration TLPs are visibly suppressed).
 //!
-//! When `CCAI_TRACE_DIGEST_OUT` names a file, the replay test dumps the
-//! chaotic digest to it so CI can diff two consecutive suite runs.
+//! The replay test checks the chaotic digest against
+//! `tests/golden/fleet_chaos.txt` (see `support/golden.rs`).
 
 use ccai_core::sc::epoch_master;
 use ccai_core::system::{layout, SystemMode};
@@ -31,6 +31,9 @@ use ccai_pcie::{BusAdversary, Tlp, TlpType};
 use ccai_sim::SimDuration;
 use ccai_sim::SimTime;
 use ccai_xpu::{CommandProcessor, XpuSpec};
+
+#[path = "support/golden.rs"]
+mod golden;
 
 fn at_ms(ms: u64) -> SimTime {
     SimTime::from_picos(ms * 1_000_000_000)
@@ -192,10 +195,9 @@ fn chaotic_runs_replay_bit_identically() {
         "a different chaos plan must change the trace"
     );
 
-    if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
-        let dump = format!("fleet_chaos={}\n", a.telemetry().digest_hex());
-        std::fs::write(&path, dump).expect("write digest dump");
-    }
+    let t = a.telemetry();
+    let dump = golden::line("fleet_chaos", &t.digest_hex(), t.now().as_picos(), None);
+    golden::check("fleet_chaos", "", &dump);
 }
 
 /// During a single-replica failover (crash, later a hot-plugged

@@ -10,14 +10,17 @@
 //! and the flooder's shed/idle numbers (not the victims') carry the
 //! damage.
 //!
-//! When `CCAI_TRACE_DIGEST_OUT` names a file, the determinism test dumps
-//! the digests it computed so CI can diff two consecutive suite runs.
+//! The determinism test checks its digests against
+//! `tests/golden/fleet_serving.txt` (see `support/golden.rs`).
 
 use ccai_llm::serve::{FleetConfig, FleetServer, TenantSpec};
 use ccai_llm::LlmSpec;
 use ccai_sim::telemetry::ALL_HOPS;
 use ccai_sim::SimDuration;
 use ccai_xpu::XpuSpec;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 /// Victim contract: 25 req/s mean offered load, bucket sized to admit it.
 const VICTIM_MEAN_MS: u64 = 40;
@@ -65,16 +68,12 @@ fn fleet_run_replays_bit_identically_for_the_same_seed() {
         "different seeds must produce different traces"
     );
 
-    // CI hook: dump the digests so two consecutive suite runs can be
-    // diffed without parsing test output.
-    if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
-        let dump = format!(
-            "fleet_limited={}\nfleet_open={}\n",
-            limited_a.telemetry().digest_hex(),
-            open_a.telemetry().digest_hex()
-        );
-        std::fs::write(&path, dump).expect("write digest dump");
-    }
+    let line = |name, fleet: &FleetServer| {
+        let t = fleet.telemetry();
+        golden::line(name, &t.digest_hex(), t.now().as_picos(), None)
+    };
+    let dump = line("fleet_limited", &limited_a) + &line("fleet_open", &open_a);
+    golden::check("fleet_serving", "", &dump);
 }
 
 /// The flooding scenario: tenant 0 offers 10× its contract; tenants

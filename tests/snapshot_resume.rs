@@ -10,6 +10,10 @@
 //! result, telemetry trace digest, xPU register file, device-memory
 //! digest, SC filter digest and counters, and the same fault trace —
 //! including faults the injector schedules after the resume point.
+//!
+//! The dump test checks every (regime × snapshot point), the snapshot
+//! images and the fleet regime against `tests/golden/snapshot_resume.txt`
+//! (see `support/golden.rs`).
 
 use ccai_core::sc::ScCounters;
 use ccai_core::snapshot::snapshot_mid_task;
@@ -18,6 +22,9 @@ use ccai_crypto::sha256;
 use ccai_pcie::{FaultEvent, FaultPlan};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::{CommandProcessor, RegisterFile, XpuSpec};
+
+#[path = "support/golden.rs"]
+mod golden;
 
 const WEIGHTS_LEN: usize = 20_000;
 const INPUT_LEN: usize = 6_000;
@@ -54,6 +61,7 @@ enum SnapPoint {
 struct Outcome {
     result: Vec<u8>,
     telemetry_digest: String,
+    elapsed_ps: u64,
     memory_digest: [u8; 32],
     registers: RegisterFile,
     filter_digest: String,
@@ -66,6 +74,7 @@ fn observe(system: &ConfidentialSystem, result: Vec<u8>) -> Outcome {
     Outcome {
         result,
         telemetry_digest: system.telemetry().digest_hex(),
+        elapsed_ps: system.telemetry().now().as_picos(),
         memory_digest: system.xpu_memory_digest(),
         registers: system.xpu_register_snapshot(),
         filter_digest: system.sc_filter_digest(),
@@ -189,15 +198,18 @@ fn snapshot_itself_leaves_no_trace() {
 
 #[test]
 fn trace_digests_replay_across_suite_runs() {
-    // CI hook, mirroring `telemetry_trace`: dump one digest per
-    // (regime × snapshot point) so two consecutive suite runs can be
-    // diffed without parsing test output. The snapshot images' hashes
-    // follow the digests, so a codec change that moves a byte shows up.
+    // One golden line per (regime × snapshot point), each carrying the
+    // snapshot image's hash so a codec change that moves a byte shows
+    // up, then the fleet regime's.
     let mut dump = String::new();
-    let mut images = String::new();
     for (name, plan) in regimes() {
         let reference = baseline(plan.as_ref());
-        dump.push_str(&format!("{name}_baseline={}\n", reference.telemetry_digest));
+        dump += &golden::line(
+            &format!("{name}_baseline"),
+            &reference.telemetry_digest,
+            reference.elapsed_ps,
+            None,
+        );
         for (point_name, point) in [
             ("pre_traffic", SnapPoint::PreTraffic),
             ("mid_task", SnapPoint::MidTask),
@@ -205,14 +217,16 @@ fn trace_digests_replay_across_suite_runs() {
         ] {
             let (resumed, image) = resumed_at(plan.as_ref(), point);
             assert_eq!(resumed.telemetry_digest, reference.telemetry_digest);
-            dump.push_str(&format!("{name}_{point_name}={}\n", resumed.telemetry_digest));
-            images.push_str(&format!("{name}_{point_name}_image={image}\n"));
+            dump += &golden::line(
+                &format!("{name}_{point_name}"),
+                &resumed.telemetry_digest,
+                resumed.elapsed_ps,
+                Some(&image),
+            );
         }
     }
-    dump.push_str(&images);
-    if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
-        std::fs::write(&path, dump).expect("write digest dump");
-    }
+    dump += &fleet_regime();
+    golden::check("snapshot_resume", "", &dump);
 }
 
 /// The fleet-serving regime: a whole multi-tenant fleet — arrival RNG,
@@ -220,9 +234,8 @@ fn trace_digests_replay_across_suite_runs() {
 /// and telemetry — snapshotted mid-flight with requests queued but not
 /// yet admitted, resumed, and driven to the end. The resumed fleet must
 /// reproduce the uninterrupted run's trace digest and report
-/// bit-exactly.
-#[test]
-fn fleet_serving_resume_matches_the_uninterrupted_run() {
+/// bit-exactly. Returns the regime's golden line.
+fn fleet_regime() -> String {
     use ccai_llm::serve::{FleetConfig, FleetServer};
 
     const TOTAL: u64 = 3_000;
@@ -252,15 +265,15 @@ fn fleet_serving_resume_matches_the_uninterrupted_run() {
         "resumed fleet diverged from the uninterrupted run"
     );
     assert_eq!(straight.report().to_json(), resumed.report().to_json());
+    golden::line(
+        "fleet_serving",
+        &resumed.telemetry().digest_hex(),
+        resumed.telemetry().now().as_picos(),
+        Some(&sha256(&image).to_hex()),
+    )
+}
 
-    // Sibling dump file: tests run in parallel, so appending to the main
-    // CCAI_TRACE_DIGEST_OUT file would race the other dump test.
-    if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
-        let dump = format!(
-            "fleet_serving={}\nfleet_serving_image={}\n",
-            resumed.telemetry().digest_hex(),
-            sha256(&image).to_hex()
-        );
-        std::fs::write(format!("{path}.fleet"), dump).expect("write digest dump");
-    }
+#[test]
+fn fleet_serving_resume_matches_the_uninterrupted_run() {
+    fleet_regime();
 }

@@ -6,13 +6,16 @@
 //! TLP path: the same seed must produce bit-identical traces, with and
 //! without an armed fault plan.
 //!
-//! When `CCAI_TRACE_DIGEST_OUT` names a file, the golden test also dumps
-//! the digests it computed so CI can diff two consecutive runs.
+//! The golden test checks both scenarios against
+//! `tests/golden/telemetry_trace.txt` (see `support/golden.rs`).
 
 use ccai_core::{ConfidentialSystem, SystemMode, TelemetryEvent};
 use ccai_pcie::{FaultPlan, InterposeOutcome, Interposer, PortId, Tlp};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::XpuSpec;
+
+#[path = "support/golden.rs"]
+mod golden;
 
 const WEIGHTS_LEN: usize = 20_000;
 const INPUT_LEN: usize = 6_000;
@@ -48,8 +51,9 @@ impl Interposer for PerTlp {
     }
 }
 
-/// Runs one fixed-seed workload and returns (digest hex, event trace).
-fn run_traced(plan: Option<FaultPlan>) -> (String, Vec<TelemetryEvent>) {
+/// Runs one fixed-seed workload and returns (digest hex, event trace,
+/// sim elapsed ps).
+fn run_traced(plan: Option<FaultPlan>) -> (String, Vec<TelemetryEvent>, u64) {
     run_traced_with_pump(plan, true)
 }
 
@@ -59,7 +63,7 @@ fn run_traced(plan: Option<FaultPlan>) -> (String, Vec<TelemetryEvent>) {
 fn run_traced_with_pump(
     plan: Option<FaultPlan>,
     batching: bool,
-) -> (String, Vec<TelemetryEvent>) {
+) -> (String, Vec<TelemetryEvent>, u64) {
     let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
     if !batching {
         let fabric = system.fabric_mut();
@@ -87,7 +91,7 @@ fn run_traced_with_pump(
     } else {
         assert_eq!(batches, 0, "the per-TLP path must not record batches");
     }
-    (telemetry.digest_hex(), telemetry.events())
+    (telemetry.digest_hex(), telemetry.events(), telemetry.now().as_picos())
 }
 
 fn faulted_plan() -> FaultPlan {
@@ -96,14 +100,14 @@ fn faulted_plan() -> FaultPlan {
 
 #[test]
 fn same_seed_produces_identical_trace() {
-    let (digest_a, events_a) = run_traced(None);
-    let (digest_b, events_b) = run_traced(None);
+    let (digest_a, events_a, elapsed_a) = run_traced(None);
+    let (digest_b, events_b, _) = run_traced(None);
     assert_eq!(digest_a, digest_b, "fault-free trace must replay bit-identically");
     assert_eq!(events_a, events_b, "the full event sequence must replay");
     assert!(!events_a.is_empty(), "a workload run must leave a trace");
 
-    let (faulted_a, f_events_a) = run_traced(Some(faulted_plan()));
-    let (faulted_b, f_events_b) = run_traced(Some(faulted_plan()));
+    let (faulted_a, f_events_a, f_elapsed_a) = run_traced(Some(faulted_plan()));
+    let (faulted_b, f_events_b, _) = run_traced(Some(faulted_plan()));
     assert_eq!(faulted_a, faulted_b, "same fault seed, same trace digest");
     assert_eq!(f_events_a, f_events_b);
     assert_ne!(
@@ -111,12 +115,9 @@ fn same_seed_produces_identical_trace() {
         "injected faults must be visible in the trace digest"
     );
 
-    // CI hook: dump the digests so two consecutive suite runs can be
-    // diffed without parsing test output.
-    if let Ok(path) = std::env::var("CCAI_TRACE_DIGEST_OUT") {
-        let dump = format!("fault_free={digest_a}\nfaulted={faulted_a}\n");
-        std::fs::write(&path, dump).expect("write digest dump");
-    }
+    let dump = golden::line("fault_free", &digest_a, elapsed_a, None)
+        + &golden::line("faulted", &faulted_a, f_elapsed_a, None);
+    golden::check("telemetry_trace", "", &dump);
 }
 
 /// The §5 metadata batching must be invisible to the golden trace: batch
@@ -128,8 +129,8 @@ fn same_seed_produces_identical_trace() {
 fn batched_pump_replays_the_per_tlp_trace_bit_identically() {
     for faulted in [false, true] {
         let plan = || faulted.then(faulted_plan);
-        let (batched_digest, batched_events) = run_traced_with_pump(plan(), true);
-        let (legacy_digest, legacy_events) = run_traced_with_pump(plan(), false);
+        let (batched_digest, batched_events, _) = run_traced_with_pump(plan(), true);
+        let (legacy_digest, legacy_events, _) = run_traced_with_pump(plan(), false);
         assert_eq!(
             batched_digest, legacy_digest,
             "batching changed the trace digest (faulted={faulted})"
@@ -143,7 +144,7 @@ fn batched_pump_replays_the_per_tlp_trace_bit_identically() {
 
 #[test]
 fn fault_events_appear_in_the_trace() {
-    let (_, events) = run_traced(Some(faulted_plan()));
+    let (_, events, _) = run_traced(Some(faulted_plan()));
     assert!(
         events.iter().any(|e| e.kind.starts_with("fault.")),
         "armed injector must leave fault events in the trace"
@@ -164,7 +165,7 @@ fn fault_events_appear_in_the_trace() {
 
 #[test]
 fn trace_is_ordered_and_stamped_monotonically() {
-    let (_, events) = run_traced(Some(faulted_plan()));
+    let (_, events, _) = run_traced(Some(faulted_plan()));
     for pair in events.windows(2) {
         assert!(pair[0].seq < pair[1].seq, "sequence numbers strictly increase");
         assert!(pair[0].at <= pair[1].at, "timestamps never go backwards");
