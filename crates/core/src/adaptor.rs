@@ -145,7 +145,7 @@ struct AdaptorState {
     ctrl_read_tag: u8,
     retry: RetryPolicy,
     env_key: AesGcm,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 /// The stream's expanded key, provisioned on first use. Takes the key
@@ -293,8 +293,9 @@ impl fmt::Debug for Adaptor {
 
 impl Adaptor {
     /// Loads the Adaptor with the post-attestation master secret (the
-    /// same one the PCIe-SC holds).
-    pub fn new(config: AdaptorConfig, master: [u8; 32]) -> Adaptor {
+    /// same one the PCIe-SC holds). Staging and crypto work become
+    /// per-hop spans on `telemetry`, retries and rekeys trace events.
+    pub fn new(config: AdaptorConfig, master: [u8; 32], telemetry: Telemetry) -> Adaptor {
         let mut state = AdaptorState {
             config,
             master,
@@ -314,16 +315,10 @@ impl Adaptor {
             env_key: AesGcm::new(
                 &Key::from_bytes(&hkdf(b"ccai-env-key", &master, b"env", 16)).expect("16B key"),
             ),
-            telemetry: None,
+            telemetry,
         };
         state.keys.provision_stream(MMIO_STREAM, u64::MAX - 1);
         Adaptor { state: Rc::new(RefCell::new(state)) }
-    }
-
-    /// Connects the Adaptor to the telemetry hub: staging and crypto work
-    /// become per-hop spans, retries and rekeys become trace events.
-    pub fn set_telemetry(&self, telemetry: Telemetry) {
-        self.state.borrow_mut().telemetry = Some(telemetry);
     }
 
     /// Derives the SC-compatible config key from the same master secret.
@@ -347,19 +342,17 @@ impl Adaptor {
         let mut state = self.state.borrow_mut();
         state.counters.control_retries += 1;
         let tenant = state.tenant();
-        if let Some(telemetry) = state.telemetry.clone() {
-            telemetry.record(
-                Severity::Warn,
-                "adaptor.control_retry",
-                tenant,
-                None,
-                format!("target={what} attempt={attempt}"),
-            );
-            telemetry.counter_add("adaptor.control_retries", 1);
-            let rounds = state.retry.rounds_for_attempt(attempt);
-            let deadline = telemetry.now() + state.retry.backoff_unit * u64::from(rounds);
-            let _ = telemetry.idle_until(deadline, tenant);
-        }
+        state.telemetry.record(
+            Severity::Warn,
+            "adaptor.control_retry",
+            tenant,
+            None,
+            format!("target={what} attempt={attempt}"),
+        );
+        state.telemetry.counter_add("adaptor.control_retries", 1);
+        let rounds = state.retry.rounds_for_attempt(attempt);
+        let deadline = state.telemetry.now() + state.retry.backoff_unit * u64::from(rounds);
+        let _ = state.telemetry.idle_until(deadline, tenant);
     }
 
     /// Runs `attempt_once` until it returns `Some`, at most
@@ -754,29 +747,27 @@ impl DmaStager for Adaptor {
                     ));
                 }
             }
-            if let Some(telemetry) = state.telemetry.clone() {
-                let tenant = state.tenant();
-                let stream_tag = Some(u64::from(stream.0));
-                let control_count = (state.unacked.len() - queued_before) as u64;
-                telemetry.advance_span(
-                    Hop::AdaptorCrypt,
-                    tenant,
-                    state.config.opts.crypto_bandwidth().transfer_time(data.len() as u64),
-                );
-                telemetry.advance_span(
-                    Hop::AdaptorStage,
-                    tenant,
-                    crate::perf::MMIO_POSTED_WRITE * control_count
-                        + crate::perf::MMIO_ROUND_TRIP * metadata_reads.len() as u64,
-                );
-                telemetry.record(
-                    Severity::Info,
-                    "adaptor.stage",
-                    tenant,
-                    stream_tag,
-                    format!("bytes={} chunks={chunk_count}", data.len()),
-                );
-            }
+            let tenant = state.tenant();
+            let stream_tag = Some(u64::from(stream.0));
+            let control_count = (state.unacked.len() - queued_before) as u64;
+            state.telemetry.advance_span(
+                Hop::AdaptorCrypt,
+                tenant,
+                state.config.opts.crypto_bandwidth().transfer_time(data.len() as u64),
+            );
+            state.telemetry.advance_span(
+                Hop::AdaptorStage,
+                tenant,
+                crate::perf::MMIO_POSTED_WRITE * control_count
+                    + crate::perf::MMIO_ROUND_TRIP * metadata_reads.len() as u64,
+            );
+            state.telemetry.record(
+                Severity::Info,
+                "adaptor.stage",
+                tenant,
+                stream_tag,
+                format!("bytes={} chunks={chunk_count}", data.len()),
+            );
             (metadata_reads, base, data.len() as u64)
         };
 
@@ -805,13 +796,11 @@ impl DmaStager for Adaptor {
             let chunks = len.div_ceil(CHUNK_SIZE);
             state.pending_d2h.push((base, stream, chunks));
             state.stream_map_record(stream, StreamDirection::DeviceToHost, base, len, 0);
-            if let Some(telemetry) = state.telemetry.clone() {
-                telemetry.advance_span(
-                    Hop::AdaptorStage,
-                    state.tenant(),
-                    crate::perf::MMIO_POSTED_WRITE,
-                );
-            }
+            state.telemetry.advance_span(
+                Hop::AdaptorStage,
+                state.tenant(),
+                crate::perf::MMIO_POSTED_WRITE,
+            );
             base
         };
         self.flush_control(port);
@@ -862,16 +851,14 @@ impl DmaStager for Adaptor {
                 .open_in_place_detached(cipher, &chunk_ref.nonce(), chunk, &tag, &chunk_ref.aad())
                 .is_err()
             {
-                if let Some(telemetry) = state.telemetry.clone() {
-                    telemetry.record(
-                        Severity::Warn,
-                        "adaptor.integrity_fail",
-                        state.tenant(),
-                        Some(u64::from(stream.0)),
-                        format!("chunk={i}"),
-                    );
-                    telemetry.counter_add("adaptor.integrity_failures", 1);
-                }
+                state.telemetry.record(
+                    Severity::Warn,
+                    "adaptor.integrity_fail",
+                    state.tenant(),
+                    Some(u64::from(stream.0)),
+                    format!("chunk={i}"),
+                );
+                state.telemetry.counter_add("adaptor.integrity_failures", 1);
                 return Err(IntegrityError {
                     reason: format!("authentication failed for chunk {i}"),
                 });
@@ -879,22 +866,20 @@ impl DmaStager for Adaptor {
             state.counters.chunks_recovered += 1;
         }
         state.counters.bytes_decrypted += plaintext.len() as u64;
-        if let Some(telemetry) = state.telemetry.clone() {
-            let tenant = state.tenant();
-            let stream_tag = Some(u64::from(stream.0));
-            telemetry.advance_span(
-                Hop::AdaptorCrypt,
-                tenant,
-                state.config.opts.crypto_bandwidth().transfer_time(buffer.len),
-            );
-            telemetry.record(
-                Severity::Info,
-                "adaptor.recover",
-                tenant,
-                stream_tag,
-                format!("bytes={}", plaintext.len()),
-            );
-        }
+        let tenant = state.tenant();
+        let stream_tag = Some(u64::from(stream.0));
+        state.telemetry.advance_span(
+            Hop::AdaptorCrypt,
+            tenant,
+            state.config.opts.crypto_bandwidth().transfer_time(buffer.len),
+        );
+        state.telemetry.record(
+            Severity::Info,
+            "adaptor.recover",
+            tenant,
+            stream_tag,
+            format!("bytes={}", plaintext.len()),
+        );
         Ok(plaintext)
     }
 
@@ -919,29 +904,25 @@ impl DmaStager for Adaptor {
                 .rev()
                 .find(|(base, _)| *base == buffer.device_addr)
                 .map(|&(_, stream)| stream);
-            if let Some(telemetry) = state.telemetry.clone() {
-                telemetry.record(
-                    Severity::Warn,
-                    "adaptor.retry",
-                    state.tenant(),
-                    stream.map(|s| u64::from(s.0)),
-                    format!("buffer={:#x}", buffer.device_addr),
-                );
-                telemetry.counter_add("adaptor.transfer_retries", 1);
-            }
+            state.telemetry.record(
+                Severity::Warn,
+                "adaptor.retry",
+                state.tenant(),
+                stream.map(|s| u64::from(s.0)),
+                format!("buffer={:#x}", buffer.device_addr),
+            );
+            state.telemetry.counter_add("adaptor.transfer_retries", 1);
             if let Some(stream) = stream {
                 let _ = state.keys.rotate(stream);
                 state.counters.rekeys += 1;
-                if let Some(telemetry) = state.telemetry.clone() {
-                    telemetry.record(
-                        Severity::Warn,
-                        "adaptor.rekey",
-                        state.tenant(),
-                        Some(u64::from(stream.0)),
-                        String::new(),
-                    );
-                    telemetry.counter_add("adaptor.rekeys", 1);
-                }
+                state.telemetry.record(
+                    Severity::Warn,
+                    "adaptor.rekey",
+                    state.tenant(),
+                    Some(u64::from(stream.0)),
+                    String::new(),
+                );
+                state.telemetry.counter_add("adaptor.rekeys", 1);
                 state
                     .queue_control_write(regs::REKEY, u64::from(stream.0).to_le_bytes().to_vec());
             }
@@ -966,8 +947,8 @@ impl Adaptor {
     /// Serializes the Adaptor's mutable state. Excluded by design: the
     /// config (rebuilt at load), the master secret and env key (key
     /// material re-derives from the master the restoring Adaptor was
-    /// loaded with), and the telemetry handle (reattached by the system
-    /// layer).
+    /// loaded with), and the telemetry hub (the restoring Adaptor was
+    /// loaded with its own).
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         let state = self.state.borrow();
         enc.put(&state.epoch);

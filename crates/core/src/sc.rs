@@ -424,7 +424,7 @@ pub struct PcieSc {
     /// reaches `Serving`, only the SC's own control window is reachable
     /// and every data TLP is A1-denied.
     serving: bool,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl fmt::Debug for PcieSc {
@@ -441,8 +441,9 @@ impl PcieSc {
     /// Builds an SC from the post-attestation master secret. The config
     /// key (for encrypted policy blobs) and all stream keys derive from
     /// `master`, so an Adaptor seeded with the same secret agrees on
-    /// every parameter.
-    pub fn new(config: ScConfig, master: [u8; 32]) -> PcieSc {
+    /// every parameter. Filter decisions, crypt operations and quarantine
+    /// trips become spans, events and counters on `telemetry`.
+    pub fn new(config: ScConfig, master: [u8; 32], telemetry: Telemetry) -> PcieSc {
         let config_key =
             Key::from_bytes(&hkdf(b"ccai-config-key", &master, b"policy", 16)).expect("16B key");
         let env_key = AesGcm::new(
@@ -472,7 +473,7 @@ impl PcieSc {
             // explicit power cycle (`ConfidentialSystem::reset`) de-arms
             // the gate until bring-up completes again.
             serving: true,
-            telemetry: None,
+            telemetry,
         }
     }
 
@@ -486,21 +487,13 @@ impl PcieSc {
     /// TLPs in either direction are A1-denied.
     pub fn set_serving(&mut self, serving: bool) {
         self.serving = serving;
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.record(
-                Severity::Info,
-                "trust.bringup.sc_gate",
-                None,
-                None,
-                format!("serving={serving}"),
-            );
-        }
-    }
-
-    /// Attaches the telemetry hub. Filter decisions, crypt operations,
-    /// and quarantine trips become spans/events/counters on it.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
+        self.telemetry.record(
+            Severity::Info,
+            "trust.bringup.sc_gate",
+            None,
+            None,
+            format!("serving={serving}"),
+        );
     }
 
     /// Telemetry tenant tag for a bound tenant (its TVM requester id).
@@ -511,19 +504,17 @@ impl PcieSc {
     /// Prices one Packet Filter classification and counts the decision
     /// under its security action (A1–A4).
     fn note_filter_decision(&self, action: SecurityAction, tenant: Option<u32>) {
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.advance_span(Hop::ScFilter, tenant, SC_PIPELINE_LATENCY);
-            let counter = match action {
-                SecurityAction::Disallow => "sc.a1_disallow",
-                SecurityAction::CryptProtect => "sc.a2_crypt",
-                SecurityAction::WriteProtect => "sc.a3_writeprot",
-                SecurityAction::PassThrough => "sc.a4_pass",
-            };
-            telemetry.counter_add(counter, 1);
-            // Throughput numerator for the sc_filter hop: TLPs/sec falls
-            // out as this counter over the hop's total span time.
-            telemetry.counter_add("sc.filter_tlps", 1);
-        }
+        self.telemetry.advance_span(Hop::ScFilter, tenant, SC_PIPELINE_LATENCY);
+        let counter = match action {
+            SecurityAction::Disallow => "sc.a1_disallow",
+            SecurityAction::CryptProtect => "sc.a2_crypt",
+            SecurityAction::WriteProtect => "sc.a3_writeprot",
+            SecurityAction::PassThrough => "sc.a4_pass",
+        };
+        self.telemetry.counter_add(counter, 1);
+        // Throughput numerator for the sc_filter hop: TLPs/sec falls
+        // out as this counter over the hop's total span time.
+        self.telemetry.counter_add("sc.filter_tlps", 1);
     }
 
     /// Telemetry tag for whichever tenant the requester resolves to.
@@ -616,16 +607,14 @@ impl PcieSc {
         for tenant in &mut self.tenants {
             tenant.rekey_epoch();
         }
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.record(
-                Severity::Warn,
-                "sc.rekey.migrate",
-                None,
-                None,
-                format!("tenants={}", self.tenants.len()),
-            );
-            telemetry.counter_add("sc.rekey.migrations", 1);
-        }
+        self.telemetry.record(
+            Severity::Warn,
+            "sc.rekey.migrate",
+            None,
+            None,
+            format!("tenants={}", self.tenants.len()),
+        );
+        self.telemetry.counter_add("sc.rekey.migrations", 1);
     }
 
     fn tenant_by_tvm(&self, bdf: Bdf) -> Option<usize> {
@@ -746,30 +735,26 @@ impl PcieSc {
         let last = self.tenants[tenant].ctrl_last_seq;
         if seq <= last {
             self.counters.control_dup_suppressed += 1;
-            if let Some(telemetry) = self.telemetry.clone() {
-                telemetry.record(
-                    Severity::Info,
-                    "sc.control_dup",
-                    self.tenant_tag(tenant),
-                    None,
-                    format!("offset={offset:#x} seq={seq} last={last}"),
-                );
-                telemetry.counter_add("sc.control_dup_suppressed", 1);
-            }
+            self.telemetry.record(
+                Severity::Info,
+                "sc.control_dup",
+                self.tenant_tag(tenant),
+                None,
+                format!("offset={offset:#x} seq={seq} last={last}"),
+            );
+            self.telemetry.counter_add("sc.control_dup_suppressed", 1);
             return;
         }
         if seq != last + 1 {
             self.counters.control_gaps += 1;
-            if let Some(telemetry) = self.telemetry.clone() {
-                telemetry.record(
-                    Severity::Warn,
-                    "sc.control_gap",
-                    self.tenant_tag(tenant),
-                    None,
-                    format!("offset={offset:#x} seq={seq} last={last}"),
-                );
-                telemetry.counter_add("sc.control_gaps", 1);
-            }
+            self.telemetry.record(
+                Severity::Warn,
+                "sc.control_gap",
+                self.tenant_tag(tenant),
+                None,
+                format!("offset={offset:#x} seq={seq} last={last}"),
+            );
+            self.telemetry.counter_add("sc.control_gaps", 1);
             return;
         }
         if self.control_write(tenant, offset, body, Some(seq)) {
@@ -928,12 +913,10 @@ impl PcieSc {
                 addr: regs::ENV_POLICY,
                 reason: "env-policy record failed authentication".to_string(),
             });
-            if let Some(telemetry) = self.telemetry.clone() {
-                let detail =
-                    seq.map_or_else(|| "unsequenced".to_string(), |seq| format!("seq={seq}"));
-                telemetry.record(Severity::Warn, "sc.env_reject", None, None, detail);
-                telemetry.counter_add("sc.env_rejects", 1);
-            }
+            let detail =
+                seq.map_or_else(|| "unsequenced".to_string(), |seq| format!("seq={seq}"));
+            self.telemetry.record(Severity::Warn, "sc.env_reject", None, None, detail);
+            self.telemetry.counter_add("sc.env_rejects", 1);
             return false;
         };
         let addr = u64::from_be_bytes(payload[1..9].try_into().expect("8B"));
@@ -995,15 +978,13 @@ impl PcieSc {
             Ok(()) => {
                 self.counters.chunks_decrypted += 1;
                 self.tenants[tenant].consecutive_crypt_failures = 0;
-                if let Some(telemetry) = self.telemetry.clone() {
-                    telemetry.advance_span(
-                        Hop::ScCrypt,
-                        self.tenant_tag(tenant),
-                        Bandwidth::from_bytes_per_sec(AES_NI_RATE)
-                            .transfer_time(payload.len() as u64),
-                    );
-                    telemetry.counter_add("sc.chunks_decrypted", 1);
-                }
+                self.telemetry.advance_span(
+                    Hop::ScCrypt,
+                    self.tenant_tag(tenant),
+                    Bandwidth::from_bytes_per_sec(AES_NI_RATE)
+                        .transfer_time(payload.len() as u64),
+                );
+                self.telemetry.counter_add("sc.chunks_decrypted", 1);
                 Ok(())
             }
             Err(()) => {
@@ -1044,16 +1025,14 @@ impl PcieSc {
             reason: reason.to_string(),
         });
         let tag = self.tenant_tag(tenant);
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.record(
-                Severity::Warn,
-                "sc.crypt_fail",
-                tag,
-                Some(u64::from(chunk.stream.0)),
-                format!("seq={} reason={reason}", chunk.seq),
-            );
-            telemetry.counter_add("sc.crypt_failures", 1);
-        }
+        self.telemetry.record(
+            Severity::Warn,
+            "sc.crypt_fail",
+            tag,
+            Some(u64::from(chunk.stream.0)),
+            format!("seq={} reason={reason}", chunk.seq),
+        );
+        self.telemetry.counter_add("sc.crypt_failures", 1);
         let threshold = self.quarantine_threshold;
         let ctx = &mut self.tenants[tenant];
         ctx.consecutive_crypt_failures += 1;
@@ -1065,16 +1044,14 @@ impl PcieSc {
                 xpu: xpu.clone(),
                 failures,
             });
-            if let Some(telemetry) = self.telemetry.clone() {
-                telemetry.record(
-                    Severity::Error,
-                    "sc.quarantine",
-                    tag,
-                    Some(u64::from(chunk.stream.0)),
-                    format!("xpu={xpu} failures={failures}"),
-                );
-                telemetry.counter_add("sc.quarantines", 1);
-            }
+            self.telemetry.record(
+                Severity::Error,
+                "sc.quarantine",
+                tag,
+                Some(u64::from(chunk.stream.0)),
+                format!("xpu={xpu} failures={failures}"),
+            );
+            self.telemetry.counter_add("sc.quarantines", 1);
         }
     }
 
@@ -1098,14 +1075,12 @@ impl PcieSc {
             .seal_in_place_detached(cipher, &chunk.nonce(), payload, &chunk.aad());
         self.counters.chunks_encrypted += 1;
         self.tenants[tenant].consecutive_crypt_failures = 0;
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.advance_span(
-                Hop::ScCrypt,
-                self.tenant_tag(tenant),
-                Bandwidth::from_bytes_per_sec(AES_NI_RATE).transfer_time(payload.len() as u64),
-            );
-            telemetry.counter_add("sc.chunks_encrypted", 1);
-        }
+        self.telemetry.advance_span(
+            Hop::ScCrypt,
+            self.tenant_tag(tenant),
+            Bandwidth::from_bytes_per_sec(AES_NI_RATE).transfer_time(payload.len() as u64),
+        );
+        self.telemetry.counter_add("sc.chunks_encrypted", 1);
         let mut outcome = InterposeOutcome::pass(tlp);
         let ctx = &mut self.tenants[tenant];
         if let Some(landing) = ctx.tag_landing {
@@ -1153,16 +1128,14 @@ impl PcieSc {
         let ctx = &self.tenants[tenant];
         if seq <= ctx.mmio_last_seq && !ctx.tags.contains(MMIO_STREAM, seq) {
             self.counters.control_dup_suppressed += 1;
-            if let Some(telemetry) = self.telemetry.clone() {
-                telemetry.record(
-                    Severity::Info,
-                    "sc.control_dup",
-                    self.tenant_tag(tenant),
-                    None,
-                    format!("mmio addr={addr:#x} seq={seq}"),
-                );
-                telemetry.counter_add("sc.control_dup_suppressed", 1);
-            }
+            self.telemetry.record(
+                Severity::Info,
+                "sc.control_dup",
+                self.tenant_tag(tenant),
+                None,
+                format!("mmio addr={addr:#x} seq={seq}"),
+            );
+            self.telemetry.counter_add("sc.control_dup_suppressed", 1);
             return InterposeOutcome::drop_packet();
         }
         let chunk = ChunkRef { stream: MMIO_STREAM, seq };
@@ -1210,18 +1183,14 @@ impl PcieSc {
 
     /// Counts a packet denied because bring-up has not reached Serving.
     fn note_bringup_deny(&self) {
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.counter_add("sc.bringup_deny", 1);
-        }
+        self.telemetry.counter_add("sc.bringup_deny", 1);
     }
 
     /// Counts an A1 deny issued because the tenant's channel is
     /// quarantined (keyed per tenant so starvation is attributable).
     fn note_quarantine_deny(&self, tenant: usize) {
-        if let Some(telemetry) = self.telemetry.clone() {
-            let tag = self.tenant_tag(tenant).unwrap_or(0);
-            telemetry.counter_add(&format!("sc.quarantine_deny.{tag}"), 1);
-        }
+        let tag = self.tenant_tag(tenant).unwrap_or(0);
+        self.telemetry.counter_add(&format!("sc.quarantine_deny.{tag}"), 1);
     }
 
     fn block_a1(&mut self, tlp: &Tlp) -> InterposeOutcome {
@@ -1243,7 +1212,7 @@ impl PcieSc {
     /// the config (fixed at construction and reproduced by the rebuild),
     /// the config/env keys and every tenant master (key material re-derives
     /// from the masters the restoring SC was constructed with), and the
-    /// telemetry handle (reattached by the system layer).
+    /// telemetry hub (the restoring SC was constructed with its own).
     pub fn encode_snapshot(&self, enc: &mut Encoder) {
         enc.put(&self.filter);
         // Tenants decode against the masters they are bound with here.
@@ -1575,10 +1544,8 @@ impl Interposer for PcieSc {
         // counters/histograms only — never `record()` events or clock
         // advances — so the trace digest is bit-identical to the
         // packet-at-a-time path.
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("sc.filter_batches", 1);
-            telemetry.histogram_record("sc.batch_size", tlps.len() as f64);
-        }
+        self.telemetry.counter_add("sc.filter_batches", 1);
+        self.telemetry.histogram_record("sc.batch_size", tlps.len() as f64);
         let mut out = InterposeOutcome::default();
         for tlp in tlps {
             let mut one = self.on_upstream(tlp);
@@ -1631,7 +1598,7 @@ mod tests {
     }
 
     fn sc_with_policy() -> PcieSc {
-        let mut sc = PcieSc::new(sc_config(), [0x42; 32]);
+        let mut sc = PcieSc::new(sc_config(), [0x42; 32], Telemetry::default());
         // Install a policy directly (the control-window path is covered
         // by the adaptor integration tests).
         let l1 = vec![
@@ -1754,7 +1721,7 @@ mod tests {
     fn policy_blob_installation_via_control_window() {
         let config = sc_config();
         let base = config.region_base;
-        let mut sc = PcieSc::new(config, [0x42; 32]);
+        let mut sc = PcieSc::new(config, [0x42; 32], Telemetry::default());
         // Build a blob under the same master-derived config key.
         let config_key =
             Key::from_bytes(&hkdf(b"ccai-config-key", &[0x42; 32], b"policy", 16)).unwrap();
@@ -1789,7 +1756,7 @@ mod tests {
     fn corrupted_policy_blob_flagged() {
         let config = sc_config();
         let base = config.region_base;
-        let mut sc = PcieSc::new(config, [0x42; 32]);
+        let mut sc = PcieSc::new(config, [0x42; 32], Telemetry::default());
         sc.on_downstream(Tlp::memory_write(tvm(), base, vec![0xFF; 64]));
         sc.on_downstream(Tlp::memory_write(
             tvm(),

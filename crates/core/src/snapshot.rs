@@ -80,11 +80,11 @@ impl ConfidentialSystem {
     /// requests); in-flight TLPs parked in fabric queues are included.
     pub fn snapshot(&self) -> SystemSnapshot {
         let mut enc = Encoder::versioned();
-        self.with_xpu_ref(|xpu| enc.str(xpu.spec().name()));
+        self.with_xpu(|xpu| enc.str(xpu.spec().name()));
         enc.put(&self.mode());
         self.telemetry().encode_snapshot(&mut enc);
         self.fabric().encode_snapshot(&mut enc);
-        self.with_xpu_ref(|xpu| xpu.encode_snapshot(&mut enc));
+        self.with_xpu(|xpu| xpu.encode_snapshot(&mut enc));
         self.driver().encode_snapshot(&mut enc);
         self.memory().encode_snapshot(&mut enc);
         enc.put(&self.stager_cursor());
@@ -194,12 +194,15 @@ impl ConfidentialSystem {
         restore: impl FnOnce(&PcieSc, &mut PcieSc) -> Result<(), SnapshotError>,
     ) -> Result<(), SnapshotError> {
         let old = self.sc().ok_or(SnapshotError::Invalid("no SC interposed (vanilla mode)"))?;
-        let mut fresh = PcieSc::new(old.config().clone(), ConfidentialSystem::attested_master());
+        let mut fresh = PcieSc::new(
+            old.config().clone(),
+            ConfidentialSystem::attested_master(),
+            self.telemetry().clone(),
+        );
         // Tenant 0 is the config's own binding, made by `PcieSc::new`.
         for (tvm_bdf, xpu_bdf, master) in old.tenant_bindings().into_iter().skip(1) {
             fresh.add_tenant(tvm_bdf, xpu_bdf, master);
         }
-        fresh.set_telemetry(self.telemetry().clone());
         restore(old, &mut fresh)?;
         let port = self.xpu_port();
         self.fabric_mut().remove_interposer(port);

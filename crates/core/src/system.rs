@@ -146,23 +146,21 @@ impl ConfidentialSystem {
         let xpu_bdf = Bdf::new(layout::XPU_BDF.0, layout::XPU_BDF.1, layout::XPU_BDF.2);
         let sc_bdf = Bdf::new(layout::SC_BDF.0, layout::SC_BDF.1, layout::SC_BDF.2);
 
-        // One telemetry hub per platform: every layer on the TLP path
-        // charges its spans against the hub's sim clock, so per-hop
-        // durations plus idle time account for the full elapsed time.
+        // One telemetry hub per platform, handed to every layer on the TLP
+        // path: each charges its spans against the hub's sim clock, so
+        // per-hop durations plus idle time account for the full elapsed
+        // time.
         let telemetry = Telemetry::new(Telemetry::DEFAULT_CAPACITY);
 
-        let mut xpu = Xpu::new(spec, xpu_bdf, layout::XPU_BAR_BASE);
-        xpu.set_telemetry(telemetry.clone());
-        let mut driver = XpuDriver::for_xpu(tvm_bdf, &xpu);
-        driver.set_telemetry(telemetry.clone());
+        let xpu = Xpu::new(spec, xpu_bdf, layout::XPU_BAR_BASE, telemetry.clone());
+        let driver = XpuDriver::for_xpu(tvm_bdf, &xpu, telemetry.clone());
         let xpu_window = xpu.address_window();
         let bar0 = xpu.bar0_base()..xpu.bar0_base() + ccai_xpu::device::BAR0_SIZE;
         let bar1 = xpu.bar1_base()..xpu.bar1_base() + ccai_xpu::device::BAR1_SIZE;
         let reset_reg_addr = xpu.bar0_base() + xpu.registers().offset(Reg::ResetCtrl);
 
         let xpu_port = PortId(0);
-        let mut fabric = Fabric::new();
-        fabric.set_telemetry(telemetry.clone());
+        let mut fabric = Fabric::new(telemetry.clone());
         fabric.attach(xpu_port, Box::new(xpu));
         fabric.map_range(xpu_window, xpu_port);
         fabric.map_range(
@@ -179,11 +177,11 @@ impl ConfidentialSystem {
 
         let adaptor = if mode.protected() {
             let master = Self::attested_master();
-            let mut sc = PcieSc::new(
+            let sc = PcieSc::new(
                 ScConfig { sc_bdf, region_base: layout::SC_REGION, tvm_bdf, xpu_bdf },
                 master,
+                telemetry.clone(),
             );
-            sc.set_telemetry(telemetry.clone());
             fabric.interpose(xpu_port, Box::new(sc));
 
             let adaptor = Adaptor::new(
@@ -200,8 +198,8 @@ impl ConfidentialSystem {
                     opts: mode.opts(),
                 },
                 master,
+                telemetry.clone(),
             );
-            adaptor.set_telemetry(telemetry.clone());
             Some(adaptor)
         } else {
             None
@@ -290,8 +288,8 @@ impl ConfidentialSystem {
         if !self.mode.protected() {
             return Ok(());
         }
-        let (mut bringup, mut env) = ccai_trust::TrustFixture::deterministic(0);
-        bringup.set_telemetry(self.telemetry.clone());
+        let (mut bringup, mut env) =
+            ccai_trust::TrustFixture::deterministic(0, self.telemetry.clone());
         bringup.secure_boot(&env.boot, &env.flash, &env.boot_entropy)?;
         bringup.attest(&mut env.verifier, &env.dh_entropy, env.nonce)?;
         // The released master is the one the TVM↔SC DH agreement
@@ -524,12 +522,7 @@ impl ConfidentialSystem {
     /// state digest identically, regardless of what the bus did in
     /// between.
     pub fn xpu_memory_digest(&self) -> [u8; 32] {
-        self.fabric
-            .device(self.xpu_port)
-            .and_then(ccai_pcie::PcieDevice::as_any)
-            .and_then(|any| any.downcast_ref::<Xpu>())
-            .map(|xpu| xpu.memory().content_digest())
-            .expect("xPU attached at the expected port")
+        self.with_xpu(|xpu| xpu.memory().content_digest())
     }
 
     /// Snapshot of the xPU's register file. Together with
@@ -538,12 +531,7 @@ impl ConfidentialSystem {
     /// must converge to the same register values as the fault-free
     /// baseline.
     pub fn xpu_register_snapshot(&self) -> ccai_xpu::RegisterFile {
-        self.fabric
-            .device(self.xpu_port)
-            .and_then(ccai_pcie::PcieDevice::as_any)
-            .and_then(|any| any.downcast_ref::<Xpu>())
-            .map(|xpu| xpu.registers().clone())
-            .expect("xPU attached at the expected port")
+        self.with_xpu(|xpu| xpu.registers().clone())
     }
 
     /// Debug digest of the SC's packet-filter tables (empty string in
@@ -561,12 +549,7 @@ impl ConfidentialSystem {
     /// Arms chunk-granular DMA re-fetch on the xPU (see
     /// [`ccai_xpu::DmaEngine::set_refetch_limit`]).
     pub fn set_dma_refetch_limit(&mut self, limit: u32) {
-        self.fabric
-            .device_mut(self.xpu_port)
-            .and_then(|dev| dev.as_any_mut())
-            .and_then(|any| any.downcast_mut::<Xpu>())
-            .expect("xPU attached at the expected port")
-            .set_dma_refetch_limit(limit);
+        self.with_xpu_mut(|xpu| xpu.set_dma_refetch_limit(limit));
     }
 
     /// Chunk re-fetches the xPU's DMA engine has performed.
@@ -581,7 +564,7 @@ impl ConfidentialSystem {
         self.with_xpu(Xpu::dma_read_bytes_requested)
     }
 
-    fn with_xpu<R>(&self, f: impl FnOnce(&Xpu) -> R) -> R {
+    pub(crate) fn with_xpu<R>(&self, f: impl FnOnce(&Xpu) -> R) -> R {
         self.fabric
             .device(self.xpu_port)
             .and_then(ccai_pcie::PcieDevice::as_any)
@@ -676,10 +659,6 @@ impl ConfidentialSystem {
         self.fabric
             .interposer_mut(self.xpu_port)
             .and_then(|ip| ip.as_any_mut().downcast_mut::<PcieSc>())
-    }
-
-    pub(crate) fn with_xpu_ref<R>(&self, f: impl FnOnce(&Xpu) -> R) -> R {
-        self.with_xpu(f)
     }
 
     pub(crate) fn with_xpu_mut<R>(&mut self, f: impl FnOnce(&mut Xpu) -> R) -> R {

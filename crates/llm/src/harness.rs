@@ -16,12 +16,16 @@
 //! registration — dozens of control MMIOs plus the attested key-schedule
 //! warm-up — calibrated at 4 ms per request (visible mostly in TTFT on
 //! short prompts, Fig. 8e).
+//!
+//! Every run charges its priced costs onto a telemetry hub, and the hub's
+//! clock is the one clock: TTFT and E2E are read from it. Compute and
+//! session setup are idle time; each cost component goes to its hop.
 
 use crate::kv_cache::KvCache;
 use crate::metrics::Metrics;
 use crate::workload::InferenceWorkload;
 use ccai_core::perf::{CostBreakdown, OptimizationConfig, PerfModel};
-use ccai_sim::{Clock, Hop, Severity, SimDuration, Telemetry, TelemetrySnapshot};
+use ccai_sim::{Hop, Severity, SimDuration, SimTime, Telemetry, TelemetrySnapshot};
 use ccai_xpu::XpuSpec;
 
 /// Per-request confidential session setup cost (ccAI only).
@@ -61,7 +65,7 @@ pub fn run_with_kv(
     mode: Mode,
     kv: &KvCache,
 ) -> Metrics {
-    run_instrumented(workload, device, mode, kv, None)
+    run_instrumented(workload, device, mode, kv, &Telemetry::default())
 }
 
 /// Runs a workload and exports a per-hop latency breakdown next to the
@@ -86,8 +90,8 @@ pub fn run_with_kv_telemetry(
     mode: Mode,
     kv: &KvCache,
 ) -> (Metrics, TelemetrySnapshot) {
-    let telemetry = Telemetry::new(Telemetry::DEFAULT_CAPACITY);
-    let metrics = run_instrumented(workload, device, mode, kv, Some(&telemetry));
+    let telemetry = Telemetry::default();
+    let metrics = run_instrumented(workload, device, mode, kv, &telemetry);
     (metrics, telemetry.snapshot())
 }
 
@@ -119,9 +123,8 @@ fn run_instrumented(
     device: &XpuSpec,
     mode: Mode,
     kv: &KvCache,
-    telemetry: Option<&Telemetry>,
+    t: &Telemetry,
 ) -> Metrics {
-    let mut clock = Clock::new();
     let opts = match mode {
         Mode::Vanilla => OptimizationConfig::all_on(), // unused for pricing base
         Mode::CcAi(opts) => opts,
@@ -131,38 +134,27 @@ fn run_instrumented(
 
     // ---- prefill / TTFT ----
     if protected {
-        clock.advance(SESSION_SETUP);
-        if let Some(t) = telemetry {
-            t.advance_idle(None, SESSION_SETUP);
-            t.record(
-                Severity::Info,
-                "llm.session_setup",
-                None,
-                None,
-                format!("device={}", device.name()),
-            );
-        }
-    }
-    clock.advance(workload.prefill_time(device));
-    let prefill_profile = workload.prefill_profile();
-    let prefill_cost = model.price(&prefill_profile);
-    clock.advance(if protected {
-        prefill_cost.ccai_total()
-    } else {
-        prefill_cost.vanilla_total()
-    });
-    if let Some(t) = telemetry {
-        t.advance_idle(None, workload.prefill_time(device));
-        charge_breakdown(t, &prefill_cost, prefill_profile.chunks(), protected, 1);
+        t.advance_idle(None, SESSION_SETUP);
         t.record(
             Severity::Info,
-            "llm.prefill",
+            "llm.session_setup",
             None,
             None,
-            format!("input_tokens={}", workload.input_tokens),
+            format!("device={}", device.name()),
         );
     }
-    let ttft = clock.now().duration_since(ccai_sim::SimTime::ZERO);
+    let prefill_profile = workload.prefill_profile();
+    let prefill_cost = model.price(&prefill_profile);
+    t.advance_idle(None, workload.prefill_time(device));
+    charge_breakdown(t, &prefill_cost, prefill_profile.chunks(), protected, 1);
+    t.record(
+        Severity::Info,
+        "llm.prefill",
+        None,
+        None,
+        format!("input_tokens={}", workload.input_tokens),
+    );
+    let ttft = t.now().duration_since(SimTime::ZERO);
 
     // ---- decode ----
     let step_compute = workload.step_time(device);
@@ -176,27 +168,19 @@ fn run_instrumented(
     step_profile.bulk_d2h_bytes += swap / 2;
 
     let step_cost = model.price(&step_profile);
-    let step_total = if protected {
-        step_cost.ccai_total()
-    } else {
-        step_cost.vanilla_total()
-    };
-    clock.advance((step_compute + step_total) * workload.output_tokens as u64);
-    if let Some(t) = telemetry {
-        let tokens = u64::from(workload.output_tokens);
-        t.advance_idle(None, step_compute * tokens);
-        charge_breakdown(t, &step_cost, step_profile.chunks(), protected, tokens);
-        t.record(
-            Severity::Info,
-            "llm.decode",
-            None,
-            None,
-            format!("output_tokens={tokens}"),
-        );
-    }
+    let tokens = u64::from(workload.output_tokens);
+    t.advance_idle(None, step_compute * tokens);
+    charge_breakdown(t, &step_cost, step_profile.chunks(), protected, tokens);
+    t.record(
+        Severity::Info,
+        "llm.decode",
+        None,
+        None,
+        format!("output_tokens={tokens}"),
+    );
 
     Metrics {
-        e2e: clock.now().duration_since(ccai_sim::SimTime::ZERO),
+        e2e: t.now().duration_since(SimTime::ZERO),
         ttft,
         total_tokens: workload.total_tokens(),
     }

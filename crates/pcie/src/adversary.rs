@@ -115,7 +115,7 @@ impl AttackLog {
 /// use ccai_pcie::{BusAdversary, Bdf, Tlp};
 ///
 /// let adversary = BusAdversary::new();
-/// let mut fabric = ccai_pcie::Fabric::new();
+/// let mut fabric = ccai_pcie::Fabric::new(ccai_sim::Telemetry::default());
 /// fabric.add_tap(adversary.tap());
 /// // ... run traffic ...
 /// assert!(adversary.log().is_empty());
@@ -197,7 +197,7 @@ mod tests {
     }
 
     fn snooped_fabric(adversary: &BusAdversary) -> Fabric {
-        let mut fabric = Fabric::new();
+        let mut fabric = Fabric::new(ccai_sim::Telemetry::default());
         fabric.attach(
             PortId(0),
             Box::new(ScratchEndpoint::new(Bdf::new(1, 0, 0), 0x10_0000, 0x1000)),

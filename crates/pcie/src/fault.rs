@@ -229,12 +229,13 @@ pub struct FaultInjector {
     /// two packets' arrival order.
     held_request: Option<Tlp>,
     trace: Vec<FaultEvent>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl FaultInjector {
     /// Builds an injector from a plan, seeding the RNG from `plan.seed`.
-    pub fn new(plan: FaultPlan) -> Self {
+    /// Every injected fault is mirrored into `telemetry`'s event stream.
+    pub fn new(plan: FaultPlan, telemetry: Telemetry) -> Self {
         FaultInjector {
             plan,
             rng: SimRng::seed_from(plan.seed),
@@ -244,13 +245,8 @@ impl FaultInjector {
             flap_remaining: 0,
             held_request: None,
             trace: Vec::new(),
-            telemetry: None,
+            telemetry,
         }
-    }
-
-    /// Mirrors every injected fault into the telemetry event stream.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// The plan this injector runs.
@@ -280,21 +276,19 @@ impl FaultInjector {
             tlp_type: tlp.header().tlp_type(),
             address: tlp.header().address(),
         });
-        if let Some(t) = &self.telemetry {
-            t.record(
-                Severity::Warn,
-                kind.event_kind(),
-                None,
-                None,
-                format!(
-                    "packet={} type={:?} addr={:?}",
-                    self.packet_index,
-                    tlp.header().tlp_type(),
-                    tlp.header().address()
-                ),
-            );
-            t.counter_add("fault.injected", 1);
-        }
+        self.telemetry.record(
+            Severity::Warn,
+            kind.event_kind(),
+            None,
+            None,
+            format!(
+                "packet={} type={:?} addr={:?}",
+                self.packet_index,
+                tlp.header().tlp_type(),
+                tlp.header().address()
+            ),
+        );
+        self.telemetry.counter_add("fault.injected", 1);
     }
 
     /// Charges link time for one packet and bumps the arrival counter.
@@ -447,7 +441,7 @@ impl FaultInjector {
 
 // --- snapshot support -------------------------------------------------
 
-use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
+use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError};
 
 ccai_sim::snapshot_state!(enum FaultKind: "fault kind code" {
     Corrupt = 0,
@@ -472,12 +466,11 @@ ccai_sim::snapshot_state!(FaultPlan {
 
 ccai_sim::snapshot_state!(FaultEvent { at, packet_index, kind, tlp_type, address });
 
-/// The plan followed by the injector's mutable state (seeded-stream
-/// position, virtual clock, flap window, held write, trace): a restored
-/// injector continues exactly where the snapshot left off. The telemetry
-/// handle is not state; the owner reattaches it.
-impl SnapshotState for FaultInjector {
-    fn encode_state(&self, enc: &mut Encoder) {
+impl FaultInjector {
+    /// Serializes the plan followed by the injector's mutable state
+    /// (seeded-stream position, virtual clock, flap window, held write,
+    /// trace). The telemetry hub is not state.
+    pub(crate) fn encode_snapshot(&self, enc: &mut Encoder) {
         enc.put(&self.plan);
         enc.put(&self.rng);
         enc.put(&self.clock);
@@ -487,7 +480,13 @@ impl SnapshotState for FaultInjector {
         enc.put(&self.trace);
     }
 
-    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+    /// Rebuilds an injector captured by
+    /// [`FaultInjector::encode_snapshot`] on `telemetry`: it continues
+    /// exactly where the snapshot left off.
+    pub(crate) fn restore_snapshot(
+        dec: &mut Decoder<'_>,
+        telemetry: Telemetry,
+    ) -> Result<Self, SnapshotError> {
         let plan = dec.get()?;
         Ok(FaultInjector {
             rng: dec.get()?,
@@ -496,7 +495,7 @@ impl SnapshotState for FaultInjector {
             flap_remaining: dec.get()?,
             held_request: dec.get()?,
             trace: dec.get()?,
-            ..FaultInjector::new(plan)
+            ..FaultInjector::new(plan, telemetry)
         })
     }
 }
@@ -517,7 +516,7 @@ mod tests {
     #[test]
     fn same_seed_same_trace() {
         let run = |seed| {
-            let mut inj = FaultInjector::new(FaultPlan::heavy(seed));
+            let mut inj = FaultInjector::new(FaultPlan::heavy(seed), Telemetry::default());
             let mut batch: Vec<Tlp> = (0..200).map(|i| write(i * 0x1000, 256)).collect();
             inj.fault_upstream_batch(&mut batch);
             for i in 0..50u64 {
@@ -536,7 +535,7 @@ mod tests {
 
     #[test]
     fn fault_free_plan_is_transparent() {
-        let mut inj = FaultInjector::new(FaultPlan::fault_free(1));
+        let mut inj = FaultInjector::new(FaultPlan::fault_free(1), Telemetry::default());
         let original: Vec<Tlp> = (0..64).map(|i| write(i * 0x100, 64)).collect();
         let mut batch = original.clone();
         inj.fault_upstream_batch(&mut batch);
@@ -548,7 +547,7 @@ mod tests {
 
     #[test]
     fn corrupt_only_flips_exactly_one_byte() {
-        let mut inj = FaultInjector::new(FaultPlan::corrupt_only(9, 1024));
+        let mut inj = FaultInjector::new(FaultPlan::corrupt_only(9, 1024), Telemetry::default());
         let mut batch = vec![write(0x1000, 512)];
         inj.fault_upstream_batch(&mut batch);
         assert_eq!(batch.len(), 1);
@@ -569,7 +568,7 @@ mod tests {
             duplicate_per_1024: 1024,
             ..FaultPlan::fault_free(3)
         };
-        let mut inj = FaultInjector::new(plan);
+        let mut inj = FaultInjector::new(plan, Telemetry::default());
         let read = Tlp::memory_read(Bdf::new(1, 0, 0), 0x4000, 256, 9);
         let mut batch = vec![read.clone()];
         inj.fault_upstream_batch(&mut batch);
@@ -579,7 +578,7 @@ mod tests {
 
     #[test]
     fn flap_drops_consecutive_packets() {
-        let mut inj = FaultInjector::new(FaultPlan::flap_only(5, 1024, 4));
+        let mut inj = FaultInjector::new(FaultPlan::flap_only(5, 1024, 4), Telemetry::default());
         let mut batch: Vec<Tlp> = (0..4).map(|i| write(i * 0x100, 32)).collect();
         inj.fault_upstream_batch(&mut batch);
         assert!(batch.is_empty(), "all packets inside the flap window drop");
@@ -589,7 +588,7 @@ mod tests {
 
     #[test]
     fn delayed_completion_survives_intact() {
-        let mut inj = FaultInjector::new(FaultPlan::delay_only(6, 1024));
+        let mut inj = FaultInjector::new(FaultPlan::delay_only(6, 1024), Telemetry::default());
         let original = completion(vec![5; 64]);
         match inj.fault_completion(original.clone()) {
             CompletionVerdict::Delayed(tlp) => assert_eq!(tlp, original),
@@ -604,7 +603,7 @@ mod tests {
         // the subsequent upstream batch replays identically to a run that
         // never saw control packets.
         let run = |control_first: bool| {
-            let mut inj = FaultInjector::new(FaultPlan::heavy(77));
+            let mut inj = FaultInjector::new(FaultPlan::heavy(77), Telemetry::default());
             if control_first {
                 for i in 0..40u64 {
                     let out = inj.fault_control_request(write(0x7000 + i * 8, 24));
@@ -627,7 +626,8 @@ mod tests {
     #[test]
     fn control_path_same_seed_same_trace() {
         let run = || {
-            let mut inj = FaultInjector::new(FaultPlan::heavy(0xC0).with_control_path());
+            let plan = FaultPlan::heavy(0xC0).with_control_path();
+            let mut inj = FaultInjector::new(plan, Telemetry::default());
             let mut out = Vec::new();
             for i in 0..200u64 {
                 out.extend(inj.fault_control_request(write(0x5000 + i * 8, 24)));
@@ -653,7 +653,7 @@ mod tests {
             ..FaultPlan::fault_free(4)
         }
         .with_control_path();
-        let mut inj = FaultInjector::new(plan);
+        let mut inj = FaultInjector::new(plan, Telemetry::default());
         let first = write(0x1000, 16);
         let second = write(0x2000, 16);
         assert!(
@@ -673,7 +673,7 @@ mod tests {
 
     #[test]
     fn trace_timestamps_are_monotonic() {
-        let mut inj = FaultInjector::new(FaultPlan::heavy(11));
+        let mut inj = FaultInjector::new(FaultPlan::heavy(11), Telemetry::default());
         let mut batch: Vec<Tlp> = (0..300).map(|i| write(i * 0x1000, 1024)).collect();
         inj.fault_upstream_batch(&mut batch);
         let trace = inj.trace();

@@ -161,7 +161,7 @@ pub struct BringUp {
     attested_composite: Option<Digest>,
     master: Option<[u8; 32]>,
     filter_digest: Option<String>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl fmt::Debug for BringUp {
@@ -182,7 +182,12 @@ impl BringUp {
     ///
     /// Panics if `selection` is empty — a bring-up that attests nothing
     /// gates nothing.
-    pub fn new(group: &DhGroup, blade: HrotBlade, selection: Vec<usize>) -> BringUp {
+    pub fn new(
+        group: &DhGroup,
+        blade: HrotBlade,
+        selection: Vec<usize>,
+        telemetry: Telemetry,
+    ) -> BringUp {
         assert!(!selection.is_empty(), "empty PCR selection");
         BringUp {
             state: BringUpState::PowerOn,
@@ -192,14 +197,8 @@ impl BringUp {
             attested_composite: None,
             master: None,
             filter_digest: None,
-            telemetry: None,
+            telemetry,
         }
-    }
-
-    /// Attaches the telemetry hub; transitions and refusals become
-    /// `trust.bringup.*` events on it.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// The current state.
@@ -232,9 +231,7 @@ impl BringUp {
     }
 
     fn note(&self, severity: Severity, kind: &'static str, detail: String) {
-        if let Some(telemetry) = self.telemetry.clone() {
-            telemetry.record(severity, kind, None, None, detail);
-        }
+        self.telemetry.record(severity, kind, None, None, detail);
     }
 
     fn refuse(&self, step: BringUpStep) -> BringUpError {
@@ -457,12 +454,12 @@ pub struct TrustFixture {
 }
 
 impl TrustFixture {
-    /// Builds the machine and its environment from one seed byte.
+    /// Builds the machine (on `telemetry`) and its environment from one seed byte.
     ///
     /// The golden PCR values are computed by reference-booting a scratch
     /// blade with the same flash (PCR extension is a pure function of
     /// the measured bytes, so any fresh bank yields the same values).
-    pub fn deterministic(seed: u8) -> (BringUp, TrustFixture) {
+    pub fn deterministic(seed: u8, telemetry: Telemetry) -> (BringUp, TrustFixture) {
         let group = DhGroup::sim512();
         let vendor_ca = SchnorrKeyPair::generate(&group, &[seed ^ 0x51; 32]);
 
@@ -489,7 +486,7 @@ impl TrustFixture {
         blade.install_ek_certificate(ek_cert);
 
         let verifier = Verifier::new(vendor_ca.public().clone(), &group, &[seed ^ 0x05; 32], golden);
-        let bringup = BringUp::new(&group, blade, selection);
+        let bringup = BringUp::new(&group, blade, selection, telemetry);
         let fixture = TrustFixture {
             boot,
             flash,
@@ -534,7 +531,7 @@ mod tests {
 
     #[test]
     fn the_legal_order_reaches_serving() {
-        let (mut bringup, mut env) = TrustFixture::deterministic(7);
+        let (mut bringup, mut env) = TrustFixture::deterministic(7, Telemetry::default());
         for step in BringUpStep::ALL {
             bringup.apply(step, &mut env).unwrap();
         }
@@ -545,7 +542,7 @@ mod tests {
     #[test]
     fn every_step_is_refused_out_of_order() {
         for skip_to in 1..BringUpStep::ALL.len() {
-            let (mut bringup, mut env) = TrustFixture::deterministic(7);
+            let (mut bringup, mut env) = TrustFixture::deterministic(7, Telemetry::default());
             let step = BringUpStep::ALL[skip_to];
             let err = bringup.apply(step, &mut env).unwrap_err();
             assert_eq!(
@@ -560,7 +557,7 @@ mod tests {
 
     #[test]
     fn toctou_mutation_blocks_release_and_rolls_back() {
-        let (mut bringup, mut env) = TrustFixture::deterministic(7);
+        let (mut bringup, mut env) = TrustFixture::deterministic(7, Telemetry::default());
         drive_to(BringUpState::Attested, &mut bringup, &mut env);
         bringup.pcrs_mut().extend_assigned(PcrIndex::ScFirmware, b"evil patch");
         let err = bringup.release_keys(env.master).unwrap_err();
@@ -575,7 +572,7 @@ mod tests {
 
     #[test]
     fn reset_returns_to_power_on_and_recovers() {
-        let (mut bringup, mut env) = TrustFixture::deterministic(7);
+        let (mut bringup, mut env) = TrustFixture::deterministic(7, Telemetry::default());
         drive_to(BringUpState::Serving, &mut bringup, &mut env);
         bringup.reset(env.fresh_blade(7));
         assert_eq!(bringup.state(), BringUpState::PowerOn);
@@ -589,7 +586,7 @@ mod tests {
 
     #[test]
     fn failed_boot_stays_at_power_on_with_evidence() {
-        let (mut bringup, mut env) = TrustFixture::deterministic(7);
+        let (mut bringup, mut env) = TrustFixture::deterministic(7, Telemetry::default());
         // Tamper with flash: swap in a firmware image sealed for a
         // different revision (valid ciphertext, wrong measurement).
         let evil_key = Key::Aes128([7 ^ 0x42; 16]);

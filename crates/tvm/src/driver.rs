@@ -77,10 +77,9 @@ pub struct RetryPolicy {
     /// Base of the exponential backoff: attempt `n` waits for
     /// `backoff_unit × min(backoff_base^n, 64)` before re-staging.
     pub backoff_base: u32,
-    /// Sim-time length of one backoff round. With a telemetry hub
-    /// attached the wait is a measured sim-time deadline charged as idle
-    /// time against the driver's tenant; without one it degrades to the
-    /// same number of idle pump rounds.
+    /// Sim-time length of one backoff round. The wait is a sim-time
+    /// deadline on the driver's telemetry hub, charged as idle time
+    /// against the driver's tenant.
     pub backoff_unit: SimDuration,
 }
 
@@ -147,7 +146,7 @@ pub struct XpuDriver {
     ctrl_seq: Cell<u64>,
     control_retries: Cell<u64>,
     read_tag: Cell<u8>,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl fmt::Debug for XpuDriver {
@@ -160,7 +159,10 @@ impl fmt::Debug for XpuDriver {
 }
 
 impl XpuDriver {
-    /// Binds a driver to a device.
+    /// Binds a driver to a device. Retries become trace events on
+    /// `telemetry`, and backoff becomes a sim-time deadline on it charged
+    /// as idle time against this driver's TVM (so per-tenant starvation
+    /// under sustained faults is a measured quantity).
     pub fn bind(
         tvm_bdf: Bdf,
         device_bdf: Bdf,
@@ -168,6 +170,7 @@ impl XpuDriver {
         registers: RegisterFile,
         bar0: u64,
         bar1: u64,
+        telemetry: Telemetry,
     ) -> XpuDriver {
         XpuDriver {
             tvm_bdf,
@@ -181,16 +184,8 @@ impl XpuDriver {
             ctrl_seq: Cell::new(0),
             control_retries: Cell::new(0),
             read_tag: Cell::new(0),
-            telemetry: None,
+            telemetry,
         }
-    }
-
-    /// Connects the driver to the telemetry hub: retries become trace
-    /// events and backoff becomes a sim-time deadline charged as idle
-    /// time against this driver's TVM (so per-tenant starvation under
-    /// sustained faults is a measured quantity).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Replaces the DMA retry policy.
@@ -219,7 +214,7 @@ impl XpuDriver {
 
     /// Convenience: binds to an [`ccai_xpu::Xpu`] before it is boxed into
     /// the fabric.
-    pub fn for_xpu(tvm_bdf: Bdf, xpu: &ccai_xpu::Xpu) -> XpuDriver {
+    pub fn for_xpu(tvm_bdf: Bdf, xpu: &ccai_xpu::Xpu, telemetry: Telemetry) -> XpuDriver {
         XpuDriver::bind(
             tvm_bdf,
             xpu.bdf(),
@@ -227,6 +222,7 @@ impl XpuDriver {
             xpu.registers().clone(),
             xpu.bar0_base(),
             xpu.bar1_base(),
+            telemetry,
         )
     }
 
@@ -242,33 +238,27 @@ impl XpuDriver {
     /// [`DriverError::WrongDevice`] if the vendor ID mismatches;
     /// [`DriverError::NoResponse`] if config reads go unanswered.
     pub fn init(&self, port: &mut dyn TlpPort) -> Result<(), DriverError> {
-        let mut attempt = 0u32;
-        let vendor_id = loop {
+        let vendor_id = self.with_control_retries("config_read", || {
             let tag = self.next_read_tag();
             let replies =
                 port.request(Tlp::config_read(self.tvm_bdf, self.device_bdf, 0, tag));
-            let reply = replies.iter().find(|r| {
-                r.header().tlp_type() == TlpType::CompletionData
-                    && r.header().tag() == tag
-                    && r.payload().len() >= 4
-            });
-            if let Some(reply) = reply {
-                break u16::from_le_bytes([reply.payload()[0], reply.payload()[1]]);
-            }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                return Err(DriverError::NoResponse);
-            }
-            self.note_control_retry("config_read", attempt);
-        };
+            replies
+                .iter()
+                .find(|r| {
+                    r.header().tlp_type() == TlpType::CompletionData
+                        && r.header().tag() == tag
+                        && r.payload().len() >= 4
+                })
+                .map(|reply| u16::from_le_bytes([reply.payload()[0], reply.payload()[1]]))
+                .ok_or(DriverError::NoResponse)
+        })?;
         if vendor_id != self.expected_vendor_id {
             return Err(DriverError::WrongDevice { vendor_id });
         }
         // Enable memory space + bus master in the command register.
         // Config writes are posted, so re-send until the command register
         // reads back with both bits set.
-        let mut attempt = 0u32;
-        loop {
+        self.with_control_retries("config_write", || {
             port.request(Tlp::config_write(
                 self.tvm_bdf,
                 self.device_bdf,
@@ -284,14 +274,11 @@ impl XpuDriver {
                     && r.payload().first().is_some_and(|b| b & 0x06 == 0x06)
             });
             if enabled {
-                return Ok(());
+                Ok(())
+            } else {
+                Err(DriverError::NoResponse)
             }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                return Err(DriverError::NoResponse);
-            }
-            self.note_control_retry("config_write", attempt);
-        }
+        })
     }
 
     /// Writes a device register over MMIO with exactly-once semantics.
@@ -321,18 +308,13 @@ impl XpuDriver {
             port.request(Tlp::memory_write(self.tvm_bdf, addr, payload));
             return Ok(());
         }
-        let mut attempt = 0u32;
-        loop {
+        self.with_control_retries("write_verify", || {
             port.request(Tlp::memory_write(self.tvm_bdf, addr, payload.clone()));
-            if self.read_register(port, reg) == Ok(value) {
-                return Ok(());
+            match self.read_register(port, reg) {
+                Ok(read) if read == value => Ok(()),
+                _ => Err(DriverError::NoResponse),
             }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                return Err(DriverError::NoResponse);
-            }
-            self.note_control_retry("write_verify", attempt);
-        }
+        })
     }
 
     /// Reads a device register over MMIO.
@@ -347,26 +329,23 @@ impl XpuDriver {
     /// [`DriverError::NoResponse`] if no matching completion arrives.
     pub fn read_register(&self, port: &mut dyn TlpPort, reg: Reg) -> Result<u64, DriverError> {
         let addr = self.bar0 + self.registers.offset(reg);
-        let mut attempt = 0u32;
-        loop {
+        self.with_control_retries("read", || {
             let tag = self.next_read_tag();
             let replies = port.request(Tlp::memory_read(self.tvm_bdf, addr, 8, tag));
-            let reply = replies.iter().find(|r| {
-                r.header().tlp_type() == TlpType::CompletionData
-                    && r.header().tag() == tag
-                    && r.payload().len() == 8
-            });
-            if let Some(reply) = reply {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(reply.payload());
-                return Ok(u64::from_le_bytes(bytes));
-            }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                return Err(DriverError::NoResponse);
-            }
-            self.note_control_retry("read", attempt);
-        }
+            replies
+                .iter()
+                .find(|r| {
+                    r.header().tlp_type() == TlpType::CompletionData
+                        && r.header().tag() == tag
+                        && r.payload().len() == 8
+                })
+                .map(|reply| {
+                    let mut bytes = [0u8; 8];
+                    bytes.copy_from_slice(reply.payload());
+                    u64::from_le_bytes(bytes)
+                })
+                .ok_or(DriverError::NoResponse)
+        })
     }
 
     /// Reads `reg` until it holds `expect` (a corrupted completion can
@@ -383,18 +362,13 @@ impl XpuDriver {
         reg: Reg,
         expect: u64,
     ) -> Result<u64, DriverError> {
-        let mut attempt = 0u32;
-        loop {
-            let value = self.read_register(port, reg)?;
-            if value == expect {
-                return Ok(value);
-            }
-            attempt += 1;
-            if attempt >= self.retry.max_attempts {
-                return Ok(value);
-            }
-            self.note_control_retry("read_expect", attempt);
-        }
+        // A mismatch is the retried failure, carrying the value it read;
+        // a read error ends the loop at once.
+        self.with_control_retries("read_expect", || match self.read_register(port, reg) {
+            Ok(value) if value != expect => Err(value),
+            done => Ok(done),
+        })
+        .unwrap_or_else(Ok)
     }
 
     fn next_read_tag(&self) -> u8 {
@@ -403,17 +377,33 @@ impl XpuDriver {
         tag
     }
 
-    fn note_control_retry(&self, what: &str, attempt: u32) {
-        self.control_retries.set(self.control_retries.get() + 1);
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.record(
+    /// Runs `attempt_once` until it returns `Ok`, at most
+    /// `retry.max_attempts` times, noting a control retry against `what`
+    /// before every re-attempt. On exhaustion returns the last `Err`.
+    fn with_control_retries<T, E>(
+        &self,
+        what: &str,
+        mut attempt_once: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut attempt = 0u32;
+        loop {
+            let failure = match attempt_once() {
+                Ok(value) => return Ok(value),
+                Err(failure) => failure,
+            };
+            attempt += 1;
+            if attempt >= self.retry.max_attempts {
+                return Err(failure);
+            }
+            self.control_retries.set(self.control_retries.get() + 1);
+            self.telemetry.record(
                 Severity::Warn,
                 "driver.control_retry",
                 Some(u32::from(self.tvm_bdf.to_u16())),
                 None,
                 format!("target={what} attempt={attempt}"),
             );
-            telemetry.counter_add("driver.control_retries", 1);
+            self.telemetry.counter_add("driver.control_retries", 1);
         }
     }
 
@@ -510,11 +500,10 @@ impl XpuDriver {
     /// in-flight traffic, let the staging layer invalidate the dead buffer
     /// (rekeying on the confidential path), then back off exponentially.
     ///
-    /// With a telemetry hub attached, backoff is a **sim-time deadline**:
-    /// the driver idles until `now + backoff_unit × min(base^attempt, 64)`
-    /// and the wait is charged as idle time against its tenant, making
-    /// starvation under sustained faults measurable. Without telemetry the
-    /// wait degrades to the same number of idle pump rounds.
+    /// Backoff is a **sim-time deadline**: the driver idles until
+    /// `now + backoff_unit × min(base^attempt, 64)` and the wait is
+    /// charged as idle time against its tenant, making starvation under
+    /// sustained faults measurable.
     fn quiesce_and_back_off(
         &self,
         port: &mut dyn TlpPort,
@@ -525,41 +514,29 @@ impl XpuDriver {
     ) {
         self.retries.set(self.retries.get() + 1);
         let tenant = Some(u32::from(self.tvm_bdf.to_u16()));
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.record(
-                Severity::Warn,
-                "driver.retry",
-                tenant,
-                None,
-                format!("attempt={attempt} device={}", self.device_bdf),
-            );
-            telemetry.counter_add("driver.retries", 1);
-        }
+        self.telemetry.record(
+            Severity::Warn,
+            "driver.retry",
+            tenant,
+            None,
+            format!("attempt={attempt} device={}", self.device_bdf),
+        );
+        self.telemetry.counter_add("driver.retries", 1);
         // Abort the engine; verification failure here just means the next
         // attempt's pre-clear will finish the job.
         let _ = self.write_register(port, Reg::DmaCtrl, 0);
         while port.pump(memory) > 0 {}
         stager.transfer_failed(port, memory, staged);
         let rounds = self.retry.rounds_for_attempt(attempt);
-        match &self.telemetry {
-            Some(telemetry) => {
-                let deadline =
-                    telemetry.now() + self.retry.backoff_unit * u64::from(rounds);
-                let waited = telemetry.idle_until(deadline, tenant);
-                telemetry.record(
-                    Severity::Info,
-                    "driver.backoff",
-                    tenant,
-                    None,
-                    format!("attempt={attempt} waited_picos={}", waited.as_picos()),
-                );
-            }
-            None => {
-                for _ in 0..rounds {
-                    let _ = port.pump(memory);
-                }
-            }
-        }
+        let deadline = self.telemetry.now() + self.retry.backoff_unit * u64::from(rounds);
+        let waited = self.telemetry.idle_until(deadline, tenant);
+        self.telemetry.record(
+            Severity::Info,
+            "driver.backoff",
+            tenant,
+            None,
+            format!("attempt={attempt} waited_picos={}", waited.as_picos()),
+        );
     }
 
     /// Loads a model: DMA the weights to the device, then issue
@@ -665,10 +642,11 @@ mod tests {
     }
 
     fn setup() -> (Fabric, GuestMemory, IdentityStager, XpuDriver) {
-        let xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000);
-        let driver = XpuDriver::for_xpu(tvm(), &xpu);
+        let hub = Telemetry::default();
+        let xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, hub.clone());
+        let driver = XpuDriver::for_xpu(tvm(), &xpu, hub.clone());
         let window = xpu.address_window();
-        let mut fabric = Fabric::new();
+        let mut fabric = Fabric::new(hub);
         fabric.attach(PortId(0), Box::new(xpu));
         fabric.map_range(window, PortId(0));
 
@@ -686,11 +664,12 @@ mod tests {
 
     #[test]
     fn init_rejects_wrong_vendor() {
-        let xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000);
-        let mut driver = XpuDriver::for_xpu(tvm(), &xpu);
+        let hub = Telemetry::default();
+        let xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, hub.clone());
+        let mut driver = XpuDriver::for_xpu(tvm(), &xpu, hub.clone());
         driver.expected_vendor_id = 0xDEAD;
         let window = xpu.address_window();
-        let mut fabric = Fabric::new();
+        let mut fabric = Fabric::new(hub);
         fabric.attach(PortId(0), Box::new(xpu));
         fabric.map_range(window, PortId(0));
         assert_eq!(

@@ -148,10 +148,11 @@ mod tests {
     fn unprotected_xpu_is_wide_open() {
         // Without a PCIe-SC, the host adversary reads and writes device
         // memory freely — the problem ccAI exists to solve.
-        let xpu = Xpu::new(XpuSpec::t4(), Bdf::new(0x17, 0, 0), 0x8000_0000);
+        let hub = ccai_sim::Telemetry::default();
+        let xpu = Xpu::new(XpuSpec::t4(), Bdf::new(0x17, 0, 0), 0x8000_0000, hub.clone());
         let bar1 = xpu.bar1_base();
         let window = xpu.address_window();
-        let mut fabric = Fabric::new();
+        let mut fabric = Fabric::new(hub);
         fabric.attach(PortId(0), Box::new(xpu));
         fabric.map_range(window, PortId(0));
 

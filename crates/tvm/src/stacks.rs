@@ -304,10 +304,11 @@ mod tests {
     use ccai_xpu::{CommandProcessor, Xpu, XpuSpec};
 
     fn rig(spec: XpuSpec) -> (Fabric, GuestMemory, IdentityStager, XpuDriver) {
-        let xpu = Xpu::new(spec, Bdf::new(0x17, 0, 0), 0x8000_0000);
-        let driver = XpuDriver::for_xpu(Bdf::new(0, 2, 0), &xpu);
+        let hub = ccai_sim::Telemetry::default();
+        let xpu = Xpu::new(spec, Bdf::new(0x17, 0, 0), 0x8000_0000, hub.clone());
+        let driver = XpuDriver::for_xpu(Bdf::new(0, 2, 0), &xpu, hub.clone());
         let window = xpu.address_window();
-        let mut fabric = Fabric::new();
+        let mut fabric = Fabric::new(hub);
         fabric.attach(PortId(0), Box::new(xpu));
         fabric.map_range(window, PortId(0));
         let mut memory = GuestMemory::new(1 << 24);

@@ -192,7 +192,8 @@ mod tests {
     fn setup() -> (Fabric, GuestMemory, IdentityStager) {
         let mut mem = GuestMemory::new(1 << 20);
         mem.share_range(0x8000..0x18000);
-        (Fabric::new(), mem, IdentityStager::new(0x8000, 0x10000))
+        let fabric = Fabric::new(ccai_sim::Telemetry::default());
+        (fabric, mem, IdentityStager::new(0x8000, 0x10000))
     }
 
     #[test]

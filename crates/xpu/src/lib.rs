@@ -23,15 +23,18 @@
 //! * [`dma`] — the descriptor-driven DMA engine;
 //! * [`command`] — the command processor running verifiable "kernels";
 //! * [`firmware`] — firmware images, versions and vendor signatures;
-//! * [`device`] — [`Xpu`], the assembled PCIe endpoint.
+//! * [`device`] — [`Xpu`], the assembled PCIe endpoint, and the
+//!   per-function engine it shares with [`partition`];
+//! * [`partition`] — [`PartitionedXpu`], MIG-style virtual functions.
 //!
 //! # Example
 //!
 //! ```
 //! use ccai_xpu::{Xpu, XpuSpec};
 //! use ccai_pcie::Bdf;
+//! use ccai_sim::Telemetry;
 //!
-//! let gpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000);
+//! let gpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, Telemetry::default());
 //! assert_eq!(gpu.spec().name(), "NVIDIA A100");
 //! assert!(gpu.spec().has_mmu());
 //! ```

@@ -4,22 +4,25 @@
 //! "The PCIe-SC distinguishes each xPU, or virtual functions on a xPU,
 //! by unique PCIe identifiers (e.g., Bus/Device/Function ID)." This
 //! module models a multi-instance accelerator: one physical endpoint
-//! exposing N virtual functions, each with its own function number,
-//! register window, DMA engine, command processor, and hard memory
-//! quota — so a multi-tenant security controller can key policy and
-//! crypto per VF.
+//! exposing N virtual functions, each with its own function number and
+//! hard memory quota — so a multi-tenant security controller can key
+//! policy and crypto per VF.
 //!
-//! Drivers bind to a VF exactly as to a whole device: same register
-//! layout, same programming model, a per-VF BAR window slice.
+//! A VF is an xPU engine behind a BAR stride: each runs the very engine
+//! a whole [`crate::Xpu`] runs (register dispatch, DMA with its busy
+//! guard, abort and stall recovery, command processor, interrupts, DMA
+//! telemetry), built like the xPU's but with the VF's memory quota. The
+//! device only routes: BAR0 and BAR1 accesses by stride, DMA completions
+//! by requester id. Drivers bind to a VF exactly as to a whole device:
+//! same register layout, same programming model, a per-VF BAR window
+//! slice.
 
-use crate::command::{Command, CommandProcessor};
-use crate::dma::{DmaDirection, DmaEngine, DmaRequest};
+use crate::device::{bar_config, decode_bar, unclaimed, Bar, Engine, BAR1_SIZE};
 use crate::memory::DeviceMemory;
-use crate::registers::{Reg, RegisterFile, RESET_MAGIC};
+use crate::registers::RegisterFile;
 use crate::spec::XpuSpec;
-use ccai_pcie::{
-    device::handle_config_access, Bdf, ConfigSpace, CplStatus, PcieDevice, Tlp, TlpType,
-};
+use ccai_pcie::{device::handle_config_access, Bdf, ConfigSpace, PcieDevice, Tlp};
+use ccai_sim::Telemetry;
 use std::fmt;
 
 /// Per-VF register window stride within BAR0.
@@ -28,93 +31,13 @@ pub const VF_BAR0_STRIDE: u64 = 0x1_0000;
 /// Per-VF aperture size within BAR1.
 pub const VF_BAR1_STRIDE: u64 = 1 << 24; // 16 MiB per instance
 
-struct VfState {
-    bdf: Bdf,
-    registers: RegisterFile,
-    memory: DeviceMemory,
-    dma: DmaEngine,
-    commands: CommandProcessor,
-    interrupt_pending: bool,
-}
-
-impl VfState {
-    fn register_write(&mut self, reg: Reg, value: u64) {
-        self.registers.write(reg, value);
-        match reg {
-            Reg::DmaCtrl => {
-                let direction = match value {
-                    1 => DmaDirection::HostToDevice,
-                    2 => DmaDirection::DeviceToHost,
-                    _ => return,
-                };
-                let request = DmaRequest {
-                    direction,
-                    host_addr: match direction {
-                        DmaDirection::HostToDevice => self.registers.read(Reg::DmaSrc),
-                        DmaDirection::DeviceToHost => self.registers.read(Reg::DmaDst),
-                    },
-                    device_addr: match direction {
-                        DmaDirection::HostToDevice => self.registers.read(Reg::DmaDst),
-                        DmaDirection::DeviceToHost => self.registers.read(Reg::DmaSrc),
-                    },
-                    len: self.registers.read(Reg::DmaLen),
-                };
-                if request.len == 0 {
-                    return;
-                }
-                self.dma.start(request, &mut self.memory);
-                self.sync_dma_status();
-            }
-            Reg::CmdDoorbell => {
-                let command = match value {
-                    1 => Command::LoadModel {
-                        addr: self.registers.read(Reg::CmdArg0),
-                        len: self.registers.read(Reg::CmdArg1),
-                    },
-                    2 => Command::RunInference {
-                        input: self.registers.read(Reg::CmdArg0),
-                        len: self.registers.read(Reg::CmdArg1),
-                        output: self.registers.read(Reg::CmdArg2),
-                    },
-                    _ => return,
-                };
-                let status = self.commands.execute(command, &mut self.memory);
-                self.registers.write(Reg::CmdStatus, status.to_code());
-                self.interrupt_pending = true;
-            }
-            Reg::ResetCtrl
-                if value == RESET_MAGIC => {
-                    // A VF reset wipes ONLY this instance's slice — the
-                    // isolation property MIG provides.
-                    self.memory.wipe();
-                    self.registers.wipe();
-                    self.dma.wipe();
-                    self.commands.wipe();
-                }
-            _ => {}
-        }
-    }
-
-    fn sync_dma_status(&mut self) {
-        self.registers
-            .write(Reg::DmaStatus, self.dma.status().to_code());
-        if matches!(
-            self.dma.status(),
-            crate::dma::DmaStatus::Done | crate::dma::DmaStatus::Error
-        ) {
-            self.interrupt_pending = true;
-        }
-    }
-}
-
 /// A multi-instance xPU: one endpoint, N virtual functions.
 pub struct PartitionedXpu {
     spec: XpuSpec,
     pf_bdf: Bdf,
     config: ConfigSpace,
     bar0_base: u64,
-    bar1_base: u64,
-    vfs: Vec<VfState>,
+    vfs: Vec<Engine>,
 }
 
 impl fmt::Debug for PartitionedXpu {
@@ -129,37 +52,31 @@ impl fmt::Debug for PartitionedXpu {
 impl PartitionedXpu {
     /// Creates a device at `pf_bdf` (function 0) with `vf_count` virtual
     /// functions (functions 1..=vf_count), each with an equal memory
-    /// quota.
+    /// quota and each reporting DMA spans to `telemetry` under its own
+    /// BDF.
     ///
     /// # Panics
     ///
     /// Panics if `vf_count` is 0 or greater than 7 (the function-number
     /// width), or if `bar_base` is not 256 MiB-aligned.
-    pub fn new(spec: XpuSpec, pf_bdf: Bdf, bar_base: u64, vf_count: u8) -> PartitionedXpu {
+    pub fn new(
+        spec: XpuSpec,
+        pf_bdf: Bdf,
+        bar_base: u64,
+        vf_count: u8,
+        telemetry: Telemetry,
+    ) -> PartitionedXpu {
         assert!((1..=7).contains(&vf_count), "1-7 virtual functions");
         assert_eq!(pf_bdf.function(), 0, "PF must be function 0");
-        assert_eq!(bar_base % crate::device::BAR1_SIZE, 0, "BAR base alignment");
-        let mut config = ConfigSpace::new(0x10DE, 0x20B7);
-        let bar1_base = bar_base + crate::device::BAR1_SIZE;
-        config.set_bar(0, bar_base, crate::device::BAR0_SIZE);
-        config.set_bar(2, bar1_base, crate::device::BAR1_SIZE);
-
+        let config = bar_config(0x10DE, 0x20B7, bar_base);
         let quota = spec.memory_bytes() / vf_count as u64;
         let vfs = (1..=vf_count)
             .map(|i| {
                 let bdf = Bdf::new(pf_bdf.bus(), pf_bdf.device(), i);
-                VfState {
-                    bdf,
-                    registers: RegisterFile::with_layout(spec.vendor(), 0),
-                    memory: DeviceMemory::new(quota),
-                    dma: DmaEngine::new(bdf),
-                    commands: CommandProcessor::new(),
-                    interrupt_pending: false,
-                }
+                Engine::new(&spec, bdf, quota, telemetry.clone())
             })
             .collect();
-
-        PartitionedXpu { spec, pf_bdf, config, bar0_base: bar_base, bar1_base, vfs }
+        PartitionedXpu { spec, pf_bdf, config, bar0_base: bar_base, vfs }
     }
 
     /// The device spec.
@@ -178,7 +95,7 @@ impl PartitionedXpu {
     ///
     /// Panics if `index` is out of range.
     pub fn vf_bdf(&self, index: usize) -> Bdf {
-        self.vfs[index].bdf
+        self.vfs[index].bdf()
     }
 
     /// Base of VF `index`'s register window within BAR0.
@@ -188,34 +105,22 @@ impl PartitionedXpu {
 
     /// Base of VF `index`'s aperture window within BAR1.
     pub fn vf_bar1(&self, index: usize) -> u64 {
-        self.bar1_base + index as u64 * VF_BAR1_STRIDE
+        self.bar0_base + BAR1_SIZE + index as u64 * VF_BAR1_STRIDE
     }
 
     /// The VF's register layout (all VFs share the vendor layout).
     pub fn vf_registers(&self, index: usize) -> &RegisterFile {
-        &self.vfs[index].registers
+        self.vfs[index].registers()
     }
 
     /// The full host-address window the device decodes.
     pub fn address_window(&self) -> std::ops::Range<u64> {
-        self.bar0_base..self.bar1_base + crate::device::BAR1_SIZE
+        self.bar0_base..self.bar0_base + 2 * BAR1_SIZE
     }
 
     /// Direct access to a VF's memory slice, for assertions.
     pub fn vf_memory(&self, index: usize) -> &DeviceMemory {
-        &self.vfs[index].memory
-    }
-
-    fn vf_for_bar0(&mut self, offset: u64) -> Option<(&mut VfState, u64)> {
-        let index = (offset / VF_BAR0_STRIDE) as usize;
-        let within = offset % VF_BAR0_STRIDE;
-        self.vfs.get_mut(index).map(|vf| (vf, within))
-    }
-
-    fn vf_for_bar1(&mut self, offset: u64) -> Option<(&mut VfState, u64)> {
-        let index = (offset / VF_BAR1_STRIDE) as usize;
-        let within = offset % VF_BAR1_STRIDE;
-        self.vfs.get_mut(index).map(|vf| (vf, within))
+        self.vfs[index].memory()
     }
 }
 
@@ -236,106 +141,30 @@ impl PcieDevice for PartitionedXpu {
         if let Some(cpl) = handle_config_access(self, &tlp) {
             return vec![cpl];
         }
-        let header = *tlp.header();
-        let Some(addr) = header.address() else {
-            return Vec::new();
+        let decoded = tlp.header().address().and_then(|addr| decode_bar(self.bar0_base, addr));
+        let Some((bar, offset)) = decoded else {
+            return unclaimed(self.pf_bdf, &tlp);
         };
-        let pf_bdf = self.pf_bdf;
-
-        if (self.bar0_base..self.bar0_base + crate::device::BAR0_SIZE).contains(&addr) {
-            let offset = addr - self.bar0_base;
-            let Some((vf, within)) = self.vf_for_bar0(offset) else {
-                return Vec::new();
-            };
-            match header.tlp_type() {
-                TlpType::MemWrite => {
-                    if let Some(reg) = vf.registers.reg_at(within) {
-                        let mut bytes = [0u8; 8];
-                        let payload = tlp.payload();
-                        let n = payload.len().min(8);
-                        bytes[..n].copy_from_slice(&payload[..n]);
-                        vf.register_write(reg, u64::from_le_bytes(bytes));
-                    }
-                    Vec::new()
-                }
-                TlpType::MemRead => {
-                    let value = vf
-                        .registers
-                        .reg_at(within)
-                        .map(|reg| vf.registers.read(reg))
-                        .unwrap_or(0);
-                    let len = (header.payload_len() as usize).min(8);
-                    vec![Tlp::completion_with_data(
-                        vf.bdf,
-                        header.requester(),
-                        header.tag(),
-                        value.to_le_bytes()[..len].to_vec(),
-                    )]
-                }
-                _ => vec![Tlp::completion(
-                    pf_bdf,
-                    header.requester(),
-                    header.tag(),
-                    CplStatus::UnsupportedRequest,
-                )],
-            }
-        } else if (self.bar1_base..self.bar1_base + crate::device::BAR1_SIZE).contains(&addr) {
-            let offset = addr - self.bar1_base;
-            let Some((vf, within)) = self.vf_for_bar1(offset) else {
-                return Vec::new();
-            };
-            match header.tlp_type() {
-                TlpType::MemWrite => {
-                    let _ = vf.memory.write(within, tlp.payload());
-                    Vec::new()
-                }
-                TlpType::MemRead => match vf.memory.read(within, header.payload_len() as u64) {
-                    Ok(data) => vec![Tlp::completion_with_data(
-                        vf.bdf,
-                        header.requester(),
-                        header.tag(),
-                        data,
-                    )],
-                    Err(_) => vec![Tlp::completion(
-                        vf.bdf,
-                        header.requester(),
-                        header.tag(),
-                        CplStatus::UnsupportedRequest,
-                    )],
-                },
-                _ => Vec::new(),
-            }
-        } else if header.tlp_type().is_read() {
-            vec![Tlp::completion(
-                pf_bdf,
-                header.requester(),
-                header.tag(),
-                CplStatus::UnsupportedRequest,
-            )]
-        } else {
-            Vec::new()
+        let stride = match bar {
+            Bar::Registers => VF_BAR0_STRIDE,
+            Bar::Aperture => VF_BAR1_STRIDE,
+        };
+        match self.vfs.get_mut((offset / stride) as usize) {
+            Some(vf) => vf.access(bar, offset % stride, &tlp),
+            None => unclaimed(self.pf_bdf, &tlp),
         }
     }
 
     fn poll_outbound(&mut self) -> Vec<Tlp> {
-        let mut out = Vec::new();
-        for vf in &mut self.vfs {
-            out.extend(vf.dma.poll_outbound());
-            if vf.interrupt_pending {
-                vf.interrupt_pending = false;
-                out.push(Tlp::message(vf.bdf, 0x20));
-            }
-        }
-        out
+        self.vfs.iter_mut().flat_map(Engine::poll_outbound).collect()
     }
 
     fn deliver_completion(&mut self, tlp: Tlp) {
         // Route by the original requester: each VF's DMA engine issued
         // reads under its own BDF.
         let requester = tlp.header().requester();
-        if let Some(vf) = self.vfs.iter_mut().find(|vf| vf.bdf == requester) {
-            vf.dma.deliver_completion(tlp, &mut vf.memory);
-            vf.sync_dma_status();
+        if let Some(vf) = self.vfs.iter_mut().find(|vf| vf.bdf() == requester) {
+            vf.deliver_completion(tlp);
         }
     }
 }
@@ -343,28 +172,28 @@ impl PcieDevice for PartitionedXpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccai_pcie::{Fabric, PortId, VecHostMemory};
+    use crate::registers::{Reg, RESET_MAGIC};
+    use crate::CommandProcessor;
+    use ccai_pcie::{Fabric, PortId, TlpType, VecHostMemory};
 
     fn host() -> Bdf {
         Bdf::new(0, 2, 0)
     }
 
     fn setup() -> (Fabric, VecHostMemory, PartitionedXpu) {
-        let xpu = PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, 2);
-        (Fabric::new(), VecHostMemory::new(1 << 20), xpu)
+        let hub = Telemetry::default();
+        let xpu =
+            PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, 2, hub.clone());
+        (Fabric::new(hub), VecHostMemory::new(1 << 20), xpu)
     }
 
-    fn attach(fabric: &mut Fabric, xpu: PartitionedXpu) -> (u64, u64, RegisterFile) {
+    fn attach(fabric: &mut Fabric, xpu: PartitionedXpu) {
         let window = xpu.address_window();
-        let regs = xpu.vf_registers(0).clone();
-        let (b0, b1) = (xpu.bar0_base, xpu.bar1_base);
         for i in 0..xpu.vf_count() {
             fabric.map_bdf(xpu.vf_bdf(i), PortId(0));
         }
         fabric.attach(PortId(0), Box::new(xpu));
         fabric.map_range(window, PortId(0));
-        let _ = (b0, b1);
-        (0x8000_0000, 0x8000_0000 + crate::device::BAR1_SIZE, regs)
     }
 
     #[test]
@@ -489,8 +318,54 @@ mod tests {
     }
 
     #[test]
+    fn duplicated_vf_doorbell_keeps_the_transfer_running() {
+        let (mut fabric, mut mem, xpu) = setup();
+        let (regs_base, window) = (xpu.vf_bar0(0), xpu.vf_bar1(0));
+        let regs = xpu.vf_registers(0).clone();
+        attach(&mut fabric, xpu);
+        let write_reg = |fabric: &mut Fabric, reg: Reg, value: u64| {
+            fabric.host_request(Tlp::memory_write(
+                host(),
+                regs_base + regs.offset(reg),
+                value.to_le_bytes().to_vec(),
+            ));
+        };
+        let read_reg = |fabric: &mut Fabric, reg: Reg| {
+            let replies =
+                fabric.host_request(Tlp::memory_read(host(), regs_base + regs.offset(reg), 8, 3));
+            u64::from_le_bytes(replies[0].payload().try_into().expect("8-byte register"))
+        };
+        let program_h2d = |fabric: &mut Fabric, device_addr: u64| {
+            write_reg(fabric, Reg::DmaSrc, 0x100);
+            write_reg(fabric, Reg::DmaDst, device_addr);
+            write_reg(fabric, Reg::DmaLen, 16);
+        };
+        mem.as_mut_slice()[0x100..0x110].fill(0x5C);
+
+        // A duplicated doorbell delivery reaches the VF before any pump.
+        program_h2d(&mut fabric, 0);
+        write_reg(&mut fabric, Reg::DmaCtrl, 1);
+        write_reg(&mut fabric, Reg::DmaCtrl, 1);
+        while fabric.pump(&mut mem) > 0 {}
+        assert_eq!(read_reg(&mut fabric, Reg::DmaStatus), 2, "transfer done");
+        let landed = fabric.host_request(Tlp::memory_read(host(), window, 16, 4));
+        assert_eq!(landed[0].payload(), &[0x5C; 16], "VF 0 memory holds the bytes");
+
+        // `DmaCtrl = 0` mid-transfer aborts the VF's engine, as on `Xpu`.
+        program_h2d(&mut fabric, 0x1000);
+        write_reg(&mut fabric, Reg::DmaCtrl, 1);
+        assert_eq!(read_reg(&mut fabric, Reg::DmaStatus), 1, "busy");
+        write_reg(&mut fabric, Reg::DmaCtrl, 0);
+        assert_eq!(read_reg(&mut fabric, Reg::DmaStatus), 0, "aborted to idle");
+        while fabric.pump(&mut mem) > 0 {}
+        let untouched = fabric.host_request(Tlp::memory_read(host(), window + 0x1000, 16, 5));
+        assert_eq!(untouched[0].payload(), &[0; 16], "an aborted transfer lands nothing");
+    }
+
+    #[test]
     #[should_panic(expected = "1-7 virtual functions")]
     fn zero_vfs_rejected() {
-        let _ = PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, 0);
+        let hub = Telemetry::default();
+        let _ = PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, 0, hub);
     }
 }

@@ -25,6 +25,7 @@ fn fresh_sc(master: [u8; 32]) -> PcieSc {
             xpu_bdf: xpu(),
         },
         master,
+        ccai_sim::Telemetry::default(),
     )
 }
 

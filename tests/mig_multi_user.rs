@@ -7,6 +7,7 @@ use ccai_core::filter::{L1Rule, L2Rule, PolicyBlob, SecurityAction};
 use ccai_core::perf::OptimizationConfig;
 use ccai_core::sc::{regs, PcieSc, ScConfig};
 use ccai_pcie::{Bdf, BusAdversary, Fabric, PortId, Tlp, TlpType};
+use ccai_sim::Telemetry;
 use ccai_tvm::{GuestMemory, XpuDriver};
 use ccai_xpu::{partition::PartitionedXpu, CommandProcessor, XpuSpec};
 
@@ -30,14 +31,15 @@ fn tvm_bdf(i: usize) -> Bdf {
 }
 
 fn build() -> Rig {
-    let xpu = PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), XPU_BAR, 2);
+    let hub = Telemetry::default();
+    let xpu = PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), XPU_BAR, 2, hub.clone());
     let window = xpu.address_window();
     let vf_bdfs = [xpu.vf_bdf(0), xpu.vf_bdf(1)];
     let vf_bar0 = [xpu.vf_bar0(0), xpu.vf_bar0(1)];
     let vf_bar1 = [xpu.vf_bar1(0), xpu.vf_bar1(1)];
     let vf_regs = [xpu.vf_registers(0).clone(), xpu.vf_registers(1).clone()];
 
-    let mut fabric = Fabric::new();
+    let mut fabric = Fabric::new(hub.clone());
     for &vf in &vf_bdfs {
         fabric.map_bdf(vf, PortId(0));
     }
@@ -54,6 +56,7 @@ fn build() -> Rig {
             xpu_bdf: vf_bdfs[0],
         },
         MASTERS[0],
+        hub.clone(),
     );
     sc.add_tenant(tvm_bdf(1), vf_bdfs[1], MASTERS[1]);
     assert_eq!(sc.tenant_count(), 2);
@@ -72,6 +75,7 @@ fn build() -> Rig {
             vf_regs[i].clone(),
             vf_bar0[i],
             vf_bar1[i],
+            hub.clone(),
         );
         let adaptor = Adaptor::new(
             AdaptorConfig {
@@ -87,6 +91,7 @@ fn build() -> Rig {
                 opts: OptimizationConfig::all_on(),
             },
             MASTERS[i],
+            hub.clone(),
         );
         tenants.push((tvm_bdf(i), driver, adaptor));
     }

@@ -8,6 +8,7 @@ use ccai_core::adaptor::{Adaptor, AdaptorConfig};
 use ccai_core::perf::OptimizationConfig;
 use ccai_core::sc::{regs, PcieSc, ScConfig};
 use ccai_pcie::{Bdf, BusAdversary, Fabric, PortId, Tlp};
+use ccai_sim::Telemetry;
 use ccai_tvm::{GuestMemory, XpuDriver};
 use ccai_xpu::{CommandProcessor, Xpu, XpuSpec};
 
@@ -32,7 +33,8 @@ const TAG_LANDING: [u64; 2] = [0x80_0000, 0x90_0000];
 const METADATA: [u64; 2] = [0xA0_0000, 0xA1_0000];
 
 fn build_rig() -> TwoTenantRig {
-    let mut fabric = Fabric::new();
+    let hub = Telemetry::default();
+    let mut fabric = Fabric::new(hub.clone());
     let mut memory = GuestMemory::new(128 << 20);
     let mut tenants = Vec::new();
     let mut xpu_bar1 = Vec::new();
@@ -42,8 +44,8 @@ fn build_rig() -> TwoTenantRig {
         let xpu_bdf = Bdf::new(0x17 + i as u8, 0, 0);
         let sc_bdf = Bdf::new(0x15 - i as u8, 0, 0);
 
-        let xpu = Xpu::new(XpuSpec::a100(), xpu_bdf, XPU_BARS[i]);
-        let driver = XpuDriver::for_xpu(tvm_bdf, &xpu);
+        let xpu = Xpu::new(XpuSpec::a100(), xpu_bdf, XPU_BARS[i], hub.clone());
+        let driver = XpuDriver::for_xpu(tvm_bdf, &xpu, hub.clone());
         let window = xpu.address_window();
         let bar0 = xpu.bar0_base()..xpu.bar0_base() + ccai_xpu::device::BAR0_SIZE;
         let bar1 = xpu.bar1_base()..xpu.bar1_base() + ccai_xpu::device::BAR1_SIZE;
@@ -69,6 +71,7 @@ fn build_rig() -> TwoTenantRig {
                 xpu_bdf,
             },
             master,
+            hub.clone(),
         );
         fabric.interpose(port, Box::new(sc));
 
@@ -86,6 +89,7 @@ fn build_rig() -> TwoTenantRig {
                 opts: OptimizationConfig::all_on(),
             },
             master,
+            hub.clone(),
         );
         tenants.push(Tenant { bdf: tvm_bdf, driver, adaptor, master });
     }

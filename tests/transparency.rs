@@ -148,6 +148,7 @@ fn all_three_vendor_stacks_run_protected_without_changes() {
                 ccai_xpu::RegisterFile::with_layout(&vendor, 0),
                 ccai_core::system::layout::XPU_BAR_BASE,
                 ccai_core::system::layout::XPU_BAR_BASE + (1 << 28),
+                system.telemetry().clone(),
             );
             let mut stack = stack_for_vendor(&vendor, driver);
             // ensure the confidential plumbing is up before driving the

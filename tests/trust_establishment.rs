@@ -12,6 +12,7 @@ use ccai_trust::secure_boot::{FlashImage, SecureBoot};
 use ccai_trust::{HrotBlade, WorkloadKeyManager};
 use ccai_xpu::{Xpu, XpuSpec};
 use ccai_pcie::Bdf;
+use ccai_sim::Telemetry;
 use std::collections::HashMap;
 
 struct Deployment {
@@ -41,7 +42,7 @@ fn deploy() -> Deployment {
 
     // Measure the attached xPU's firmware into its PCR (the "xPU with
     // HRoT / vendor signature" path of §6).
-    let xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000);
+    let xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, Telemetry::default());
     assert!(xpu.firmware().verify(), "vendor signature checks out");
     blade
         .pcrs_mut()
@@ -94,7 +95,8 @@ fn tampered_xpu_firmware_breaks_attestation() {
     boot.boot(&mut blade, &flash).unwrap();
     blade.boot_generate_ak(&[0x02; 32]);
 
-    let mut xpu = Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000);
+    let mut xpu =
+        Xpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, Telemetry::default());
     xpu.firmware_mut().tamper(3);
     assert!(!xpu.firmware().verify(), "tamper visible at signature check");
     // Suppose the operator extends the tampered measurement anyway:
