@@ -500,6 +500,31 @@ mod tests {
     }
 
     #[test]
+    fn hot_unplugged_replica_leaves_and_its_tenants_rehome() {
+        let mut fleet = ShardedFleet::deploy(XpuSpec::a100(), SystemMode::CcAi, WEIGHTS, 3)
+            .expect("sharded fleet deploys");
+        serve_on_every_replica(&mut fleet, b"before unplug");
+        let before: Vec<u32> = (0..64).map(|t| fleet.shard_of(t)).collect();
+        let report = fleet.hot_unplug_replica(1).expect("unplug succeeds");
+        assert_eq!(report.total(), 0, "a quiescent replica loses nothing on its link");
+        assert_eq!(fleet.replica_ids(), vec![0, 2], "ids are stable, not re-packed");
+        for (tenant, &old) in before.iter().enumerate() {
+            let new = fleet.shard_of(tenant as u32);
+            if old != 1 {
+                assert_eq!(new, old, "tenant {tenant} moved although its home survived");
+            } else {
+                assert_ne!(new, 1, "tenant {tenant} still routed to the unplugged replica");
+            }
+        }
+        let expected = CommandProcessor::surrogate_inference(WEIGHTS, b"after unplug");
+        assert_eq!(serve_on_every_replica(&mut fleet, b"after unplug"), vec![expected; 2]);
+        assert!(matches!(fleet.hot_unplug_replica(1), Err(ChaosError::UnknownReplica(1))));
+        fleet.hot_unplug_replica(0).expect("unplug succeeds");
+        assert!(matches!(fleet.hot_unplug_replica(2), Err(ChaosError::LastReplica(2))));
+        assert_eq!(fleet.replica_ids(), vec![2]);
+    }
+
+    #[test]
     fn last_replica_cannot_be_removed() {
         let mut fleet = ShardedFleet::deploy(XpuSpec::t4(), SystemMode::CcAi, WEIGHTS, 1)
             .expect("sharded fleet deploys");
