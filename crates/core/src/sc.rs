@@ -524,17 +524,6 @@ impl PcieSc {
             .and_then(|t| self.tenant_tag(t))
     }
 
-    /// Overrides [`DEFAULT_QUARANTINE_THRESHOLD`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero (a channel must be allowed at least
-    /// one failure before being condemned).
-    pub fn set_quarantine_threshold(&mut self, threshold: u32) {
-        assert!(threshold >= 1, "quarantine threshold must be positive");
-        self.quarantine_threshold = threshold;
-    }
-
     /// True if the tenant bound to `xpu_bdf` has been quarantined to
     /// A1-deny.
     pub fn is_quarantined(&self, xpu_bdf: Bdf) -> bool {

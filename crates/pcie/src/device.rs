@@ -90,13 +90,13 @@ pub fn handle_config_access(device: &mut dyn PcieDevice, tlp: &Tlp) -> Option<Tl
 /// The host side of DMA: device-initiated reads and writes land here.
 ///
 /// The requester's BDF is part of the interface so implementations can
-/// enforce IOMMU policy (which device may touch which host range).
+/// enforce DMA policy (which device may touch which host range).
 pub trait HostMemory {
     /// Reads `len` bytes at physical address `addr` on behalf of
     /// `requester`.
     ///
-    /// Returns `None` if the range is unmapped or the IOMMU / TVM
-    /// hardware blocks the access.
+    /// Returns `None` if the range is unmapped or the TVM hardware blocks
+    /// the access.
     fn dma_read(&mut self, requester: Bdf, addr: u64, len: usize) -> Option<Vec<u8>>;
 
     /// Writes bytes at physical address `addr` on behalf of `requester`.

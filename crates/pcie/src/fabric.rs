@@ -346,11 +346,6 @@ impl Fabric {
         self.taps.push(tap);
     }
 
-    /// Removes all taps, returning them (so tests can inspect captures).
-    pub fn take_taps(&mut self) -> Vec<Box<dyn BusTap>> {
-        std::mem::take(&mut self.taps)
-    }
-
     /// Installs an active wire attacker on the exposed segment.
     pub fn set_wire_attack(&mut self, attack: Box<dyn WireAttack>) {
         self.wire_attack = Some(attack);

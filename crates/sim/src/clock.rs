@@ -36,11 +36,6 @@ impl Clock {
         Clock { now: SimTime::ZERO }
     }
 
-    /// Creates a clock starting at an arbitrary point.
-    pub fn starting_at(now: SimTime) -> Self {
-        Clock { now }
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

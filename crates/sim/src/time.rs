@@ -74,11 +74,6 @@ impl SimDuration {
         self.picos / 1_000_000
     }
 
-    /// Duration in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.picos as f64 / 1e9
-    }
-
     /// Duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.picos as f64 / 1e12
@@ -92,13 +87,6 @@ impl SimDuration {
     /// Checked addition; `None` on overflow.
     pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
         self.picos.checked_add(rhs.picos).map(|picos| SimDuration { picos })
-    }
-
-    /// Multiplies the duration by a floating-point scale factor.
-    ///
-    /// Negative or non-finite factors saturate to zero.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 
     /// True if this is the zero duration.

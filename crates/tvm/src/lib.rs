@@ -7,8 +7,6 @@
 //!
 //! * [`guest_memory`] — TVM guest memory with private vs. shared (bounce)
 //!   pages and hardware-enforced DMA rules ([`GuestMemory`]);
-//! * [`iommu`] — the platform IOMMU restricting which device may DMA
-//!   where ([`Iommu`]);
 //! * [`stager`] — the kernel DMA-staging service ([`DmaStager`]): vanilla
 //!   kernels copy through ordinary bounce buffers; ccAI's Adaptor (in
 //!   `ccai-core`) swaps in an encrypting implementation *without touching
@@ -35,7 +33,6 @@
 pub mod driver;
 pub mod guest_memory;
 pub mod hypervisor;
-pub mod iommu;
 pub mod port;
 pub mod stacks;
 pub mod stager;
@@ -43,7 +40,6 @@ pub mod stager;
 pub use driver::{DriverError, RetryPolicy, XpuDriver};
 pub use guest_memory::GuestMemory;
 pub use hypervisor::HostAdversary;
-pub use iommu::Iommu;
 pub use port::TlpPort;
 pub use stacks::{stack_for_vendor, UserStack};
 pub use stager::{DmaStager, IdentityStager, StagedBuffer};

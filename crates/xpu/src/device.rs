@@ -131,11 +131,6 @@ impl Engine {
         &self.registers
     }
 
-    /// The function's device memory.
-    pub(crate) fn memory(&self) -> &DeviceMemory {
-        &self.memory
-    }
-
     /// Performs a cold-boot reset: memory, registers, MMU, TLB, DMA and
     /// command state are all wiped (the xPU environment guard's A-action).
     fn cold_boot_reset(&mut self) {

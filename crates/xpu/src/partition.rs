@@ -18,7 +18,6 @@
 //! slice.
 
 use crate::device::{bar_config, decode_bar, unclaimed, Bar, Engine, BAR1_SIZE};
-use crate::memory::DeviceMemory;
 use crate::registers::RegisterFile;
 use crate::spec::XpuSpec;
 use ccai_pcie::{device::handle_config_access, Bdf, ConfigSpace, PcieDevice, Tlp};
@@ -116,11 +115,6 @@ impl PartitionedXpu {
     /// The full host-address window the device decodes.
     pub fn address_window(&self) -> std::ops::Range<u64> {
         self.bar0_base..self.bar0_base + 2 * BAR1_SIZE
-    }
-
-    /// Direct access to a VF's memory slice, for assertions.
-    pub fn vf_memory(&self, index: usize) -> &DeviceMemory {
-        self.vfs[index].memory()
     }
 }
 
