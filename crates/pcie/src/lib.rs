@@ -50,7 +50,6 @@ pub mod device;
 pub mod fabric;
 pub mod fault;
 pub mod link;
-pub mod shard;
 pub mod tlp;
 
 pub use adversary::{AttackLog, BusAdversary, TamperMode};
@@ -63,5 +62,4 @@ pub use device::{HostMemory, PcieDevice, VecHostMemory};
 pub use fabric::{Fabric, Interposer, InterposeOutcome, PortId, UnplugReport, WireAttack};
 pub use fault::{CompletionVerdict, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use link::{LinkConfig, LinkSpeed};
-pub use shard::{ShardError, ShardRouter};
 pub use tlp::{CplStatus, DecodeError, Tlp, TlpHeader, TlpPool, TlpPoolStats, TlpType};

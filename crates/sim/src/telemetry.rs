@@ -29,6 +29,7 @@
 //! Cloning a [`Telemetry`] clones a handle to the same hub (the simulation
 //! is single-threaded; the handle is deliberately not `Send`).
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::stats::{Histogram, Summary};
 use crate::time::{SimDuration, SimTime};
 use crate::Clock;
@@ -175,17 +176,6 @@ fn hop_report(hop: Hop, store: &SpanStore) -> HopReport {
         total: store_total(store),
         summary_us: store_summary_us(store),
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 fn fnv1a_u64(h: u64, v: u64) -> u64 {
