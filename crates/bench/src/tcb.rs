@@ -84,7 +84,7 @@ mod tests {
             ("Adaptor", 983),
             ("Trust Modules", 673),
             ("Packet Filter", 984),
-            ("Packet Handlers", 2_089),
+            ("Packet Handlers", 2_079),
             ("HRoT-Blade", 1_031),
         ];
         let rows = row_lines();
