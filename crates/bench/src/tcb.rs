@@ -84,7 +84,7 @@ mod tests {
             ("Adaptor", 983),
             ("Trust Modules", 673),
             ("Packet Filter", 984),
-            ("Packet Handlers", 2_079),
+            ("Packet Handlers", 2_077),
             ("HRoT-Blade", 1_031),
         ];
         let rows = row_lines();

@@ -19,7 +19,9 @@
 //! very same code with the switches off.
 
 use crate::filter::{L1Rule, L2Rule, PolicyBlob, SecurityAction};
-use crate::handler::{ChunkRef, CryptoEngine, StreamDirection, TagRecord, CHUNK_SIZE};
+use crate::handler::{
+    with_mmio_signed, ChunkRef, CryptoEngine, StreamDirection, TagRecord, CHUNK_SIZE,
+};
 use crate::perf::OptimizationConfig;
 use crate::sc::{
     regs, status_bits, ENV_POLICY_RECORD_LEN, ENV_STREAM, MMIO_STREAM, STREAM_MAP_RECORD_LEN,
@@ -202,10 +204,8 @@ impl AdaptorState {
         }
         let (_, seq) = parse_ctrl_envelope(tlp.payload())?;
         let cipher = stream_cipher(&mut self.keys, MMIO_STREAM);
-        let chunk = ChunkRef { stream: MMIO_STREAM, seq };
-        let mut signed = addr.to_be_bytes().to_vec();
-        signed.extend_from_slice(tlp.payload());
-        let tag = self.engine.plain_tag(cipher, &chunk.nonce(), &signed);
+        let nonce = ChunkRef { stream: MMIO_STREAM, seq }.nonce();
+        let tag = with_mmio_signed(addr, tlp.payload(), |s| self.engine.plain_tag(cipher, &nonce, s));
         let record = TagRecord { stream: MMIO_STREAM, seq, tag };
         self.counters.mmio_tags += 1;
         Some(self.raw_control_write(regs::TAG_QUEUE, record.to_bytes().to_vec()))

@@ -122,6 +122,19 @@ ccai_sim::snapshot_state!(EngineStats {
 
 ccai_sim::snapshot_state!(CryptoEngine { stats });
 
+/// Runs `f` over what an MMIO write's tag covers: its address (big-endian),
+/// then its enveloped payload. Only a payload past the stack buffer allocates.
+pub fn with_mmio_signed<R>(addr: u64, payload: &[u8], f: impl FnOnce(&[u8]) -> R) -> R {
+    let mut inline = [0u8; 64];
+    let len = 8 + payload.len();
+    if len > inline.len() {
+        return f(&[&addr.to_be_bytes()[..], payload].concat());
+    }
+    inline[..8].copy_from_slice(&addr.to_be_bytes());
+    inline[8..len].copy_from_slice(payload);
+    f(&inline[..len])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +184,15 @@ mod tests {
         assert_eq!(stats.bytes_decrypted, 1000);
         assert_eq!(stats.seal_ops, 1);
         assert_eq!(stats.open_ops, 1);
+    }
+
+    #[test]
+    fn mmio_signed_bytes_are_address_then_payload() {
+        for len in [0usize, 24, 56, 57, 300] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let signed = with_mmio_signed(0x10_0040, &payload, <[u8]>::to_vec);
+            assert_eq!(signed, [&0x10_0040u64.to_be_bytes()[..], &payload].concat(), "{len} B");
+        }
     }
 
     #[test]

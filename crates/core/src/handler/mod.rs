@@ -13,7 +13,7 @@ mod env_guard;
 mod params;
 mod tags;
 
-pub use engine::{CryptoEngine, EngineStats};
+pub use engine::{with_mmio_signed, CryptoEngine, EngineStats};
 pub use env_guard::{EnvGuard, EnvViolation, MmioPolicy};
 pub use params::{ChunkRef, ParamsManager, StreamDirection, CHUNK_SIZE};
 pub use tags::{TagManager, TagRecord, TAG_RECORD_LEN};

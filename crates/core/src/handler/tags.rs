@@ -43,28 +43,26 @@ impl TagRecord {
 
     /// Parses one 28-byte record.
     pub fn from_bytes(bytes: &[u8]) -> Option<TagRecord> {
-        if bytes.len() != TAG_RECORD_LEN {
-            return None;
-        }
-        let mut tag = [0u8; 16];
-        tag.copy_from_slice(&bytes[12..]);
-        Some(TagRecord {
-            stream: StreamId(u32::from_be_bytes(bytes[..4].try_into().ok()?)),
-            seq: u64::from_be_bytes(bytes[4..12].try_into().ok()?),
-            tag,
-        })
+        bytes.try_into().ok().map(TagRecord::from_array)
     }
 
-    /// Parses a batched tag packet payload (concatenated records).
-    /// Trailing garbage that is not a whole record is rejected.
-    pub fn parse_batch(payload: &[u8]) -> Option<Vec<TagRecord>> {
-        if !payload.len().is_multiple_of(TAG_RECORD_LEN) {
-            return None;
+    fn from_array(bytes: &[u8; TAG_RECORD_LEN]) -> TagRecord {
+        let (mut stream, mut seq, mut tag) = ([0u8; 4], [0u8; 8], [0u8; 16]);
+        stream.copy_from_slice(&bytes[..4]);
+        seq.copy_from_slice(&bytes[4..12]);
+        tag.copy_from_slice(&bytes[12..]);
+        TagRecord {
+            stream: StreamId(u32::from_be_bytes(stream)),
+            seq: u64::from_be_bytes(seq),
+            tag,
         }
-        payload
-            .chunks_exact(TAG_RECORD_LEN)
-            .map(TagRecord::from_bytes)
-            .collect()
+    }
+
+    /// Parses a batched tag packet payload (concatenated records) in
+    /// place. Trailing garbage that is not a whole record is rejected.
+    pub fn parse_batch(payload: &[u8]) -> Option<impl ExactSizeIterator<Item = TagRecord> + '_> {
+        let (records, rest) = payload.as_chunks::<TAG_RECORD_LEN>();
+        rest.is_empty().then(|| records.iter().map(TagRecord::from_array))
     }
 }
 
@@ -172,9 +170,10 @@ mod tests {
         for r in &records {
             payload.extend_from_slice(&r.to_bytes());
         }
-        assert_eq!(TagRecord::parse_batch(&payload).unwrap(), records.to_vec());
+        let parsed: Vec<TagRecord> = TagRecord::parse_batch(&payload).unwrap().collect();
+        assert_eq!(parsed, records);
         payload.push(0);
-        assert_eq!(TagRecord::parse_batch(&payload), None, "ragged batch rejected");
+        assert!(TagRecord::parse_batch(&payload).is_none(), "ragged batch rejected");
     }
 
     #[test]

@@ -15,14 +15,14 @@
 
 use crate::filter::{PacketFilter, PolicyBlob, SecurityAction};
 use crate::handler::{
-    ChunkRef, CryptoEngine, EnvGuard, MmioPolicy, ParamsManager, StreamDirection, TagManager,
-    TagRecord,
+    with_mmio_signed, ChunkRef, CryptoEngine, EnvGuard, MmioPolicy, ParamsManager,
+    StreamDirection, TagManager, TagRecord,
 };
 use crate::perf::{AES_NI_RATE, SC_PIPELINE_LATENCY};
 use ccai_pcie::{parse_ctrl_envelope, Bdf, CplStatus, Interposer, InterposeOutcome, Tlp, TlpType};
 use ccai_crypto::{hkdf, AesGcm, Key};
 use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
-use ccai_sim::{Bandwidth, DetHashMap, Hop, Severity, Telemetry};
+use ccai_sim::{Bandwidth, DetHashMap, Hop, Severity, SimDuration, Telemetry};
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::WorkloadKeyManager;
 use serde::{Deserialize, Serialize};
@@ -412,6 +412,8 @@ pub struct PcieSc {
     policy_len: u64,
     /// Outstanding device-issued reads: (requester, tag) → (addr, len).
     outstanding_reads: DetHashMap<(u16, u8), (u64, u32)>,
+    /// [`PcieSc::crypt_time`] memoised per payload length.
+    crypt_times: DetHashMap<u64, SimDuration>,
     counters: ScCounters,
     reset_observed: bool,
     alerts: Vec<ScAlert>,
@@ -462,6 +464,7 @@ impl PcieSc {
             policy_staging: vec![0; regs::POLICY_STAGING_LEN as usize],
             policy_len: 0,
             outstanding_reads: DetHashMap::default(),
+            crypt_times: DetHashMap::default(),
             counters: ScCounters::default(),
             reset_observed: false,
             alerts: Vec::new(),
@@ -674,16 +677,7 @@ impl PcieSc {
                 requester: header.requester().to_string(),
             });
             self.counters.packets_blocked += 1;
-            return if header.tlp_type().is_read() {
-                InterposeOutcome::answer(Tlp::completion(
-                    self.config.sc_bdf,
-                    header.requester(),
-                    header.tag(),
-                    CplStatus::UnsupportedRequest,
-                ))
-            } else {
-                InterposeOutcome::drop_packet()
-            };
+            return self.refuse(&tlp);
         };
         self.counters.control_accesses += 1;
         let offset = header.address().expect("memory TLP") - self.config.region_base;
@@ -967,12 +961,8 @@ impl PcieSc {
             Ok(()) => {
                 self.counters.chunks_decrypted += 1;
                 self.tenants[tenant].consecutive_crypt_failures = 0;
-                self.telemetry.advance_span(
-                    Hop::ScCrypt,
-                    self.tenant_tag(tenant),
-                    Bandwidth::from_bytes_per_sec(AES_NI_RATE)
-                        .transfer_time(payload.len() as u64),
-                );
+                let crypt = self.crypt_time(payload.len());
+                self.telemetry.advance_span(Hop::ScCrypt, self.tenant_tag(tenant), crypt);
                 self.telemetry.counter_add("sc.chunks_decrypted", 1);
                 Ok(())
             }
@@ -991,6 +981,13 @@ impl PcieSc {
                 Err(self.abort_completion(requester, cpl_tag))
             }
         }
+    }
+
+    /// Sim time the crypt engine takes over `bytes` of payload at
+    /// [`AES_NI_RATE`]. The f64 pricing runs once per distinct length.
+    fn crypt_time(&mut self, bytes: usize) -> SimDuration {
+        let rate = Bandwidth::from_bytes_per_sec(AES_NI_RATE);
+        *self.crypt_times.entry(bytes as u64).or_insert_with(|| rate.transfer_time(bytes as u64))
     }
 
     /// Answers a failed protected completion with CompleterAbort toward
@@ -1064,11 +1061,8 @@ impl PcieSc {
             .seal_in_place_detached(cipher, &chunk.nonce(), payload, &chunk.aad());
         self.counters.chunks_encrypted += 1;
         self.tenants[tenant].consecutive_crypt_failures = 0;
-        self.telemetry.advance_span(
-            Hop::ScCrypt,
-            self.tenant_tag(tenant),
-            Bandwidth::from_bytes_per_sec(AES_NI_RATE).transfer_time(payload.len() as u64),
-        );
+        let crypt = self.crypt_time(payload.len());
+        self.telemetry.advance_span(Hop::ScCrypt, self.tenant_tag(tenant), crypt);
         self.telemetry.counter_add("sc.chunks_encrypted", 1);
         let mut outcome = InterposeOutcome::pass(tlp);
         let ctx = &mut self.tenants[tenant];
@@ -1127,7 +1121,7 @@ impl PcieSc {
             self.telemetry.counter_add("sc.control_dup_suppressed", 1);
             return InterposeOutcome::drop_packet();
         }
-        let chunk = ChunkRef { stream: MMIO_STREAM, seq };
+        let nonce = ChunkRef { stream: MMIO_STREAM, seq }.nonce();
         let Some(tag) = self.tenants[tenant].tags.take(MMIO_STREAM, seq) else {
             self.block_a3(addr, "missing MMIO integrity tag");
             return InterposeOutcome::drop_packet();
@@ -1136,9 +1130,9 @@ impl PcieSc {
             self.block_a3(addr, "no MMIO stream key");
             return InterposeOutcome::drop_packet();
         };
-        let mut signed = addr.to_be_bytes().to_vec();
-        signed.extend_from_slice(tlp.payload());
-        if !self.engine.verify_plain_tag(cipher, &chunk.nonce(), &signed, &tag) {
+        if !with_mmio_signed(addr, tlp.payload(), |signed| {
+            self.engine.verify_plain_tag(cipher, &nonce, signed, &tag)
+        }) {
             self.block_a3(addr, "MMIO integrity tag mismatch");
             return InterposeOutcome::drop_packet();
         }
@@ -1170,31 +1164,29 @@ impl PcieSc {
         });
     }
 
-    /// Counts a packet denied because bring-up has not reached Serving.
-    fn note_bringup_deny(&self) {
-        self.telemetry.counter_add("sc.bringup_deny", 1);
-    }
-
     /// Counts an A1 deny issued because the tenant's channel is
     /// quarantined (keyed per tenant so starvation is attributable).
     fn note_quarantine_deny(&self, tenant: usize) {
         let tag = self.tenant_tag(tenant).unwrap_or(0);
-        self.telemetry.counter_add(&format!("sc.quarantine_deny.{tag}"), 1);
+        self.telemetry.counter_add_named(&format!("sc.quarantine_deny.{tag}"), 1);
     }
 
     fn block_a1(&mut self, tlp: &Tlp) -> InterposeOutcome {
         self.counters.packets_blocked += 1;
         self.alerts.push(ScAlert::PacketBlocked { summary: tlp.to_string() });
-        if tlp.header().tlp_type().is_read() {
-            InterposeOutcome::answer(Tlp::completion(
-                self.config.sc_bdf,
-                tlp.header().requester(),
-                tlp.header().tag(),
-                CplStatus::UnsupportedRequest,
-            ))
-        } else {
-            InterposeOutcome::drop_packet()
+        self.refuse(tlp)
+    }
+
+    /// Answers a refused read with Unsupported Request; drops a refused
+    /// write.
+    fn refuse(&self, tlp: &Tlp) -> InterposeOutcome {
+        let header = tlp.header();
+        if !header.tlp_type().is_read() {
+            return InterposeOutcome::drop_packet();
         }
+        let (requester, tag) = (header.requester(), header.tag());
+        let ur = Tlp::completion(self.config.sc_bdf, requester, tag, CplStatus::UnsupportedRequest);
+        InterposeOutcome::answer(ur)
     }
 
     /// Serializes the SC's mutable security state. Deliberately excluded:
@@ -1408,7 +1400,7 @@ impl Interposer for PcieSc {
         // is reachable (policy install and re-attestation need it); all
         // data traffic is hard-denied.
         if !self.serving {
-            self.note_bringup_deny();
+            self.telemetry.counter_add("sc.bringup_deny", 1);
             return self.block_a1(&tlp);
         }
 
@@ -1470,7 +1462,7 @@ impl Interposer for PcieSc {
         // A device that has not completed bring-up may not reach the
         // host at all.
         if !self.serving {
-            self.note_bringup_deny();
+            self.telemetry.counter_add("sc.bringup_deny", 1);
             return self.block_a1(&tlp);
         }
 
@@ -1537,9 +1529,7 @@ impl Interposer for PcieSc {
         self.telemetry.histogram_record("sc.batch_size", tlps.len() as f64);
         let mut out = InterposeOutcome::default();
         for tlp in tlps {
-            let mut one = self.on_upstream(tlp);
-            out.forward.append(&mut one.forward);
-            out.reply.append(&mut one.reply);
+            out.absorb(self.on_upstream(tlp));
         }
         out
     }

@@ -658,7 +658,7 @@ impl FleetServer {
             reason.as_str(),
         );
         self.hub
-            .counter_add(&format!("serve.shed.{}", reason.as_str()), 1);
+            .counter_add_named(&format!("serve.shed.{}", reason.as_str()), 1);
     }
 
     /// Handles one arrival: quarantine check, backlog check, then the

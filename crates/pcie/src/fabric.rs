@@ -18,7 +18,7 @@ use crate::fault::{CompletionVerdict, FaultEvent, FaultInjector, FaultPlan};
 use crate::link::{LinkConfig, LinkSpeed};
 use crate::tlp::{CplStatus, Tlp, TlpPool, TlpPoolStats, TlpType};
 use crate::Bdf;
-use ccai_sim::{DetHashMap, Hop, Severity, Telemetry};
+use ccai_sim::{DetHashMap, Hop, Severity, SimDuration, Telemetry};
 use std::fmt;
 
 /// Identifies a fabric port.
@@ -56,6 +56,12 @@ impl InterposeOutcome {
     pub fn answer(reply: Tlp) -> Self {
         InterposeOutcome { forward: Vec::new(), reply: vec![reply] }
     }
+
+    /// Appends `other`'s packets after this outcome's own.
+    pub fn absorb(&mut self, other: InterposeOutcome) {
+        join(&mut self.forward, other.forward);
+        join(&mut self.reply, other.reply);
+    }
 }
 
 /// A component interposed between the bus and one port's endpoint.
@@ -77,9 +83,7 @@ pub trait Interposer: fmt::Debug {
     fn on_upstream_batch(&mut self, tlps: Vec<Tlp>) -> InterposeOutcome {
         let mut out = InterposeOutcome::default();
         for tlp in tlps {
-            let one = self.on_upstream(tlp);
-            out.forward.extend(one.forward);
-            out.reply.extend(one.reply);
+            out.absorb(self.on_upstream(tlp));
         }
         out
     }
@@ -182,6 +186,9 @@ pub struct Fabric {
     /// The exposed bus segment's link model, built once instead of per
     /// packet on the wire hot path.
     bus_link: LinkConfig,
+    /// `bus_link.dma_time` per wire size, memoised: the f64 pricing runs
+    /// once per distinct size instead of once per TLP.
+    link_time: DetHashMap<u64, SimDuration>,
     /// Recycled payload storage for the DMA hot path: device-write
     /// payloads retire into the pool, read completions are built from it.
     pool: TlpPool,
@@ -203,6 +210,7 @@ impl Fabric {
             delayed_to_host: Vec::new(),
             telemetry,
             bus_link: LinkConfig::new(LinkSpeed::Gen4, 16),
+            link_time: DetHashMap::default(),
             pool: TlpPool::new(),
         }
     }
@@ -376,13 +384,22 @@ impl Fabric {
     }
 
     fn wire(&mut self, tlp: Tlp, downstream: bool) -> Option<Tlp> {
-        let wire_bytes = (tlp.payload().len() as u64).max(32);
-        self.telemetry.advance_span(Hop::Link, None, self.bus_link.dma_time(wire_bytes));
+        self.charge_link((tlp.payload().len() as u64).max(32));
         self.tap_all(&tlp, downstream);
         match &mut self.wire_attack {
             Some(attack) => attack.mangle(tlp, downstream),
             None => Some(tlp),
         }
+    }
+
+    /// Books the bus transit of `wire_bytes` as a [`Hop::Link`] span.
+    fn charge_link(&mut self, wire_bytes: u64) {
+        let link = self.bus_link;
+        let transit = *self
+            .link_time
+            .entry(wire_bytes)
+            .or_insert_with(|| link.dma_time(wire_bytes));
+        self.telemetry.advance_span(Hop::Link, None, transit);
     }
 
     /// Maps an additional BDF (e.g. a virtual function of a multi-tenant
@@ -470,19 +487,19 @@ impl Fabric {
         // The injected control-fault segment sits between the root
         // complex and the switch: a pass-through unless the plan arms
         // `fault_control_path`.
-        let requests = match &mut self.fault {
-            Some(injector) => injector.fault_control_request(tlp),
-            None => vec![tlp],
+        let Some(injector) = self.fault.as_mut().filter(|f| f.faults_control_path()) else {
+            self.route_host_request(tlp, &mut to_host);
+            return to_host;
         };
-        for tlp in requests {
-            for reply in self.route_host_request(tlp) {
-                match &mut self.fault {
-                    Some(injector) => match injector.fault_control_reply(reply) {
-                        CompletionVerdict::Deliver(tlp) => to_host.push(tlp),
-                        CompletionVerdict::Dropped => {}
-                        CompletionVerdict::Delayed(tlp) => self.delayed_to_host.push(tlp),
-                    },
-                    None => to_host.push(reply),
+        for tlp in injector.fault_control_request(tlp) {
+            let mut replies = Vec::new();
+            self.route_host_request(tlp, &mut replies);
+            let injector = self.fault.as_mut().expect("armed above");
+            for reply in replies {
+                match injector.fault_control_reply(reply) {
+                    CompletionVerdict::Deliver(tlp) => to_host.push(tlp),
+                    CompletionVerdict::Dropped => {}
+                    CompletionVerdict::Delayed(tlp) => self.delayed_to_host.push(tlp),
                 }
             }
         }
@@ -490,52 +507,48 @@ impl Fabric {
     }
 
     /// Routes one (post-fault-segment) host request to its port and
-    /// returns the replies that reached the host side of the wire.
-    fn route_host_request(&mut self, tlp: Tlp) -> Vec<Tlp> {
+    /// appends the replies that reached the host side of the wire.
+    fn route_host_request(&mut self, tlp: Tlp, to_host: &mut Vec<Tlp>) {
         let Some(port_id) = self.route(&tlp) else {
             // Unroutable: master abort — synthesize UR completion for
             // non-posted requests.
-            return unsupported_request_reply(&tlp);
+            to_host.extend(unsupported_request_reply(&tlp));
+            return;
         };
-        let mut to_host = Vec::new();
 
         // Downstream through the interposer.
         let port = self.ports.get_mut(&port_id).expect("routed port exists");
-        let (to_device, replies) = match &mut port.interposer {
-            Some(ip) => {
-                let outcome = ip.on_downstream(tlp);
-                (outcome.forward, outcome.reply)
-            }
-            None => (vec![tlp_identity(tlp)], Vec::new()),
+        let outcome = match &mut port.interposer {
+            Some(ip) => ip.on_downstream(tlp),
+            None => InterposeOutcome::pass(tlp),
         };
-        for reply in replies {
+        for reply in outcome.reply {
             if let Some(reply) = self.wire(reply, false) {
                 to_host.push(reply);
             }
         }
 
         // Deliver to the device; its completions climb back up through the
-        // interposer.
+        // interposer. Each stage keeps the previous stage's buffer when it
+        // holds a single packet, so a round trip allocates no Vec of its own.
+        let port = self.ports.get_mut(&port_id).expect("routed port exists");
+        let mut upstream = Vec::new();
+        for tlp in outcome.forward {
+            join(&mut upstream, port.device.handle(tlp));
+        }
         let mut forwarded_up = Vec::new();
-        {
-            let port = self.ports.get_mut(&port_id).expect("routed port exists");
-            let mut upstream = Vec::new();
-            for tlp in to_device {
-                upstream.extend(port.device.handle(tlp));
-            }
-            for tlp in upstream {
-                match &mut port.interposer {
-                    Some(ip) => {
-                        let outcome = ip.on_upstream(tlp);
-                        // Replies in the upstream direction head back to
-                        // the device.
-                        for back in outcome.reply {
-                            port.device.handle(back);
-                        }
-                        forwarded_up.extend(outcome.forward);
+        for tlp in upstream {
+            match &mut port.interposer {
+                Some(ip) => {
+                    let outcome = ip.on_upstream(tlp);
+                    // Replies in the upstream direction head back to
+                    // the device.
+                    for back in outcome.reply {
+                        port.device.handle(back);
                     }
-                    None => forwarded_up.push(tlp),
+                    join(&mut forwarded_up, outcome.forward);
                 }
+                None => forwarded_up.push(tlp),
             }
         }
         for tlp in forwarded_up {
@@ -543,7 +556,6 @@ impl Fabric {
                 to_host.push(tlp);
             }
         }
-        to_host
     }
 
     /// Pumps device-initiated traffic: drains every device's outbound
@@ -690,22 +702,26 @@ impl Fabric {
     }
 }
 
-fn tlp_identity(tlp: Tlp) -> Tlp {
-    tlp
+/// Appends `more` to `all`, taking over `more`'s buffer when `all` is
+/// still empty.
+fn join(all: &mut Vec<Tlp>, mut more: Vec<Tlp>) {
+    if all.is_empty() {
+        *all = more;
+    } else {
+        all.append(&mut more);
+    }
 }
 
-fn unsupported_request_reply(tlp: &Tlp) -> Vec<Tlp> {
+fn unsupported_request_reply(tlp: &Tlp) -> Option<Tlp> {
     let header = tlp.header();
-    if header.tlp_type().is_read() {
-        vec![Tlp::completion(
+    header.tlp_type().is_read().then(|| {
+        Tlp::completion(
             Bdf::new(0, 0, 0),
             header.requester(),
             header.tag(),
             CplStatus::UnsupportedRequest,
-        )]
-    } else {
-        Vec::new()
-    }
+        )
+    })
 }
 
 // --- snapshot support -------------------------------------------------
@@ -937,6 +953,28 @@ mod tests {
         let replies = fabric.host_request(Tlp::memory_read(host(), 0x10_0000, 4, 0));
         assert_eq!(replies[0].header().cpl_status(), Some(CplStatus::UnsupportedRequest));
         assert!(fabric.hot_unplug(PortId(0)).is_none(), "second unplug is a no-op");
+    }
+
+    #[test]
+    fn memoised_link_charge_equals_the_link_model() {
+        let hub = Telemetry::default();
+        let mut fabric = Fabric::new(hub.clone());
+        let link = LinkConfig::new(LinkSpeed::Gen4, 16);
+        for bytes in [1u64, 31, 32, 33, 256, 4095, 4096, 4097, 1 << 20] {
+            for use_ in ["first", "repeat"] {
+                let before = hub.now();
+                fabric.charge_link(bytes);
+                let charged = hub.now().duration_since(before);
+                assert_eq!(charged, link.dma_time(bytes), "{bytes} B, {use_} use");
+            }
+        }
+        // A TLP on the wire is priced at its payload, 32 bytes at least.
+        for len in [1usize, 31, 32, 33, 4096] {
+            let before = hub.now();
+            fabric.wire(Tlp::memory_write(host(), 0x10_0000, vec![0; len]), true);
+            let charged = hub.now().duration_since(before);
+            assert_eq!(charged, link.dma_time((len as u64).max(32)), "{len} B payload");
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! Cloning a [`Telemetry`] clones a handle to the same hub (the simulation
 //! is single-threaded; the handle is deliberately not `Send`).
 
-use crate::hash::{fnv1a, FNV_OFFSET};
+use crate::hash::{fnv1a, DetHashMap, FNV_OFFSET};
+use crate::snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 use crate::stats::{Histogram, Summary};
 use crate::time::{SimDuration, SimTime};
 use crate::Clock;
@@ -197,6 +198,73 @@ fn fold_event(mut h: u64, event: &TelemetryEvent) -> u64 {
 /// The installed full-stream event consumer (see [`Telemetry::set_sink`]).
 type EventSink = Box<dyn FnMut(&TelemetryEvent)>;
 
+/// Named metrics, stored in first-touch order. A `'static` name finds its
+/// slot through `slots`, keyed by the name's address and length: a
+/// `'static` str is never freed, so an equal key is the same name, and a
+/// hit neither compares nor allocates a string. A miss (first touch, or
+/// the same text at another address) searches `entries` by text once.
+/// Every reader sorts, so order of first touch is never observable.
+struct Registry<T> {
+    entries: Vec<(String, T)>,
+    slots: DetHashMap<(usize, usize), usize>,
+}
+
+impl<T> Default for Registry<T> {
+    fn default() -> Self {
+        Registry { entries: Vec::new(), slots: DetHashMap::default() }
+    }
+}
+
+impl<T> Registry<T> {
+    fn slot(&mut self, name: &'static str, init: impl FnOnce() -> T) -> &mut T {
+        let key = (name.as_ptr() as usize, name.len());
+        let i = match self.slots.get(&key) {
+            Some(&i) => i,
+            None => {
+                let i = self.index(name, init);
+                self.slots.insert(key, i);
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Slot of a name that may not be `'static`, found by text.
+    fn index(&mut self, name: &str, init: impl FnOnce() -> T) -> usize {
+        self.entries.iter().position(|(n, _)| n == name).unwrap_or_else(|| {
+            self.entries.push((name.to_owned(), init()));
+            self.entries.len() - 1
+        })
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    fn sorted(&self) -> Vec<&(String, T)> {
+        let mut rows: Vec<_> = self.entries.iter().collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+}
+
+/// Written exactly like a `BTreeMap<String, T>` of the same entries.
+impl<T: SnapshotState> SnapshotState for Registry<T> {
+    fn encode_state(&self, enc: &mut Encoder) {
+        let rows = self.sorted();
+        enc.u64(rows.len() as u64);
+        for (name, value) in rows {
+            name.encode_state(enc);
+            value.encode_state(enc);
+        }
+    }
+
+    fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
+        let entries = BTreeMap::<String, T>::decode_state(dec)?.into_iter().collect();
+        Ok(Registry { entries, slots: DetHashMap::default() })
+    }
+}
+
 struct TelemetryInner {
     clock: Clock,
     capacity: usize,
@@ -204,13 +272,13 @@ struct TelemetryInner {
     events_recorded: u64,
     events_dropped: u64,
     digest: u64,
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Registry<u64>,
+    histograms: Registry<Histogram>,
     /// Every span, recorded once under its tenant tag (`None` when
     /// untagged) and hop. Per-hop figures merge all tenants on read, so
     /// fleet runs can report p50/p99 hop latency both globally and per
     /// tenant from one record.
-    spans: BTreeMap<(Option<u32>, Hop), SpanStore>,
+    spans: DetHashMap<(Option<u32>, Hop), SpanStore>,
     idle_total: SimDuration,
     idle_by_tenant: BTreeMap<u32, SimDuration>,
     /// Optional full-stream consumer: sees every recorded event *after*
@@ -225,6 +293,7 @@ struct TelemetryInner {
 impl TelemetryInner {
     fn span_tenants(&self) -> Vec<u32> {
         let mut tenants: Vec<u32> = self.spans.keys().filter_map(|&(t, _)| t).collect();
+        tenants.sort_unstable();
         tenants.dedup();
         tenants
     }
@@ -270,9 +339,9 @@ impl Telemetry {
                 events_recorded: 0,
                 events_dropped: 0,
                 digest: FNV_OFFSET,
-                counters: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-                spans: BTreeMap::new(),
+                counters: Registry::default(),
+                histograms: Registry::default(),
+                spans: DetHashMap::default(),
                 idle_total: SimDuration::ZERO,
                 idle_by_tenant: BTreeMap::new(),
                 sink: None,
@@ -343,14 +412,17 @@ impl Telemetry {
     }
 
     /// Adds `delta` to the named monotonic counter (created at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
+        *self.inner.borrow_mut().counters.slot(name, || 0) += delta;
+    }
+
+    /// [`Telemetry::counter_add`] for a name built at run time (a
+    /// per-tenant counter). It finds the counter by comparing names, so
+    /// keep it off per-TLP paths.
+    pub fn counter_add_named(&self, name: &str, delta: u64) {
         let mut inner = self.inner.borrow_mut();
-        match inner.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                inner.counters.insert(name.to_owned(), delta);
-            }
-        }
+        let i = inner.counters.index(name, || 0);
+        inner.counters.entries[i].1 += delta;
     }
 
     /// Current value of a counter (zero if never touched).
@@ -363,7 +435,8 @@ impl Telemetry {
         self.inner
             .borrow()
             .counters
-            .iter()
+            .sorted()
+            .into_iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
     }
@@ -379,12 +452,11 @@ impl Telemetry {
     /// digest and never advance the hub clock, so hot paths (e.g. the
     /// SC's batch pump) can record into them without perturbing golden
     /// traces.
-    pub fn histogram_record(&self, name: &str, value: f64) {
-        let mut inner = self.inner.borrow_mut();
-        inner
+    pub fn histogram_record(&self, name: &'static str, value: f64) {
+        self.inner
+            .borrow_mut()
             .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(0.0, Self::NAMED_HISTOGRAM_RANGE, 64))
+            .slot(name, || Histogram::new(0.0, Self::NAMED_HISTOGRAM_RANGE, 64))
             .record(value);
     }
 
@@ -514,7 +586,7 @@ impl Telemetry {
     /// captured — event kinds are `&'static str` and cannot be
     /// reconstructed from bytes — so a restored hub starts with an empty
     /// ring but continues the digest, clock and metrics bit-exactly.
-    pub fn encode_snapshot(&self, enc: &mut crate::snapshot::Encoder) {
+    pub fn encode_snapshot(&self, enc: &mut Encoder) {
         let inner = self.inner.borrow();
         enc.put(&inner.clock);
         enc.put(&inner.capacity);
@@ -539,9 +611,8 @@ impl Telemetry {
     /// is left untouched on failure.
     pub fn restore_snapshot(
         &self,
-        dec: &mut crate::snapshot::Decoder<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
+        dec: &mut Decoder<'_>,
+    ) -> Result<(), SnapshotError> {
         let clock: Clock = dec.get()?;
         let capacity: usize = dec.get()?;
         if capacity == 0 {
@@ -552,7 +623,7 @@ impl Telemetry {
         let digest = dec.get()?;
         let counters = dec.get()?;
         let histograms = dec.get()?;
-        let spans: BTreeMap<(Option<u32>, Hop), SpanStore> = dec.get()?;
+        let spans: DetHashMap<(Option<u32>, Hop), SpanStore> = dec.get()?;
         let idle_total = dec.get()?;
         let idle_by_tenant = dec.get()?;
         // Canonical stores only (the codec already refuses unsorted keys):
@@ -627,7 +698,8 @@ impl Telemetry {
             events_dropped: inner.events_dropped,
             counters: inner
                 .counters
-                .iter()
+                .sorted()
+                .into_iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
             hops,
@@ -1022,6 +1094,58 @@ mod tests {
         assert_eq!(a.span_total(), b.span_total());
         assert_eq!(a.idle_total(), b.idle_total());
         assert_eq!(a.idle_for_tenant(1), b.idle_for_tenant(1));
+    }
+
+    #[test]
+    fn a_restored_hub_counts_like_its_source() {
+        let source = Telemetry::new(64);
+        source.counter_add("a.first", 1);
+        source.counter_add("m.mid", 2);
+        source.histogram_record("h.batch", 3.0);
+        source.advance_span(Hop::Link, Some(2), SimDuration::from_nanos(5));
+        let mut enc = crate::snapshot::Encoder::new();
+        source.encode_snapshot(&mut enc);
+        let bytes = enc.finish();
+
+        // The target resolved other names to slots first, so each slot it
+        // cached points at another name once the restore lays down the
+        // source's registry.
+        let target = Telemetry::new(64);
+        target.counter_add("m.mid", 5);
+        target.counter_add("z.only_here", 1);
+        target.histogram_record("h.other", 1.0);
+        target.histogram_record("h.batch", 9.0);
+        target.advance_span(Hop::Dma, Some(9), SimDuration::from_nanos(7));
+        target.restore_snapshot(&mut crate::snapshot::Decoder::new(&bytes)).unwrap();
+
+        for t in [&source, &target] {
+            t.counter_add("m.mid", 1);
+            t.counter_add("z.last", 4);
+            t.counter_add("a.first", 1);
+            t.histogram_record("h.batch", 4.0);
+            t.advance_span(Hop::Link, Some(2), SimDuration::from_nanos(5));
+        }
+        assert_eq!(target.counters(), source.counters());
+        assert_eq!(
+            target.counters().iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+            ["a.first", "m.mid", "z.last"]
+        );
+        assert_eq!(target.counter("z.only_here"), 0);
+        assert_eq!(target.histogram("h.batch"), source.histogram("h.batch"));
+        assert!(target.histogram("h.other").is_none());
+        assert_eq!(target.snapshot(), source.snapshot());
+    }
+
+    #[test]
+    fn span_tenants_ascend_whatever_order_they_were_charged_in() {
+        let t = Telemetry::new(64);
+        for tenant in (1..=40u32).rev() {
+            t.advance_span(Hop::Link, Some(tenant), SimDuration::from_nanos(1));
+            t.advance_span(Hop::Dma, Some(tenant), SimDuration::from_nanos(2));
+        }
+        assert_eq!(t.span_tenants(), (1..=40).collect::<Vec<_>>());
+        let snap = t.snapshot();
+        assert!(snap.tenants.windows(2).all(|w| w[0].tenant < w[1].tenant));
     }
 
     #[test]

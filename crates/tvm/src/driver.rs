@@ -303,13 +303,15 @@ impl XpuDriver {
         let addr = self.bar0 + self.registers.offset(reg);
         let seq = self.ctrl_seq.get() + 1;
         self.ctrl_seq.set(seq);
-        let payload = seal_ctrl_envelope(&value.to_le_bytes(), seq);
+        let write = || {
+            Tlp::memory_write(self.tvm_bdf, addr, seal_ctrl_envelope(&value.to_le_bytes(), seq))
+        };
         if matches!(reg, Reg::ResetCtrl) {
-            port.request(Tlp::memory_write(self.tvm_bdf, addr, payload));
+            port.request(write());
             return Ok(());
         }
         self.with_control_retries("write_verify", || {
-            port.request(Tlp::memory_write(self.tvm_bdf, addr, payload.clone()));
+            port.request(write());
             match self.read_register(port, reg) {
                 Ok(read) if read == value => Ok(()),
                 _ => Err(DriverError::NoResponse),

@@ -164,6 +164,7 @@ impl DmaEngine {
         self.bytes_moved = 0;
         match request.direction {
             DmaDirection::DeviceToHost => {
+                let earlier = self.outbound.len();
                 let mut offset = 0;
                 while offset < request.len {
                     let chunk = DMA_CHUNK.min(request.len - offset);
@@ -176,6 +177,8 @@ impl DmaEngine {
                             ));
                         }
                         Err(_) => {
+                            // None of this transfer's writes may leave.
+                            self.outbound.truncate(earlier);
                             self.status = DmaStatus::Error;
                             return;
                         }
@@ -251,13 +254,11 @@ impl DmaEngine {
                 self.issue_reads();
                 return;
             }
-            self.status = DmaStatus::Error;
-            self.inflight.clear();
-            self.pending_reads.clear();
+            self.fail();
             return;
         }
         if memory.write(inflight.device_addr, tlp.payload()).is_err() {
-            self.status = DmaStatus::Error;
+            self.fail();
             return;
         }
         self.bytes_moved += inflight.len;
@@ -265,6 +266,14 @@ impl DmaEngine {
         if self.inflight.is_empty() && self.pending_reads.is_empty() {
             self.status = DmaStatus::Done;
         }
+    }
+
+    /// Ends the current H2D transfer in `Error`, dropping its in-flight
+    /// and pending chunks so no late completion can flip it to `Done`.
+    fn fail(&mut self) {
+        self.status = DmaStatus::Error;
+        self.inflight.clear();
+        self.pending_reads.clear();
     }
 
     /// Recovers an H2D transfer stalled by lost packets. The fabric
@@ -289,10 +298,8 @@ impl DmaEngine {
         tags.sort_unstable();
         for tag in tags {
             if self.refetch_budget == 0 {
-                self.status = DmaStatus::Error;
+                self.fail();
                 self.outbound.clear();
-                self.inflight.clear();
-                self.pending_reads.clear();
                 return true;
             }
             self.refetch_budget -= 1;
@@ -486,6 +493,55 @@ mod tests {
         }
         assert_eq!(dma.status(), DmaStatus::Done);
         assert_eq!(dma.bytes_moved(), len);
+    }
+
+    /// A transfer that runs past the end of device memory is an error,
+    /// however its remaining completions arrive.
+    #[test]
+    fn h2d_past_device_memory_ends_in_error() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let mut dma = DmaEngine::new(bdf());
+        dma.start(
+            DmaRequest {
+                direction: DmaDirection::HostToDevice,
+                host_addr: 0x9000,
+                device_addr: (1 << 20) - 4096,
+                len: 8192,
+            },
+            &mut mem,
+        );
+        let reads = dma.poll_outbound();
+        assert_eq!(reads.len(), 2);
+        for read in reads {
+            let cpl = Tlp::completion_with_data(
+                Bdf::new(0, 0, 0),
+                read.header().requester(),
+                read.header().tag(),
+                vec![0xAB; read.header().payload_len() as usize],
+            );
+            dma.deliver_completion(cpl, &mut mem);
+        }
+        assert_eq!(dma.status(), DmaStatus::Error);
+        assert!(dma.poll_outbound().is_empty());
+    }
+
+    /// A D2H source that runs past device memory sends none of the
+    /// chunks it had already read.
+    #[test]
+    fn d2h_past_device_memory_sends_nothing() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let mut dma = DmaEngine::new(bdf());
+        dma.start(
+            DmaRequest {
+                direction: DmaDirection::DeviceToHost,
+                host_addr: 0x5000,
+                device_addr: (1 << 20) - 4096,
+                len: 8192,
+            },
+            &mut mem,
+        );
+        assert_eq!(dma.status(), DmaStatus::Error);
+        assert!(dma.poll_outbound().is_empty());
     }
 
     #[test]
