@@ -15,8 +15,8 @@
 //! * [`rate`] — bandwidth/throughput arithmetic ([`Bandwidth`]);
 //! * [`rng`] — a small deterministic PRNG so experiments are reproducible
 //!   without pulling randomness from the host;
-//! * [`hash`] — `HashMap`/`HashSet` with fixed hash keys, for the same
-//!   reason ([`DetHashMap`], [`DetHashSet`]), and the FNV-1a fold
+//! * [`hash`] — `HashMap`/`HashSet` over an unkeyed word hasher, for the
+//!   same reason ([`DetHashMap`], [`DetHashSet`]), and the FNV-1a fold
 //!   ([`fnv1a`]) behind every trace digest and fingerprint;
 //! * [`stats`] — summary statistics and histograms for measurement series.
 //!
