@@ -1,8 +1,9 @@
-//! Constant-time comparison helpers.
+//! Constant-time comparison and selection helpers.
 //!
-//! Tag and key comparisons must not leak timing information. These helpers
+//! Tag and key comparisons must not leak timing information, and neither
+//! may the choice of a secret-indexed table entry. These helpers
 //! accumulate a difference mask over the full length rather than returning
-//! early.
+//! early, and read every entry of a table rather than the one wanted.
 
 /// Constant-time equality over byte slices.
 ///
@@ -42,6 +43,31 @@ pub fn ct_select(choice: bool, a: &[u8], b: &[u8]) -> Vec<u8> {
         .collect()
 }
 
+/// Constant-time table lookup: copies entry `index` of `table`, whose
+/// entries are `out.len()` words each, into `out`. Every entry is read
+/// and masked in, so which one was wanted does not show in the memory
+/// access pattern or in a branch.
+///
+/// # Example
+///
+/// ```
+/// let table = [1u64, 2, 3, 4, 5, 6];
+/// let mut out = [0u64; 2];
+/// ccai_crypto::ct::ct_lookup(&table, 1, &mut out);
+/// assert_eq!(out, [3, 4]);
+/// ```
+pub fn ct_lookup(table: &[u64], index: usize, out: &mut [u64]) {
+    out.fill(0);
+    for (i, entry) in table.chunks_exact(out.len()).enumerate() {
+        // All ones when `i == index`: only then does `diff - 1` borrow.
+        let diff = (i ^ index) as u64;
+        let mask = 0u64.wrapping_sub((!diff & diff.wrapping_sub(1)) >> 63);
+        for (o, &e) in out.iter_mut().zip(entry) {
+            *o |= e & mask;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +98,20 @@ mod tests {
         let b = [9u8, 8, 7];
         assert_eq!(ct_select(true, &a, &b), vec![1, 2, 3]);
         assert_eq!(ct_select(false, &a, &b), vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn lookup_reads_each_entry() {
+        let table: Vec<u64> = (0..48).collect();
+        for index in 0..16 {
+            let mut out = [u64::MAX; 3];
+            ct_lookup(&table, index, &mut out);
+            let i = index as u64 * 3;
+            assert_eq!(out, [i, i + 1, i + 2]);
+        }
+        let mut out = [7u64; 3];
+        ct_lookup(&table, 16, &mut out);
+        assert_eq!(out, [0; 3], "an index past the table selects nothing");
     }
 
     #[test]

@@ -11,12 +11,19 @@
 //! Both are safe-prime groups with generator 2 of prime order
 //! `q = (p-1)/2`, so Schnorr signatures (see [`crate::schnorr`]) reuse the
 //! same group.
+//!
+//! Each group is built once per process: the constructors return a clone
+//! of one shared set of constants (`p`, `q`, their Montgomery contexts).
+//! On its first [`DhGroup::pow_g`] the group tabulates the powers of its
+//! generator (`bignum::BaseTable`), after which `g^x` costs one product per
+//! 4-bit window of `x`. Only functions of the group constants are kept;
+//! every key pair, shared secret and signature is computed afresh.
 
-use crate::bignum::{BigUint, Montgomery};
+use crate::bignum::{BaseTable, BigUint, Montgomery};
 use crate::hmac::hkdf;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// RFC 3526 MODP group 14 prime (2048-bit).
 const MODP_2048_P: &str = "\
@@ -37,29 +44,34 @@ const SIM_512_P: &str = "\
 3dff0b081662a851a0376df0848c307fcb3bc4f0bb2ca806da1021913da347517";
 
 /// A safe-prime Diffie-Hellman group `p = 2q + 1` with generator 2 of
-/// order `q`.
+/// order `q`. Clones share one set of constants.
 #[derive(Clone)]
-pub struct DhGroup {
+pub struct DhGroup(Arc<Group>);
+
+/// The constants of one group, built once per process.
+struct Group {
     name: &'static str,
     p: BigUint,
     q: BigUint,
     g: BigUint,
     mont_p: Arc<Montgomery>,
-    mont_q: Arc<Montgomery>,
+    mont_q: Montgomery,
+    /// Powers of `g`, tabulated on the first [`DhGroup::pow_g`].
+    g_table: OnceLock<BaseTable>,
 }
 
 impl fmt::Debug for DhGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DhGroup")
-            .field("name", &self.name)
-            .field("bits", &self.p.bit_len())
+            .field("name", &self.0.name)
+            .field("bits", &self.0.p.bit_len())
             .finish()
     }
 }
 
 impl PartialEq for DhGroup {
     fn eq(&self, other: &Self) -> bool {
-        self.p == other.p && self.g == other.g
+        self.0.p == other.0.p && self.0.g == other.0.g
     }
 }
 impl Eq for DhGroup {}
@@ -69,54 +81,64 @@ impl DhGroup {
         let p = BigUint::from_hex(p_hex);
         let q = p.sub(&BigUint::one()).shr1();
         let mont_p = Arc::new(Montgomery::new(p.clone()));
-        let mont_q = Arc::new(Montgomery::new(q.clone()));
-        DhGroup { name, p, q, g: BigUint::from(2u64), mont_p, mont_q }
+        let mont_q = Montgomery::new(q.clone());
+        let g = BigUint::from(2u64);
+        DhGroup(Arc::new(Group { name, p, q, g, mont_p, mont_q, g_table: OnceLock::new() }))
     }
 
     /// RFC 3526 group 14 (2048-bit MODP). The production group.
     pub fn modp2048() -> DhGroup {
-        Self::from_prime_hex("modp2048", MODP_2048_P)
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        GROUP.get_or_init(|| Self::from_prime_hex("modp2048", MODP_2048_P)).clone()
     }
 
     /// Deterministic 513-bit simulation group — fast for tests, not for
     /// real deployments.
     pub fn sim512() -> DhGroup {
-        Self::from_prime_hex("sim512", SIM_512_P)
+        static GROUP: OnceLock<DhGroup> = OnceLock::new();
+        GROUP.get_or_init(|| Self::from_prime_hex("sim512", SIM_512_P)).clone()
     }
 
     /// Group name ("modp2048" / "sim512").
     pub fn name(&self) -> &'static str {
-        self.name
+        self.0.name
     }
 
     /// The group prime `p`.
     pub fn prime(&self) -> &BigUint {
-        &self.p
+        &self.0.p
     }
 
     /// The subgroup order `q = (p-1)/2`.
     pub fn order(&self) -> &BigUint {
-        &self.q
+        &self.0.q
     }
 
     /// The generator (2).
     pub fn generator(&self) -> &BigUint {
-        &self.g
+        &self.0.g
     }
 
-    /// `g^exp mod p`.
+    /// `g^exp mod p`, from the group's generator table (built on the first
+    /// call): one table product per 4-bit window, no squarings.
     pub fn pow_g(&self, exp: &BigUint) -> BigUint {
-        self.mont_p.pow(&self.g, exp)
+        let group = &*self.0;
+        group.g_table.get_or_init(|| BaseTable::new(group.mont_p.clone(), &group.g)).pow(exp)
     }
 
     /// `base^exp mod p`.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.mont_p.pow(base, exp)
+        self.0.mont_p.pow(base, exp)
+    }
+
+    /// Montgomery context for arithmetic mod `p` (used by Schnorr).
+    pub(crate) fn mont_p(&self) -> &Montgomery {
+        &self.0.mont_p
     }
 
     /// Montgomery context for arithmetic mod `q` (used by Schnorr).
     pub(crate) fn mont_q(&self) -> &Montgomery {
-        &self.mont_q
+        &self.0.mont_q
     }
 
     /// Derives a private scalar in `[1, q)` from caller-supplied entropy.
@@ -130,21 +152,21 @@ impl DhGroup {
     pub fn scalar_from_entropy(&self, entropy: &[u8]) -> BigUint {
         assert!(entropy.len() >= 32, "need at least 256 bits of entropy");
         // Expand entropy to the group width to avoid bias, then reduce.
-        let want = self.q.bit_len() / 8 + 16;
-        let expanded = hkdf(b"ccai-dh-scalar", entropy, self.name.as_bytes(), want);
+        let want = self.0.q.bit_len() / 8 + 16;
+        let expanded = hkdf(b"ccai-dh-scalar", entropy, self.0.name.as_bytes(), want);
         let x = BigUint::from_bytes_be(&expanded);
-        let q_minus_1 = self.q.sub(&BigUint::one());
+        let q_minus_1 = self.0.q.sub(&BigUint::one());
         x.rem(&q_minus_1).add(&BigUint::one())
     }
 
     /// Validates a peer public value: `1 < y < p-1` and `y^q == 1`
     /// (subgroup membership).
     pub fn validate_public(&self, y: &BigUint) -> bool {
-        let p_minus_1 = self.p.sub(&BigUint::one());
+        let p_minus_1 = self.0.p.sub(&BigUint::one());
         if y <= &BigUint::one() || y >= &p_minus_1 {
             return false;
         }
-        self.mont_p.pow(y, &self.q) == BigUint::one()
+        self.pow(y, &self.0.q) == BigUint::one()
     }
 }
 
@@ -222,7 +244,7 @@ impl DhKeyPair {
         let okm = hkdf(
             b"ccai-session-key",
             &shared.to_bytes_be(),
-            self.group.name.as_bytes(),
+            self.group.name().as_bytes(),
             32,
         );
         key.copy_from_slice(&okm);

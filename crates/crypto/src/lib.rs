@@ -20,11 +20,13 @@
 //! * [`gcm`] — NIST SP 800-38D Galois/Counter Mode ([`AesGcm`]);
 //! * [`sha256`](mod@sha256) — FIPS-180-4 SHA-256;
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 and RFC 5869 HKDF;
-//! * [`bignum`] — odd-modulus Montgomery arithmetic for [`dh`]/[`schnorr`];
+//! * [`bignum`] — odd-modulus Montgomery arithmetic for [`dh`]/[`schnorr`]:
+//!   allocation-free products and fixed-window exponentiation whose work
+//!   does not depend on the exponent;
 //! * [`dh`] — finite-field Diffie-Hellman over RFC 3526 MODP groups;
 //! * [`schnorr`] — Schnorr signatures in the prime-order subgroup;
 //! * [`iv`] — the IV manager with the H100-style exhaustion policy (§6);
-//! * [`ct`] — constant-time comparison helpers.
+//! * [`ct`] — constant-time comparison and table-lookup helpers.
 //!
 //! The functional datapath seals and opens every byte that crosses the
 //! simulated PCIe-SC, so the bulk AEAD path and SHA-256 run on the
@@ -38,7 +40,8 @@
 //! the untrusted host shares. The choice is a function of the CPU alone;
 //! [`AesGcm::portable`] / [`Sha256::portable`] pin the portable path as the
 //! differential reference for the hardware one. The asymmetric
-//! primitives still favour clarity over speed.
+//! primitives run once per boot, not per byte; they are portable Rust,
+//! and their exponentiation does the same work for every exponent.
 //!
 //! # Example
 //!

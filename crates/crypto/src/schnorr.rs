@@ -98,7 +98,7 @@ impl SchnorrPublic {
         // g^s == r * y^e mod p
         let lhs = self.group.pow_g(&sig.s);
         let y_e = self.group.pow(&self.y, &e);
-        let rhs = mul_mod_p(&self.group, &sig.r, &y_e);
+        let rhs = self.group.mont_p().mul_mod(&sig.r, &y_e);
         lhs == rhs
     }
 }
@@ -166,14 +166,6 @@ fn challenge(group: &DhGroup, r: &BigUint, message: &[u8]) -> BigUint {
     h.update(&r.to_bytes_be());
     h.update(message);
     BigUint::from_bytes_be(h.finalize().as_bytes()).rem(group.order())
-}
-
-/// `a * b mod p` via the group's Montgomery context.
-fn mul_mod_p(group: &DhGroup, a: &BigUint, b: &BigUint) -> BigUint {
-    // pow with exponent 1 would work but a direct product is cheaper:
-    // reuse modular multiplication through the q-context trick is wrong
-    // (different modulus), so reduce a plain product.
-    a.mul(b).rem(group.prime())
 }
 
 #[cfg(test)]

@@ -218,10 +218,100 @@ proptest! {
     }
 
     #[test]
+    fn bignum_r_squared_is_r_times_r_mod_n(
+        m_bytes in (1usize..=32).prop_flat_map(|limbs| {
+            proptest::collection::vec(any::<u8>(), limbs * 8..limbs * 8 + 1)
+        }),
+    ) {
+        // R = 2^(64k) for a k-limb modulus: a one and 8k zero bytes.
+        let r = BigUint::from_bytes_be(&[&[1u8][..], &vec![0u8; m_bytes.len()]].concat());
+        let m = odd_modulus(m_bytes);
+        let ctx = ccai_crypto::bignum::Montgomery::new(m.clone());
+        prop_assert_eq!(ctx.r_squared(), r.mul(&r).div_rem(&m).1);
+    }
+
+    #[test]
     fn bignum_bytes_round_trip(bytes in proptest::collection::vec(1u8..=255, 0..40)) {
         // Leading byte nonzero keeps the encoding canonical.
         let n = BigUint::from_bytes_be(&bytes);
         prop_assert_eq!(n.to_bytes_be(), bytes);
+    }
+}
+
+/// Whole limbs of big-endian bytes made an odd modulus of exactly that
+/// many limbs (so at least 2^56, and above 3).
+fn odd_modulus(mut m_bytes: Vec<u8>) -> BigUint {
+    m_bytes[0] |= 1;
+    *m_bytes.last_mut().expect("nonempty") |= 1;
+    BigUint::from_bytes_be(&m_bytes)
+}
+
+/// `base^exp mod m` by right-to-left square-and-multiply over plain
+/// products and division: the reference for the windowed Montgomery path.
+fn reference_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let mut result = BigUint::one().rem(m);
+    let mut square = base.rem(m);
+    let mut e = exp.clone();
+    while !e.is_zero() {
+        if e.is_odd() {
+            result = result.mul(&square).rem(m);
+        }
+        square = square.mul(&square).rem(m);
+        e = e.shr1();
+    }
+    result
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn bignum_pow_agrees_with_square_and_multiply(
+        operands in (1usize..=32).prop_flat_map(|limbs| {
+            // Bases up to a limb wider than the modulus. Exponents up to a
+            // limb wider than a one- or two-limb modulus; the reference's
+            // cost keeps them to 32 bits for wider moduli.
+            let exp_len = if limbs <= 2 { (limbs + 1) * 8 } else { 4 };
+            (
+                proptest::collection::vec(any::<u8>(), limbs * 8..limbs * 8 + 1),
+                proptest::collection::vec(any::<u8>(), 0..limbs * 8 + 9),
+                proptest::collection::vec(any::<u8>(), 0..exp_len + 1),
+            )
+        }),
+    ) {
+        let (m_bytes, base_bytes, exp_bytes) = operands;
+        let m = odd_modulus(m_bytes);
+        let ctx = ccai_crypto::bignum::Montgomery::new(m.clone());
+        let base = BigUint::from_bytes_be(&base_bytes);
+        let exp = BigUint::from_bytes_be(&exp_bytes);
+        prop_assert_eq!(ctx.pow(&base, &exp), reference_pow(&base, &exp, &m));
+        prop_assert_eq!(ctx.pow(&base, &BigUint::zero()), BigUint::one());
+        let above = base.add(&m);
+        prop_assert_eq!(ctx.pow(&above, &exp), reference_pow(&above, &exp, &m));
+    }
+
+    #[test]
+    fn pow_g_agrees_with_pow_on_sim512(
+        exp_bytes in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        // Up to 640-bit exponents: the table covers 516 bits, so the
+        // widest go through `pow` instead.
+        let group = ccai_crypto::DhGroup::sim512();
+        let exp = BigUint::from_bytes_be(&exp_bytes);
+        prop_assert_eq!(group.pow_g(&exp), group.pow(group.generator(), &exp));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn pow_g_agrees_with_pow_on_modp2048(
+        exp_bytes in proptest::collection::vec(any::<u8>(), 0..257),
+    ) {
+        let group = ccai_crypto::DhGroup::modp2048();
+        let exp = BigUint::from_bytes_be(&exp_bytes);
+        prop_assert_eq!(group.pow_g(&exp), group.pow(group.generator(), &exp));
     }
 }
 
