@@ -1,10 +1,12 @@
-//! Crypto datapath benchmark runner: measures AES-GCM seal/open
-//! throughput for every backend this CPU can run — the one
-//! `AesGcm::new` selects and the portable reference where that is not
-//! already it; rows carry their `backend()` name — plus per-key set-up
-//! and SHA-256, then writes machine-readable results to
-//! `BENCH_crypto.json` so the performance trajectory of the crypto
-//! datapath is tracked from PR to PR.
+//! Crypto benchmark runner: measures AES-GCM seal/open throughput for
+//! every backend this CPU can run — the one `AesGcm::new` selects and
+//! the portable reference where that is not already it; rows carry their
+//! `backend()` name — plus per-key set-up and SHA-256, and the
+//! asymmetric trust-establishment operations on the simulation group
+//! (`pow_g`, a variable-base `pow`, one DH exchange, one Schnorr sign +
+//! verify; rows carry the group name). It writes machine-readable
+//! results to `BENCH_crypto.json` so the performance trajectory of the
+//! crypto code is tracked from change to change.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
 //! Pass an output path as the first argument to override the default.
@@ -12,7 +14,7 @@
 //! Raw crypto only: a request through the whole datapath is timed by
 //! the end-to-end ledger in `bench_e2e/`.
 
-use ccai_crypto::{AesGcm, Key, Sha256};
+use ccai_crypto::{AesGcm, DhGroup, DhKeyPair, Key, SchnorrKeyPair, Sha256};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -133,6 +135,33 @@ fn run() -> Vec<Sample> {
         });
         push("key_setup", cipher.backend(), ("key", 0), setup);
     }
+
+    // Trust establishment, as one boot runs it: the DH exchange of the
+    // session master (two key pairs, one validated agreement) and the
+    // vendor's Schnorr signature over a firmware image.
+    let group = DhGroup::sim512();
+    let exp = group.scalar_from_entropy(&[0x5a; 32]);
+    let peer = DhKeyPair::generate(&group, &[0xa5; 32]);
+    let pow_g = measure(0, || {
+        std::hint::black_box(group.pow_g(&exp));
+    });
+    push("pow_g", group.name(), ("op", 0), pow_g);
+    let pow = measure(0, || {
+        std::hint::black_box(group.pow(peer.public().value(), &exp));
+    });
+    push("pow", group.name(), ("op", 0), pow);
+    let exchange = measure(0, || {
+        let tvm = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");
+        let sc = DhKeyPair::generate(&group, b"hrot-blade-boot-entropy-00000002");
+        std::hint::black_box(tvm.agree(sc.public()).expect("valid exchange"));
+    });
+    push("dh_exchange", group.name(), ("op", 0), exchange);
+    let vendor = SchnorrKeyPair::generate(&group, &[0x11; 32]);
+    let sign_verify = measure(0, || {
+        let sig = vendor.sign(b"firmware measurement");
+        assert!(vendor.public().verify(b"firmware measurement", &sig));
+    });
+    push("schnorr_sign_verify", group.name(), ("op", 0), sign_verify);
     samples
 }
 
