@@ -20,7 +20,8 @@
 
 use crate::filter::{L1Rule, L2Rule, PolicyBlob, SecurityAction};
 use crate::handler::{
-    with_mmio_signed, ChunkRef, CryptoEngine, StreamDirection, TagRecord, CHUNK_SIZE,
+    landing_record_addr, with_mmio_signed, ChunkRef, CryptoEngine, StreamDirection, TagRecord,
+    CHUNK_SIZE, TAG_LANDING_RECORDS, TAG_RECORD_LEN,
 };
 use crate::perf::OptimizationConfig;
 use crate::sc::{
@@ -28,7 +29,7 @@ use crate::sc::{
 };
 use ccai_pcie::{parse_ctrl_envelope, seal_ctrl_envelope, Bdf, Fabric, HostMemory, Tlp, TlpType};
 use ccai_crypto::{hkdf, AesGcm, Key};
-use ccai_sim::{DetHashMap, Hop, Severity, Telemetry};
+use ccai_sim::{Hop, Severity, Telemetry};
 use ccai_trust::keymgmt::StreamId;
 use ccai_trust::WorkloadKeyManager;
 use ccai_tvm::stager::IntegrityError;
@@ -295,7 +296,11 @@ impl Adaptor {
     /// Loads the Adaptor with the post-attestation master secret (the
     /// same one the PCIe-SC holds). Staging and crypto work become
     /// per-hop spans on `telemetry`, retries and rekeys trace events.
+    /// Panics unless the staging window is chunk-aligned (a chunk stays in
+    /// one guest page) and one transfer cannot lap the tag landing ring.
     pub fn new(config: AdaptorConfig, master: [u8; 32], telemetry: Telemetry) -> Adaptor {
+        assert!(config.staging_base.is_multiple_of(CHUNK_SIZE), "staging window not chunk-aligned");
+        assert!(config.staging_len / CHUNK_SIZE <= TAG_LANDING_RECORDS, "staging outruns tag ring");
         let mut state = AdaptorState {
             config,
             master,
@@ -691,25 +696,21 @@ impl DmaStager for Adaptor {
                 0,
             );
 
-            // Encrypt into the bounce buffer; collect tags. The plaintext
-            // is copied exactly once and sealed in place — no per-chunk
-            // ciphertext allocations.
-            let mut sealed = data.to_vec();
-            let mut tags = Vec::with_capacity(sealed.len().div_ceil(CHUNK_SIZE as usize));
+            // Copy each plaintext chunk straight into its staging page and
+            // seal it there; collect the tag records.
+            let chunk_count = data.len().div_ceil(CHUNK_SIZE as usize) as u64;
+            let mut records = Vec::with_capacity(chunk_count as usize * TAG_RECORD_LEN);
             let cipher = stream_cipher(&mut state.keys, stream);
-            for (i, chunk) in sealed.chunks_mut(CHUNK_SIZE as usize).enumerate() {
+            for (i, chunk) in data.chunks(CHUNK_SIZE as usize).enumerate() {
                 let chunk_ref = ChunkRef { stream, seq: i as u64 };
-                let tag = state.engine.seal_in_place_detached(
-                    cipher,
-                    &chunk_ref.nonce(),
-                    chunk,
-                    &chunk_ref.aad(),
-                );
-                tags.push(TagRecord { stream, seq: i as u64, tag });
+                let staged = memory.range_mut(base + i as u64 * CHUNK_SIZE, chunk.len());
+                staged.copy_from_slice(chunk);
+                let (nonce, aad) = (chunk_ref.nonce(), chunk_ref.aad());
+                let tag = state.engine.seal_in_place_detached(cipher, &nonce, staged, &aad);
+                records.extend_from_slice(&TagRecord { stream, seq: i as u64, tag }.to_bytes());
             }
-            memory.write(base, &sealed);
             state.counters.bytes_encrypted += data.len() as u64;
-            state.counters.chunks_staged += tags.len() as u64;
+            state.counters.chunks_staged += chunk_count;
 
             // Tag packets: batched or per chunk (§5 I/O-write opt).
             let per_tlp = if state.config.opts.batched_notify {
@@ -717,17 +718,12 @@ impl DmaStager for Adaptor {
             } else {
                 1
             };
-            for group in tags.chunks(per_tlp) {
-                let mut payload = Vec::with_capacity(group.len() * 28);
-                for record in group {
-                    payload.extend_from_slice(&record.to_bytes());
-                }
+            for group in records.chunks(per_tlp * TAG_RECORD_LEN) {
                 state.counters.tag_packets += 1;
-                state.queue_control_write(regs::TAG_QUEUE, payload);
+                state.queue_control_write(regs::TAG_QUEUE, group.to_vec());
             }
 
             // Doorbells.
-            let chunk_count = data.len().div_ceil(CHUNK_SIZE as usize) as u64;
             let doorbells = if state.config.opts.batched_notify { 1 } else { chunk_count };
             for _ in 0..doorbells {
                 state.counters.doorbells += 1;
@@ -822,35 +818,37 @@ impl DmaStager for Adaptor {
             .ok_or_else(|| IntegrityError { reason: "unknown landing buffer".to_string() })?;
         let (base, stream, chunks) = state.pending_d2h.remove(idx);
 
-        // Read the SC-deposited tag records from the landing buffer.
+        // The SC-deposited tag records, from the landing ring, by chunk.
         let landing = state.config.tag_landing;
         let cursor = state.tag_cursor;
         state.tag_cursor += chunks;
-        let mut tags = DetHashMap::default();
-        for i in 0..chunks {
-            let record_addr = landing + (cursor + i) * 28;
-            let bytes = memory.read(record_addr, 28);
+        let mut tags = vec![None; chunks as usize];
+        for n in cursor..cursor + chunks {
+            let mut bytes = [0u8; TAG_RECORD_LEN];
+            memory.read_exact(landing_record_addr(landing, n), &mut bytes);
             let record = TagRecord::from_bytes(&bytes).ok_or_else(|| IntegrityError {
                 reason: "malformed tag record in landing buffer".to_string(),
             })?;
-            tags.insert((record.stream, record.seq), record.tag);
+            if record.stream == stream && record.seq < chunks {
+                tags[record.seq as usize] = Some(record.tag);
+            }
         }
 
-        // Read the landing buffer once, then verify + decrypt each chunk
-        // in place — no per-chunk ciphertext or plaintext allocations.
-        let mut plaintext = memory.read(base, buffer.len);
+        // Copy each landing chunk into the output and verify + decrypt it
+        // there while it is still in cache.
+        let mut plaintext = Vec::with_capacity(buffer.len as usize);
         let cipher = stream_cipher(&mut state.keys, stream);
-        for (i, chunk) in plaintext.chunks_mut(CHUNK_SIZE as usize).enumerate() {
+        for (i, tag) in tags.into_iter().enumerate() {
             let i = i as u64;
             let chunk_ref = ChunkRef { stream, seq: i };
-            let tag = tags.remove(&(stream, i)).ok_or_else(|| IntegrityError {
+            let tag = tag.ok_or_else(|| IntegrityError {
                 reason: format!("missing tag for chunk {i}"),
             })?;
-            if state
-                .engine
-                .open_in_place_detached(cipher, &chunk_ref.nonce(), chunk, &tag, &chunk_ref.aad())
-                .is_err()
-            {
+            let at = i * CHUNK_SIZE;
+            memory.read_into(base + at, CHUNK_SIZE.min(buffer.len - at), &mut plaintext);
+            let chunk = &mut plaintext[at as usize..];
+            let (nonce, aad) = (chunk_ref.nonce(), chunk_ref.aad());
+            if state.engine.open_in_place_detached(cipher, &nonce, chunk, &tag, &aad).is_err() {
                 state.telemetry.record(
                     Severity::Warn,
                     "adaptor.integrity_fail",
@@ -1056,6 +1054,109 @@ mod tests {
         assert_eq!(counters.bytes_encrypted, data.len() as u64);
         assert_eq!(stats.bytes_encrypted, counters.bytes_encrypted);
         assert_eq!(stats.seal_ops, counters.chunks_staged);
+    }
+
+    /// Records the body of every sequenced tag-queue write on its way to
+    /// the SC, by envelope sequence.
+    #[derive(Debug)]
+    struct TagQueueTap<'p> {
+        inner: &'p mut dyn TlpPort,
+        queue_addr: u64,
+        bodies: std::collections::BTreeMap<u64, Vec<u8>>,
+    }
+
+    impl TlpPort for TagQueueTap<'_> {
+        fn request(&mut self, tlp: Tlp) -> Vec<Tlp> {
+            if tlp.header().address() == Some(self.queue_addr) {
+                if let Some((body, seq)) = parse_ctrl_envelope(tlp.payload()) {
+                    self.bodies.insert(seq, body.to_vec());
+                }
+            }
+            self.inner.request(tlp)
+        }
+
+        fn pump(&mut self, memory: &mut dyn HostMemory) -> usize {
+            self.inner.pump(memory)
+        }
+    }
+
+    /// Staging seals each chunk where it lies and recovery opens each one
+    /// where it lands, chunk for chunk what `AesGcm::seal_detached` does
+    /// under the chunk's nonce and AAD, at every length around a chunk
+    /// and past a 64 KiB guest page. A flipped ciphertext byte fails its
+    /// own chunk.
+    #[test]
+    fn chunks_stage_and_recover_where_they_lie() {
+        for len in [1usize, 4095, 4096, 4097, 64 * 1024 + 5] {
+            let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+            let mut adaptor = system.adaptor_handle().expect("protected mode has adaptor");
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
+            let (master, queue_addr, landing) = {
+                let state = adaptor.state.borrow();
+                let c = &state.config;
+                (state.master, c.sc_region_base + regs::TAG_QUEUE, c.tag_landing)
+            };
+            // An independent key schedule: what the SC derives.
+            let mut keys = WorkloadKeyManager::new(crate::sc::epoch_master(&master, 0));
+            let sealed = |keys: &mut WorkloadKeyManager, stream, data: &[u8]| {
+                let cipher = stream_cipher(keys, stream);
+                let chunks = data.chunks(CHUNK_SIZE as usize).enumerate().map(|(i, chunk)| {
+                    let chunk_ref = ChunkRef { stream, seq: i as u64 };
+                    cipher.seal_detached(&chunk_ref.nonce(), chunk, &chunk_ref.aad())
+                });
+                chunks.collect::<Vec<_>>()
+            };
+
+            let (staged, bodies) = system.with_port(|port, memory| {
+                let mut tap = TagQueueTap { inner: port, queue_addr, bodies: Default::default() };
+                let staged = adaptor.stage_to_device(&mut tap, memory, &payload);
+                (memory.read(staged.device_addr, staged.len), tap.bodies)
+            });
+            let stream = adaptor.state.borrow().stream_of.last().expect("staged").1;
+            let expected = sealed(&mut keys, stream, &payload);
+            let records: Vec<u8> = bodies.into_values().flatten().collect();
+            let records: Vec<_> = TagRecord::parse_batch(&records).expect("whole").collect();
+            assert_eq!(records.len(), expected.len(), "len {len}: one record per chunk");
+            for (i, ((ct, tag), record)) in expected.iter().zip(&records).enumerate() {
+                let at = i * CHUNK_SIZE as usize;
+                assert_eq!(&staged[at..at + ct.len()], &ct[..], "len {len}: chunk {i} staged");
+                assert_eq!(*record, TagRecord { stream, seq: i as u64, tag: *tag }, "len {len}");
+            }
+
+            // Recovery: deposit what the SC would (sealed chunks in the
+            // landing buffer, records in the tag ring), then flip chunk k.
+            let last = expected.len() - 1;
+            for flip in [None, Some(0), Some(last)] {
+                let result = system.with_port(|port, memory| {
+                    let buffer = adaptor.alloc_from_device(port, memory, len as u64);
+                    let (stream, cursor) = {
+                        let state = adaptor.state.borrow();
+                        (state.stream_of.last().expect("allocated").1, state.tag_cursor)
+                    };
+                    for (i, (ct, tag)) in sealed(&mut keys, stream, &payload).iter().enumerate() {
+                        let at = buffer.device_addr + i as u64 * CHUNK_SIZE;
+                        memory.write(at, ct);
+                        if flip == Some(i) {
+                            let b = ct.len() / 2;
+                            memory.write(at + b as u64, &[ct[b] ^ 0x40]);
+                        }
+                        let record = TagRecord { stream, seq: i as u64, tag: *tag };
+                        let slot = landing_record_addr(landing, cursor + i as u64);
+                        memory.write(slot, &record.to_bytes());
+                    }
+                    adaptor.recover_from_device(port, memory, buffer)
+                });
+                match flip {
+                    None => assert_eq!(result.expect("recovers"), payload, "len {len}"),
+                    Some(k) => assert_eq!(
+                        result.expect_err("tampered").reason,
+                        format!("authentication failed for chunk {k}"),
+                        "len {len}"
+                    ),
+                }
+                adaptor.release_all();
+            }
+        }
     }
 
     /// A stream's key lives from staging to `release_all`: serving any

@@ -16,4 +16,4 @@ mod tags;
 pub use engine::{with_mmio_signed, CryptoEngine, EngineStats};
 pub use env_guard::{EnvGuard, EnvViolation, MmioPolicy};
 pub use params::{ChunkRef, ParamsManager, StreamDirection, CHUNK_SIZE};
-pub use tags::{TagManager, TagRecord, TAG_RECORD_LEN};
+pub use tags::{landing_record_addr, TagManager, TagRecord, TAG_LANDING_RECORDS, TAG_RECORD_LEN};

@@ -20,6 +20,14 @@ use std::fmt;
 /// Serialized size of one tag record: stream(4) + seq(8) + tag(16).
 pub const TAG_RECORD_LEN: usize = 28;
 
+/// Records in the 1 MiB D2H tag landing window, a ring on both sides.
+pub const TAG_LANDING_RECORDS: u64 = 0x10_0000 / TAG_RECORD_LEN as u64;
+
+/// Guest address of D2H tag record `n` (a monotone count) in the ring.
+pub fn landing_record_addr(landing: u64, n: u64) -> u64 {
+    landing + n % TAG_LANDING_RECORDS * TAG_RECORD_LEN as u64
+}
+
 /// One parsed tag record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TagRecord {

@@ -950,14 +950,8 @@ impl PcieSc {
             self.alert_crypt(tenant, chunk, "no key for stream");
             return Err(self.abort_completion(requester, cpl_tag));
         };
-        let payload = tlp.payload_mut();
-        match self.engine.open_in_place_detached(
-            cipher,
-            &chunk.nonce(),
-            payload,
-            &tag,
-            &chunk.aad(),
-        ) {
+        let (payload, nonce, aad) = (tlp.payload_mut(), chunk.nonce(), chunk.aad());
+        match self.engine.open_in_place_detached(cipher, &nonce, payload, &tag, &aad) {
             Ok(()) => {
                 self.counters.chunks_decrypted += 1;
                 self.tenants[tenant].consecutive_crypt_failures = 0;
@@ -1055,10 +1049,8 @@ impl PcieSc {
             self.alert_crypt(tenant, chunk, "no key for stream");
             return InterposeOutcome::drop_packet();
         };
-        let payload = tlp.payload_mut();
-        let tag = self
-            .engine
-            .seal_in_place_detached(cipher, &chunk.nonce(), payload, &chunk.aad());
+        let (payload, nonce, aad) = (tlp.payload_mut(), chunk.nonce(), chunk.aad());
+        let tag = self.engine.seal_in_place_detached(cipher, &nonce, payload, &aad);
         self.counters.chunks_encrypted += 1;
         self.tenants[tenant].consecutive_crypt_failures = 0;
         let crypt = self.crypt_time(payload.len());
@@ -1068,7 +1060,7 @@ impl PcieSc {
         let ctx = &mut self.tenants[tenant];
         if let Some(landing) = ctx.tag_landing {
             let record = TagRecord { stream: chunk.stream, seq: chunk.seq, tag };
-            let addr = landing + ctx.tag_landing_cursor * crate::handler::TAG_RECORD_LEN as u64;
+            let addr = crate::handler::landing_record_addr(landing, ctx.tag_landing_cursor);
             ctx.tag_landing_cursor += 1;
             outcome.forward.push(Tlp::memory_write(
                 self.config.sc_bdf,

@@ -8,6 +8,7 @@
 //! vanilla baseline and the Fig. 11 unoptimized ablation.
 
 use crate::adaptor::{Adaptor, AdaptorConfig, AdaptorCounters};
+use crate::handler::{TAG_LANDING_RECORDS, TAG_RECORD_LEN};
 use crate::perf::OptimizationConfig;
 use crate::sc::{regs, PcieSc, ScConfig, ScCounters};
 use ccai_crypto::{DhGroup, DhKeyPair};
@@ -170,7 +171,9 @@ impl ConfidentialSystem {
 
         let mut memory = GuestMemory::new(layout::GUEST_MEMORY);
         memory.share_range(layout::STAGING_BASE..layout::STAGING_BASE + layout::STAGING_LEN);
-        memory.share_range(layout::TAG_LANDING..layout::TAG_LANDING + 0x10_0000);
+        // The tag landing ring, rounded up to whole 4 KiB pages.
+        let ring = (TAG_LANDING_RECORDS * TAG_RECORD_LEN as u64).next_multiple_of(0x1000);
+        memory.share_range(layout::TAG_LANDING..layout::TAG_LANDING + ring);
         memory.share_range(layout::METADATA_BUF..layout::METADATA_BUF + 0x1_0000);
 
         let identity_stager = IdentityStager::new(layout::STAGING_BASE, layout::STAGING_LEN);

@@ -37,7 +37,9 @@ pub trait PcieDevice: fmt::Debug {
     }
 
     /// Delivers a completion for a DMA read this device issued earlier.
-    fn deliver_completion(&mut self, _tlp: Tlp) {}
+    /// The device copies what it keeps; the fabric recycles the payload
+    /// buffer afterwards.
+    fn deliver_completion(&mut self, _tlp: &Tlp) {}
 
     /// Downcasting support so owners can inspect concrete device state
     /// (e.g. memory digests) while it lives in the fabric. Devices that
@@ -271,6 +273,20 @@ impl PcieDevice for ScratchEndpoint {
 
     fn poll_outbound(&mut self) -> Vec<Tlp> {
         std::mem::take(&mut self.outbound)
+    }
+
+    /// A DMA read completion lands at the start of the scratch RAM.
+    fn deliver_completion(&mut self, tlp: &Tlp) {
+        let n = tlp.payload().len().min(self.ram.len());
+        self.ram[..n].copy_from_slice(&tlp.payload()[..n]);
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 

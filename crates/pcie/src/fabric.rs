@@ -697,7 +697,10 @@ impl Fabric {
         };
         let port = self.ports.get_mut(&origin).expect("port exists");
         for tlp in forwarded {
-            port.device.deliver_completion(tlp);
+            // The device copies the payload into its own memory; the
+            // buffer then serves the next read completion.
+            port.device.deliver_completion(&tlp);
+            self.pool.recycle(tlp.into_payload());
         }
     }
 }
@@ -911,6 +914,29 @@ mod tests {
         let inbox = fabric.drain_host_inbox();
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].header().message_code(), Some(0x21));
+    }
+
+    /// Once the device has copied a read completion's payload, the buffer
+    /// goes back to the pool and the next completion is built from it.
+    #[test]
+    fn delivered_completion_payloads_return_to_the_pool() {
+        let dev = Bdf::new(1, 0, 0);
+        let mut fabric = Fabric::new(Telemetry::default());
+        fabric.attach(PortId(0), Box::new(ScratchEndpoint::new(dev, 0x10_0000, 0x1000)));
+        fn scratch(fabric: &mut Fabric) -> &mut ScratchEndpoint {
+            let any = fabric.device_mut(PortId(0)).and_then(|d| d.as_any_mut());
+            any.and_then(|a| a.downcast_mut::<ScratchEndpoint>()).expect("scratch endpoint")
+        }
+        let mut mem = VecHostMemory::new(0x1000);
+        for round in 0..2u8 {
+            assert!(mem.dma_write(dev, 0x200, &[0xC0 | round; 64]));
+            scratch(&mut fabric).queue_outbound(Tlp::memory_read(dev, 0x200, 64, round));
+            assert_eq!(fabric.pump(&mut mem), 1);
+            assert_eq!(&scratch(&mut fabric).ram()[..64], &[0xC0 | round; 64]);
+            let round = u64::from(round);
+            let stats = TlpPoolStats { hits: round, misses: 1, recycled: round + 1 };
+            assert_eq!(fabric.pool_stats(), stats);
+        }
     }
 
     #[test]

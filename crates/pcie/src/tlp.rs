@@ -761,11 +761,11 @@ pub struct TlpPoolStats {
 ///
 /// The fabric's DMA hot path retires one payload `Vec<u8>` per packet
 /// (device writes land in host memory, read completions are built from
-/// host memory). The pool keeps those vectors' capacity alive across
-/// packets: consumers [`TlpPool::recycle`] a spent payload (for example
-/// from [`Tlp::into_payload`]) and producers [`TlpPool::take`] a cleared
-/// buffer with its old capacity intact, so steady-state bulk staging
-/// allocates nothing per TLP.
+/// host memory and copied by the device). The pool keeps those vectors'
+/// capacity alive across packets: consumers [`TlpPool::recycle`] a spent
+/// payload (for example from [`Tlp::into_payload`]) and producers
+/// [`TlpPool::take`] a cleared buffer with its old capacity intact, so
+/// steady-state bulk staging allocates nothing per TLP.
 ///
 /// # Example
 ///

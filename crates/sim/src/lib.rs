@@ -18,7 +18,9 @@
 //! * [`hash`] — `HashMap`/`HashSet` over an unkeyed word hasher, for the
 //!   same reason ([`DetHashMap`], [`DetHashSet`]), and the FNV-1a fold
 //!   ([`fnv1a`]) behind every trace digest and fingerprint;
-//! * [`stats`] — summary statistics and histograms for measurement series.
+//! * [`stats`] — summary statistics and histograms for measurement series;
+//! * [`pages`] — the sparse page store behind guest and device memory
+//!   ([`PageStore`]).
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@
 
 pub mod clock;
 pub mod hash;
+pub mod pages;
 pub mod rate;
 pub mod rng;
 pub mod snapshot;
@@ -45,6 +48,7 @@ pub mod time;
 
 pub use clock::Clock;
 pub use hash::{fnv1a, DetHashMap, DetHashSet, FNV_OFFSET};
+pub use pages::PageStore;
 pub use rate::{Bandwidth, TokenBucket};
 pub use rng::SimRng;
 pub use snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};

@@ -8,12 +8,12 @@
 //! memory that neither the host nor any device can touch.
 
 use ccai_pcie::{Bdf, HostMemory};
-use std::collections::BTreeMap;
+use ccai_sim::PageStore;
 use std::fmt;
 use std::ops::Range;
 
-/// TVM guest memory backed by sparse chunks, with a shared-page map and a
-/// DMA-visibility boundary.
+/// TVM guest memory backed by a sparse [`PageStore`], with a shared-page
+/// map and a DMA-visibility boundary.
 ///
 /// Three access paths exist, mirroring the real trust boundaries:
 ///
@@ -27,12 +27,10 @@ use std::ops::Range;
 #[derive(Clone)]
 pub struct GuestMemory {
     capacity: u64,
-    chunks: BTreeMap<u64, Vec<u8>>,
+    pages: PageStore,
     shared: Vec<Range<u64>>,
     dma_denials: u64,
 }
-
-const CHUNK: u64 = 64 * 1024;
 
 impl fmt::Debug for GuestMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -52,7 +50,7 @@ impl GuestMemory {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "guest memory capacity must be positive");
-        GuestMemory { capacity, chunks: BTreeMap::new(), shared: Vec::new(), dma_denials: 0 }
+        GuestMemory { capacity, pages: PageStore::default(), shared: Vec::new(), dma_denials: 0 }
     }
 
     /// Total capacity in bytes.
@@ -105,16 +103,7 @@ impl GuestMemory {
     /// Panics if the range is out of bounds.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         assert!(self.check(addr, data.len() as u64), "guest write out of bounds");
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let pos = addr + offset as u64;
-            let base = pos / CHUNK * CHUNK;
-            let within = (pos - base) as usize;
-            let take = ((CHUNK as usize) - within).min(data.len() - offset);
-            let chunk = self.chunks.entry(base).or_insert_with(|| vec![0; CHUNK as usize]);
-            chunk[within..within + take].copy_from_slice(&data[offset..offset + take]);
-            offset += take;
-        }
+        self.pages.write(addr, data);
     }
 
     /// Trusted in-guest read (unwritten memory reads as zero).
@@ -123,20 +112,44 @@ impl GuestMemory {
     ///
     /// Panics if the range is out of bounds.
     pub fn read(&self, addr: u64, len: u64) -> Vec<u8> {
-        assert!(self.check(addr, len), "guest read out of bounds");
-        let mut out = vec![0u8; len as usize];
-        let mut offset = 0usize;
-        while offset < out.len() {
-            let pos = addr + offset as u64;
-            let base = pos / CHUNK * CHUNK;
-            let within = (pos - base) as usize;
-            let take = ((CHUNK as usize) - within).min(out.len() - offset);
-            if let Some(chunk) = self.chunks.get(&base) {
-                out[offset..offset + take].copy_from_slice(&chunk[within..within + take]);
-            }
-            offset += take;
-        }
+        let mut out = Vec::new();
+        self.read_into(addr, len, &mut out);
         out
+    }
+
+    /// Trusted in-guest read appended to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn read_into(&self, addr: u64, len: u64, out: &mut Vec<u8>) {
+        assert!(self.check(addr, len), "guest read out of bounds");
+        self.pages.read_into(addr, len, out);
+    }
+
+    /// Trusted in-guest read filling `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn read_exact(&self, addr: u64, out: &mut [u8]) {
+        assert!(self.check(addr, out.len() as u64), "guest read out of bounds");
+        self.pages.read_exact(addr, out);
+    }
+
+    /// Trusted in-guest borrow of `len` bytes at `addr` for in-place work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or crosses a 64 KiB page.
+    pub fn range_mut(&mut self, addr: u64, len: usize) -> &mut [u8] {
+        assert!(self.check(addr, len as u64), "guest write out of bounds");
+        self.pages.range_mut(addr, len)
+    }
+
+    /// The backing page store.
+    pub fn pages(&self) -> &PageStore {
+        &self.pages
     }
 
     /// The privileged-software adversary's view: `None` for any range
@@ -176,20 +189,7 @@ impl HostMemory for GuestMemory {
             return false;
         }
         out.clear();
-        // Unwritten guest memory reads as zero; a recycled buffer holds
-        // stale bytes, so zero-fill before copying mapped chunks in.
-        out.resize(len, 0);
-        let mut offset = 0usize;
-        while offset < len {
-            let pos = addr + offset as u64;
-            let base = pos / CHUNK * CHUNK;
-            let within = (pos - base) as usize;
-            let take = ((CHUNK as usize) - within).min(len - offset);
-            if let Some(chunk) = self.chunks.get(&base) {
-                out[offset..offset + take].copy_from_slice(&chunk[within..within + take]);
-            }
-            offset += take;
-        }
+        self.pages.read_into(addr, len as u64, out);
         true
     }
 }
@@ -200,7 +200,7 @@ impl GuestMemory {
     /// the DMA-denial counter.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         enc.put(&self.capacity);
-        enc.chunks(&self.chunks);
+        self.pages.encode(enc);
         enc.put(&self.shared);
         enc.put(&self.dma_denials);
     }
@@ -220,13 +220,13 @@ impl GuestMemory {
         if capacity != self.capacity {
             return Err(SnapshotError::Invalid("guest memory capacity mismatch"));
         }
-        let chunks = dec.chunks(CHUNK, capacity)?;
+        let pages = PageStore::decode(dec, capacity)?;
         let shared: Vec<Range<u64>> = dec.get()?;
         if shared.iter().any(|r| r.start >= r.end || r.end > capacity) {
             return Err(SnapshotError::Invalid("malformed shared range"));
         }
         let dma_denials = dec.get()?;
-        self.chunks = chunks;
+        self.pages = pages;
         self.shared = shared;
         self.dma_denials = dma_denials;
         Ok(())
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn chunk_boundary_round_trip() {
         let mut mem = GuestMemory::new(1 << 20);
-        let addr = CHUNK - 3;
+        let addr = ccai_sim::pages::PAGE - 3;
         mem.write(addr, &[1, 2, 3, 4, 5, 6]);
         assert_eq!(mem.read(addr, 6), vec![1, 2, 3, 4, 5, 6]);
     }

@@ -13,7 +13,7 @@
 //!    result.
 
 use crate::memory::DeviceMemory;
-use ccai_crypto::sha256;
+use ccai_crypto::{sha256, Digest, Sha256};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -132,18 +132,29 @@ impl CommandProcessor {
         memory: &mut DeviceMemory,
     ) -> Result<(), ()> {
         let (model_addr, model_len) = self.model.ok_or(())?;
-        let input_bytes = memory.read(input, len).map_err(|_| ())?;
-        let weights = memory.read(model_addr, model_len).map_err(|_| ())?;
-        let result = Self::surrogate_inference(&weights, &input_bytes);
+        // The kernel hashes both buffers where they lie in device memory,
+        // slice by slice, instead of copying them out first.
+        let digest = |addr, len| {
+            let mut hasher = Sha256::new();
+            memory.slices(addr, len).map_err(|_| ())?.for_each(|s| hasher.update(s));
+            Ok(hasher.finalize())
+        };
+        let input_digest = digest(input, len)?;
+        let weights_digest = digest(model_addr, model_len)?;
+        let result = Self::surrogate_from_digests(&weights_digest, &input_digest);
         memory.write(output, &result).map_err(|_| ())
     }
 
     /// The deterministic surrogate computation, also callable host-side
     /// for verification: `H(H(weights) ‖ H(input) ‖ "ccai-infer")`.
     pub fn surrogate_inference(weights: &[u8], input: &[u8]) -> [u8; 32] {
+        Self::surrogate_from_digests(&sha256(weights), &sha256(input))
+    }
+
+    fn surrogate_from_digests(weights: &Digest, input: &Digest) -> [u8; 32] {
         let mut data = Vec::with_capacity(74);
-        data.extend_from_slice(sha256(weights).as_bytes());
-        data.extend_from_slice(sha256(input).as_bytes());
+        data.extend_from_slice(weights.as_bytes());
+        data.extend_from_slice(input.as_bytes());
         data.extend_from_slice(b"ccai-infer");
         *sha256(&data).as_bytes()
     }

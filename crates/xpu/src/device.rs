@@ -329,7 +329,7 @@ impl Engine {
     }
 
     /// Delivers a read completion to the DMA engine.
-    pub(crate) fn deliver_completion(&mut self, tlp: Tlp) {
+    pub(crate) fn deliver_completion(&mut self, tlp: &Tlp) {
         self.dma.deliver_completion(tlp, &mut self.memory);
         self.sync_dma_status();
     }
@@ -517,7 +517,7 @@ impl PcieDevice for Xpu {
         self.engine.poll_outbound()
     }
 
-    fn deliver_completion(&mut self, tlp: Tlp) {
+    fn deliver_completion(&mut self, tlp: &Tlp) {
         self.engine.deliver_completion(tlp);
     }
 

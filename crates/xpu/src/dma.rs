@@ -235,7 +235,7 @@ impl DmaEngine {
     }
 
     /// Delivers a read completion; data lands in device memory.
-    pub fn deliver_completion(&mut self, tlp: Tlp, memory: &mut DeviceMemory) {
+    pub fn deliver_completion(&mut self, tlp: &Tlp, memory: &mut DeviceMemory) {
         let tag = tlp.header().tag();
         let Some(inflight) = self.inflight.remove(&tag) else {
             return; // stray completion
@@ -448,7 +448,7 @@ mod tests {
                 read.header().tag(),
                 data,
             );
-            dma.deliver_completion(cpl, &mut mem);
+            dma.deliver_completion(&cpl, &mut mem);
         }
         assert_eq!(dma.status(), DmaStatus::Done);
         assert_eq!(mem.read(0x200, 6000).unwrap(), vec![0xCD; 6000]);
@@ -478,7 +478,7 @@ mod tests {
                 read.header().tag(),
                 vec![1; read.header().payload_len() as usize],
             );
-            dma.deliver_completion(cpl, &mut mem);
+            dma.deliver_completion(&cpl, &mut mem);
         }
         let second_wave = dma.poll_outbound();
         assert_eq!(second_wave.len(), 72);
@@ -489,7 +489,7 @@ mod tests {
                 read.header().tag(),
                 vec![1; read.header().payload_len() as usize],
             );
-            dma.deliver_completion(cpl, &mut mem);
+            dma.deliver_completion(&cpl, &mut mem);
         }
         assert_eq!(dma.status(), DmaStatus::Done);
         assert_eq!(dma.bytes_moved(), len);
@@ -519,7 +519,7 @@ mod tests {
                 read.header().tag(),
                 vec![0xAB; read.header().payload_len() as usize],
             );
-            dma.deliver_completion(cpl, &mut mem);
+            dma.deliver_completion(&cpl, &mut mem);
         }
         assert_eq!(dma.status(), DmaStatus::Error);
         assert!(dma.poll_outbound().is_empty());
@@ -564,7 +564,7 @@ mod tests {
             read.header().tag(),
             ccai_pcie::CplStatus::UnsupportedRequest,
         );
-        dma.deliver_completion(cpl, &mut mem);
+        dma.deliver_completion(&cpl, &mut mem);
         assert_eq!(dma.status(), DmaStatus::Error);
         dma.ack();
         assert_eq!(dma.status(), DmaStatus::Idle);
@@ -591,7 +591,7 @@ mod tests {
         let mut mem = DeviceMemory::new(1024);
         let mut dma = DmaEngine::new(bdf());
         let cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), bdf(), 99, vec![1]);
-        dma.deliver_completion(cpl, &mut mem);
+        dma.deliver_completion(&cpl, &mut mem);
         assert_eq!(dma.status(), DmaStatus::Idle);
     }
 
@@ -613,7 +613,7 @@ mod tests {
         assert_eq!(reads.len(), 2);
         // First chunk fails; second succeeds.
         dma.deliver_completion(
-            Tlp::completion(
+            &Tlp::completion(
                 Bdf::new(0, 0, 0),
                 reads[0].header().requester(),
                 reads[0].header().tag(),
@@ -622,7 +622,7 @@ mod tests {
             &mut mem,
         );
         dma.deliver_completion(
-            Tlp::completion_with_data(
+            &Tlp::completion_with_data(
                 Bdf::new(0, 0, 0),
                 reads[1].header().requester(),
                 reads[1].header().tag(),
@@ -635,7 +635,7 @@ mod tests {
         assert_eq!(refetch.len(), 1);
         assert_eq!(refetch[0].header().address(), reads[0].header().address());
         dma.deliver_completion(
-            Tlp::completion_with_data(
+            &Tlp::completion_with_data(
                 Bdf::new(0, 0, 0),
                 refetch[0].header().requester(),
                 refetch[0].header().tag(),
@@ -670,7 +670,7 @@ mod tests {
         for _ in 0..2 {
             let read = dma.poll_outbound().remove(0);
             dma.deliver_completion(
-                Tlp::completion(
+                &Tlp::completion(
                     Bdf::new(0, 0, 0),
                     read.header().requester(),
                     read.header().tag(),
@@ -709,7 +709,7 @@ mod tests {
         assert_eq!(addrs, vec![Some(0x4000), Some(0x5000)]);
         for read in reissued {
             dma.deliver_completion(
-                Tlp::completion_with_data(
+                &Tlp::completion_with_data(
                     Bdf::new(0, 0, 0),
                     read.header().requester(),
                     read.header().tag(),

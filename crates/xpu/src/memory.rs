@@ -5,6 +5,7 @@
 //! the xPU environment guard's cold-boot reset (§4.2): "cleaning its
 //! memory, caches, registers, and TLB status".
 
+use ccai_sim::PageStore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -69,8 +70,9 @@ impl std::error::Error for MemoryError {}
 
 /// Device memory with named-region bump allocation.
 ///
-/// Backing storage is allocated lazily in sparse 64 KiB chunks so an
-/// "80 GiB" A100 model does not actually reserve 80 GiB of host RAM.
+/// Backing storage is a sparse [`PageStore`], materialised lazily in
+/// 64 KiB pages so an "80 GiB" A100 model does not actually reserve
+/// 80 GiB of host RAM.
 ///
 /// # Example
 ///
@@ -88,10 +90,8 @@ pub struct DeviceMemory {
     capacity: u64,
     next_free: u64,
     regions: BTreeMap<String, Region>,
-    chunks: BTreeMap<u64, Vec<u8>>,
+    pages: PageStore,
 }
-
-const CHUNK: u64 = 64 * 1024;
 
 impl DeviceMemory {
     /// Creates device memory of `capacity` bytes.
@@ -105,7 +105,7 @@ impl DeviceMemory {
             capacity,
             next_free: 0,
             regions: BTreeMap::new(),
-            chunks: BTreeMap::new(),
+            pages: PageStore::default(),
         }
     }
 
@@ -158,23 +158,23 @@ impl DeviceMemory {
     /// reset the xPU environment guard triggers when a task terminates.
     pub fn wipe(&mut self) {
         self.regions.clear();
-        self.chunks.clear();
+        self.pages.clear();
         self.next_free = 0;
     }
 
     /// SHA-256 digest of the memory *content*: every non-zero 64 KiB
-    /// chunk hashed in address order as `base_be || bytes`. All-zero
-    /// chunks are skipped, so a wiped memory digests identically to one
+    /// page hashed in address order as `base_be || bytes`. All-zero
+    /// pages are skipped, so a wiped memory digests identically to one
     /// that was never written — the differential check the
     /// fault-injection suite uses to prove recovery is lossless.
     pub fn content_digest(&self) -> [u8; 32] {
         let mut hasher = ccai_crypto::Sha256::new();
-        for (base, chunk) in &self.chunks {
-            if chunk.iter().all(|&b| b == 0) {
+        for (base, page) in self.pages.pages() {
+            if page.iter().all(|&b| b == 0) {
                 continue;
             }
             hasher.update(&base.to_be_bytes());
-            hasher.update(chunk);
+            hasher.update(page);
         }
         let mut out = [0u8; 32];
         out.copy_from_slice(hasher.finalize().as_bytes());
@@ -195,19 +195,7 @@ impl DeviceMemory {
     /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemoryError> {
         self.check(addr, data.len() as u64)?;
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let pos = addr + offset as u64;
-            let chunk_base = pos / CHUNK * CHUNK;
-            let within = (pos - chunk_base) as usize;
-            let take = ((CHUNK as usize) - within).min(data.len() - offset);
-            let chunk = self
-                .chunks
-                .entry(chunk_base)
-                .or_insert_with(|| vec![0; CHUNK as usize]);
-            chunk[within..within + take].copy_from_slice(&data[offset..offset + take]);
-            offset += take;
-        }
+        self.pages.write(addr, data);
         Ok(())
     }
 
@@ -218,25 +206,35 @@ impl DeviceMemory {
     /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
     pub fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemoryError> {
         self.check(addr, len)?;
-        let mut out = vec![0u8; len as usize];
-        let mut offset = 0usize;
-        while offset < out.len() {
-            let pos = addr + offset as u64;
-            let chunk_base = pos / CHUNK * CHUNK;
-            let within = (pos - chunk_base) as usize;
-            let take = ((CHUNK as usize) - within).min(out.len() - offset);
-            if let Some(chunk) = self.chunks.get(&chunk_base) {
-                out[offset..offset + take].copy_from_slice(&chunk[within..within + take]);
-            }
-            offset += take;
-        }
+        let mut out = Vec::new();
+        self.pages.read_into(addr, len, &mut out);
         Ok(out)
+    }
+
+    /// Walks the `len` bytes at `addr` as borrowed slices in address
+    /// order, without copying them (unwritten memory reads as zero).
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
+    pub fn slices(
+        &self,
+        addr: u64,
+        len: u64,
+    ) -> Result<impl Iterator<Item = &[u8]> + '_, MemoryError> {
+        self.check(addr, len)?;
+        Ok(self.pages.slices(addr, len))
+    }
+
+    /// The backing page store.
+    pub fn pages(&self) -> &PageStore {
+        &self.pages
     }
 
     /// True if every byte of backing storage is zero — used by tests to
     /// prove the environment guard left no residue.
     pub fn is_zeroed(&self) -> bool {
-        self.chunks.values().all(|c| c.iter().all(|&b| b == 0))
+        self.pages.pages().all(|(_, page)| page.iter().all(|&b| b == 0))
     }
 }
 
@@ -244,13 +242,13 @@ ccai_sim::snapshot_state!(Region { base, len });
 
 impl DeviceMemory {
     /// Serializes the memory image: allocator cursor, named regions and
-    /// every lazily-materialised chunk (in address order). The capacity is
+    /// every lazily-materialised page (in address order). The capacity is
     /// included so a snapshot can only be restored onto a like-sized part.
     pub fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
         enc.put(&self.capacity);
         enc.put(&self.next_free);
         enc.put(&self.regions);
-        enc.chunks(&self.chunks);
+        self.pages.encode(enc);
     }
 
     /// Restores a memory image captured by [`DeviceMemory::encode_snapshot`].
@@ -258,7 +256,7 @@ impl DeviceMemory {
     /// # Errors
     ///
     /// Any [`ccai_sim::snapshot::SnapshotError`] on malformed input, a
-    /// capacity mismatch, or chunks that do not fit the address space; the
+    /// capacity mismatch, or pages that do not fit the address space; the
     /// memory is left untouched on failure.
     pub fn restore_snapshot(
         &mut self,
@@ -279,10 +277,10 @@ impl DeviceMemory {
         {
             return Err(SnapshotError::Invalid("region out of bounds"));
         }
-        let chunks = dec.chunks(CHUNK, capacity)?;
+        let pages = PageStore::decode(dec, capacity)?;
         self.next_free = next_free;
         self.regions = regions;
-        self.chunks = chunks;
+        self.pages = pages;
         Ok(())
     }
 }
@@ -337,7 +335,7 @@ mod tests {
     #[test]
     fn sparse_chunks_span_boundaries() {
         let mut mem = DeviceMemory::new(1 << 20);
-        let addr = CHUNK - 5; // straddles two chunks
+        let addr = ccai_sim::pages::PAGE - 5; // straddles two pages
         mem.write(addr, &[9; 10]).unwrap();
         assert_eq!(mem.read(addr, 10).unwrap(), vec![9; 10]);
         assert_eq!(mem.read(addr - 1, 1).unwrap(), vec![0]);
@@ -349,7 +347,7 @@ mod tests {
         let mut mem = DeviceMemory::new(80 << 30);
         mem.write(79 << 30, &[1]).unwrap();
         assert_eq!(mem.read(79 << 30, 1).unwrap(), vec![1]);
-        assert!(mem.chunks.len() < 4);
+        assert!(mem.pages.pages().count() < 4);
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl PcieDevice for PartitionedXpu {
         self.vfs.iter_mut().flat_map(Engine::poll_outbound).collect()
     }
 
-    fn deliver_completion(&mut self, tlp: Tlp) {
+    fn deliver_completion(&mut self, tlp: &Tlp) {
         // Route by the original requester: each VF's DMA engine issued
         // reads under its own BDF.
         let requester = tlp.header().requester();

@@ -616,6 +616,113 @@ proptest! {
     }
 }
 
+/// The page-store properties run over four 64 KiB pages.
+const STORE_SPAN: u64 = 4 * ccai_sim::pages::PAGE;
+
+/// Writes of up to 2 KiB that start within 1 KiB of an inner page
+/// boundary, so some straddle it and most of the space stays unwritten.
+fn arb_store_writes() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
+    let page = ccai_sim::pages::PAGE;
+    proptest::collection::vec(
+        (
+            (1u64..4, 0u64..2048).prop_map(move |(p, off)| p * page - 1024 + off),
+            proptest::collection::vec(any::<u8>(), 1..2048),
+        ),
+        0..10,
+    )
+}
+
+/// The bytes of a page walk, joined.
+fn flat<'a>(slices: impl Iterator<Item = &'a [u8]>) -> Vec<u8> {
+    slices.flatten().copied().collect()
+}
+
+/// Ranges anywhere in the span: up to three pages long, clipped at its end.
+fn arb_store_ranges() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    let page = ccai_sim::pages::PAGE;
+    proptest::collection::vec(
+        (0u64..STORE_SPAN, 0u64..3 * page).prop_map(|(a, len)| (a, len.min(STORE_SPAN - a))),
+        1..8,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every page-store accessor, and each owner's accessors over it,
+    /// reads what a flat byte array reads: across pages, over unwritten
+    /// pages, and at length 0.
+    #[test]
+    fn page_store_accessors_equal_a_flat_model(
+        writes in arb_store_writes(),
+        ranges in arb_store_ranges(),
+    ) {
+        use ccai_pcie::HostMemory;
+        use ccai_sim::pages::{PageStore, PAGE};
+        use ccai_tvm::GuestMemory;
+        let mut store = PageStore::default();
+        let mut guest = GuestMemory::new(STORE_SPAN);
+        guest.share_range(0..STORE_SPAN);
+        let mut device = DeviceMemory::new(STORE_SPAN);
+        let mut model = vec![0u8; STORE_SPAN as usize];
+        for (addr, data) in &writes {
+            store.write(*addr, data);
+            guest.write(*addr, data);
+            device.write(*addr, data).expect("in bounds");
+            model[*addr as usize..*addr as usize + data.len()].copy_from_slice(data);
+        }
+        let empty = ranges.iter().map(|&(a, _)| (a, 0));
+        for (addr, len) in ranges.iter().copied().chain(empty) {
+            let want = &model[addr as usize..(addr + len) as usize];
+            let mut appended = vec![0xA5; 3];
+            store.read_into(addr, len, &mut appended);
+            prop_assert_eq!(&appended[..3], &[0xA5; 3][..]);
+            prop_assert_eq!(&appended[3..], want);
+            let mut filled = vec![0xA5; len as usize];
+            store.read_exact(addr, &mut filled);
+            prop_assert_eq!(&filled[..], want);
+            prop_assert_eq!(&flat(store.slices(addr, len))[..], want);
+            prop_assert_eq!(&guest.read(addr, len)[..], want);
+            let mut stale = vec![0xA5; 7];
+            prop_assert!(guest.dma_read_into(Bdf::new(1, 0, 0), addr, len as usize, &mut stale));
+            prop_assert_eq!(&stale[..], want);
+            prop_assert_eq!(&device.read(addr, len).expect("in bounds")[..], want);
+            let walked = flat(device.slices(addr, len).expect("in bounds"));
+            prop_assert_eq!(&walked[..], want);
+            // A mutable borrow covers the range's part in its first page.
+            let in_page = (PAGE - addr % PAGE).min(len) as usize;
+            let mut lent = store.clone();
+            prop_assert_eq!(&lent.range_mut(addr, in_page)[..], &want[..in_page]);
+            lent.range_mut(addr, in_page).fill(0x5A);
+            let mut expect = want.to_vec();
+            expect[..in_page].fill(0x5A);
+            prop_assert_eq!(flat(lent.slices(addr, len)), expect);
+        }
+    }
+
+    /// Guest and device memory keep their pages in the one store: fed the
+    /// same writes, they encode the same image bytes, which decode back.
+    #[test]
+    fn guest_and_device_stores_encode_the_same_image(writes in arb_store_writes()) {
+        use ccai_sim::pages::PageStore;
+        use ccai_sim::snapshot::{Decoder, Encoder};
+        let mut guest = ccai_tvm::GuestMemory::new(STORE_SPAN);
+        let mut device = DeviceMemory::new(STORE_SPAN);
+        for (addr, data) in &writes {
+            guest.write(*addr, data);
+            device.write(*addr, data).expect("in bounds");
+        }
+        let (mut from_guest, mut from_device) = (Encoder::new(), Encoder::new());
+        guest.pages().encode(&mut from_guest);
+        device.pages().encode(&mut from_device);
+        let image = from_guest.finish();
+        prop_assert_eq!(&image, &from_device.finish());
+        let mut dec = Decoder::new(&image);
+        prop_assert_eq!(&PageStore::decode(&mut dec, STORE_SPAN).expect("decodes"), guest.pages());
+        prop_assert!(dec.finish().is_ok());
+    }
+}
+
 /// One warmed template snapshot, built once: corruption properties below
 /// mutate copies of these bytes.
 fn template_snapshot_bytes() -> &'static [u8] {

@@ -2,7 +2,8 @@
 //! with a snooper attached throughout. Sizes are drawn deterministically
 //! so failures reproduce.
 
-use ccai_core::system::{ConfidentialSystem, SystemMode};
+use ccai_core::handler::{CHUNK_SIZE, TAG_LANDING_RECORDS};
+use ccai_core::system::{layout, ConfidentialSystem, SystemMode};
 use ccai_llm::chaos::ChaosPlan;
 use ccai_llm::serve::{FleetConfig, FleetServer, TenantSpec};
 use ccai_llm::{LlmSpec, ShardedFleet};
@@ -47,6 +48,33 @@ fn fifty_randomized_workloads_stay_clean() {
     assert_eq!(sc.alerts().len(), 0, "clean soak must raise no alerts");
     assert_eq!(sc.replays_blocked(), 0);
     assert!(system.adaptor_counters().bytes_encrypted > 500_000);
+}
+
+/// One 1 MiB block written to the device once and read back until the
+/// D2H tag landing ring has wrapped: every read must equal the block.
+/// The SC deposits 256 tag records per read, so a landing window that is
+/// not a ring runs into the next shared buffer and then into private
+/// guest memory, and fails a read near the 155th as an integrity error.
+#[test]
+fn d2h_reads_wrap_the_tag_landing_ring() {
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    system.load_model(b"ring weights").expect("policy installs");
+    let block: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 % 251) as u8).collect();
+    let len = block.len() as u64;
+    let reads = TAG_LANDING_RECORDS.div_ceil(len / CHUNK_SIZE) + 13;
+    let (driver, fabric, memory, stager, adaptor) = system.parts();
+    let mut port = adaptor.expect("ccAI mode has an Adaptor").port(fabric);
+    driver
+        .dma_to_device(&mut port, memory, stager, &block, layout::DEV_INPUT)
+        .expect("block reaches the device");
+    stager.release_all();
+    for read in 0..reads {
+        let back = driver
+            .dma_from_device(&mut port, memory, stager, layout::DEV_INPUT, len)
+            .unwrap_or_else(|e| panic!("read {read} of {reads}: {e}"));
+        assert!(back == block, "read {read} of {reads} differs from the block");
+        stager.release_all();
+    }
 }
 
 /// Fault-schedule soak: N randomized workloads × M seeded fault plans.
