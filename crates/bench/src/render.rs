@@ -173,7 +173,10 @@ pub fn table3(repo_loc: &[(&str, usize)]) -> String {
         );
     }
     let (loc, aluts, regs, brams) = ccai_core::compat::table3_totals();
-    let repo_total: usize = repo_loc.iter().map(|(_, lines)| lines).sum();
+    let repo_total = match repo_loc {
+        [] => "-".to_string(),
+        rows => rows.iter().map(|(_, lines)| lines).sum::<usize>().to_string(),
+    };
     let _ = writeln!(
         out,
         "{:<10} {:<18} {:>8} {:>10} {:>10} {:>8} {:>9}",
@@ -183,6 +186,106 @@ pub fn table3(repo_loc: &[(&str, usize)]) -> String {
         out,
         "(repo LoC: this reproduction's non-blank Rust lines before each file's tests)"
     );
+    out
+}
+
+/// Every table and figure of the evaluation as one text report, or just
+/// the artifact named by `only` (`table1`…`table3`, `fig6`…`fig12b`,
+/// `ablations`; case-insensitive). `repo_loc` fills Table 3's repo-LoC
+/// column (see [`crate::tcb::row_lines`]); with `&[]` it shows `-`.
+pub fn all_figures(only: Option<&str>, repo_loc: &[(&str, usize)]) -> String {
+    use crate::figures as f;
+    let want = |name: &str| only.is_none_or(|o| o.eq_ignore_ascii_case(name));
+    let mut out = String::new();
+    let mut emit = |text: String| {
+        let _ = writeln!(out, "{text}");
+    };
+    if want("table1") {
+        emit(table1());
+    }
+    if want("table2") {
+        emit(table2());
+    }
+    if want("table3") {
+        emit(table3(repo_loc));
+    }
+    if want("fig6") {
+        emit(fig6());
+    }
+    if want("fig8") {
+        let (fix_batch, fix_token) = (f::fig8_fix_batch(), f::fig8_fix_token());
+        emit(comparison_table("Fig. 8a: fix-batch E2E latency", "E2E", &fix_batch));
+        emit(comparison_table("Fig. 8b: fix-token E2E latency", "E2E", &fix_token));
+        emit(comparison_table("Fig. 8c: fix-batch TPS", "TPS", &fix_batch));
+        emit(comparison_table("Fig. 8d: fix-token TPS", "TPS", &fix_token));
+        emit(comparison_table("Fig. 8e: fix-batch TTFT", "TTFT", &fix_batch));
+        emit(comparison_table("Fig. 8f: fix-token TTFT", "TTFT", &fix_token));
+    }
+    if want("fig9") {
+        emit(comparison_table("Fig. 9: different LLMs (512 tok, batch 1, A100)", "E2E", &f::fig9()));
+    }
+    if want("fig10") {
+        emit(comparison_table("Fig. 10: five xPU devices (512 tok, batch 1)", "E2E", &f::fig10()));
+    }
+    if want("fig11") {
+        emit(ablation_table("Fig. 11 (left): optimization, token sweep", &f::fig11_fix_batch()));
+        emit(ablation_table("Fig. 11 (right): optimization, batch sweep", &f::fig11_fix_token()));
+    }
+    if want("fig12a") {
+        emit(comparison_table("Fig. 12a: limited PCIe bandwidth", "E2E", &f::fig12a()));
+    }
+    if want("fig12b") {
+        emit(kv_table(&f::fig12b()));
+    }
+    if want("ablations") {
+        emit(opt_ablation_table(&f::ablation_optimizations()));
+        let (selective, full_link) = f::ablation_granularity();
+        emit(format!(
+            "== Packet-level vs full-link protection ==\n\
+             selective (ccAI): {:+.2}% E2E overhead\n\
+             full-link       : {:+.2}% E2E overhead\n",
+            selective * 100.0,
+            full_link * 100.0
+        ));
+    }
+    out
+}
+
+/// Fig. 6: one run of the remote attestation protocol, step by step.
+fn fig6() -> String {
+    use ccai_crypto::{DhGroup, SchnorrKeyPair};
+    use ccai_trust::attest::{run_protocol, Platform, Verifier};
+    use ccai_trust::hrot::KeyCertificate;
+    use ccai_trust::pcr::PcrIndex;
+    use ccai_trust::HrotBlade;
+    use std::collections::HashMap;
+
+    let mut out = String::new();
+    let _ = writeln!(out, "== Fig. 6: remote attestation protocol ==");
+    let group = DhGroup::sim512();
+    let vendor_ca = SchnorrKeyPair::generate(&group, &[0xCA; 32]);
+    let mut blade = HrotBlade::manufacture(&group, &[0x01; 32]);
+    blade.install_ek_certificate(KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public()));
+    blade.boot_generate_ak(&[0x02; 32]);
+    blade
+        .pcrs_mut()
+        .extend_assigned(PcrIndex::ScBitstream, b"packet-filter bitstream v1");
+    let golden: HashMap<usize, _> = [(
+        PcrIndex::ScBitstream.index(),
+        blade.pcrs().read_assigned(PcrIndex::ScBitstream),
+    )]
+    .into_iter()
+    .collect();
+    let mut platform = Platform::new(blade, &group, &[0x03; 32]);
+    let mut verifier = Verifier::new(vendor_ca.public().clone(), &group, &[0x04; 32], golden);
+    let _ = writeln!(out, "(1) SessionKey = DHKE(AttestKey)            ... exchanged");
+    let _ = writeln!(out, "(2) S(AttestKey), S(EndorseKey)             ... certificate chain sent");
+    let _ = writeln!(out, "(3) KeyID, PCRsel, n                        ... challenge issued");
+    let verdict = match run_protocol(&mut verifier, &mut platform, &[1], [0xAA; 32]) {
+        Ok(()) => "report VERIFIED".to_string(),
+        Err(e) => format!("REJECTED: {e}"),
+    };
+    let _ = writeln!(out, "(4) r, S(r)                                 ... {verdict}");
     out
 }
 

@@ -84,7 +84,7 @@ mod tests {
             ("Adaptor", 981),
             ("Trust Modules", 673),
             ("Packet Filter", 984),
-            ("Packet Handlers", 2_075),
+            ("Packet Handlers", 2_065),
             ("HRoT-Blade", 1_031),
         ];
         let rows = row_lines();

@@ -182,9 +182,9 @@ impl ParamsManager {
         }
     }
 
-    /// Rolls back [`ParamsManager::mark_processed`] for a chunk whose
-    /// decryption subsequently failed, so a re-fetch of the same staging
-    /// ciphertext is not misclassified as a replay.
+    /// Rolls back [`ParamsManager::mark_processed`] for a chunk refused
+    /// before it was opened (no tag or no key for it yet). A chunk whose
+    /// open failed stays marked, so a second delivery is a replay.
     pub fn unmark(&mut self, chunk: ChunkRef) {
         if let Some(entry) = self.streams.iter_mut().find(|e| e.id == chunk.stream) {
             entry.seen.remove(&chunk.seq);

@@ -961,16 +961,7 @@ impl PcieSc {
                 Ok(())
             }
             Err(()) => {
-                // Roll back the consumed per-chunk state: the staging
-                // ciphertext is still clean, so a chunk-granular re-fetch
-                // of the same address must find its tag and replay slot
-                // intact and succeed on the second read.
-                self.tenants[tenant].params.unmark(chunk);
-                self.tenants[tenant].tags.push(TagRecord {
-                    stream: chunk.stream,
-                    seq: chunk.seq,
-                    tag,
-                });
+                // The chunk stays consumed: a second delivery is a replay.
                 self.alert_crypt(tenant, chunk, "authentication failed");
                 Err(self.abort_completion(requester, cpl_tag))
             }
@@ -985,9 +976,8 @@ impl PcieSc {
     }
 
     /// Answers a failed protected completion with CompleterAbort toward
-    /// the device, so its DMA engine learns of the failure promptly and
-    /// can re-fetch just the affected chunk instead of stalling out the
-    /// whole transfer.
+    /// the device, so its DMA engine ends the transfer in `Error` at once
+    /// instead of stalling `Busy` until the driver's timeout.
     fn abort_completion(&self, requester: Bdf, tag: u8) -> InterposeOutcome {
         InterposeOutcome::pass(Tlp::completion(
             self.config.sc_bdf,
@@ -1770,10 +1760,10 @@ mod tests {
 
     /// Opening happens in the completion's own buffer, tag first: a
     /// tampered chunk is refused with its payload still the ciphertext
-    /// that arrived, and the rollback leaves the tag for an intact
-    /// re-fetch.
+    /// that arrived, and the chunk stays consumed, so even its intact
+    /// ciphertext is then refused as a replay.
     #[test]
-    fn tampered_completion_is_refused_and_keeps_its_ciphertext() {
+    fn tampered_completion_is_refused_and_consumes_its_chunk() {
         let mut sc = sc_with_policy();
         sc.tenants[0].params.register_stream(
             StreamId(1),
@@ -1803,12 +1793,15 @@ mod tests {
             ScAlert::CryptFailure { reason, .. } if reason.contains("authentication")
         ));
 
-        // The intact re-fetch finds its tag and replay slot and opens in place.
-        let mut cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), xpu(), 10, ct);
-        assert!(sc.decrypt_completion(0, &mut cpl, chunk).is_ok());
-        assert_eq!(cpl.payload(), plaintext);
-        assert_eq!(cpl.header().payload_len(), 4096);
-        assert_eq!(sc.counters().chunks_decrypted, 1);
+        // A second delivery of the same chunk, intact this time, is a replay.
+        let mut cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), xpu(), 10, ct.clone());
+        assert!(sc.decrypt_completion(0, &mut cpl, chunk).is_err());
+        assert_eq!(cpl.payload(), ct, "no plaintext after a refused replay");
+        assert_eq!(sc.counters().chunks_decrypted, 0);
+        assert!(matches!(
+            sc.alerts().last().unwrap(),
+            ScAlert::CryptFailure { reason, .. } if reason == "replayed chunk"
+        ));
     }
 
     #[test]
@@ -1825,7 +1818,7 @@ mod tests {
         let cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), xpu(), 1, vec![0; 64]);
         let outcome = sc.on_downstream(cpl);
         // The plaintext never reaches the device; it sees a CompleterAbort
-        // so its DMA engine can re-fetch instead of stalling.
+        // so its DMA engine fails the transfer instead of stalling.
         assert_eq!(outcome.forward.len(), 1);
         assert_eq!(outcome.forward[0].header().cpl_status(), Some(CplStatus::CompleterAbort));
         assert!(outcome.forward[0].payload().is_empty());

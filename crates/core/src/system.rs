@@ -549,20 +549,15 @@ impl ConfidentialSystem {
         self.sc().map(PcieSc::filter_rule_counts).unwrap_or_default()
     }
 
-    /// Arms chunk-granular DMA re-fetch on the xPU (see
-    /// [`ccai_xpu::DmaEngine::set_refetch_limit`]).
-    pub fn set_dma_refetch_limit(&mut self, limit: u32) {
-        self.with_xpu_mut(|xpu| xpu.set_dma_refetch_limit(limit));
-    }
-
-    /// Chunk re-fetches the xPU's DMA engine has performed.
+    /// Always 0: the xPU's DMA engine does not re-fetch chunks. A lost
+    /// or bad H2D chunk fails the transfer and the driver re-stages it.
+    /// Kept only because the end-to-end bench reports it as
+    /// `xpu.dma_refetches_n`; ROADMAP item 13 removes both.
     pub fn dma_refetches(&self) -> u64 {
-        self.with_xpu(Xpu::dma_refetches)
+        0
     }
 
-    /// Total bytes the xPU's DMA engine has requested via read TLPs
-    /// (re-fetched chunks counted again) — the cost metric proving
-    /// chunk-granular recovery moves less data than full re-staging.
+    /// Total bytes the xPU's DMA engine has requested via read TLPs.
     pub fn dma_read_bytes_requested(&self) -> u64 {
         self.with_xpu(Xpu::dma_read_bytes_requested)
     }

@@ -53,5 +53,5 @@ pub use rate::{Bandwidth, TokenBucket};
 pub use rng::SimRng;
 pub use snapshot::{Decoder, Encoder, SnapshotError, SnapshotState};
 pub use stats::{Histogram, Summary};
-pub use telemetry::{Hop, Severity, SinkDigest, Telemetry, TelemetryEvent, TelemetrySnapshot};
+pub use telemetry::{Hop, Severity, Telemetry, TelemetryEvent, TelemetrySnapshot};
 pub use time::{SimDuration, SimTime};

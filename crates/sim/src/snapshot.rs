@@ -43,7 +43,7 @@ use std::ops::Range;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ccAIsnap";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 
 /// Typed decode failure. Corrupt input yields one of these — never a
 /// panic.

@@ -183,8 +183,7 @@ fn fnv1a_u64(h: u64, v: u64) -> u64 {
     fnv1a(h, &v.to_le_bytes())
 }
 
-/// Folds one event into a running trace digest. The hub and
-/// [`SinkDigest`] share this, so their digests agree by construction.
+/// Folds one event into a running trace digest.
 fn fold_event(mut h: u64, event: &TelemetryEvent) -> u64 {
     h = fnv1a_u64(h, event.seq);
     h = fnv1a_u64(h, event.at.as_picos());
@@ -194,9 +193,6 @@ fn fold_event(mut h: u64, event: &TelemetryEvent) -> u64 {
     h = fnv1a_u64(h, event.stream.map_or(0, |s| s.wrapping_add(1)));
     fnv1a(h, event.detail.as_bytes())
 }
-
-/// The installed full-stream event consumer (see [`Telemetry::set_sink`]).
-type EventSink = Box<dyn FnMut(&TelemetryEvent)>;
 
 /// Named metrics, stored in first-touch order. A `'static` name finds its
 /// slot through `slots`, keyed by the name's address and length: a
@@ -281,13 +277,6 @@ struct TelemetryInner {
     spans: DetHashMap<(Option<u32>, Hop), SpanStore>,
     idle_total: SimDuration,
     idle_by_tenant: BTreeMap<u32, SimDuration>,
-    /// Optional full-stream consumer: sees every recorded event *after*
-    /// it has been digested and pushed to the ring, including the ones
-    /// the 4096-event ring will evict. Purely observational — installing
-    /// one never perturbs the digest, the clock, or any metric — and
-    /// deliberately not serialized (a restored hub starts unsinked
-    /// unless the handle already had one).
-    sink: Option<EventSink>,
 }
 
 impl TelemetryInner {
@@ -344,24 +333,8 @@ impl Telemetry {
                 spans: DetHashMap::default(),
                 idle_total: SimDuration::ZERO,
                 idle_by_tenant: BTreeMap::new(),
-                sink: None,
             })),
         }
-    }
-
-    /// Installs the full-stream event sink. Every subsequent
-    /// [`Telemetry::record`] call hands the sink a reference to the event
-    /// after it has been digested and ring-buffered, so a consumer that
-    /// needs more history than the ring keeps can tee the stream without
-    /// growing the ring — and without perturbing the trace digest.
-    /// Replaces any previously installed sink.
-    pub fn set_sink(&self, sink: impl FnMut(&TelemetryEvent) + 'static) {
-        self.inner.borrow_mut().sink = Some(Box::new(sink));
-    }
-
-    /// Removes the installed event sink, if any.
-    pub fn clear_sink(&self) {
-        self.inner.borrow_mut().sink = None;
     }
 
     /// Current hub virtual time.
@@ -395,20 +368,7 @@ impl Telemetry {
             inner.events.pop_front();
             inner.events_dropped += 1;
         }
-        let for_sink = inner.sink.is_some().then(|| event.clone());
         inner.events.push_back(event);
-        // Run the sink outside the borrow so a consumer may call back
-        // into the hub (counters, queries) without panicking; the slot is
-        // re-installed afterwards unless the callback replaced it.
-        let sink_slot = inner.sink.take();
-        drop(inner);
-        if let Some(mut sink) = sink_slot {
-            sink(&for_sink.expect("cloned when a sink was installed"));
-            let mut inner = self.inner.borrow_mut();
-            if inner.sink.is_none() {
-                inner.sink = Some(sink);
-            }
-        }
     }
 
     /// Adds `delta` to the named monotonic counter (created at zero).
@@ -642,11 +602,7 @@ impl Telemetry {
                 })
                 .ok_or(SnapshotError::Invalid("span total overflows"))?;
         }
-        let mut inner = self.inner.borrow_mut();
-        // The sink is a live consumer attached to this handle, not
-        // snapshotted state: carry it across the restore.
-        let sink = inner.sink.take();
-        *inner = TelemetryInner {
+        *self.inner.borrow_mut() = TelemetryInner {
             clock,
             capacity,
             events: VecDeque::with_capacity(capacity.min(1024)),
@@ -658,7 +614,6 @@ impl Telemetry {
             spans,
             idle_total,
             idle_by_tenant,
-            sink,
         };
         Ok(())
     }
@@ -846,50 +801,6 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Streaming full-trace digest built on the [`Telemetry::set_sink`] hook.
-///
-/// The hub's own running digest already survives ring eviction, but some
-/// consumers want an *independent* fold over the full stream — e.g. a
-/// million-event soak that cross-checks the hub, or a tee that keeps
-/// digesting after the hub is snapshotted. `SinkDigest` runs the hub's
-/// own event fold, so a digest installed before the first
-/// event equals [`Telemetry::digest`] at every point in the run, without
-/// growing the bounded event ring. Installing one is digest-neutral: the
-/// sink hook runs after the hub has digested and ring-buffered the event.
-#[derive(Clone)]
-pub struct SinkDigest {
-    state: Rc<std::cell::Cell<(u64, u64)>>,
-}
-
-impl SinkDigest {
-    /// Installs a fresh streaming digest on `hub` (replacing any existing
-    /// sink) and returns a handle that can be queried mid-run.
-    pub fn install(hub: &Telemetry) -> SinkDigest {
-        let state = Rc::new(std::cell::Cell::new((FNV_OFFSET, 0u64)));
-        let shared = Rc::clone(&state);
-        hub.set_sink(move |event| {
-            let (h, seen) = shared.get();
-            shared.set((fold_event(h, event), seen + 1));
-        });
-        SinkDigest { state }
-    }
-
-    /// FNV-1a digest over every event folded so far.
-    pub fn digest(&self) -> u64 {
-        self.state.get().0
-    }
-
-    /// Digest as a fixed-width hex string.
-    pub fn digest_hex(&self) -> String {
-        format!("{:016x}", self.digest())
-    }
-
-    /// Number of events folded so far.
-    pub fn events_seen(&self) -> u64 {
-        self.state.get().1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,77 +847,6 @@ mod tests {
         assert_eq!(small.events().len(), 2);
         assert_eq!(small.events_dropped(), 8);
         assert_eq!(small.events_recorded(), 10);
-    }
-
-    #[test]
-    fn sink_sees_every_event_including_ring_evictions() {
-        let t = Telemetry::new(2);
-        let seen: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::new(RefCell::new(Vec::new()));
-        let tee = Rc::clone(&seen);
-        t.set_sink(move |ev| tee.borrow_mut().push((ev.seq, ev.kind)));
-        for i in 0..10 {
-            t.record(Severity::Debug, "evict.me", None, Some(i), "");
-        }
-        let seen = seen.borrow();
-        assert_eq!(seen.len() as u64, t.events_recorded());
-        for (expected_seq, (seq, kind)) in seen.iter().enumerate() {
-            assert_eq!(*seq, expected_seq as u64);
-            assert_eq!(*kind, "evict.me");
-        }
-        // The ring only kept the tail; the sink kept the whole stream.
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events_dropped(), 8);
-    }
-
-    #[test]
-    fn sink_never_perturbs_the_digest() {
-        let sinked = Telemetry::new(64);
-        let bare = Telemetry::new(64);
-        let count = Rc::new(RefCell::new(0u64));
-        let tee = Rc::clone(&count);
-        sinked.set_sink(move |_| *tee.borrow_mut() += 1);
-        drive(&sinked);
-        drive(&bare);
-        assert_eq!(sinked.digest(), bare.digest());
-        assert_eq!(*count.borrow(), sinked.events_recorded());
-        sinked.clear_sink();
-        drive(&sinked);
-        // No events observed after clearing, and digests still agree.
-        assert_eq!(*count.borrow(), bare.events_recorded());
-        drive(&bare);
-        assert_eq!(sinked.digest(), bare.digest());
-    }
-
-    #[test]
-    fn sink_may_reenter_the_hub() {
-        let t = Telemetry::new(64);
-        let handle = t.clone();
-        t.set_sink(move |ev| {
-            // Counters are digest-neutral, so a consumer may classify
-            // the stream back into the hub it is observing.
-            handle.counter_add("sink.observed", 1);
-            let _ = handle.now();
-            assert!(!ev.kind.is_empty());
-        });
-        drive(&t);
-        assert_eq!(t.counter("sink.observed"), t.events_recorded());
-    }
-
-    #[test]
-    fn sink_survives_snapshot_restore_on_the_same_handle() {
-        let t = Telemetry::new(64);
-        let count = Rc::new(RefCell::new(0u64));
-        let tee = Rc::clone(&count);
-        t.set_sink(move |_| *tee.borrow_mut() += 1);
-        t.record(Severity::Info, "before.snap", None, None, "");
-        let mut enc = crate::snapshot::Encoder::versioned();
-        t.encode_snapshot(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = crate::snapshot::Decoder::versioned(&bytes).unwrap();
-        t.restore_snapshot(&mut dec).unwrap();
-        dec.finish().unwrap();
-        t.record(Severity::Info, "after.restore", None, None, "");
-        assert_eq!(*count.borrow(), 2);
     }
 
     #[test]
@@ -1255,41 +1095,5 @@ mod tests {
             restore(&unsorted),
             Err(SnapshotError::Invalid("keys not strictly ascending"))
         );
-    }
-
-    #[test]
-    fn sink_digest_matches_ring_digest() {
-        let t = Telemetry::new(64);
-        let sink = SinkDigest::install(&t);
-        drive(&t);
-        assert_eq!(sink.digest(), t.digest());
-        assert_eq!(sink.digest_hex(), t.digest_hex());
-        assert_eq!(sink.events_seen(), t.events_recorded());
-        // Spans, idle, and counters are not events; the fold ignores them.
-        t.advance_span(Hop::Link, Some(1), SimDuration::from_micros(3));
-        t.counter_add("sink.noise", 1);
-        assert_eq!(sink.digest(), t.digest());
-    }
-
-    #[test]
-    fn sink_digest_survives_ring_eviction() {
-        let t = Telemetry::new(2);
-        let sink = SinkDigest::install(&t);
-        for i in 0..100 {
-            t.record(Severity::Debug, "evict.me", Some(5), Some(i), "payload");
-        }
-        assert_eq!(t.events_dropped(), 98, "the tiny ring must have evicted");
-        assert_eq!(sink.digest(), t.digest(), "fold is eviction-independent");
-        assert_eq!(sink.events_seen(), 100);
-    }
-
-    #[test]
-    fn sink_digest_installation_is_digest_neutral() {
-        let bare = Telemetry::new(64);
-        let sinked = Telemetry::new(64);
-        let _sink = SinkDigest::install(&sinked);
-        drive(&bare);
-        drive(&sinked);
-        assert_eq!(bare.digest(), sinked.digest());
     }
 }

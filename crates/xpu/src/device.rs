@@ -313,13 +313,9 @@ impl Engine {
         }
     }
 
-    /// Drains the TLPs the function puts on the bus: DMA traffic (after
-    /// recovering a stalled transfer), then a fresh interrupt as a
-    /// message TLP.
+    /// Drains the TLPs the function puts on the bus: DMA traffic, then a
+    /// fresh interrupt as a message TLP.
     pub(crate) fn poll_outbound(&mut self) -> Vec<Tlp> {
-        if self.dma.recover_stalled() {
-            self.sync_dma_status();
-        }
         let mut out = self.dma.poll_outbound();
         if self.registers.read(Reg::IntStatus) & 1 != 0 {
             self.registers.write(Reg::IntStatus, 0);
@@ -459,19 +455,7 @@ impl Xpu {
         &mut self.firmware
     }
 
-    /// Arms chunk-granular DMA recovery (see
-    /// [`crate::dma::DmaEngine::set_refetch_limit`]).
-    pub fn set_dma_refetch_limit(&mut self, limit: u32) {
-        self.engine.dma.set_refetch_limit(limit);
-    }
-
-    /// Chunk re-fetches the DMA engine has performed.
-    pub fn dma_refetches(&self) -> u64 {
-        self.engine.dma.refetches()
-    }
-
-    /// Total bytes the DMA engine has requested via read TLPs
-    /// (re-fetches counted again).
+    /// Total bytes the DMA engine has requested via read TLPs.
     pub fn dma_read_bytes_requested(&self) -> u64 {
         self.engine.dma.read_bytes_requested()
     }

@@ -67,7 +67,6 @@ impl DmaStatus {
 }
 
 struct Inflight {
-    host_addr: u64,
     device_addr: u64,
     len: u64,
 }
@@ -82,14 +81,6 @@ pub struct DmaEngine {
     /// Remaining H2D chunks not yet issued: (host_addr, device_addr, len).
     pending_reads: Vec<(u64, u64, u64)>,
     bytes_moved: u64,
-    /// Per-transfer re-fetch allowance. 0 (the default) preserves the
-    /// legacy behaviour exactly: any bad completion aborts the transfer
-    /// and a lost packet leaves the engine stuck `Busy` until the driver
-    /// aborts it.
-    refetch_limit: u32,
-    /// Re-fetches still allowed for the current transfer.
-    refetch_budget: u32,
-    refetches: u64,
     read_bytes_requested: u64,
 }
 
@@ -115,9 +106,6 @@ impl DmaEngine {
             next_tag: 0,
             pending_reads: Vec::new(),
             bytes_moved: 0,
-            refetch_limit: 0,
-            refetch_budget: 0,
-            refetches: 0,
             read_bytes_requested: 0,
         }
     }
@@ -132,20 +120,7 @@ impl DmaEngine {
         self.bytes_moved
     }
 
-    /// Arms chunk-granular H2D recovery: up to `limit` individual chunk
-    /// re-fetches per transfer before the engine gives up and errors out
-    /// (at which point the driver's whole-transfer retry takes over).
-    pub fn set_refetch_limit(&mut self, limit: u32) {
-        self.refetch_limit = limit;
-    }
-
-    /// Chunk re-fetches performed since creation.
-    pub fn refetches(&self) -> u64 {
-        self.refetches
-    }
-
-    /// Total bytes requested via H2D read TLPs since creation (counts
-    /// re-fetched chunks again).
+    /// Total bytes requested via H2D read TLPs since creation.
     pub fn read_bytes_requested(&self) -> u64 {
         self.read_bytes_requested
     }
@@ -190,7 +165,6 @@ impl DmaEngine {
                 self.status = DmaStatus::Done;
             }
             DmaDirection::HostToDevice => {
-                self.refetch_budget = self.refetch_limit;
                 let mut offset = 0;
                 while offset < request.len {
                     let chunk = DMA_CHUNK.min(request.len - offset);
@@ -213,7 +187,7 @@ impl DmaEngine {
             };
             let tag = self.alloc_tag();
             self.read_bytes_requested += len;
-            self.inflight.insert(tag, Inflight { host_addr, device_addr, len });
+            self.inflight.insert(tag, Inflight { device_addr, len });
             self.outbound
                 .push(Tlp::memory_read(self.bdf, host_addr, len as u32, tag));
         }
@@ -240,24 +214,12 @@ impl DmaEngine {
         let Some(inflight) = self.inflight.remove(&tag) else {
             return; // stray completion
         };
-        let ok = tlp.header().cpl_status() == Some(ccai_pcie::CplStatus::Success)
-            && tlp.payload().len() as u64 == inflight.len;
-        if !ok {
-            // A bad completion condemns only its own chunk: with budget
-            // left, re-queue exactly that chunk for a fresh read instead
-            // of aborting the whole transfer.
-            if self.refetch_budget > 0 {
-                self.refetch_budget -= 1;
-                self.refetches += 1;
-                self.pending_reads
-                    .push((inflight.host_addr, inflight.device_addr, inflight.len));
-                self.issue_reads();
-                return;
-            }
-            self.fail();
-            return;
-        }
-        if memory.write(inflight.device_addr, tlp.payload()).is_err() {
+        // A bad completion fails the whole transfer: the driver sees
+        // `Error` and re-stages it under a fresh stream.
+        if tlp.header().cpl_status() != Some(ccai_pcie::CplStatus::Success)
+            || tlp.payload().len() as u64 != inflight.len
+            || memory.write(inflight.device_addr, tlp.payload()).is_err()
+        {
             self.fail();
             return;
         }
@@ -274,41 +236,6 @@ impl DmaEngine {
         self.status = DmaStatus::Error;
         self.inflight.clear();
         self.pending_reads.clear();
-    }
-
-    /// Recovers an H2D transfer stalled by lost packets. The fabric
-    /// processes device reads synchronously, so `Busy` with nothing left
-    /// to send and nothing more arriving means the in-flight completions
-    /// were lost on the link: re-queue exactly those chunks with fresh
-    /// tags (budget permitting) instead of forcing the driver to re-stage
-    /// the whole transfer. Returns `true` if it acted (the caller should
-    /// re-sync the status register).
-    ///
-    /// Tags are re-issued in sorted order so the recovery traffic — and
-    /// therefore the whole trace — stays a pure function of the seed.
-    pub fn recover_stalled(&mut self) -> bool {
-        if self.refetch_limit == 0
-            || self.status != DmaStatus::Busy
-            || !self.outbound.is_empty()
-            || self.inflight.is_empty()
-        {
-            return false;
-        }
-        let mut tags: Vec<u8> = self.inflight.keys().copied().collect();
-        tags.sort_unstable();
-        for tag in tags {
-            if self.refetch_budget == 0 {
-                self.fail();
-                self.outbound.clear();
-                return true;
-            }
-            self.refetch_budget -= 1;
-            self.refetches += 1;
-            let lost = self.inflight.remove(&tag).expect("tag listed");
-            self.pending_reads.push((lost.host_addr, lost.device_addr, lost.len));
-        }
-        self.issue_reads();
-        true
     }
 
     /// Acknowledges a finished transfer, returning the engine to idle.
@@ -346,7 +273,7 @@ ccai_sim::snapshot_state!(enum DmaStatus: "DMA status code" {
     Error = 3,
 });
 
-ccai_sim::snapshot_state!(Inflight { host_addr, device_addr, len });
+ccai_sim::snapshot_state!(Inflight { device_addr, len });
 
 impl DmaEngine {
     /// Serializes the engine mid-transfer: status, queued outbound TLPs,
@@ -359,9 +286,6 @@ impl DmaEngine {
         enc.put(&self.next_tag);
         enc.put(&self.pending_reads);
         enc.put(&self.bytes_moved);
-        enc.put(&self.refetch_limit);
-        enc.put(&self.refetch_budget);
-        enc.put(&self.refetches);
         enc.put(&self.read_bytes_requested);
     }
 
@@ -384,9 +308,6 @@ impl DmaEngine {
             next_tag: dec.get()?,
             pending_reads: dec.get()?,
             bytes_moved: dec.get()?,
-            refetch_limit: dec.get()?,
-            refetch_budget: dec.get()?,
-            refetches: dec.get()?,
             read_bytes_requested: dec.get()?,
         };
         Ok(())
@@ -593,151 +514,6 @@ mod tests {
         let cpl = Tlp::completion_with_data(Bdf::new(0, 0, 0), bdf(), 99, vec![1]);
         dma.deliver_completion(&cpl, &mut mem);
         assert_eq!(dma.status(), DmaStatus::Idle);
-    }
-
-    #[test]
-    fn bad_completion_refetches_only_its_chunk() {
-        let mut mem = DeviceMemory::new(1 << 20);
-        let mut dma = DmaEngine::new(bdf());
-        dma.set_refetch_limit(2);
-        dma.start(
-            DmaRequest {
-                direction: DmaDirection::HostToDevice,
-                host_addr: 0x9000,
-                device_addr: 0,
-                len: 8192,
-            },
-            &mut mem,
-        );
-        let reads = dma.poll_outbound();
-        assert_eq!(reads.len(), 2);
-        // First chunk fails; second succeeds.
-        dma.deliver_completion(
-            &Tlp::completion(
-                Bdf::new(0, 0, 0),
-                reads[0].header().requester(),
-                reads[0].header().tag(),
-                ccai_pcie::CplStatus::UnsupportedRequest,
-            ),
-            &mut mem,
-        );
-        dma.deliver_completion(
-            &Tlp::completion_with_data(
-                Bdf::new(0, 0, 0),
-                reads[1].header().requester(),
-                reads[1].header().tag(),
-                vec![0xBB; 4096],
-            ),
-            &mut mem,
-        );
-        assert_eq!(dma.status(), DmaStatus::Busy, "failed chunk re-queued, not fatal");
-        let refetch = dma.poll_outbound();
-        assert_eq!(refetch.len(), 1);
-        assert_eq!(refetch[0].header().address(), reads[0].header().address());
-        dma.deliver_completion(
-            &Tlp::completion_with_data(
-                Bdf::new(0, 0, 0),
-                refetch[0].header().requester(),
-                refetch[0].header().tag(),
-                vec![0xAA; 4096],
-            ),
-            &mut mem,
-        );
-        assert_eq!(dma.status(), DmaStatus::Done);
-        assert_eq!(dma.refetches(), 1);
-        assert_eq!(dma.bytes_moved(), 8192);
-        assert_eq!(dma.read_bytes_requested(), 8192 + 4096);
-        // Reads issue in reverse chunk order (`pending_reads` is a
-        // stack), so reads[0] was the second chunk.
-        assert_eq!(mem.read(0, 4096).unwrap(), vec![0xBB; 4096]);
-        assert_eq!(mem.read(4096, 4096).unwrap(), vec![0xAA; 4096]);
-    }
-
-    #[test]
-    fn refetch_budget_exhaustion_errors() {
-        let mut mem = DeviceMemory::new(1 << 20);
-        let mut dma = DmaEngine::new(bdf());
-        dma.set_refetch_limit(1);
-        dma.start(
-            DmaRequest {
-                direction: DmaDirection::HostToDevice,
-                host_addr: 0,
-                device_addr: 0,
-                len: 4096,
-            },
-            &mut mem,
-        );
-        for _ in 0..2 {
-            let read = dma.poll_outbound().remove(0);
-            dma.deliver_completion(
-                &Tlp::completion(
-                    Bdf::new(0, 0, 0),
-                    read.header().requester(),
-                    read.header().tag(),
-                    ccai_pcie::CplStatus::UnsupportedRequest,
-                ),
-                &mut mem,
-            );
-        }
-        assert_eq!(dma.status(), DmaStatus::Error, "budget of 1 spent, second failure fatal");
-        assert_eq!(dma.refetches(), 1);
-    }
-
-    #[test]
-    fn recover_stalled_reissues_lost_reads() {
-        let mut mem = DeviceMemory::new(1 << 20);
-        let mut dma = DmaEngine::new(bdf());
-        dma.set_refetch_limit(4);
-        dma.start(
-            DmaRequest {
-                direction: DmaDirection::HostToDevice,
-                host_addr: 0x4000,
-                device_addr: 0,
-                len: 8192,
-            },
-            &mut mem,
-        );
-        let reads = dma.poll_outbound();
-        assert_eq!(reads.len(), 2);
-        // Both completions lost on the link: nothing delivered.
-        assert!(dma.recover_stalled());
-        assert_eq!(dma.status(), DmaStatus::Busy);
-        let reissued = dma.poll_outbound();
-        assert_eq!(reissued.len(), 2);
-        let mut addrs: Vec<_> = reissued.iter().map(|t| t.header().address()).collect();
-        addrs.sort();
-        assert_eq!(addrs, vec![Some(0x4000), Some(0x5000)]);
-        for read in reissued {
-            dma.deliver_completion(
-                &Tlp::completion_with_data(
-                    Bdf::new(0, 0, 0),
-                    read.header().requester(),
-                    read.header().tag(),
-                    vec![0xCC; 4096],
-                ),
-                &mut mem,
-            );
-        }
-        assert_eq!(dma.status(), DmaStatus::Done);
-        assert_eq!(dma.refetches(), 2);
-    }
-
-    #[test]
-    fn recover_stalled_noop_without_limit() {
-        let mut mem = DeviceMemory::new(1 << 20);
-        let mut dma = DmaEngine::new(bdf());
-        dma.start(
-            DmaRequest {
-                direction: DmaDirection::HostToDevice,
-                host_addr: 0,
-                device_addr: 0,
-                len: 4096,
-            },
-            &mut mem,
-        );
-        let _ = dma.poll_outbound();
-        assert!(!dma.recover_stalled(), "legacy default: stalls left to the driver");
-        assert_eq!(dma.status(), DmaStatus::Busy);
     }
 
     #[test]

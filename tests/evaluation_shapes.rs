@@ -1,10 +1,23 @@
 //! Cross-checks every regenerated table/figure against the *shape* of the
 //! paper's results: who wins, by roughly what factor, and where the knees
 //! fall. Absolute seconds are simulation artifacts; these relations are
-//! the reproduction targets (see EXPERIMENTS.md).
+//! the reproduction targets (see EXPERIMENTS.md). The full text report
+//! is also pinned byte for byte in `tests/golden/figures.txt`.
 
-use ccai_bench::figures;
+#[path = "support/golden.rs"]
+#[allow(dead_code)] // `golden::line` formats digest lines; this suite pins text
+mod golden;
+
+use ccai_bench::{figures, render};
 use ccai_core::compat;
+
+/// Every table and figure, as the `figures` binary prints them, but with
+/// Table 3's repo-LoC column left empty: `tcb_rows_stay_under_their_ceilings`
+/// pins that column, so a TCB edit does not force a re-bless here.
+#[test]
+fn figures_report_matches_its_golden() {
+    golden::check("figures", ".figures", &render::all_figures(None, &[]));
+}
 
 #[test]
 fn headline_claim_overheads_within_the_abstract_band() {

@@ -216,44 +216,20 @@ impl WireAttack for OneShotCompletionDeleter {
 }
 
 #[test]
-fn chunk_refetch_moves_fewer_bytes_than_full_restaging() {
-    // The same single mid-transfer loss, recovered two ways. With the
-    // engine's chunk-granular re-fetch armed it re-reads only the lost
-    // chunk; with the legacy behavior the stall surfaces to the driver,
-    // which quiesces and re-stages the whole transfer. Both converge to
-    // the correct result — but re-fetch must move strictly fewer bytes.
+fn lost_completion_is_recovered_by_restaging() {
+    // A single mid-transfer loss leaves the DMA engine stuck `Busy`; the
+    // driver quiesces it and re-stages the whole transfer under a fresh
+    // stream, which is the one recovery path for a lost H2D chunk.
     let (weights, input) = workload();
     let expected = CommandProcessor::surrogate_inference(&weights, &input);
 
-    let mut refetching = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
-    refetching.set_dma_refetch_limit(8);
-    refetching
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    system
         .fabric_mut()
         .set_wire_attack(Box::new(OneShotCompletionDeleter { dropped: false }));
-    let result = refetching.run_workload(&weights, &input).expect("re-fetch recovers the loss");
+    let result = system.run_workload(&weights, &input).expect("driver retry recovers the loss");
     assert_eq!(result, expected);
-    assert!(refetching.dma_refetches() > 0, "the lost chunk must be re-fetched");
-    assert_eq!(
-        refetching.driver().dma_retries(),
-        0,
-        "device-side recovery must spare the driver a full re-staging retry"
-    );
-
-    let mut restaging = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
-    restaging
-        .fabric_mut()
-        .set_wire_attack(Box::new(OneShotCompletionDeleter { dropped: false }));
-    let result = restaging.run_workload(&weights, &input).expect("driver retry recovers the loss");
-    assert_eq!(result, expected);
-    assert_eq!(restaging.dma_refetches(), 0, "re-fetch is off by default");
-    assert!(restaging.driver().dma_retries() > 0, "recovery went through full re-staging");
-
-    assert!(
-        refetching.dma_read_bytes_requested() < restaging.dma_read_bytes_requested(),
-        "chunk-granular recovery must request strictly fewer bytes ({} vs {})",
-        refetching.dma_read_bytes_requested(),
-        restaging.dma_read_bytes_requested(),
-    );
+    assert!(system.driver().dma_retries() > 0, "recovery went through full re-staging");
 }
 
 #[test]

@@ -8,7 +8,7 @@ use ccai_llm::chaos::ChaosPlan;
 use ccai_llm::serve::{FleetConfig, FleetServer, TenantSpec};
 use ccai_llm::{LlmSpec, ShardedFleet};
 use ccai_pcie::{BusAdversary, FaultPlan};
-use ccai_sim::{SimDuration, SimRng, SinkDigest};
+use ccai_sim::{SimDuration, SimRng};
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::{CommandProcessor, XpuSpec};
 
@@ -177,7 +177,6 @@ fn combined_regime_holds_every_invariant_in_one_seeded_run() {
         };
         let tags: Vec<u32> = (300..304).collect();
         let mut fleet = FleetServer::new(cfg);
-        let sink = SinkDigest::install(fleet.telemetry());
         fleet.set_chaos_plan(ChaosPlan::seeded(
             MASTER_SEED ^ 0xC4A0,
             &[0, 1, 2],
@@ -187,9 +186,9 @@ fn combined_regime_holds_every_invariant_in_one_seeded_run() {
         ));
         fleet.generate(600);
         fleet.drain();
-        (fleet, sink)
+        fleet
     };
-    let (fleet, sink) = run();
+    let fleet = run();
     let report = fleet.report();
     let t = fleet.telemetry();
     assert!(report.chaos_events > 0, "the seeded plan must fire");
@@ -211,12 +210,11 @@ fn combined_regime_holds_every_invariant_in_one_seeded_run() {
             tenant.tenant,
         );
     }
-    assert!(sink.events_seen() > 0, "the sink must have folded the stream");
-    assert_eq!(sink.digest(), t.digest(), "streaming digest mirrors the hub");
-    let (replay, replay_sink) = run();
+    assert!(t.events_recorded() > 0, "the hub must have recorded the stream");
+    let replay = run();
     assert_eq!(
-        replay_sink.digest(),
-        sink.digest(),
+        replay.telemetry().digest(),
+        t.digest(),
         "combined regime must replay bit-identically"
     );
     assert_eq!(replay.report().to_json(), report.to_json());

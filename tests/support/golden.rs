@@ -5,7 +5,8 @@
 //! SHA-256 of the snapshot image — and [`check`] compares the dump with
 //! `tests/golden/<suite>.txt`. A sim-visible change therefore fails the
 //! suite and names every scenario it moved; a sim-invisible one leaves
-//! the files byte-identical.
+//! the files byte-identical. The `figures` suite pins a plain-text report
+//! the same way, one golden line per report line.
 //!
 //! `CCAI_BLESS=1 cargo test -q --test <suite>` rewrites the file instead
 //! of comparing, for a change that means to move the digests (the diff
@@ -62,7 +63,7 @@ pub fn check(suite: &str, out_suffix: &str, dump: &str) {
         .map(|l| l.split(' ').next().unwrap_or(""))
         .collect();
     panic!(
-        "{suite}: golden digests moved for {moved:?}\n--- {}\n{golden}+++ this run\n{dump}\
+        "{suite}: golden lines moved for {moved:?}\n--- {}\n{golden}+++ this run\n{dump}\
          (re-bless with CCAI_BLESS=1 only if the move is intended)",
         path.display()
     );
