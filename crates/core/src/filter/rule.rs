@@ -33,17 +33,6 @@ impl FieldMask {
         FieldMask { pkt_type: true, requester: true, ..FieldMask::default() }
     }
 
-    /// Match on every field.
-    pub fn all() -> FieldMask {
-        FieldMask {
-            pkt_type: true,
-            requester: true,
-            completer: true,
-            address: true,
-            msg_code: true,
-        }
-    }
-
     /// Match nothing — a catch-all rule (`16'b000...`, the L1 default-deny
     /// row).
     pub fn none() -> FieldMask {

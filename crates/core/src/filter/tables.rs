@@ -183,11 +183,6 @@ impl PacketFilter {
     pub fn stats(&self) -> FilterStats {
         self.stats
     }
-
-    /// Resets statistics (not rules).
-    pub fn reset_stats(&mut self) {
-        self.stats = FilterStats::default();
-    }
 }
 
 ccai_sim::snapshot_state!(FilterStats {
@@ -404,8 +399,6 @@ mod tests {
         assert_eq!(stats.crypt_protected, 3);
         assert_eq!(stats.l1_blocked, 1);
         assert_eq!(stats.total(), 4);
-        filter.reset_stats();
-        assert_eq!(filter.stats().total(), 0);
     }
 
     #[test]

@@ -70,16 +70,6 @@ impl EnvGuard {
         self.policies.push(policy);
     }
 
-    /// Clears all policy (task teardown).
-    pub fn clear_policy(&mut self) {
-        self.policies.clear();
-    }
-
-    /// Number of installed entries.
-    pub fn policy_len(&self) -> usize {
-        self.policies.len()
-    }
-
     /// Verifies an A3 MMIO write of `value` to `addr`.
     ///
     /// Rules: if any `ExpectedValue` entry guards this address, the value
@@ -125,16 +115,6 @@ impl EnvGuard {
     pub fn request_reset(&mut self) {
         self.resets_requested += 1;
     }
-
-    /// Resets requested so far.
-    pub fn resets_requested(&self) -> u64 {
-        self.resets_requested
-    }
-
-    /// Recorded violations.
-    pub fn violations(&self) -> &[EnvViolation] {
-        &self.violations
-    }
 }
 
 impl ccai_sim::SnapshotState for MmioPolicy {
@@ -170,6 +150,18 @@ ccai_sim::snapshot_state!(EnvGuard { policies, violations, resets_requested });
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EnvGuard {
+        /// Resets requested so far.
+        fn resets_requested(&self) -> u64 {
+            self.resets_requested
+        }
+
+        /// Recorded violations.
+        fn violations(&self) -> &[EnvViolation] {
+            &self.violations
+        }
+    }
 
     fn guard() -> EnvGuard {
         let mut g = EnvGuard::new();
@@ -223,13 +215,5 @@ mod tests {
         g.request_reset();
         g.request_reset();
         assert_eq!(g.resets_requested(), 2);
-    }
-
-    #[test]
-    fn clear_policy_empties() {
-        let mut g = guard();
-        g.clear_policy();
-        assert_eq!(g.policy_len(), 0);
-        assert!(g.verify_write(0x8000_0000, 1).is_err());
     }
 }

@@ -154,11 +154,6 @@ impl ParamsManager {
             })
     }
 
-    /// True if any stream covers `addr` (either direction).
-    pub fn covers(&self, addr: u64) -> bool {
-        self.streams.iter().any(|e| e.host_range.contains(&addr))
-    }
-
     /// The expanded key for a stream.
     ///
     /// # Errors
@@ -188,14 +183,6 @@ impl ParamsManager {
     pub fn unmark(&mut self, chunk: ChunkRef) {
         if let Some(entry) = self.streams.iter_mut().find(|e| e.id == chunk.stream) {
             entry.seen.remove(&chunk.seq);
-        }
-    }
-
-    /// Forgets replay state for a stream (new transfer window re-uses the
-    /// range with fresh sequence numbers via `base_seq`).
-    pub fn reset_stream_window(&mut self, id: StreamId, base_seq: u64) {
-        if let Some(entry) = self.streams.iter_mut().find(|e| e.id == id) {
-            entry.base_seq = base_seq;
         }
     }
 
@@ -273,7 +260,7 @@ mod tests {
     fn unregistered_addresses_unresolved() {
         let m = manager();
         assert!(m.resolve(0x10000, StreamDirection::HostToDevice).is_none());
-        assert!(!m.covers(0x10000));
+        assert!(m.resolve(0x10000, StreamDirection::DeviceToHost).is_none());
     }
 
     #[test]
@@ -332,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn window_reset_changes_sequences() {
-        let mut m = manager();
-        m.register_stream(StreamId(1), StreamDirection::HostToDevice, 0..0x10000, 0);
-        let before = m.resolve(0x1000, StreamDirection::HostToDevice).unwrap();
-        m.reset_stream_window(StreamId(1), 1000);
-        let after = m.resolve(0x1000, StreamDirection::HostToDevice).unwrap();
-        assert_eq!(before.seq, 1);
-        assert_eq!(after.seq, 1001);
-    }
-
-    #[test]
     fn reregistration_moves_window() {
         let mut m = manager();
         m.register_stream(StreamId(1), StreamDirection::HostToDevice, 0..0x1000, 0);
@@ -358,6 +334,6 @@ mod tests {
         m.register_stream(StreamId(1), StreamDirection::HostToDevice, 0..0x1000, 0);
         m.destroy();
         assert!(m.cipher(StreamId(1)).is_err());
-        assert!(!m.covers(0x100));
+        assert!(m.resolve(0x100, StreamDirection::HostToDevice).is_none());
     }
 }

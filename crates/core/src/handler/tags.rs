@@ -125,16 +125,6 @@ impl TagManager {
         }
     }
 
-    /// Tags currently queued.
-    pub fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// `(received, matched, missing)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.received, self.matched, self.missing)
-    }
-
     /// Drops all queued tags (task termination).
     pub fn clear(&mut self) {
         self.pending.clear();
@@ -159,6 +149,18 @@ impl fmt::Display for TagManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TagManager {
+        /// Tags currently queued.
+        fn queued(&self) -> usize {
+            self.pending.len()
+        }
+
+        /// `(received, matched, missing)` counters.
+        fn stats(&self) -> (u64, u64, u64) {
+            (self.received, self.matched, self.missing)
+        }
+    }
 
     fn record(stream: u32, seq: u64, fill: u8) -> TagRecord {
         TagRecord { stream: StreamId(stream), seq, tag: [fill; 16] }

@@ -128,11 +128,6 @@ impl TransferProfile {
             + self.d2h_bytes.div_ceil(CHUNK_SIZE)
             + self.bulk_d2h_bytes.div_ceil(CHUNK_SIZE)
     }
-
-    /// Total protected bytes.
-    pub fn bytes(&self) -> u64 {
-        self.h2d_bytes + self.d2h_bytes + self.bulk_d2h_bytes
-    }
 }
 
 /// Cost breakdown of a priced transfer (virtual time).
@@ -184,16 +179,6 @@ impl PerfModel {
     /// Creates a model for `spec` under `opts`.
     pub fn new(spec: XpuSpec, opts: OptimizationConfig) -> PerfModel {
         PerfModel { spec, opts }
-    }
-
-    /// The device spec.
-    pub fn spec(&self) -> &XpuSpec {
-        &self.spec
-    }
-
-    /// The optimization configuration.
-    pub fn opts(&self) -> OptimizationConfig {
-        self.opts
     }
 
     /// Prices one transfer burst.
@@ -271,15 +256,6 @@ impl PerfModel {
             sc_interaction,
             sc_pipeline: SC_PIPELINE_LATENCY,
         }
-    }
-
-    /// Convenience: the ccAI overhead fraction for a transfer relative to
-    /// a base execution time `base` (e.g. the compute-dominated E2E).
-    pub fn overhead_fraction(&self, profile: &TransferProfile, base: SimDuration) -> f64 {
-        let cost = self.price(profile);
-        let vanilla = base + cost.vanilla_total();
-        let ccai = base + cost.ccai_total();
-        (ccai.as_secs_f64() - vanilla.as_secs_f64()) / vanilla.as_secs_f64()
     }
 }
 
@@ -371,15 +347,5 @@ mod tests {
         let slow = PerfModel::new(slow_spec, OptimizationConfig::all_on());
         let p = profile_1mb();
         assert!(slow.price(&p).base_transfer > fast.price(&p).base_transfer);
-    }
-
-    #[test]
-    fn overhead_fraction_shrinks_with_compute() {
-        let model = PerfModel::new(XpuSpec::a100(), OptimizationConfig::all_on());
-        let p = profile_1mb();
-        let short = model.overhead_fraction(&p, SimDuration::from_millis(10));
-        let long = model.overhead_fraction(&p, SimDuration::from_secs(10));
-        assert!(short > long);
-        assert!(long > 0.0);
     }
 }

@@ -529,6 +529,7 @@ impl PcieSc {
 
     /// True if the tenant bound to `xpu_bdf` has been quarantined to
     /// A1-deny.
+    #[doc(hidden)]
     pub fn is_quarantined(&self, xpu_bdf: Bdf) -> bool {
         self.tenant_by_xpu(xpu_bdf)
             .is_some_and(|t| self.tenants[t].quarantined)
@@ -561,6 +562,7 @@ impl PcieSc {
     }
 
     /// Number of bound tenants.
+    #[doc(hidden)]
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
     }
@@ -580,6 +582,7 @@ impl PcieSc {
     /// control floor ([`PcieSc::ctrl_ack`]); a driver envelope at or below
     /// the MMIO floor still verifies, because a fresh mirror tag sits at
     /// its sequence.
+    #[doc(hidden)]
     pub fn replay_floors(&self, tvm_bdf: Bdf) -> Option<(u64, u64)> {
         self.tenant_by_tvm(tvm_bdf)
             .map(|t| (self.tenants[t].mmio_last_seq, self.tenants[t].ctrl_last_seq))
@@ -628,6 +631,7 @@ impl PcieSc {
     }
 
     /// Filter statistics.
+    #[doc(hidden)]
     pub fn filter_stats(&self) -> crate::filter::FilterStats {
         self.filter.stats()
     }

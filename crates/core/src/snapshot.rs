@@ -24,8 +24,9 @@
 //! * **Key material.** Snapshots never contain keys, master secrets, or
 //!   derived cipher state. They carry key-schedule *positions* (stream
 //!   id, generation, IV cursor); the resuming side re-derives every key
-//!   from the master it negotiates itself. A snapshot file therefore
-//!   never weakens confidentiality.
+//!   from its own copy of the master. That master is not negotiated per
+//!   resume: every system derives the same constant one
+//!   (`ConfidentialSystem::attested_master`, ROADMAP item 17).
 //! * **Topology and identity.** Device specs, BDF assignments, BAR
 //!   layouts and register maps are pure functions of the build
 //!   parameters; [`ConfidentialSystem::resume`] rebuilds them and lays
@@ -34,6 +35,13 @@
 //! * **The telemetry event ring.** Event kinds are `&'static str`; the
 //!   restored hub starts with an empty ring but continues the trace
 //!   digest, sim clock and every counter bit-exactly.
+//!
+//! # What is captured in clear
+//!
+//! Everything else, tenant data included. The xPU's device memory is
+//! captured as is, so an image taken mid-task holds the tenant's weights,
+//! prompt and result in clear (ROADMAP item 20). A snapshot file keeps
+//! the keys confidential, not the data.
 
 use crate::sc::PcieSc;
 use crate::system::{ConfidentialSystem, SystemMode, WorkloadError};
@@ -225,6 +233,7 @@ impl ConfidentialSystem {
 /// [`SnapshotError`] if the system is unprotected (no SC to swap) or the
 /// snapshot does not fit the rebuilt controller; the running SC stays on
 /// the port then.
+#[doc(hidden)]
 pub fn firmware_swap_sc(system: &mut ConfidentialSystem) -> Result<(), SnapshotError> {
     system.replace_sc(|old, fresh| {
         let mut enc = Encoder::versioned();

@@ -431,10 +431,12 @@ impl ConfidentialSystem {
     /// key-schedule epoch — on the SC *and* the Adaptor, in lockstep.
     ///
     /// The rotation is the "rekey in flight" guarantee: the target honors
-    /// the source's replay floors and quarantine standing, but derives a
-    /// schedule the source never held, so ciphertext captured against the
-    /// source's keys can never open here. Returns the tenant's
-    /// post-rotation epoch (source epoch + 1).
+    /// the source's replay floors and quarantine standing, but moves to
+    /// the next epoch's schedule, so ciphertext captured against the
+    /// source's current epoch does not open here. The source could still
+    /// derive that next schedule itself: every system derives the same
+    /// master (ROADMAP item 17). Returns the tenant's post-rotation epoch
+    /// (source epoch + 1).
     ///
     /// # Errors
     ///
@@ -524,6 +526,7 @@ impl ConfidentialSystem {
     /// differential oracle: two runs that leave the device in the same
     /// state digest identically, regardless of what the bus did in
     /// between.
+    #[doc(hidden)]
     pub fn xpu_memory_digest(&self) -> [u8; 32] {
         self.with_xpu(|xpu| xpu.memory().content_digest())
     }
@@ -533,6 +536,7 @@ impl ConfidentialSystem {
     /// oracle for control-plane recovery: a faulted run that recovered
     /// must converge to the same register values as the fault-free
     /// baseline.
+    #[doc(hidden)]
     pub fn xpu_register_snapshot(&self) -> ccai_xpu::RegisterFile {
         self.with_xpu(|xpu| xpu.registers().clone())
     }
@@ -545,6 +549,7 @@ impl ConfidentialSystem {
 
     /// `(device_table, host_table)` filter rule counts (zeroes in
     /// vanilla mode).
+    #[doc(hidden)]
     pub fn sc_filter_rule_counts(&self) -> (usize, usize) {
         self.sc().map(PcieSc::filter_rule_counts).unwrap_or_default()
     }
@@ -573,6 +578,7 @@ impl ConfidentialSystem {
 
     /// Runs `f` with a TLP port appropriate for this mode (the Adaptor
     /// port under ccAI, the raw fabric otherwise).
+    #[doc(hidden)]
     pub fn with_port<R>(&mut self, f: impl FnOnce(&mut dyn TlpPort, &mut GuestMemory) -> R) -> R {
         self.with_driver(|_, port, memory, _| f(port, memory))
     }

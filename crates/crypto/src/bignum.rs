@@ -257,20 +257,6 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// Left shift by one bit.
-    pub fn shl1(&self) -> BigUint {
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u64;
-        for &l in &self.limbs {
-            out.push((l << 1) | carry);
-            carry = l >> 63;
-        }
-        if carry != 0 {
-            out.push(carry);
-        }
-        BigUint::from_limbs(out)
-    }
-
     /// Right shift by one bit.
     pub fn shr1(&self) -> BigUint {
         let mut out = vec![0u64; self.limbs.len()];
@@ -307,70 +293,6 @@ impl BigUint {
     /// `self mod modulus`.
     pub fn rem(&self, modulus: &BigUint) -> BigUint {
         self.div_rem(modulus).1
-    }
-
-    /// Modular exponentiation `self^exp mod modulus` via Montgomery
-    /// multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is even or < 3 (Montgomery requires odd moduli).
-    pub fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
-        let ctx = Montgomery::new(modulus.clone());
-        ctx.pow(self, exp)
-    }
-
-    /// Deterministic Miller–Rabin primality test.
-    ///
-    /// Uses the first 16 prime bases — deterministic for all 64-bit inputs
-    /// and overwhelmingly accurate for larger ones (error < 4^-16).
-    pub fn is_probable_prime(&self) -> bool {
-        const SMALL_PRIMES: [u64; 16] =
-            [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53];
-        if self.bit_len() <= 6 {
-            let v = self.limbs.first().copied().unwrap_or(0);
-            return SMALL_PRIMES.contains(&v) || (v > 53 && {
-                // tiny fallback for values 54..63
-                (2..v).all(|d| v % d != 0)
-            });
-        }
-        // Quick small-factor sieve.
-        for &p in &SMALL_PRIMES {
-            let (_, r) = self.div_rem(&BigUint::from(p));
-            if r.is_zero() {
-                return false;
-            }
-        }
-        if !self.is_odd() {
-            return false;
-        }
-        // self - 1 = d * 2^s
-        let n_minus_1 = self.sub(&BigUint::one());
-        let mut d = n_minus_1.clone();
-        let mut s = 0u32;
-        while !d.is_odd() {
-            d = d.shr1();
-            s += 1;
-        }
-        let ctx = Montgomery::new(self.clone());
-        'witness: for &a in &SMALL_PRIMES {
-            let a = BigUint::from(a);
-            if &a >= self {
-                continue;
-            }
-            let mut x = ctx.pow(&a, &d);
-            if x == BigUint::one() || x == n_minus_1 {
-                continue;
-            }
-            for _ in 0..s.saturating_sub(1) {
-                x = ctx.mul_mod(&x, &x);
-                if x == n_minus_1 {
-                    continue 'witness;
-                }
-            }
-            return false;
-        }
-        true
     }
 }
 
@@ -496,13 +418,9 @@ impl Montgomery {
         Montgomery { n: modulus, n0_inv, r1, r2, k }
     }
 
-    /// The modulus.
-    pub fn modulus(&self) -> &BigUint {
-        &self.n
-    }
-
     /// `R² mod n` for `R = 2^(64k)`, the factor that carries a value into
     /// Montgomery form.
+    #[doc(hidden)]
     pub fn r_squared(&self) -> BigUint {
         BigUint::from_limbs(self.r2.clone())
     }
@@ -688,6 +606,88 @@ impl BaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test hooks: known-answer modexp over a fresh context, Miller–Rabin
+    /// for the group constants, and the shift that rebuilds `p = 2q + 1`.
+    impl BigUint {
+        /// Left shift by one bit.
+        pub(crate) fn shl1(&self) -> BigUint {
+            let mut out = Vec::with_capacity(self.limbs.len() + 1);
+            let mut carry = 0u64;
+            for &l in &self.limbs {
+                out.push((l << 1) | carry);
+                carry = l >> 63;
+            }
+            if carry != 0 {
+                out.push(carry);
+            }
+            BigUint::from_limbs(out)
+        }
+
+        /// Modular exponentiation `self^exp mod modulus` via Montgomery
+        /// multiplication.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `modulus` is even or < 3 (Montgomery requires odd moduli).
+        pub(crate) fn modpow(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
+            let ctx = Montgomery::new(modulus.clone());
+            ctx.pow(self, exp)
+        }
+
+        /// Deterministic Miller–Rabin primality test.
+        ///
+        /// Uses the first 16 prime bases — deterministic for all 64-bit inputs
+        /// and overwhelmingly accurate for larger ones (error < 4^-16).
+        pub(crate) fn is_probable_prime(&self) -> bool {
+            const SMALL_PRIMES: [u64; 16] =
+                [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53];
+            if self.bit_len() <= 6 {
+                let v = self.limbs.first().copied().unwrap_or(0);
+                return SMALL_PRIMES.contains(&v) || (v > 53 && {
+                    // tiny fallback for values 54..63
+                    (2..v).all(|d| v % d != 0)
+                });
+            }
+            // Quick small-factor sieve.
+            for &p in &SMALL_PRIMES {
+                let (_, r) = self.div_rem(&BigUint::from(p));
+                if r.is_zero() {
+                    return false;
+                }
+            }
+            if !self.is_odd() {
+                return false;
+            }
+            // self - 1 = d * 2^s
+            let n_minus_1 = self.sub(&BigUint::one());
+            let mut d = n_minus_1.clone();
+            let mut s = 0u32;
+            while !d.is_odd() {
+                d = d.shr1();
+                s += 1;
+            }
+            let ctx = Montgomery::new(self.clone());
+            'witness: for &a in &SMALL_PRIMES {
+                let a = BigUint::from(a);
+                if &a >= self {
+                    continue;
+                }
+                let mut x = ctx.pow(&a, &d);
+                if x == BigUint::one() || x == n_minus_1 {
+                    continue;
+                }
+                for _ in 0..s.saturating_sub(1) {
+                    x = ctx.mul_mod(&x, &x);
+                    if x == n_minus_1 {
+                        continue 'witness;
+                    }
+                }
+                return false;
+            }
+            true
+        }
+    }
 
     #[test]
     fn hex_round_trip() {

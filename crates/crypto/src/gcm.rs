@@ -260,6 +260,7 @@ impl AesGcm {
     /// Allocating convenience over [`AesGcm::seal_in_place_detached`]:
     /// returns `(ciphertext, tag)` with `ciphertext.len() ==
     /// plaintext.len()`.
+    #[doc(hidden)]
     pub fn seal_detached(
         &self,
         nonce: &[u8; NONCE_LEN],

@@ -88,11 +88,6 @@ impl IvManager {
         self.counter
     }
 
-    /// Remaining IVs before exhaustion.
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.counter
-    }
-
     /// Reserves the next unique nonce.
     ///
     /// # Errors
@@ -144,6 +139,13 @@ impl IvManager {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    impl IvManager {
+        /// Remaining IVs before exhaustion.
+        fn remaining(&self) -> u64 {
+            self.limit - self.counter
+        }
+    }
 
     #[test]
     fn nonces_are_unique() {

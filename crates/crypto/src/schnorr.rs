@@ -71,11 +71,6 @@ impl fmt::Debug for SchnorrPublic {
 }
 
 impl SchnorrPublic {
-    /// The raw group element.
-    pub fn value(&self) -> &BigUint {
-        &self.y
-    }
-
     /// Big-endian encoding of the public element.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.y.to_bytes_be()

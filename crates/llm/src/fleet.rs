@@ -195,16 +195,6 @@ impl ShardedFleet {
         Ok(ShardedFleet { template, shards })
     }
 
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.ids().len()
-    }
-
-    /// Always false: `deploy` requires at least one shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.ids().is_empty()
-    }
-
     /// The golden template every shard was resumed from.
     pub fn template(&self) -> &SystemSnapshot {
         &self.template
@@ -372,6 +362,13 @@ impl ShardedFleet {
 mod tests {
     use super::*;
     use ccai_xpu::CommandProcessor;
+
+    impl ShardedFleet {
+        /// Number of shards.
+        fn len(&self) -> usize {
+            self.shards.ids().len()
+        }
+    }
 
     const WEIGHTS: &[u8] = b"fleet model weights: one golden image";
 

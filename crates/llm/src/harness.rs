@@ -25,7 +25,7 @@ use crate::kv_cache::KvCache;
 use crate::metrics::Metrics;
 use crate::workload::InferenceWorkload;
 use ccai_core::perf::{CostBreakdown, OptimizationConfig, PerfModel};
-use ccai_sim::{Hop, Severity, SimDuration, SimTime, Telemetry, TelemetrySnapshot};
+use ccai_sim::{Hop, Severity, SimDuration, SimTime, Telemetry};
 use ccai_xpu::XpuSpec;
 
 /// Per-request confidential session setup cost (ccAI only).
@@ -68,33 +68,6 @@ pub fn run_with_kv(
     run_instrumented(workload, device, mode, kv, &Telemetry::default())
 }
 
-/// Runs a workload and exports a per-hop latency breakdown next to the
-/// §8.3 metrics: each priced cost component is charged to its hop on a
-/// fresh telemetry hub (payload + tag wire time → link, driver/SC MMIO →
-/// adaptor staging, Adaptor crypto → adaptor crypt, SC pipeline → SC
-/// filter; SC crypt is line-rate pipelined, so its exposed latency is
-/// zero). Compute and session setup are accounted as idle time, so the
-/// snapshot's `span_total + idle_total` equals the measured E2E exactly.
-pub fn run_with_telemetry(
-    workload: &InferenceWorkload,
-    device: &XpuSpec,
-    mode: Mode,
-) -> (Metrics, TelemetrySnapshot) {
-    run_with_kv_telemetry(workload, device, mode, &KvCache::resident())
-}
-
-/// [`run_with_telemetry`] under a KV-cache residency constraint.
-pub fn run_with_kv_telemetry(
-    workload: &InferenceWorkload,
-    device: &XpuSpec,
-    mode: Mode,
-    kv: &KvCache,
-) -> (Metrics, TelemetrySnapshot) {
-    let telemetry = Telemetry::default();
-    let metrics = run_instrumented(workload, device, mode, kv, &telemetry);
-    (metrics, telemetry.snapshot())
-}
-
 /// Charges one priced burst (scaled by `scale` repetitions) onto the hub.
 fn charge_breakdown(
     telemetry: &Telemetry,
@@ -118,6 +91,12 @@ fn charge_breakdown(
     }
 }
 
+/// Runs a workload on the hub `t`, charging each priced cost component to
+/// its hop (payload + tag wire time → link, driver/SC MMIO → adaptor
+/// staging, Adaptor crypto → adaptor crypt, SC pipeline → SC filter; SC
+/// crypt is line-rate pipelined, so its exposed latency is zero). Compute
+/// and session setup are accounted as idle time, so the hub's
+/// `span_total + idle_total` equals the measured E2E exactly.
 fn run_instrumented(
     workload: &InferenceWorkload,
     device: &XpuSpec,
@@ -186,22 +165,33 @@ fn run_instrumented(
     }
 }
 
-/// Convenience: vanilla + ccAI pair for one configuration, as every
-/// figure plots.
-pub fn run_pair(workload: &InferenceWorkload, device: &XpuSpec) -> (Metrics, Metrics) {
-    (
-        run(workload, device, Mode::Vanilla),
-        run(workload, device, Mode::ccai()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::LlmSpec;
+    use ccai_sim::TelemetrySnapshot;
 
     fn a100() -> XpuSpec {
         XpuSpec::a100()
+    }
+
+    /// Vanilla + ccAI pair for one configuration, as every figure plots.
+    fn run_pair(workload: &InferenceWorkload, device: &XpuSpec) -> (Metrics, Metrics) {
+        (
+            run(workload, device, Mode::Vanilla),
+            run(workload, device, Mode::ccai()),
+        )
+    }
+
+    /// [`run`] that also returns the per-hop breakdown of its hub.
+    fn run_with_telemetry(
+        workload: &InferenceWorkload,
+        device: &XpuSpec,
+        mode: Mode,
+    ) -> (Metrics, TelemetrySnapshot) {
+        let telemetry = Telemetry::default();
+        let metrics = run_instrumented(workload, device, mode, &KvCache::resident(), &telemetry);
+        (metrics, telemetry.snapshot())
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl KvCache {
         const THRASH_FACTOR: f64 = 0.35;
         (occupied as f64 * miss.sqrt() * THRASH_FACTOR) as u64
     }
-
-    /// True if swapping occurs.
-    pub fn swapping(&self) -> bool {
-        self.resident_fraction < 1.0
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +65,6 @@ mod tests {
     #[test]
     fn resident_cache_never_swaps() {
         let cache = KvCache::resident();
-        assert!(!cache.swapping());
         assert_eq!(cache.swap_bytes_per_step(&LlmSpec::llama2_7b(), 1000, 1), 0);
     }
 

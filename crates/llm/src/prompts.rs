@@ -4,30 +4,9 @@
 //! test uses "input tokens ranging from 4 to 924". This generator
 //! produces a reproducible stream of synthetic prompt lengths with a
 //! chat-like long-tailed distribution (many short questions, a tail of
-//! long pasted contexts) plus deterministic filler token ids — only the
-//! lengths affect the measured path.
+//! long pasted contexts); callers fill each prompt with their own bytes.
 
 use ccai_sim::SimRng;
-use serde::{Deserialize, Serialize};
-
-/// A generated prompt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Prompt {
-    /// Token ids (synthetic).
-    pub tokens: Vec<u32>,
-}
-
-impl Prompt {
-    /// Prompt length in tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// True for the (never-generated) empty prompt.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-}
 
 /// Deterministic prompt-length generator.
 #[derive(Debug, Clone)]
@@ -35,24 +14,12 @@ pub struct PromptGenerator {
     rng: SimRng,
     min_tokens: u32,
     max_tokens: u32,
-    vocab: u32,
 }
 
 impl PromptGenerator {
     /// Generator matching the Fig. 12b setup: lengths in 4–924.
     pub fn sharegpt_like(seed: u64) -> PromptGenerator {
-        PromptGenerator { rng: SimRng::seed_from(seed), min_tokens: 4, max_tokens: 924, vocab: 32_000 }
-    }
-
-    /// Custom bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or vocab is zero.
-    pub fn with_bounds(seed: u64, min_tokens: u32, max_tokens: u32, vocab: u32) -> PromptGenerator {
-        assert!(min_tokens > 0 && min_tokens <= max_tokens, "empty length range");
-        assert!(vocab > 0, "vocab must be positive");
-        PromptGenerator { rng: SimRng::seed_from(seed), min_tokens, max_tokens, vocab }
+        PromptGenerator { rng: SimRng::seed_from(seed), min_tokens: 4, max_tokens: 924 }
     }
 
     /// Draws the next prompt length (long-tailed: squaring a uniform
@@ -61,13 +28,6 @@ impl PromptGenerator {
         let u = self.rng.next_f64();
         let span = (self.max_tokens - self.min_tokens) as f64;
         self.min_tokens + (u * u * span) as u32
-    }
-
-    /// Draws a full prompt.
-    pub fn next_prompt(&mut self) -> Prompt {
-        let len = self.next_len();
-        let tokens = (0..len).map(|_| self.rng.next_u32() % self.vocab).collect();
-        Prompt { tokens }
     }
 }
 
@@ -80,7 +40,7 @@ mod tests {
         let mut a = PromptGenerator::sharegpt_like(7);
         let mut b = PromptGenerator::sharegpt_like(7);
         for _ in 0..50 {
-            assert_eq!(a.next_prompt(), b.next_prompt());
+            assert_eq!(a.next_len(), b.next_len());
         }
     }
 
@@ -102,19 +62,5 @@ mod tests {
         assert!(short > 2 * long, "expected many short prompts: {short} vs {long}");
         // But the tail exists.
         assert!(long > 0);
-    }
-
-    #[test]
-    fn tokens_stay_in_vocab() {
-        let mut g = PromptGenerator::with_bounds(3, 10, 20, 100);
-        let p = g.next_prompt();
-        assert!(!p.is_empty());
-        assert!(p.tokens.iter().all(|&t| t < 100));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty length range")]
-    fn inverted_bounds_rejected() {
-        let _ = PromptGenerator::with_bounds(0, 10, 5, 100);
     }
 }

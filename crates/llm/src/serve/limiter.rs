@@ -89,11 +89,6 @@ impl RateLimiter {
             None => SimDuration::ZERO,
         }
     }
-
-    /// Remaining budget for a tenant in pico-tokens, if registered.
-    pub fn budget_pico_tokens(&self, tenant: u32) -> Option<u128> {
-        self.buckets.get(&tenant).map(TokenBucket::budget_pico_tokens)
-    }
 }
 
 ccai_sim::snapshot_state!(RateLimiter { enabled, buckets });
@@ -102,6 +97,13 @@ ccai_sim::snapshot_state!(RateLimiter { enabled, buckets });
 mod tests {
     use super::*;
     use ccai_sim::snapshot::{Decoder, Encoder};
+
+    impl RateLimiter {
+        /// Remaining budget for a tenant in pico-tokens, if registered.
+        fn budget_pico_tokens(&self, tenant: u32) -> Option<u128> {
+            self.buckets.get(&tenant).map(TokenBucket::budget_pico_tokens)
+        }
+    }
 
     fn at(secs: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)

@@ -311,25 +311,10 @@ impl FleetServer {
         &self.hub
     }
 
-    /// Current fleet-loop time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Requests generated by the arrival process so far.
-    pub fn generated(&self) -> u64 {
-        self.arrivals.generated()
-    }
-
     /// Requests waiting for admission (arrived, not yet through the
     /// bucket) plus admitted-but-undispatched requests.
     pub fn backlog(&self) -> usize {
         self.pending.values().map(VecDeque::len).sum::<usize>() + self.batcher.queued()
-    }
-
-    /// Tenants currently quarantined at admission.
-    pub fn quarantined(&self) -> Vec<u32> {
-        self.quarantined.iter().copied().collect()
     }
 
     // --- event loop -----------------------------------------------------
@@ -775,6 +760,7 @@ impl FleetServer {
 
     /// Mirrors an externally observed quarantine set (e.g. from the
     /// sharded systems' PCIe-SCs) into admission control.
+    #[doc(hidden)]
     pub fn sync_quarantine(&mut self, tenants: &[u32]) {
         for &t in tenants {
             self.quarantine_tenant(t);

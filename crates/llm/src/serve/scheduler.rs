@@ -1,7 +1,7 @@
 //! Continuous-batching scheduler with fair-share tenant rotation.
 //!
 //! Admitted requests wait in per-tenant FIFO queues. When a shard goes
-//! idle at a pump-round quiesce point, [`ContinuousBatcher::form_batch`]
+//! idle at a pump-round quiesce point, [`ContinuousBatcher::form_batch_where`]
 //! assembles the next batch by round-robin over tenants: one request per
 //! tenant per lap, resuming from a rotating cursor so no tenant is
 //! structurally first. A tenant flooding its own queue therefore cannot
@@ -69,34 +69,11 @@ impl ContinuousBatcher {
     /// Forms the next batch of up to `max` requests: round-robin over
     /// tenants starting at the rotation cursor, one seat per tenant per
     /// lap, until the batch is full or a full lap finds nothing queued.
-    pub fn form_batch(&mut self, max: usize) -> Vec<Request> {
-        let mut batch = Vec::new();
-        if max == 0 || self.queued == 0 {
-            return batch;
-        }
-        let lanes = self.rotation.len();
-        let mut idle_lap = 0;
-        while batch.len() < max && idle_lap < lanes {
-            let tenant = self.rotation[self.cursor];
-            self.cursor = (self.cursor + 1) % lanes;
-            match self.queues.get_mut(&tenant).and_then(VecDeque::pop_front) {
-                Some(req) => {
-                    self.queued -= 1;
-                    batch.push(req);
-                    idle_lap = 0;
-                }
-                None => idle_lap += 1,
-            }
-        }
-        batch
-    }
-
-    /// Like [`ContinuousBatcher::form_batch`], but only tenants for which
-    /// `eligible` returns true are offered seats. Used by sharded
-    /// dispatch: a shard forming a batch may only seat tenants homed to
-    /// it, leaving other tenants' queues untouched for their own shards.
-    /// The rotation cursor still advances over every visited slot, so
-    /// fairness is preserved across shards.
+    /// Only tenants for which `eligible` returns true are offered seats.
+    /// Used by sharded dispatch: a shard forming a batch may only seat
+    /// tenants homed to it, leaving other tenants' queues untouched for
+    /// their own shards. The rotation cursor still advances over every
+    /// visited slot, so fairness is preserved across shards.
     pub fn form_batch_where(
         &mut self,
         max: usize,
@@ -196,6 +173,13 @@ mod tests {
             arrived: SimTime::from_picos(id),
             input_tokens: 8,
             output_tokens: 8,
+        }
+    }
+
+    impl ContinuousBatcher {
+        /// A batch with every tenant eligible.
+        fn form_batch(&mut self, max: usize) -> Vec<Request> {
+            self.form_batch_where(max, |_| true)
         }
     }
 

@@ -1,10 +1,9 @@
 //! Per-function PCIe configuration space.
 //!
 //! Each endpoint exposes the standard 4 KiB configuration space: the type-0
-//! header (vendor/device ID, command/status, six BARs) plus device-specific
-//! extended space. The Adaptor's enumeration path and the PCIe-SC's
-//! encrypted policy-configuration region (§4.1 "Dynamic and secure
-//! configuration") are built on this model.
+//! header (vendor/device ID, six BARs) plus device-specific extended space.
+//! [`crate::device::handle_config_access`] answers configuration TLPs from
+//! it, and the driver's enumeration reads the IDs and BARs back.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,17 +14,8 @@ pub const CONFIG_SPACE_LEN: usize = 4096;
 pub const REG_VENDOR_ID: u16 = 0x00;
 /// Byte offset of the device ID register.
 pub const REG_DEVICE_ID: u16 = 0x02;
-/// Byte offset of the command register.
-pub const REG_COMMAND: u16 = 0x04;
-/// Byte offset of the status register.
-pub const REG_STATUS: u16 = 0x06;
 /// Byte offset of the first Base Address Register.
 pub const REG_BAR0: u16 = 0x10;
-
-/// Command-register bit enabling memory-space decoding.
-pub const CMD_MEMORY_SPACE: u16 = 0x0002;
-/// Command-register bit enabling bus mastering (DMA).
-pub const CMD_BUS_MASTER: u16 = 0x0004;
 
 /// A 4 KiB type-0 configuration space.
 ///
@@ -145,47 +135,6 @@ impl ConfigSpace {
         let high = if index < 5 { self.read_u32(offset + 4) as u64 } else { 0 };
         Some(((high << 32) | low, size))
     }
-
-    /// True if memory-space decoding is enabled.
-    pub fn memory_enabled(&self) -> bool {
-        self.read_u16(REG_COMMAND) & CMD_MEMORY_SPACE != 0
-    }
-
-    /// True if bus mastering (device-initiated DMA) is enabled.
-    pub fn bus_master_enabled(&self) -> bool {
-        self.read_u16(REG_COMMAND) & CMD_BUS_MASTER != 0
-    }
-
-    /// Sets or clears command-register bits.
-    pub fn set_command_bits(&mut self, bits: u16, enabled: bool) {
-        let mut cmd = self.read_u16(REG_COMMAND);
-        if enabled {
-            cmd |= bits;
-        } else {
-            cmd &= !bits;
-        }
-        self.write_u16(REG_COMMAND, cmd);
-    }
-
-    /// Raw access for device-specific extended config (e.g. the PCIe-SC's
-    /// encrypted policy region).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn read_bytes(&self, offset: u16, len: usize) -> &[u8] {
-        &self.bytes[offset as usize..offset as usize + len]
-    }
-
-    /// Writes raw bytes into extended config space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn write_bytes(&mut self, offset: u16, data: &[u8]) {
-        let o = offset as usize;
-        self.bytes[o..o + data.len()].copy_from_slice(data);
-    }
 }
 
 #[cfg(test)]
@@ -230,29 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn command_bits() {
-        let mut cfg = ConfigSpace::new(1, 2);
-        assert!(!cfg.memory_enabled());
-        assert!(!cfg.bus_master_enabled());
-        cfg.set_command_bits(CMD_MEMORY_SPACE | CMD_BUS_MASTER, true);
-        assert!(cfg.memory_enabled());
-        assert!(cfg.bus_master_enabled());
-        cfg.set_command_bits(CMD_BUS_MASTER, false);
-        assert!(cfg.memory_enabled());
-        assert!(!cfg.bus_master_enabled());
-    }
-
-    #[test]
     fn extended_space_round_trip() {
         let mut cfg = ConfigSpace::new(1, 2);
-        cfg.write_bytes(0x100, &[1, 2, 3, 4, 5]);
-        assert_eq!(cfg.read_bytes(0x100, 5), &[1, 2, 3, 4, 5]);
+        cfg.write_u32(0x100, 0x0504_0302);
+        assert_eq!(cfg.read_u32(0x100), 0x0504_0302);
+        assert_eq!(cfg.read_u16(0x102), 0x0504);
     }
 
     #[test]
     #[should_panic]
     fn out_of_bounds_read_panics() {
         let cfg = ConfigSpace::new(1, 2);
-        let _ = cfg.read_bytes(0xFFF, 2);
+        let _ = cfg.read_u32(0xFFE);
     }
 }

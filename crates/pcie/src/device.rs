@@ -142,6 +142,7 @@ impl VecHostMemory {
     }
 
     /// Direct mutable access for test setup.
+    #[doc(hidden)]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.bytes
     }
@@ -183,6 +184,7 @@ impl HostMemory for VecHostMemory {
 }
 
 /// A minimal endpoint for fabric tests: a BAR-mapped scratch RAM.
+#[cfg(test)]
 #[derive(Debug)]
 pub struct ScratchEndpoint {
     bdf: Bdf,
@@ -192,6 +194,7 @@ pub struct ScratchEndpoint {
     outbound: Vec<Tlp>,
 }
 
+#[cfg(test)]
 impl ScratchEndpoint {
     /// Creates a scratch endpoint with `size` bytes of BAR0 RAM at
     /// `bar_base`.
@@ -216,6 +219,7 @@ impl ScratchEndpoint {
     }
 }
 
+#[cfg(test)]
 impl PcieDevice for ScratchEndpoint {
     fn bdf(&self) -> Bdf {
         self.bdf

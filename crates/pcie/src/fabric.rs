@@ -360,6 +360,7 @@ impl Fabric {
     }
 
     /// Removes the wire attacker.
+    #[doc(hidden)]
     pub fn clear_wire_attack(&mut self) -> Option<Box<dyn WireAttack>> {
         self.wire_attack.take()
     }
@@ -408,6 +409,7 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if the BDF is already mapped.
+    #[doc(hidden)]
     pub fn map_bdf(&mut self, bdf: Bdf, port: PortId) {
         assert!(!self.bdf_map.contains_key(&bdf), "BDF {bdf} already mapped");
         self.bdf_map.insert(bdf, port);
@@ -444,6 +446,7 @@ impl Fabric {
 
     /// Messages (e.g. interrupts) that reached the host since the last
     /// call.
+    #[doc(hidden)]
     pub fn drain_host_inbox(&mut self) -> Vec<Tlp> {
         std::mem::take(&mut self.host_inbox)
     }

@@ -259,11 +259,6 @@ impl FaultInjector {
         &self.trace
     }
 
-    /// The injector's virtual time (advanced per observed packet).
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
     fn roll(&mut self, per_1024: u16) -> bool {
         per_1024 > 0 && self.rng.next_bounded(1024) < per_1024 as u64
     }
@@ -504,6 +499,13 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use crate::Bdf;
+
+    impl FaultInjector {
+        /// The injector's virtual time (advanced per observed packet).
+        fn now(&self) -> SimTime {
+            self.clock.now()
+        }
+    }
 
     fn write(addr: u64, len: usize) -> Tlp {
         Tlp::memory_write(Bdf::new(1, 0, 0), addr, vec![0xAB; len])

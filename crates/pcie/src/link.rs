@@ -115,33 +115,9 @@ impl LinkConfig {
         LinkConfig { speed, lanes, max_payload }
     }
 
-    /// The link generation.
-    pub fn speed(self) -> LinkSpeed {
-        self.speed
-    }
-
-    /// Lane count.
-    pub fn lanes(self) -> u8 {
-        self.lanes
-    }
-
-    /// Max TLP payload in bytes.
-    pub fn max_payload(self) -> u16 {
-        self.max_payload
-    }
-
     /// Raw post-encoding bandwidth (no TLP overhead).
     pub fn raw_bandwidth(self) -> Bandwidth {
         Bandwidth::from_bytes_per_sec(self.speed.lane_bytes_per_sec() * self.lanes as f64)
-    }
-
-    /// Effective data bandwidth for large DMA transfers, after amortized
-    /// per-TLP header + framing overhead.
-    pub fn effective_bandwidth(self) -> Bandwidth {
-        let payload = self.max_payload as f64;
-        // 3DW header (12 B) dominates DMA; framing adds 8 B.
-        let efficiency = payload / (payload + 12.0 + FRAMING_OVERHEAD_BYTES as f64);
-        self.raw_bandwidth().scale(efficiency)
     }
 
     /// Number of TLPs needed to move `bytes` of data.
@@ -158,16 +134,6 @@ impl LinkConfig {
         let packets = self.packet_count(bytes);
         let wire_bytes = bytes + packets * (12 + FRAMING_OVERHEAD_BYTES as u64);
         LINK_LATENCY + self.raw_bandwidth().transfer_time(wire_bytes)
-    }
-
-    /// Round-trip time of a single small MMIO access (request + completion
-    /// through the root complex).
-    pub fn mmio_round_trip(self) -> SimDuration {
-        // Two small TLPs (~32 wire bytes each) plus pipeline latency both
-        // ways; dominated by latency, matching the ~1 µs MMIO costs seen
-        // from VMs.
-        let wire = self.raw_bandwidth().transfer_time(64);
-        LINK_LATENCY * 2 + wire
     }
 }
 
@@ -213,20 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_bandwidth_below_raw() {
-        let link = LinkConfig::new(LinkSpeed::Gen4, 16);
-        assert!(
-            link.effective_bandwidth().bytes_per_sec() < link.raw_bandwidth().bytes_per_sec()
-        );
-        // Larger payloads waste less.
-        let big = LinkConfig::with_max_payload(LinkSpeed::Gen4, 16, 4096);
-        assert!(
-            big.effective_bandwidth().bytes_per_sec()
-                > link.effective_bandwidth().bytes_per_sec()
-        );
-    }
-
-    #[test]
     fn packet_count_rounds_up() {
         let link = LinkConfig::new(LinkSpeed::Gen4, 16);
         assert_eq!(link.packet_count(0), 0);
@@ -243,12 +195,6 @@ mod tests {
         assert_eq!(g4.dma_time(0), SimDuration::ZERO);
         assert!(g4.dma_time(1 << 20) < g4.dma_time(1 << 22));
         assert!(g4.dma_time(1 << 22) < g3.dma_time(1 << 22));
-    }
-
-    #[test]
-    fn mmio_round_trip_is_sub_microsecond_on_fast_links() {
-        let rt = LinkConfig::new(LinkSpeed::Gen4, 16).mmio_round_trip();
-        assert!(rt.as_nanos() > 200 && rt.as_nanos() < 1000, "{rt}");
     }
 
     #[test]

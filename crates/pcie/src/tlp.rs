@@ -811,13 +811,6 @@ impl TlpPool {
         }
     }
 
-    /// Takes a buffer pre-filled with a copy of `data`.
-    pub fn take_copied(&mut self, data: &[u8]) -> Vec<u8> {
-        let mut buf = self.take();
-        buf.extend_from_slice(data);
-        buf
-    }
-
     /// Returns a spent buffer to the pool. Cleared on entry; dropped
     /// outright when the pool is full or the buffer's capacity exceeds
     /// the maximum TLP payload (oversized one-offs must not colonise the
@@ -831,11 +824,6 @@ impl TlpPool {
         self.stats.recycled += 1;
     }
 
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
     /// Hit/miss/recycle counters since construction.
     pub fn stats(&self) -> TlpPoolStats {
         self.stats
@@ -845,6 +833,13 @@ impl TlpPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TlpPool {
+        /// Buffers currently pooled.
+        fn pooled(&self) -> usize {
+            self.free.len()
+        }
+    }
 
     fn req() -> Bdf {
         Bdf::new(0, 2, 0)
@@ -1032,7 +1027,8 @@ mod tests {
         let fresh = pool.take();
         assert_eq!(pool.stats().misses, 1);
         pool.recycle(fresh);
-        let mut buf = pool.take_copied(&[1, 2, 3]);
+        let mut buf = pool.take();
+        buf.extend_from_slice(&[1, 2, 3]);
         assert_eq!(buf, vec![1, 2, 3]);
         buf.reserve(64);
         let cap = buf.capacity();

@@ -68,15 +68,6 @@ impl Clock {
         }
     }
 
-    /// Elapsed time since `mark`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mark` is in the future of the clock.
-    pub fn elapsed_since(&self, mark: SimTime) -> SimDuration {
-        self.now.duration_since(mark)
-    }
-
     /// Resets the clock to the origin.
     pub fn reset(&mut self) {
         self.now = SimTime::ZERO;
@@ -129,7 +120,7 @@ mod tests {
         let mut c = Clock::new();
         let mark = c.now();
         c.advance(SimDuration::from_millis(2));
-        assert_eq!(c.elapsed_since(mark), SimDuration::from_millis(2));
+        assert_eq!(c.now().duration_since(mark), SimDuration::from_millis(2));
         c.reset();
         assert_eq!(c.now(), SimTime::ZERO);
     }

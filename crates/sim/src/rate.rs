@@ -6,8 +6,7 @@ use std::fmt;
 
 /// A data rate in bytes per second.
 ///
-/// Used for PCIe link rates, memory bandwidth, crypto-engine throughput and
-/// compute throughput (where "bytes" become FLOPs via [`Bandwidth::work_time`]).
+/// Used for PCIe link rates, memory bandwidth and crypto-engine throughput.
 ///
 /// # Example
 ///
@@ -37,11 +36,6 @@ impl Bandwidth {
         Bandwidth { bytes_per_sec }
     }
 
-    /// Creates a bandwidth from MB/s (decimal megabytes).
-    pub fn from_mbytes_per_sec(mb: f64) -> Self {
-        Self::from_bytes_per_sec(mb * 1e6)
-    }
-
     /// Creates a bandwidth from GB/s (decimal gigabytes).
     pub fn from_gbytes_per_sec(gb: f64) -> Self {
         Self::from_bytes_per_sec(gb * 1e9)
@@ -60,30 +54,6 @@ impl Bandwidth {
     /// Time to move `bytes` at this rate.
     pub fn transfer_time(self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-    }
-
-    /// Time to perform `units` of abstract work at this rate (units/second).
-    pub fn work_time(self, units: f64) -> SimDuration {
-        SimDuration::from_secs_f64(units / self.bytes_per_sec)
-    }
-
-    /// Scales the rate (e.g. protocol efficiency factors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor is non-finite or not positive.
-    pub fn scale(self, factor: f64) -> Bandwidth {
-        Bandwidth::from_bytes_per_sec(self.bytes_per_sec * factor)
-    }
-
-    /// Splits the rate across `n` equal sharers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn shared_by(self, n: u32) -> Bandwidth {
-        assert!(n > 0, "cannot share bandwidth among zero users");
-        Bandwidth::from_bytes_per_sec(self.bytes_per_sec / n as f64)
     }
 
     /// The slower of two rates (bottleneck of a pipeline).
@@ -160,16 +130,6 @@ impl TokenBucket {
             budget_pt: u128::from(burst) * PICO_TOKENS_PER_TOKEN,
             refilled_at: SimTime::ZERO,
         }
-    }
-
-    /// Bucket capacity in whole tokens.
-    pub fn burst(&self) -> u64 {
-        self.burst
-    }
-
-    /// Refill rate in tokens per second.
-    pub fn rate_per_sec(&self) -> u64 {
-        self.rate_per_sec
     }
 
     /// Current budget in pico-tokens (after the last refill; call
@@ -361,13 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_share() {
-        let bw = Bandwidth::from_gbytes_per_sec(10.0);
-        assert!((bw.scale(0.5).gbytes_per_sec() - 5.0).abs() < 1e-12);
-        assert!((bw.shared_by(4).gbytes_per_sec() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn min_picks_bottleneck() {
         let a = Bandwidth::from_gbytes_per_sec(2.0);
         let b = Bandwidth::from_gbytes_per_sec(3.0);
@@ -382,14 +335,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero users")]
-    fn shared_by_zero_rejected() {
-        let _ = Bandwidth::from_gbytes_per_sec(1.0).shared_by(0);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Bandwidth::from_gbytes_per_sec(16.0).to_string(), "16.00 GB/s");
-        assert_eq!(Bandwidth::from_mbytes_per_sec(250.0).to_string(), "250.00 MB/s");
+        assert_eq!(Bandwidth::from_bytes_per_sec(250e6).to_string(), "250.00 MB/s");
     }
 }

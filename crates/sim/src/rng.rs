@@ -53,11 +53,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)` using Lemire's method.
     ///
     /// # Panics
@@ -81,6 +76,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[doc(hidden)]
     pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "empty range");
         if lo == hi {

@@ -1,6 +1,5 @@
 //! Summary statistics for measurement series.
 
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// ```
 /// use ccai_sim::Summary;
 ///
-/// let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0]);
+/// let s = Summary::try_from_samples(&[1.0, 2.0, 3.0, 4.0]).unwrap();
 /// assert_eq!(s.mean(), 2.5);
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
@@ -29,21 +28,11 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Computes statistics over a non-empty sample slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or contains non-finite values.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        Self::try_from_samples(samples).expect("summary needs a non-empty set of finite samples")
-    }
-
-    /// Fallible variant of [`Summary::from_samples`]: returns `None` for an
-    /// empty slice or one containing non-finite values instead of
-    /// panicking, so aggregating a series with zero completed measurements
-    /// (e.g. a tenant that never finished a transfer) cannot abort a
-    /// report. Sorts and run-length encodes the samples, then defers to
-    /// [`Summary::try_from_runs`].
+    /// Computes statistics over a sample slice, or returns `None` for an
+    /// empty slice or one containing non-finite values, so aggregating a
+    /// series with zero completed measurements (e.g. a tenant that never
+    /// finished a transfer) cannot abort a report. Sorts and run-length
+    /// encodes the samples, then defers to [`Summary::try_from_runs`].
     pub fn try_from_samples(samples: &[f64]) -> Option<Self> {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
@@ -80,22 +69,6 @@ impl Summary {
             p95: percentile(runs, count, 0.95),
             p99: percentile(runs, count, 0.99),
         })
-    }
-
-    /// Fallible variant of [`Summary::from_durations`].
-    pub fn try_from_durations(samples: &[SimDuration]) -> Option<Self> {
-        let secs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
-        Self::try_from_samples(&secs)
-    }
-
-    /// Computes statistics over a series of durations, in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn from_durations(samples: &[SimDuration]) -> Self {
-        let secs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
-        Self::from_samples(&secs)
     }
 
     /// Number of samples.
@@ -175,7 +148,7 @@ fn nth(runs: &[(f64, u64)], i: u64) -> f64 {
 /// h.record(7.5);
 /// h.record(-1.0); // underflow
 /// assert_eq!(h.total(), 3);
-/// assert_eq!(h.bucket_count(1), 1);
+/// assert_eq!(h.underflow(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -210,20 +183,6 @@ impl Histogram {
             let idx = idx.min(self.buckets.len() - 1);
             self.buckets[idx] += 1;
         }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Samples below the range.
@@ -271,6 +230,29 @@ impl crate::snapshot::SnapshotState for Histogram {
 mod tests {
     use super::*;
 
+    impl Summary {
+        /// Computes statistics over a non-empty sample slice.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `samples` is empty or contains non-finite values.
+        fn from_samples(samples: &[f64]) -> Self {
+            Self::try_from_samples(samples)
+                .expect("summary needs a non-empty set of finite samples")
+        }
+    }
+
+    impl Histogram {
+        /// Count in bucket `i`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `i` is out of range.
+        fn bucket_count(&self, i: usize) -> u64 {
+            self.buckets[i]
+        }
+    }
+
     #[test]
     fn summary_basics() {
         let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
@@ -311,7 +293,6 @@ mod tests {
     fn try_from_samples_handles_empty_and_nan() {
         assert!(Summary::try_from_samples(&[]).is_none());
         assert!(Summary::try_from_samples(&[1.0, f64::NAN]).is_none());
-        assert!(Summary::try_from_durations(&[]).is_none());
         let s = Summary::try_from_samples(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(s, Summary::from_samples(&[1.0, 2.0, 3.0, 4.0]));
     }
@@ -332,15 +313,6 @@ mod tests {
         assert_eq!(s, Summary::from_samples(&shuffled));
         assert!(Summary::try_from_runs(&[]).is_none());
         assert!(Summary::try_from_runs(&[(1.0, 0)]).is_none());
-    }
-
-    #[test]
-    fn summary_from_durations() {
-        let s = Summary::from_durations(&[
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-        ]);
-        assert!((s.mean() - 0.015).abs() < 1e-12);
     }
 
     #[test]

@@ -421,6 +421,7 @@ impl Telemetry {
     }
 
     /// Copy of the named histogram, if it has recorded any samples.
+    #[doc(hidden)]
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.inner.borrow().histograms.get(name).cloned()
     }
@@ -514,30 +515,15 @@ impl Telemetry {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Tenants that have at least one tagged span, in ascending tag order.
-    pub fn span_tenants(&self) -> Vec<u32> {
-        self.inner.borrow().span_tenants()
-    }
-
     /// Latency summary (microseconds) for one tenant's spans on one hop,
     /// if that tenant has recorded any.
+    #[doc(hidden)]
     pub fn tenant_hop_summary(&self, tenant: u32, hop: Hop) -> Option<Summary> {
         self.inner
             .borrow()
             .spans
             .get(&(Some(tenant), hop))
             .and_then(store_summary_us)
-    }
-
-    /// Sum of all span durations tagged with `tenant`.
-    pub fn tenant_span_total(&self, tenant: u32) -> SimDuration {
-        self.inner
-            .borrow()
-            .spans
-            .iter()
-            .filter(|((t, _), _)| *t == Some(tenant))
-            .map(|(_, store)| store_total(store))
-            .sum()
     }
 
     /// Serializes the hub's full resumable state: clock, trace digest,
@@ -805,6 +791,13 @@ impl TelemetrySnapshot {
 mod tests {
     use super::*;
 
+    impl Telemetry {
+        /// Tenants that have at least one tagged span, in ascending tag order.
+        fn span_tenants(&self) -> Vec<u32> {
+            self.inner.borrow().span_tenants()
+        }
+    }
+
     fn drive(t: &Telemetry) {
         t.record(Severity::Info, "test.start", None, None, "");
         t.advance_span(Hop::AdaptorCrypt, Some(1), SimDuration::from_micros(12));
@@ -1016,7 +1009,6 @@ mod tests {
         let s9 = t.tenant_hop_summary(9, Hop::Link).unwrap();
         assert!((s9.min() - 100.0).abs() < 1e-9);
         assert!(t.tenant_hop_summary(7, Hop::Dma).is_none(), "untagged spans stay global");
-        assert_eq!(t.tenant_span_total(7), SimDuration::from_micros(40));
         assert_eq!(t.tenant_hop_summary(9, Hop::Link).unwrap().count(), 1);
 
         // Global stats still see every span.

@@ -84,11 +84,6 @@ impl SimDuration {
         SimDuration { picos: self.picos.saturating_sub(rhs.picos) }
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.picos.checked_add(rhs.picos).map(|picos| SimDuration { picos })
-    }
-
     /// True if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.picos == 0

@@ -153,20 +153,9 @@ impl WorkloadKeyManager {
     }
 
     /// Number of streams currently holding key material.
+    #[doc(hidden)]
     pub fn live_streams(&self) -> usize {
         self.streams.len()
-    }
-
-    /// The stream's current key generation.
-    ///
-    /// # Errors
-    ///
-    /// [`KeyManagerError::UnknownStream`] if not provisioned.
-    pub fn generation(&self, id: StreamId) -> Result<u32, KeyManagerError> {
-        self.streams
-            .get(&id)
-            .map(|s| s.generation)
-            .ok_or(KeyManagerError::UnknownStream(id))
     }
 
     /// Reserves the next IV for a stream. `RekeySoon` statuses are
@@ -207,11 +196,6 @@ impl WorkloadKeyManager {
         Ok(())
     }
 
-    /// Number of rotations performed.
-    pub fn rotations(&self) -> u64 {
-        self.rotations
-    }
-
     /// Destroys all key material (task termination, §6: "both the TVM and
     /// the PCIe-SC securely destroy shared symmetric keys").
     pub fn destroy(&mut self) {
@@ -221,6 +205,7 @@ impl WorkloadKeyManager {
     }
 
     /// True once destroyed.
+    #[doc(hidden)]
     pub fn is_destroyed(&self) -> bool {
         self.destroyed
     }
@@ -283,6 +268,25 @@ impl WorkloadKeyManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WorkloadKeyManager {
+        /// The stream's current key generation.
+        ///
+        /// # Errors
+        ///
+        /// [`KeyManagerError::UnknownStream`] if not provisioned.
+        fn generation(&self, id: StreamId) -> Result<u32, KeyManagerError> {
+            self.streams
+                .get(&id)
+                .map(|s| s.generation)
+                .ok_or(KeyManagerError::UnknownStream(id))
+        }
+
+        /// Number of rotations performed.
+        fn rotations(&self) -> u64 {
+            self.rotations
+        }
+    }
 
     fn manager() -> WorkloadKeyManager {
         WorkloadKeyManager::new([0x33; 32])

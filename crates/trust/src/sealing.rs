@@ -92,11 +92,6 @@ impl ChassisSensors {
         self.tamper_events
     }
 
-    /// Samples taken so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// One periodic poll: reads the sensors over I²C and, **only on a
     /// tamper event**, extends the `ChassisSeal` PCR with the anomalous
     /// reading — permanently changing the attested state.
@@ -130,6 +125,13 @@ impl fmt::Display for ChassisSensors {
 mod tests {
     use super::*;
     use ccai_crypto::{Digest, DhGroup};
+
+    impl ChassisSensors {
+        /// Samples taken so far.
+        fn samples(&self) -> u64 {
+            self.samples
+        }
+    }
 
     fn blade() -> HrotBlade {
         HrotBlade::manufacture(&DhGroup::sim512(), &[0xAA; 32])

@@ -53,11 +53,6 @@ impl GuestMemory {
         GuestMemory { capacity, pages: PageStore::default(), shared: Vec::new(), dma_denials: 0 }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Marks a range as shared (DMA- and host-visible).
     ///
     /// # Panics
@@ -67,11 +62,6 @@ impl GuestMemory {
         assert!(range.start < range.end, "empty shared range");
         assert!(range.end <= self.capacity, "shared range out of bounds");
         self.shared.push(range);
-    }
-
-    /// True if `addr` falls in a shared range.
-    pub fn is_shared(&self, addr: u64) -> bool {
-        self.shared.iter().any(|r| r.contains(&addr))
     }
 
     /// True if the whole `[addr, addr+len)` range is shared.
@@ -85,11 +75,6 @@ impl GuestMemory {
         self.shared
             .iter()
             .any(|r| r.start <= addr && addr + len <= r.end)
-    }
-
-    /// Count of DMA accesses rejected at the private-memory boundary.
-    pub fn dma_denials(&self) -> u64 {
-        self.dma_denials
     }
 
     fn check(&self, addr: u64, len: u64) -> bool {
@@ -236,6 +221,13 @@ impl GuestMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GuestMemory {
+        /// Count of DMA accesses rejected at the private-memory boundary.
+        fn dma_denials(&self) -> u64 {
+            self.dma_denials
+        }
+    }
 
     fn dev() -> Bdf {
         Bdf::new(1, 0, 0)

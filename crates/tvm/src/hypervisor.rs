@@ -43,16 +43,6 @@ impl HostAdversary {
         HostAdversary { bdf: Bdf::new(0, 1, 0), attempts: 0 }
     }
 
-    /// The requester ID the adversary stamps on its TLPs.
-    pub fn bdf(&self) -> Bdf {
-        self.bdf
-    }
-
-    /// Attack attempts made so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
     /// Attempts to read TVM guest memory through the hypervisor mapping.
     pub fn read_tvm_memory(&mut self, memory: &GuestMemory, addr: u64, len: u64) -> AttackOutcome {
         self.attempts += 1;
@@ -120,6 +110,13 @@ mod tests {
     use super::*;
     use ccai_pcie::PortId;
     use ccai_xpu::{Xpu, XpuSpec};
+
+    impl HostAdversary {
+        /// Attack attempts made so far.
+        fn attempts(&self) -> u64 {
+            self.attempts
+        }
+    }
 
     #[test]
     fn tvm_private_memory_is_opaque() {

@@ -23,8 +23,8 @@
 //!
 //! let mut memory = GuestMemory::new(1 << 20);
 //! memory.share_range(0x8000..0x10000); // bounce-buffer window
-//! assert!(memory.is_shared(0x8000));
-//! assert!(!memory.is_shared(0x0));
+//! assert!(memory.is_range_shared(0x8000, 16));
+//! assert!(!memory.is_range_shared(0x0, 16));
 //! ```
 
 #![forbid(unsafe_code)]

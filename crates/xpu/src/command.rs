@@ -39,17 +39,6 @@ pub enum Command {
     },
 }
 
-/// Command doorbell codes.
-impl Command {
-    /// Register encoding of the command opcode.
-    pub fn opcode(self) -> u64 {
-        match self {
-            Command::LoadModel { .. } => 1,
-            Command::RunInference { .. } => 2,
-        }
-    }
-}
-
 /// Command execution status, mirrored in the `CmdStatus` register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CmdStatus {
@@ -85,21 +74,6 @@ impl CommandProcessor {
     /// Creates an idle processor.
     pub fn new() -> Self {
         CommandProcessor::default()
-    }
-
-    /// Last command status.
-    pub fn status(&self) -> CmdStatus {
-        self.status
-    }
-
-    /// Number of commands executed.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// The loaded model region, if any.
-    pub fn model(&self) -> Option<(u64, u64)> {
-        self.model
     }
 
     /// Executes one command against device memory.
@@ -183,6 +157,18 @@ ccai_sim::snapshot_state!(CommandProcessor { model, status, executed });
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CommandProcessor {
+        /// Last command status.
+        fn status(&self) -> CmdStatus {
+            self.status
+        }
+
+        /// The loaded model region, if any.
+        fn model(&self) -> Option<(u64, u64)> {
+            self.model
+        }
+    }
 
     #[test]
     fn inference_is_deterministic_and_verifiable() {

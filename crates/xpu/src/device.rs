@@ -440,17 +440,13 @@ impl Xpu {
         &self.engine.memory
     }
 
-    /// The on-board MMU, if the device has one.
-    pub fn mmu(&self) -> Option<&Mmu> {
-        self.engine.mmu.as_ref()
-    }
-
     /// The firmware image.
     pub fn firmware(&self) -> &Firmware {
         &self.firmware
     }
 
     /// Mutable firmware (for tamper tests).
+    #[doc(hidden)]
     pub fn firmware_mut(&mut self) -> &mut Firmware {
         &mut self.firmware
     }
@@ -546,6 +542,13 @@ impl Xpu {
 mod tests {
     use super::*;
     use ccai_pcie::{Fabric, PortId, VecHostMemory};
+
+    impl Xpu {
+        /// The on-board MMU, if the device has one.
+        fn mmu(&self) -> Option<&Mmu> {
+            self.engine.mmu.as_ref()
+        }
+    }
 
     fn host() -> Bdf {
         Bdf::new(0, 0, 0)

@@ -59,11 +59,6 @@ impl Firmware {
         self.measurement
     }
 
-    /// The vendor's public verification key shipped with the image.
-    pub fn vendor_key(&self) -> &SchnorrPublic {
-        &self.vendor_key
-    }
-
     /// Verifies the vendor signature over a *freshly recomputed*
     /// measurement, so image tampering after signing is caught.
     pub fn verify(&self) -> bool {
@@ -72,6 +67,7 @@ impl Firmware {
     }
 
     /// Tampers with the image in place (for security tests).
+    #[doc(hidden)]
     pub fn tamper(&mut self, byte: usize) {
         if !self.image.is_empty() {
             let idx = byte % self.image.len();

@@ -24,11 +24,6 @@ impl Region {
     pub fn end(&self) -> u64 {
         self.base + self.len
     }
-
-    /// True if `addr` falls inside the region.
-    pub fn contains(&self, addr: u64) -> bool {
-        (self.base..self.end()).contains(&addr)
-    }
 }
 
 /// Errors from device-memory operations.

@@ -116,11 +116,6 @@ impl Mmu {
         Ok(pa_page + (va - page))
     }
 
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Translation count (a proxy for TLB activity, wiped on reset).
     pub fn tlb_fills(&self) -> u64 {
         self.tlb_fills
@@ -165,7 +160,6 @@ mod tests {
         mmu.map(PAGE_SIZE, PAGE_SIZE * 9).unwrap();
         assert_eq!(mmu.translate(100).unwrap(), PAGE_SIZE * 4 + 100);
         assert_eq!(mmu.translate(PAGE_SIZE + 1).unwrap(), PAGE_SIZE * 9 + 1);
-        assert_eq!(mmu.mapped_pages(), 2);
     }
 
     #[test]
@@ -195,8 +189,12 @@ mod tests {
         mmu.translate(1).unwrap();
         assert_eq!(mmu.tlb_fills(), 1);
         mmu.wipe();
-        assert_eq!(mmu.mapped_pages(), 0);
         assert_eq!(mmu.tlb_fills(), 0);
+        assert_eq!(
+            mmu.translate(1),
+            Err(MmuError::PageFault { va: 1 }),
+            "mappings are gone"
+        );
         assert_eq!(mmu.table_base(), 0x1000, "base register survives wipe");
     }
 

@@ -78,11 +78,6 @@ impl PartitionedXpu {
         PartitionedXpu { spec, pf_bdf, config, bar0_base: bar_base, vfs }
     }
 
-    /// The device spec.
-    pub fn spec(&self) -> &XpuSpec {
-        &self.spec
-    }
-
     /// Number of virtual functions.
     pub fn vf_count(&self) -> usize {
         self.vfs.len()

@@ -148,11 +148,6 @@ impl RegisterFile {
             .map(|(&r, _)| r)
     }
 
-    /// Total span of the register window in bytes.
-    pub fn span(&self) -> u64 {
-        self.offsets.values().max().copied().unwrap_or(0) + 8
-    }
-
     /// Reads a register (unwritten registers read as zero).
     pub fn read(&self, reg: Reg) -> u64 {
         self.values.get(&reg).copied().unwrap_or(0)
@@ -172,6 +167,13 @@ impl RegisterFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RegisterFile {
+        /// Total span of the register window in bytes.
+        fn span(&self) -> u64 {
+            self.offsets.values().max().copied().unwrap_or(0) + 8
+        }
+    }
 
     #[test]
     fn layouts_differ_by_vendor() {

@@ -188,11 +188,6 @@ impl XpuSpec {
         &self.vendor
     }
 
-    /// Accelerator family.
-    pub fn kind(&self) -> XpuKind {
-        self.kind
-    }
-
     /// On-device memory capacity in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.memory_bytes

@@ -96,6 +96,10 @@ fn fig9_overhead_not_linear_in_model_size() {
     let by_name = |name: &str| points.iter().find(|p| p.label == name).unwrap().e2e_overhead();
     assert!(by_name("Deepseek-r1-70b") < by_name("Deepseek-r1-32b"));
     assert!(by_name("Babel-83b") < by_name("Deepseek-r1-32b"));
+    // And every model stays under 6%, tighter than the headline band.
+    for p in &points {
+        assert!(p.e2e_overhead() < 0.06, "{}: {}", p.label, p.e2e_overhead());
+    }
 }
 
 #[test]
