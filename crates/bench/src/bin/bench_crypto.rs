@@ -2,9 +2,9 @@
 //! every backend this CPU can run — the one `AesGcm::new` selects and
 //! the portable reference where that is not already it; rows carry their
 //! `backend()` name — plus per-key set-up and SHA-256, and the
-//! asymmetric trust-establishment operations on the simulation group
-//! (`pow_g`, a variable-base `pow`, one DH exchange, one Schnorr sign +
-//! verify; rows carry the group name). It writes machine-readable
+//! asymmetric trust-establishment operations on edwards25519
+//! (`dh_keygen`, a validated `dh_agree`, one DH exchange, one Schnorr
+//! sign + verify; rows carry the curve name). It writes machine-readable
 //! results to `BENCH_crypto.json` so the performance trajectory of the
 //! crypto code is tracked from change to change.
 //!
@@ -14,7 +14,7 @@
 //! Raw crypto only: a request through the whole datapath is timed by
 //! the end-to-end ledger in `bench_e2e/`.
 
-use ccai_crypto::{AesGcm, DhGroup, DhKeyPair, Key, SchnorrKeyPair, Sha256};
+use ccai_crypto::{AesGcm, DhKeyPair, Key, SchnorrKeyPair, Sha256};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -138,30 +138,32 @@ fn run() -> Vec<Sample> {
 
     // Trust establishment, as one boot runs it: the DH exchange of the
     // session master (two key pairs, one validated agreement) and the
-    // vendor's Schnorr signature over a firmware image.
-    let group = DhGroup::sim512();
-    let exp = group.scalar_from_entropy(&[0x5a; 32]);
-    let peer = DhKeyPair::generate(&group, &[0xa5; 32]);
-    let pow_g = measure(0, || {
-        std::hint::black_box(group.pow_g(&exp));
+    // vendor's Schnorr signature over a firmware image. Key generation is
+    // one fixed-base scalar multiplication; agreement decodes the peer,
+    // checks [ℓ]P = O and computes [x]P.
+    const CURVE: &str = "edwards25519";
+    let peer = DhKeyPair::generate(&[0xa5; 32]);
+    let keygen = measure(0, || {
+        std::hint::black_box(DhKeyPair::generate(&[0x5a; 32]));
     });
-    push("pow_g", group.name(), ("op", 0), pow_g);
-    let pow = measure(0, || {
-        std::hint::black_box(group.pow(peer.public().value(), &exp));
+    push("dh_keygen", CURVE, ("op", 0), keygen);
+    let own = DhKeyPair::generate(&[0x5a; 32]);
+    let agree = measure(0, || {
+        std::hint::black_box(own.agree(peer.public()).expect("valid peer"));
     });
-    push("pow", group.name(), ("op", 0), pow);
+    push("dh_agree", CURVE, ("op", 0), agree);
     let exchange = measure(0, || {
-        let tvm = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");
-        let sc = DhKeyPair::generate(&group, b"hrot-blade-boot-entropy-00000002");
+        let tvm = DhKeyPair::generate(b"tvm-trust-module-boot-entropy-01");
+        let sc = DhKeyPair::generate(b"hrot-blade-boot-entropy-00000002");
         std::hint::black_box(tvm.agree(sc.public()).expect("valid exchange"));
     });
-    push("dh_exchange", group.name(), ("op", 0), exchange);
-    let vendor = SchnorrKeyPair::generate(&group, &[0x11; 32]);
+    push("dh_exchange", CURVE, ("op", 0), exchange);
+    let vendor = SchnorrKeyPair::generate(&[0x11; 32]);
     let sign_verify = measure(0, || {
         let sig = vendor.sign(b"firmware measurement");
         assert!(vendor.public().verify(b"firmware measurement", &sig));
     });
-    push("schnorr_sign_verify", group.name(), ("op", 0), sign_verify);
+    push("schnorr_sign_verify", CURVE, ("op", 0), sign_verify);
     samples
 }
 

@@ -253,7 +253,7 @@ pub fn all_figures(only: Option<&str>, repo_loc: &[(&str, usize)]) -> String {
 
 /// Fig. 6: one run of the remote attestation protocol, step by step.
 fn fig6() -> String {
-    use ccai_crypto::{DhGroup, SchnorrKeyPair};
+    use ccai_crypto::SchnorrKeyPair;
     use ccai_trust::attest::{run_protocol, Platform, Verifier};
     use ccai_trust::hrot::KeyCertificate;
     use ccai_trust::pcr::PcrIndex;
@@ -262,9 +262,8 @@ fn fig6() -> String {
 
     let mut out = String::new();
     let _ = writeln!(out, "== Fig. 6: remote attestation protocol ==");
-    let group = DhGroup::sim512();
-    let vendor_ca = SchnorrKeyPair::generate(&group, &[0xCA; 32]);
-    let mut blade = HrotBlade::manufacture(&group, &[0x01; 32]);
+    let vendor_ca = SchnorrKeyPair::generate(&[0xCA; 32]);
+    let mut blade = HrotBlade::manufacture(&[0x01; 32]);
     blade.install_ek_certificate(KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public()));
     blade.boot_generate_ak(&[0x02; 32]);
     blade
@@ -276,8 +275,8 @@ fn fig6() -> String {
     )]
     .into_iter()
     .collect();
-    let mut platform = Platform::new(blade, &group, &[0x03; 32]);
-    let mut verifier = Verifier::new(vendor_ca.public().clone(), &group, &[0x04; 32], golden);
+    let mut platform = Platform::new(blade, &[0x03; 32]);
+    let mut verifier = Verifier::new(vendor_ca.public().clone(), &[0x04; 32], golden);
     let _ = writeln!(out, "(1) SessionKey = DHKE(AttestKey)            ... exchanged");
     let _ = writeln!(out, "(2) S(AttestKey), S(EndorseKey)             ... certificate chain sent");
     let _ = writeln!(out, "(3) KeyID, PCRsel, n                        ... challenge issued");

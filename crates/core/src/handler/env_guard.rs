@@ -8,9 +8,9 @@
 //!    itself stays device-agnostic, enforcing expected-value and
 //!    allowed-window rules over raw addresses.
 //! 2. **Environment cleaning** — "checks and cleans the xPU computing
-//!    environment when terminating an xPU task", via a cold-boot reset
-//!    or, for devices that support it, a software reset the Adaptor
-//!    issues.
+//!    environment when terminating an xPU task": every device model gets
+//!    the cold-boot reset, which wipes its memory and registers;
+//!    `XpuSpec::supports_soft_reset` is not read yet (ROADMAP item 23).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -11,7 +11,7 @@ use crate::adaptor::{Adaptor, AdaptorConfig, AdaptorCounters};
 use crate::handler::{TAG_LANDING_RECORDS, TAG_RECORD_LEN};
 use crate::perf::OptimizationConfig;
 use crate::sc::{regs, PcieSc, ScConfig, ScCounters};
-use ccai_crypto::{DhGroup, DhKeyPair};
+use ccai_crypto::DhKeyPair;
 use ccai_pcie::{Bdf, Fabric, FaultEvent, FaultInjector, FaultPlan, PortId};
 use ccai_sim::{SnapshotError, Telemetry, TelemetrySnapshot};
 use ccai_tvm::{DmaStager, DriverError, GuestMemory, IdentityStager, TlpPort, XpuDriver};
@@ -653,9 +653,8 @@ impl ConfidentialSystem {
     /// exchange between the TVM trust module and the SC's HRoT-Blade
     /// (fixed boot entropy on both endpoints makes it deterministic).
     pub(crate) fn attested_master() -> [u8; 32] {
-        let group = DhGroup::sim512();
-        let tvm_kp = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");
-        let sc_kp = DhKeyPair::generate(&group, b"hrot-blade-boot-entropy-00000002");
+        let tvm_kp = DhKeyPair::generate(b"tvm-trust-module-boot-entropy-01");
+        let sc_kp = DhKeyPair::generate(b"hrot-blade-boot-entropy-00000002");
         tvm_kp.agree(sc_kp.public()).expect("valid exchange")
     }
 

@@ -1,4 +1,4 @@
-//! Constant-time comparison and selection helpers.
+//! Constant-time comparison and table-lookup helpers.
 //!
 //! Tag and key comparisons must not leak timing information, and neither
 //! may the choice of a secret-indexed table entry. These helpers
@@ -26,21 +26,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
         diff |= x ^ y;
     }
     diff == 0
-}
-
-/// Constant-time conditional select of bytes: returns `a` if `choice` is
-/// true, `b` otherwise, without branching on `choice` per byte.
-///
-/// # Panics
-///
-/// Panics if slices differ in length.
-pub fn ct_select(choice: bool, a: &[u8], b: &[u8]) -> Vec<u8> {
-    assert_eq!(a.len(), b.len(), "ct_select requires equal lengths");
-    let mask = (choice as u8).wrapping_neg(); // 0xFF or 0x00
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x & mask) | (y & !mask))
-        .collect()
 }
 
 /// Constant-time table lookup: copies entry `index` of `table`, whose
@@ -93,14 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn select_picks_correctly() {
-        let a = [1u8, 2, 3];
-        let b = [9u8, 8, 7];
-        assert_eq!(ct_select(true, &a, &b), vec![1, 2, 3]);
-        assert_eq!(ct_select(false, &a, &b), vec![9, 8, 7]);
-    }
-
-    #[test]
     fn lookup_reads_each_entry() {
         let table: Vec<u64> = (0..48).collect();
         for index in 0..16 {
@@ -112,11 +89,5 @@ mod tests {
         let mut out = [7u64; 3];
         ct_lookup(&table, 16, &mut out);
         assert_eq!(out, [0; 3], "an index past the table selects nothing");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn select_rejects_mismatched_lengths() {
-        let _ = ct_select(true, &[1], &[1, 2]);
     }
 }

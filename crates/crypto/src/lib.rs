@@ -20,11 +20,11 @@
 //! * [`gcm`] — NIST SP 800-38D Galois/Counter Mode ([`AesGcm`]);
 //! * [`sha256`](mod@sha256) — FIPS-180-4 SHA-256;
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 and RFC 5869 HKDF;
-//! * [`bignum`] — odd-modulus Montgomery arithmetic for [`dh`]/[`schnorr`]:
-//!   allocation-free products and fixed-window exponentiation whose work
-//!   does not depend on the exponent;
-//! * [`dh`] — finite-field Diffie-Hellman over RFC 3526 MODP groups;
-//! * [`schnorr`] — Schnorr signatures in the prime-order subgroup;
+//! * `edwards25519` (private) — the curve group behind [`dh`] and
+//!   [`schnorr`]: field arithmetic mod 2²⁵⁵ − 19, points, and one
+//!   scalar multiplication whose work does not depend on the scalar;
+//! * [`dh`] — Diffie-Hellman on edwards25519, 32-byte publics;
+//! * [`schnorr`] — Schnorr signatures on edwards25519, 64 bytes each;
 //! * [`iv`] — the IV manager with the H100-style exhaustion policy (§6);
 //! * [`ct`] — constant-time comparison and table-lookup helpers.
 //!
@@ -41,7 +41,7 @@
 //! [`AesGcm::portable`] / [`Sha256::portable`] pin the portable path as the
 //! differential reference for the hardware one. The asymmetric
 //! primitives run once per boot, not per byte; they are portable Rust,
-//! and their exponentiation does the same work for every exponent.
+//! and their scalar multiplication does the same work for every scalar.
 //!
 //! # Example
 //!
@@ -62,9 +62,9 @@
 #![warn(missing_docs)]
 
 pub mod aes;
-pub mod bignum;
 pub mod ct;
 pub mod dh;
+mod edwards25519;
 pub mod gcm;
 mod ghash;
 pub mod hmac;
@@ -75,7 +75,7 @@ pub mod schnorr;
 pub mod sha256;
 
 pub use aes::Key;
-pub use dh::{DhGroup, DhKeyPair, DhPublic};
+pub use dh::{DhKeyPair, DhPublic};
 pub use gcm::{AesGcm, OpenError, NONCE_LEN, TAG_LEN};
 pub use hmac::{hkdf, hmac_sha256};
 pub use iv::{IvManager, IvStatus};

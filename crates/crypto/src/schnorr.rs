@@ -1,115 +1,95 @@
-//! Schnorr signatures in the prime-order subgroup of a safe-prime group.
+//! Schnorr signatures on edwards25519.
 //!
 //! The HRoT-Blade signs PCR quotes with its Attestation Key (AK) and the
-//! Endorsement Key (EK) certifies the AK (§6, Fig. 6). Classic Schnorr
-//! over the DH group keeps the whole trust chain on one set of primitives:
+//! Endorsement Key (EK) certifies the AK (§6, Fig. 6). Schnorr over the
+//! group of [`crate::dh`] keeps the whole trust chain on one set of
+//! primitives:
 //!
-//! * key: `x ∈ [1, q)`, `y = g^x mod p`;
-//! * sign: `r = g^k`, `e = H(r ‖ m) mod q`, `s = k + x·e mod q`;
-//! * verify: `g^s == r · y^e (mod p)`.
+//! * key: `x` mod ℓ, `A = [x]B`;
+//! * sign: `R = [k]B`, `e = SHA-256(R ‖ A ‖ m) mod ℓ`, `s = k + e·x mod ℓ`;
+//! * verify: `[s]B − [e]A == R`.
 //!
-//! The per-signature nonce `k` is derived deterministically from the key
-//! and message (RFC 6979 flavour), so no signing-time randomness is needed
-//! and nonce reuse across distinct messages is impossible.
+//! Keys are 32 bytes and signatures `R ‖ s`, 64 bytes. The per-signature
+//! nonce `k` is derived deterministically from the key and message (RFC
+//! 6979 flavour: 64 bytes of HMAC output reduced mod ℓ), so no
+//! signing-time randomness is needed and nonce reuse across distinct
+//! messages is impossible. This is not Ed25519 (RFC 8032 hashes with
+//! SHA-512): the curve is standard, the construction is this crate's own.
 
-use crate::bignum::BigUint;
-use crate::dh::DhGroup;
+use crate::edwards25519::{Point, Scalar};
 use crate::hmac::hmac_sha256;
 use crate::sha256::Sha256;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A Schnorr signature `(r, s)`.
+/// A Schnorr signature `(R, s)`: a point encoding and a scalar,
+/// little-endian.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Signature {
-    r: BigUint,
-    s: BigUint,
+    r: [u8; 32],
+    s: [u8; 32],
 }
 
 impl Signature {
-    /// Serializes as `len(r) ‖ r ‖ s` (big-endian components).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let r = self.r.to_bytes_be();
-        let s = self.s.to_bytes_be();
-        let mut out = Vec::with_capacity(4 + r.len() + s.len());
-        out.extend_from_slice(&(r.len() as u32).to_be_bytes());
-        out.extend_from_slice(&r);
-        out.extend_from_slice(&s);
+    /// Serializes as `R ‖ s`.
+    pub fn to_bytes(&self) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        out[..32].copy_from_slice(&self.r);
+        out[32..].copy_from_slice(&self.s);
         out
     }
 
-    /// Parses the encoding produced by [`Signature::to_bytes`].
+    /// Parses the encoding produced by [`Signature::to_bytes`]; `None`
+    /// unless `bytes` is 64 bytes long ([`SchnorrPublic::verify`] checks
+    /// the halves).
     pub fn from_bytes(bytes: &[u8]) -> Option<Signature> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let r_len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        if bytes.len() < 4 + r_len {
-            return None;
-        }
-        Some(Signature {
-            r: BigUint::from_bytes_be(&bytes[4..4 + r_len]),
-            s: BigUint::from_bytes_be(&bytes[4 + r_len..]),
-        })
+        let (r, s) = bytes.split_first_chunk::<32>()?;
+        Some(Signature { r: *r, s: s.try_into().ok()? })
     }
 }
 
-/// A Schnorr public key bound to its group.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SchnorrPublic {
-    group: DhGroup,
-    y: BigUint,
-}
-
-impl fmt::Debug for SchnorrPublic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchnorrPublic")
-            .field("group", &self.group)
-            .field("y_bits", &self.y.bit_len())
-            .finish()
-    }
-}
+/// A Schnorr public key: the 32-byte encoding of `A`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchnorrPublic([u8; 32]);
 
 impl SchnorrPublic {
-    /// Big-endian encoding of the public element.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.y.to_bytes_be()
+    /// The point encoding.
+    pub fn to_bytes(&self) -> [u8; 32] {
+        self.0
     }
 
-    /// Reconstructs a public key from bytes within `group`.
-    pub fn from_bytes(group: &DhGroup, bytes: &[u8]) -> SchnorrPublic {
-        SchnorrPublic { group: group.clone(), y: BigUint::from_bytes_be(bytes) }
+    /// A public key from its encoding; `None` unless `bytes` is 32 bytes
+    /// long ([`SchnorrPublic::verify`] decodes the point).
+    pub fn from_bytes(bytes: &[u8]) -> Option<SchnorrPublic> {
+        Some(SchnorrPublic(bytes.try_into().ok()?))
     }
 
-    /// Verifies `sig` over `message`.
+    /// Verifies `sig` over `message`. Fails if `s ≥ ℓ`, if the key does
+    /// not decode to a curve point, or if `R` is not the encoding of
+    /// `[s]B − [e]A`; an `R` that does not decode is never such an
+    /// encoding.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
-        if sig.r.is_zero() || sig.r >= *self.group.prime() {
+        let (Some(s), Some(a)) = (Scalar::from_canonical(&sig.s), Point::decompress(&self.0))
+        else {
             return false;
-        }
-        if sig.s >= *self.group.order() {
-            return false;
-        }
-        let e = challenge(&self.group, &sig.r, message);
-        // g^s == r * y^e mod p
-        let lhs = self.group.pow_g(&sig.s);
-        let y_e = self.group.pow(&self.y, &e);
-        let rhs = self.group.mont_p().mul_mod(&sig.r, &y_e);
-        lhs == rhs
+        };
+        let e = challenge(&sig.r, &self.0, message);
+        let r = Point::mul_base(&s.to_bytes()).add(&a.neg().mul(&e.to_bytes()));
+        r.compress() == sig.r
     }
 }
 
 /// A Schnorr signing key.
 #[derive(Clone)]
 pub struct SchnorrKeyPair {
-    group: DhGroup,
-    x: BigUint,
+    x: Scalar,
     public: SchnorrPublic,
 }
 
 impl fmt::Debug for SchnorrKeyPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SchnorrKeyPair")
-            .field("group", &self.group)
+            .field("public", &self.public)
             .field("private", &"<redacted>")
             .finish()
     }
@@ -121,14 +101,10 @@ impl SchnorrKeyPair {
     /// # Panics
     ///
     /// Panics if `entropy` is shorter than 32 bytes.
-    pub fn generate(group: &DhGroup, entropy: &[u8]) -> SchnorrKeyPair {
-        let x = group.scalar_from_entropy(entropy);
-        let y = group.pow_g(&x);
-        SchnorrKeyPair {
-            group: group.clone(),
-            x,
-            public: SchnorrPublic { group: group.clone(), y },
-        }
+    pub fn generate(entropy: &[u8]) -> SchnorrKeyPair {
+        let x = Scalar::from_entropy(entropy);
+        let public = SchnorrPublic(Point::mul_base(&x.to_bytes()).compress());
+        SchnorrKeyPair { x, public }
     }
 
     /// The public verification key.
@@ -138,49 +114,41 @@ impl SchnorrKeyPair {
 
     /// Signs `message` with a deterministic nonce.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        // k = HMAC(x, message) expanded and reduced mod q-1, plus 1.
-        let x_bytes = self.x.to_bytes_be();
+        // k = HMAC(x, message) ‖ HMAC(x, that), reduced mod ℓ.
+        let x_bytes = self.x.to_bytes();
         let mut seed = hmac_sha256(&x_bytes, message).as_bytes().to_vec();
         seed.extend_from_slice(hmac_sha256(&x_bytes, &seed).as_bytes());
-        let k = {
-            let q_minus_1 = self.group.order().sub(&BigUint::one());
-            BigUint::from_bytes_be(&seed).rem(&q_minus_1).add(&BigUint::one())
-        };
-        let r = self.group.pow_g(&k);
-        let e = challenge(&self.group, &r, message);
-        // s = k + x*e mod q
-        let xe = self.group.mont_q().mul_mod(&self.x, &e);
-        let s = self.group.mont_q().add_mod(&k, &xe);
-        Signature { r, s }
+        let k = Scalar::reduce(&seed);
+        let r = Point::mul_base(&k.to_bytes()).compress();
+        let e = challenge(&r, &self.public.0, message);
+        let s = Scalar::mul_add(&e, &self.x, &k);
+        Signature { r, s: s.to_bytes() }
     }
 }
 
-/// `e = SHA-256(r ‖ m) mod q`.
-fn challenge(group: &DhGroup, r: &BigUint, message: &[u8]) -> BigUint {
+/// `e = SHA-256(R ‖ A ‖ m) mod ℓ`.
+fn challenge(r: &[u8; 32], a: &[u8; 32], message: &[u8]) -> Scalar {
     let mut h = Sha256::new();
-    h.update(&r.to_bytes_be());
+    h.update(r);
+    h.update(a);
     h.update(message);
-    BigUint::from_bytes_be(h.finalize().as_bytes()).rem(group.order())
+    Scalar::reduce(h.finalize().as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn group() -> DhGroup {
-        DhGroup::sim512()
-    }
-
     #[test]
     fn sign_verify_round_trip() {
-        let kp = SchnorrKeyPair::generate(&group(), &[3u8; 32]);
+        let kp = SchnorrKeyPair::generate(&[3u8; 32]);
         let sig = kp.sign(b"pcr quote");
         assert!(kp.public().verify(b"pcr quote", &sig));
     }
 
     #[test]
     fn verification_fails_for_wrong_message() {
-        let kp = SchnorrKeyPair::generate(&group(), &[3u8; 32]);
+        let kp = SchnorrKeyPair::generate(&[3u8; 32]);
         let sig = kp.sign(b"pcr quote");
         assert!(!kp.public().verify(b"pcr quot3", &sig));
         assert!(!kp.public().verify(b"", &sig));
@@ -188,32 +156,47 @@ mod tests {
 
     #[test]
     fn verification_fails_for_wrong_key() {
-        let kp1 = SchnorrKeyPair::generate(&group(), &[3u8; 32]);
-        let kp2 = SchnorrKeyPair::generate(&group(), &[4u8; 32]);
+        let kp1 = SchnorrKeyPair::generate(&[3u8; 32]);
+        let kp2 = SchnorrKeyPair::generate(&[4u8; 32]);
         let sig = kp1.sign(b"msg");
         assert!(!kp2.public().verify(b"msg", &sig));
+        // y = 2 is on no point: a key that does not decode verifies nothing.
+        let mut off_curve = [0u8; 32];
+        off_curve[0] = 2;
+        assert!(!SchnorrPublic(off_curve).verify(b"msg", &sig));
     }
 
     #[test]
     fn tampered_signature_rejected() {
-        let kp = SchnorrKeyPair::generate(&group(), &[5u8; 32]);
+        let kp = SchnorrKeyPair::generate(&[5u8; 32]);
         let sig = kp.sign(b"msg");
-        let tampered = Signature { r: sig.r.clone(), s: sig.s.add(&BigUint::one()) };
+        let mut tampered = sig.clone();
+        tampered.s[0] ^= 1;
         assert!(!kp.public().verify(b"msg", &tampered));
-        let tampered = Signature { r: sig.r.add(&BigUint::one()), s: sig.s.clone() };
+        let mut tampered = sig.clone();
+        tampered.r[0] ^= 1;
+        assert!(!kp.public().verify(b"msg", &tampered));
+        // s + ℓ is the same residue but not the canonical encoding.
+        let mut tampered = sig;
+        let mut carry = 0u16;
+        for (s, l) in tampered.s.iter_mut().zip(crate::edwards25519::ORDER) {
+            let sum = *s as u16 + l as u16 + carry;
+            *s = sum as u8;
+            carry = sum >> 8;
+        }
         assert!(!kp.public().verify(b"msg", &tampered));
     }
 
     #[test]
     fn deterministic_signatures() {
-        let kp = SchnorrKeyPair::generate(&group(), &[6u8; 32]);
+        let kp = SchnorrKeyPair::generate(&[6u8; 32]);
         assert_eq!(kp.sign(b"m"), kp.sign(b"m"));
         assert_ne!(kp.sign(b"m"), kp.sign(b"n"));
     }
 
     #[test]
     fn signature_bytes_round_trip() {
-        let kp = SchnorrKeyPair::generate(&group(), &[7u8; 32]);
+        let kp = SchnorrKeyPair::generate(&[7u8; 32]);
         let sig = kp.sign(b"serialize me");
         let bytes = sig.to_bytes();
         let back = Signature::from_bytes(&bytes).unwrap();
@@ -225,25 +208,31 @@ mod tests {
     fn malformed_signature_bytes_rejected() {
         assert!(Signature::from_bytes(&[]).is_none());
         assert!(Signature::from_bytes(&[0, 0]).is_none());
-        assert!(Signature::from_bytes(&[0, 0, 1, 0]).is_none()); // r_len too big
+        assert!(Signature::from_bytes(&[0; 63]).is_none());
+        assert!(Signature::from_bytes(&[0; 65]).is_none());
     }
 
     #[test]
     fn public_key_bytes_round_trip() {
-        let g = group();
-        let kp = SchnorrKeyPair::generate(&g, &[8u8; 32]);
-        let pk = SchnorrPublic::from_bytes(&g, &kp.public().to_bytes());
+        let kp = SchnorrKeyPair::generate(&[8u8; 32]);
+        let pk = SchnorrPublic::from_bytes(&kp.public().to_bytes()).unwrap();
         let sig = kp.sign(b"hello");
         assert!(pk.verify(b"hello", &sig));
+        assert!(SchnorrPublic::from_bytes(&[0; 31]).is_none());
     }
 
     #[test]
     fn degenerate_r_rejected() {
-        let g = group();
-        let kp = SchnorrKeyPair::generate(&g, &[9u8; 32]);
-        let sig = Signature { r: BigUint::zero(), s: BigUint::one() };
-        assert!(!kp.public().verify(b"m", &sig));
-        let sig = Signature { r: g.prime().clone(), s: BigUint::one() };
-        assert!(!kp.public().verify(b"m", &sig));
+        let kp = SchnorrKeyPair::generate(&[9u8; 32]);
+        let s = kp.sign(b"m").s;
+        // y = p (a non-canonical zero) and y = 2 (on no point).
+        let mut non_canonical = [0xff; 32];
+        non_canonical[0] = 0xed;
+        non_canonical[31] = 0x7f;
+        let mut off_curve = [0u8; 32];
+        off_curve[0] = 2;
+        for r in [non_canonical, off_curve] {
+            assert!(!kp.public().verify(b"m", &Signature { r, s }));
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! A cost-accumulating virtual clock.
 //!
 //! Most ccAI performance models are sequential: a workload executes phases
-//! one after another (encrypt → DMA → compute → DMA back → decrypt) and some
-//! phases overlap. [`Clock`] supports both: [`Clock::advance`] charges serial
-//! time, while [`Clock::advance_parallel`] charges the maximum of several
-//! concurrent lanes (e.g. multi-core encryption).
+//! one after another (encrypt → DMA → compute → DMA back → decrypt).
+//! [`Clock::advance`] charges serial time and [`Clock::advance_to`] waits
+//! for a deadline.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -17,10 +16,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// let mut clock = Clock::new();
 /// clock.advance(SimDuration::from_micros(10));
-/// clock.advance_parallel([
-///     SimDuration::from_micros(4),
-///     SimDuration::from_micros(7),
-/// ]);
+/// clock.advance(SimDuration::from_micros(7));
 /// assert_eq!(clock.now().as_picos(), 17_000_000);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -46,16 +42,6 @@ impl Clock {
         self.now += d;
     }
 
-    /// Charges several concurrent lanes of work; the clock advances by the
-    /// longest lane. An empty iterator charges nothing.
-    pub fn advance_parallel<I>(&mut self, lanes: I)
-    where
-        I: IntoIterator<Item = SimDuration>,
-    {
-        let max = lanes.into_iter().max().unwrap_or(SimDuration::ZERO);
-        self.now += max;
-    }
-
     /// Moves the clock forward to `deadline` if it is in the future;
     /// otherwise leaves it unchanged. Returns the time actually waited.
     pub fn advance_to(&mut self, deadline: SimTime) -> SimDuration {
@@ -66,11 +52,6 @@ impl Clock {
         } else {
             SimDuration::ZERO
         }
-    }
-
-    /// Resets the clock to the origin.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
     }
 }
 
@@ -87,24 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_takes_max() {
-        let mut c = Clock::new();
-        c.advance_parallel(vec![
-            SimDuration::from_nanos(3),
-            SimDuration::from_nanos(9),
-            SimDuration::from_nanos(6),
-        ]);
-        assert_eq!(c.now().as_picos(), 9_000);
-    }
-
-    #[test]
-    fn parallel_empty_is_noop() {
-        let mut c = Clock::new();
-        c.advance_parallel(std::iter::empty());
-        assert_eq!(c.now(), SimTime::ZERO);
-    }
-
-    #[test]
     fn advance_to_only_moves_forward() {
         let mut c = Clock::new();
         c.advance(SimDuration::from_micros(10));
@@ -116,12 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_and_reset() {
+    fn elapsed_since_a_mark() {
         let mut c = Clock::new();
         let mark = c.now();
         c.advance(SimDuration::from_millis(2));
         assert_eq!(c.now().duration_since(mark), SimDuration::from_millis(2));
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 }

@@ -55,15 +55,6 @@ impl Bandwidth {
     pub fn transfer_time(self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
-
-    /// The slower of two rates (bottleneck of a pipeline).
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
-        if self.bytes_per_sec <= other.bytes_per_sec {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl fmt::Display for Bandwidth {
@@ -318,14 +309,6 @@ mod tests {
         let t1 = bw.transfer_time(1_000_000);
         let t2 = bw.transfer_time(2_000_000);
         assert_eq!(t2.as_picos(), 2 * t1.as_picos());
-    }
-
-    #[test]
-    fn min_picks_bottleneck() {
-        let a = Bandwidth::from_gbytes_per_sec(2.0);
-        let b = Bandwidth::from_gbytes_per_sec(3.0);
-        assert_eq!(a.min(b), a);
-        assert_eq!(b.min(a), a);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    signature, and the PCR values against its golden references.
 
 use crate::hrot::{HrotBlade, KeyCertificate, Quote};
-use ccai_crypto::{AesGcm, Digest, DhGroup, DhKeyPair, DhPublic, Key, SchnorrPublic};
+use ccai_crypto::{AesGcm, Digest, DhKeyPair, DhPublic, Key, SchnorrPublic};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -65,6 +65,14 @@ impl std::error::Error for AttestationError {}
 pub struct SealedMessage {
     nonce: [u8; 12],
     body: Vec<u8>,
+}
+
+impl SealedMessage {
+    /// Bytes on the wire (test hook for the transcript-length check).
+    #[doc(hidden)]
+    pub fn wire_len(&self) -> usize {
+        self.nonce.len() + self.body.len()
+    }
 }
 
 /// Session crypto shared by both sides after step ①.
@@ -120,9 +128,9 @@ impl Platform {
     /// # Panics
     ///
     /// Panics if the blade has no AK yet or entropy is under 32 bytes.
-    pub fn new(blade: HrotBlade, group: &DhGroup, dh_entropy: &[u8]) -> Platform {
+    pub fn new(blade: HrotBlade, dh_entropy: &[u8]) -> Platform {
         assert!(blade.ak_public().is_some(), "blade must be booted (AK present)");
-        Platform { blade, dh: DhKeyPair::generate(group, dh_entropy), session: None }
+        Platform { blade, dh: DhKeyPair::generate(dh_entropy), session: None }
     }
 
     /// Step ① (platform half): returns our DH public value and derives
@@ -189,7 +197,6 @@ impl Platform {
 /// The remote verifier side.
 pub struct Verifier {
     root_ca: SchnorrPublic,
-    group: DhGroup,
     dh: DhKeyPair,
     session: Option<Session>,
     golden_pcrs: HashMap<usize, Digest>,
@@ -214,14 +221,12 @@ impl Verifier {
     /// Panics if entropy is under 32 bytes.
     pub fn new(
         root_ca: SchnorrPublic,
-        group: &DhGroup,
         dh_entropy: &[u8],
         golden_pcrs: HashMap<usize, Digest>,
     ) -> Verifier {
         Verifier {
             root_ca,
-            group: group.clone(),
-            dh: DhKeyPair::generate(group, dh_entropy),
+            dh: DhKeyPair::generate(dh_entropy),
             session: None,
             golden_pcrs,
             expected_nonce: None,
@@ -259,7 +264,7 @@ impl Verifier {
     pub fn check_certificates(&mut self, msg: &SealedMessage) -> Result<(), AttestationError> {
         let session = self.session.as_ref().ok_or(AttestationError::OutOfOrder)?;
         let plain = session.open(msg)?;
-        let (ek_pub, ek_cert, ak_cert) = decode_certs(&self.group, &plain)?;
+        let (ek_pub, ek_cert, ak_cert) = decode_certs(&plain)?;
         if !ek_cert.verify(&self.root_ca) {
             return Err(AttestationError::UntrustedEk);
         }
@@ -269,7 +274,8 @@ impl Verifier {
         if !ak_cert.verify(&ek_pub) {
             return Err(AttestationError::UntrustedAk);
         }
-        self.verified_ak = Some(SchnorrPublic::from_bytes(&self.group, &ak_cert.subject_key));
+        let ak = SchnorrPublic::from_bytes(&ak_cert.subject_key);
+        self.verified_ak = Some(ak.ok_or(AttestationError::UntrustedAk)?);
         Ok(())
     }
 
@@ -375,7 +381,6 @@ fn encode_certs(ek: &SchnorrPublic, ek_cert: &KeyCertificate, ak_cert: &KeyCerti
 }
 
 fn decode_certs(
-    group: &DhGroup,
     mut data: &[u8],
 ) -> Result<(SchnorrPublic, KeyCertificate, KeyCertificate), AttestationError> {
     let ek_bytes = get_field(&mut data)?.to_vec();
@@ -388,7 +393,7 @@ fn decode_certs(
     let ak_sig = ccai_crypto::Signature::from_bytes(get_field(&mut data)?)
         .ok_or(AttestationError::BadSessionCiphertext)?;
     Ok((
-        SchnorrPublic::from_bytes(group, &ek_bytes),
+        SchnorrPublic::from_bytes(&ek_bytes).ok_or(AttestationError::UntrustedEk)?,
         KeyCertificate { subject_key: ek_subject, label: ek_label, signature: ek_sig },
         KeyCertificate { subject_key: ak_subject, label: ak_label, signature: ak_sig },
     ))
@@ -404,13 +409,7 @@ fn encode_challenge(selection: &[usize], nonce: &[u8; 32]) -> Vec<u8> {
 
 fn decode_challenge(mut data: &[u8]) -> Result<(Vec<usize>, [u8; 32]), AttestationError> {
     let selection: Vec<usize> = get_field(&mut data)?.iter().map(|&b| b as usize).collect();
-    let nonce_bytes = get_field(&mut data)?;
-    if nonce_bytes.len() != 32 {
-        return Err(AttestationError::BadSessionCiphertext);
-    }
-    let mut nonce = [0u8; 32];
-    nonce.copy_from_slice(nonce_bytes);
-    Ok((selection, nonce))
+    Ok((selection, get_nonce(&mut data)?))
 }
 
 fn encode_quote(quote: &Quote) -> Vec<u8> {
@@ -426,13 +425,12 @@ fn encode_quote(quote: &Quote) -> Vec<u8> {
     out
 }
 
+fn get_nonce(data: &mut &[u8]) -> Result<[u8; 32], AttestationError> {
+    get_field(data)?.try_into().map_err(|_| AttestationError::BadSessionCiphertext)
+}
+
 fn decode_quote(mut data: &[u8]) -> Result<Quote, AttestationError> {
-    let nonce_bytes = get_field(&mut data)?;
-    if nonce_bytes.len() != 32 {
-        return Err(AttestationError::BadSessionCiphertext);
-    }
-    let mut nonce = [0u8; 32];
-    nonce.copy_from_slice(nonce_bytes);
+    let nonce = get_nonce(&mut data)?;
     let pcr_bytes = get_field(&mut data)?;
     if pcr_bytes.len() % 33 != 0 {
         return Err(AttestationError::BadSessionCiphertext);
@@ -463,10 +461,9 @@ mod tests {
     }
 
     fn fixture(golden_matches: bool) -> Fixture {
-        let group = DhGroup::sim512();
-        let vendor_ca = SchnorrKeyPair::generate(&group, &[0x01; 32]);
+        let vendor_ca = SchnorrKeyPair::generate(&[0x01; 32]);
 
-        let mut blade = HrotBlade::manufacture(&group, &[0x02; 32]);
+        let mut blade = HrotBlade::manufacture(&[0x02; 32]);
         let ek_cert = KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public());
         blade.install_ek_certificate(ek_cert);
         blade.boot_generate_ak(&[0x03; 32]);
@@ -480,8 +477,8 @@ mod tests {
         };
         golden.insert(PcrIndex::ScBitstream.index(), value);
 
-        let platform = Platform::new(blade, &group, &[0x04; 32]);
-        let verifier = Verifier::new(vendor_ca.public().clone(), &group, &[0x05; 32], golden);
+        let platform = Platform::new(blade, &[0x04; 32]);
+        let verifier = Verifier::new(vendor_ca.public().clone(), &[0x05; 32], golden);
         Fixture { verifier, platform }
     }
 
@@ -502,12 +499,10 @@ mod tests {
 
     #[test]
     fn untrusted_ca_rejected() {
-        let group = DhGroup::sim512();
         let mut f = fixture(true);
         // A verifier trusting a different root.
-        let other_ca = SchnorrKeyPair::generate(&group, &[0x77; 32]);
-        let mut verifier =
-            Verifier::new(other_ca.public().clone(), &group, &[0x05; 32], HashMap::new());
+        let other_ca = SchnorrKeyPair::generate(&[0x77; 32]);
+        let mut verifier = Verifier::new(other_ca.public().clone(), &[0x05; 32], HashMap::new());
         assert_eq!(
             run_protocol(&mut verifier, &mut f.platform, &[1], [9u8; 32]),
             Err(AttestationError::UntrustedEk)

@@ -26,7 +26,7 @@ use crate::attest::{run_protocol, AttestationError, Platform, Verifier};
 use crate::hrot::{HrotBlade, KeyCertificate};
 use crate::pcr::{PcrBank, PcrIndex};
 use crate::secure_boot::{BootError, FlashImage, SecureBoot};
-use ccai_crypto::{DhGroup, Digest, Key, SchnorrKeyPair};
+use ccai_crypto::{Digest, Key, SchnorrKeyPair};
 use ccai_sim::{Severity, Telemetry};
 use std::collections::HashMap;
 use std::fmt;
@@ -154,7 +154,6 @@ impl std::error::Error for BringUpError {}
 /// mirroring how the HRoT fronts the protocol on real hardware).
 pub struct BringUp {
     state: BringUpState,
-    group: DhGroup,
     blade: Option<HrotBlade>,
     /// PCR indices whose composite gates key release (the attested set).
     selection: Vec<usize>,
@@ -182,16 +181,10 @@ impl BringUp {
     ///
     /// Panics if `selection` is empty — a bring-up that attests nothing
     /// gates nothing.
-    pub fn new(
-        group: &DhGroup,
-        blade: HrotBlade,
-        selection: Vec<usize>,
-        telemetry: Telemetry,
-    ) -> BringUp {
+    pub fn new(blade: HrotBlade, selection: Vec<usize>, telemetry: Telemetry) -> BringUp {
         assert!(!selection.is_empty(), "empty PCR selection");
         BringUp {
             state: BringUpState::PowerOn,
-            group: group.clone(),
             blade: Some(blade),
             selection,
             attested_composite: None,
@@ -298,7 +291,7 @@ impl BringUp {
             return Err(self.refuse(BringUpStep::Attest));
         }
         let blade = self.blade.take().expect("blade present between transitions");
-        let mut platform = Platform::new(blade, &self.group, dh_entropy);
+        let mut platform = Platform::new(blade, dh_entropy);
         let outcome = run_protocol(verifier, &mut platform, &self.selection, nonce);
         let blade = platform.into_blade();
         let composite = blade.pcrs().composite(&self.selection);
@@ -460,8 +453,7 @@ impl TrustFixture {
     /// blade with the same flash (PCR extension is a pure function of
     /// the measured bytes, so any fresh bank yields the same values).
     pub fn deterministic(seed: u8, telemetry: Telemetry) -> (BringUp, TrustFixture) {
-        let group = DhGroup::sim512();
-        let vendor_ca = SchnorrKeyPair::generate(&group, &[seed ^ 0x51; 32]);
+        let vendor_ca = SchnorrKeyPair::generate(&[seed ^ 0x51; 32]);
 
         let bitstream = [b"packet filter LUTs rev ".as_slice(), &[seed]].concat();
         let firmware = [b"sc management firmware rev ".as_slice(), &[seed]].concat();
@@ -472,7 +464,7 @@ impl TrustFixture {
             FlashImage::provision("sc-firmware", &firmware, &flash_key(), [2; 12]),
         ];
 
-        let mut reference = HrotBlade::manufacture(&group, &[seed ^ 0xA5; 32]);
+        let mut reference = HrotBlade::manufacture(&[seed ^ 0xA5; 32]);
         reference.boot_generate_ak(&[seed ^ 0xA6; 32]);
         boot.boot(&mut reference, &flash).expect("reference boot is clean");
         let selection = vec![PcrIndex::ScBitstream.index(), PcrIndex::ScFirmware.index()];
@@ -481,12 +473,12 @@ impl TrustFixture {
             golden.insert(index, reference.pcrs().read(index));
         }
 
-        let mut blade = HrotBlade::manufacture(&group, &[seed ^ 0x02; 32]);
+        let mut blade = HrotBlade::manufacture(&[seed ^ 0x02; 32]);
         let ek_cert = KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public());
         blade.install_ek_certificate(ek_cert);
 
-        let verifier = Verifier::new(vendor_ca.public().clone(), &group, &[seed ^ 0x05; 32], golden);
-        let bringup = BringUp::new(&group, blade, selection, telemetry);
+        let verifier = Verifier::new(vendor_ca.public().clone(), &[seed ^ 0x05; 32], golden);
+        let bringup = BringUp::new(blade, selection, telemetry);
         let fixture = TrustFixture {
             boot,
             flash,
@@ -506,9 +498,8 @@ impl TrustFixture {
     pub fn fresh_blade(&self, seed: u8) -> HrotBlade {
         // Re-derive the CA from the same entropy the constructor used so
         // the certificate chain stays rooted identically.
-        let group = DhGroup::sim512();
-        let vendor_ca = SchnorrKeyPair::generate(&group, &[seed ^ 0x51; 32]);
-        let mut blade = HrotBlade::manufacture(&group, &[seed ^ 0x02; 32]);
+        let vendor_ca = SchnorrKeyPair::generate(&[seed ^ 0x51; 32]);
+        let mut blade = HrotBlade::manufacture(&[seed ^ 0x02; 32]);
         let ek_cert = KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public());
         blade.install_ek_certificate(ek_cert);
         blade

@@ -7,7 +7,7 @@
 //! FPGA's embedded Cortex-A53 hard processor system (Table 3).
 
 use crate::pcr::PcrBank;
-use ccai_crypto::{DhGroup, SchnorrKeyPair, SchnorrPublic, Sha256, Signature};
+use ccai_crypto::{SchnorrKeyPair, SchnorrPublic, Sha256, Signature};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -49,7 +49,7 @@ pub struct KeyCertificate {
 impl KeyCertificate {
     /// Issues a certificate over `subject` with `issuer`'s key.
     pub fn issue(issuer: &SchnorrKeyPair, label: &str, subject: &SchnorrPublic) -> Self {
-        let subject_key = subject.to_bytes();
+        let subject_key = subject.to_bytes().to_vec();
         let signature = issuer.sign(&Self::signed_bytes(label, &subject_key));
         KeyCertificate { subject_key, label: label.to_string(), signature }
     }
@@ -70,7 +70,6 @@ impl KeyCertificate {
 
 /// The hardware root-of-trust blade.
 pub struct HrotBlade {
-    group: DhGroup,
     ek: SchnorrKeyPair,
     ek_cert: Option<KeyCertificate>,
     ak: Option<SchnorrKeyPair>,
@@ -95,10 +94,9 @@ impl HrotBlade {
     /// # Panics
     ///
     /// Panics if `vendor_entropy` is shorter than 32 bytes.
-    pub fn manufacture(group: &DhGroup, vendor_entropy: &[u8]) -> HrotBlade {
+    pub fn manufacture(vendor_entropy: &[u8]) -> HrotBlade {
         HrotBlade {
-            group: group.clone(),
-            ek: SchnorrKeyPair::generate(group, vendor_entropy),
+            ek: SchnorrKeyPair::generate(vendor_entropy),
             ek_cert: None,
             ak: None,
             ak_cert: None,
@@ -128,7 +126,7 @@ impl HrotBlade {
     ///
     /// Panics if `boot_entropy` is shorter than 32 bytes.
     pub fn boot_generate_ak(&mut self, boot_entropy: &[u8]) {
-        let ak = SchnorrKeyPair::generate(&self.group, boot_entropy);
+        let ak = SchnorrKeyPair::generate(boot_entropy);
         let cert = KeyCertificate::issue(&self.ek, "AK", ak.public());
         self.ak = Some(ak);
         self.ak_cert = Some(cert);
@@ -177,8 +175,7 @@ mod tests {
     use crate::pcr::PcrIndex;
 
     fn blade() -> HrotBlade {
-        let group = DhGroup::sim512();
-        let mut blade = HrotBlade::manufacture(&group, &[0xAA; 32]);
+        let mut blade = HrotBlade::manufacture(&[0xAA; 32]);
         blade.boot_generate_ak(&[0xBB; 32]);
         blade
     }
@@ -222,29 +219,26 @@ mod tests {
 
     #[test]
     fn ek_cert_chain() {
-        let group = DhGroup::sim512();
-        let vendor_ca = SchnorrKeyPair::generate(&group, &[0xCC; 32]);
-        let mut blade = HrotBlade::manufacture(&group, &[0xAA; 32]);
+        let vendor_ca = SchnorrKeyPair::generate(&[0xCC; 32]);
+        let mut blade = HrotBlade::manufacture(&[0xAA; 32]);
         let cert = KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public());
         blade.install_ek_certificate(cert);
         assert!(blade.ek_certificate().unwrap().verify(vendor_ca.public()));
         // A different CA does not validate it.
-        let other_ca = SchnorrKeyPair::generate(&group, &[0xDD; 32]);
+        let other_ca = SchnorrKeyPair::generate(&[0xDD; 32]);
         assert!(!blade.ek_certificate().unwrap().verify(other_ca.public()));
     }
 
     #[test]
     #[should_panic(expected = "AK generated at boot")]
     fn quote_before_boot_panics() {
-        let group = DhGroup::sim512();
-        let blade = HrotBlade::manufacture(&group, &[0xAA; 32]);
+        let blade = HrotBlade::manufacture(&[0xAA; 32]);
         let _ = blade.quote(&[0], [0u8; 32]);
     }
 
     #[test]
     fn aks_differ_across_boots() {
-        let group = DhGroup::sim512();
-        let mut blade = HrotBlade::manufacture(&group, &[0xAA; 32]);
+        let mut blade = HrotBlade::manufacture(&[0xAA; 32]);
         blade.boot_generate_ak(&[1u8; 32]);
         let ak1 = blade.ak_public().unwrap().to_bytes();
         blade.boot_generate_ak(&[2u8; 32]);

@@ -27,10 +27,8 @@
 //!
 //! ```
 //! use ccai_trust::{pcr::PcrBank, hrot::HrotBlade};
-//! use ccai_crypto::DhGroup;
 //!
-//! let group = DhGroup::sim512();
-//! let blade = HrotBlade::manufacture(&group, b"vendor-entropy-0123456789abcdef!");
+//! let blade = HrotBlade::manufacture(b"vendor-entropy-0123456789abcdef!");
 //! assert!(blade.pcrs().read(0).as_bytes().iter().all(|&b| b == 0));
 //! ```
 

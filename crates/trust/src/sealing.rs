@@ -124,7 +124,7 @@ impl fmt::Display for ChassisSensors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccai_crypto::{Digest, DhGroup};
+    use ccai_crypto::Digest;
 
     impl ChassisSensors {
         /// Samples taken so far.
@@ -134,7 +134,7 @@ mod tests {
     }
 
     fn blade() -> HrotBlade {
-        HrotBlade::manufacture(&DhGroup::sim512(), &[0xAA; 32])
+        HrotBlade::manufacture(&[0xAA; 32])
     }
 
     #[test]

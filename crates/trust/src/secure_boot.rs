@@ -170,10 +170,9 @@ impl SecureBoot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccai_crypto::DhGroup;
 
     fn blade() -> HrotBlade {
-        HrotBlade::manufacture(&DhGroup::sim512(), &[0xAA; 32])
+        HrotBlade::manufacture(&[0xAA; 32])
     }
 
     fn flash_key() -> Key {

@@ -21,7 +21,7 @@ use crate::port::TlpPort;
 use crate::stager::{DmaStager, StagedBuffer};
 use ccai_pcie::{seal_ctrl_envelope, Bdf, PcieDevice, Tlp, TlpType};
 use ccai_sim::{Severity, SimDuration, Telemetry};
-use ccai_xpu::{Reg, RegisterFile};
+use ccai_xpu::{CmdStatus, DmaControl, DmaStatus, Opcode, Reg, RegisterFile};
 use std::cell::Cell;
 use std::fmt;
 
@@ -432,14 +432,16 @@ impl XpuDriver {
             // previous transfer could make a *dropped* trigger write
             // pass read-back and a stale Done status fake completion.
             let programmed = self
-                .write_register(port, Reg::DmaCtrl, 0)
+                .write_register(port, Reg::DmaCtrl, DmaControl::Abort.to_code())
                 .and_then(|()| self.write_register(port, Reg::DmaSrc, staged.device_addr))
                 .and_then(|()| self.write_register(port, Reg::DmaDst, device_addr))
                 .and_then(|()| self.write_register(port, Reg::DmaLen, staged.len))
-                .and_then(|()| self.write_register(port, Reg::DmaCtrl, 1)); // H2D
+                .and_then(|()| {
+                    self.write_register(port, Reg::DmaCtrl, DmaControl::HostToDevice.to_code())
+                });
             if programmed.is_ok() {
                 while port.pump(memory) > 0 {}
-                if self.read_register(port, Reg::DmaStatus) == Ok(2) {
+                if self.read_register(port, Reg::DmaStatus) == Ok(DmaStatus::Done.to_code()) {
                     return Ok(());
                 }
             }
@@ -472,20 +474,24 @@ impl XpuDriver {
         let mut attempt = 0u32;
         loop {
             let landing = stager.alloc_from_device(port, memory, len);
+            // Pre-clear first (see dma_to_device).
             let programmed = self
-                .write_register(port, Reg::DmaCtrl, 0) // pre-clear (see dma_to_device)
+                .write_register(port, Reg::DmaCtrl, DmaControl::Abort.to_code())
                 .and_then(|()| self.write_register(port, Reg::DmaSrc, device_addr))
                 .and_then(|()| self.write_register(port, Reg::DmaDst, landing.device_addr))
                 .and_then(|()| self.write_register(port, Reg::DmaLen, len))
-                .and_then(|()| self.write_register(port, Reg::DmaCtrl, 2)); // D2H
+                .and_then(|()| {
+                    self.write_register(port, Reg::DmaCtrl, DmaControl::DeviceToHost.to_code())
+                });
             let failure = if programmed.is_ok() {
                 while port.pump(memory) > 0 {}
-                match self.read_register(port, Reg::DmaStatus) {
-                    Ok(2) => match stager.recover_from_device(port, memory, landing) {
+                if self.read_register(port, Reg::DmaStatus) == Ok(DmaStatus::Done.to_code()) {
+                    match stager.recover_from_device(port, memory, landing) {
                         Ok(data) => return Ok(data),
                         Err(_) => DriverError::IntegrityFailed,
-                    },
-                    _ => DriverError::DmaFailed,
+                    }
+                } else {
+                    DriverError::DmaFailed
                 }
             } else {
                 DriverError::DmaFailed
@@ -526,7 +532,7 @@ impl XpuDriver {
         self.telemetry.counter_add("driver.retries", 1);
         // Abort the engine; verification failure here just means the next
         // attempt's pre-clear will finish the job.
-        let _ = self.write_register(port, Reg::DmaCtrl, 0);
+        let _ = self.write_register(port, Reg::DmaCtrl, DmaControl::Abort.to_code());
         while port.pump(memory) > 0 {}
         stager.transfer_failed(port, memory, staged);
         let rounds = self.retry.rounds_for_attempt(attempt);
@@ -559,14 +565,7 @@ impl XpuDriver {
         self.dma_to_device(port, memory, stager, weights, device_addr)?;
         self.write_register(port, Reg::CmdArg0, device_addr)?;
         self.write_register(port, Reg::CmdArg1, weights.len() as u64)?;
-        // Pre-clear the doorbell so the 0→1 read-back transition proves
-        // the trigger write (and therefore the command) executed.
-        self.write_register(port, Reg::CmdDoorbell, 0)?;
-        self.write_register(port, Reg::CmdDoorbell, 1)?;
-        match self.read_register_expect(port, Reg::CmdStatus, 1)? {
-            1 => Ok(()),
-            _ => Err(DriverError::CommandFailed),
-        }
+        self.ring(port, Opcode::LoadModel)
     }
 
     /// Runs inference: DMA the input up, ring `RunInference`, DMA the
@@ -588,12 +587,27 @@ impl XpuDriver {
         self.write_register(port, Reg::CmdArg0, input_device_addr)?;
         self.write_register(port, Reg::CmdArg1, input.len() as u64)?;
         self.write_register(port, Reg::CmdArg2, output_device_addr)?;
-        self.write_register(port, Reg::CmdDoorbell, 0)?; // pre-clear (see load_model)
-        self.write_register(port, Reg::CmdDoorbell, 2)?;
-        if self.read_register_expect(port, Reg::CmdStatus, 1)? != 1 {
+        self.ring(port, Opcode::RunInference)?;
+        self.dma_from_device(port, memory, stager, output_device_addr, 32)
+    }
+
+    /// Rings `opcode` on the command doorbell and checks that the command
+    /// reports `Done`. The doorbell is cleared first, so the read-back of
+    /// the clear→opcode transition proves the trigger write (and
+    /// therefore the command) executed.
+    ///
+    /// # Errors
+    ///
+    /// Register-access failures, and [`DriverError::CommandFailed`] when
+    /// the command does not report `Done`.
+    pub(crate) fn ring(&self, port: &mut dyn TlpPort, opcode: Opcode) -> Result<(), DriverError> {
+        self.write_register(port, Reg::CmdDoorbell, Opcode::Clear.to_code())?;
+        self.write_register(port, Reg::CmdDoorbell, opcode.to_code())?;
+        let done = CmdStatus::Done.to_code();
+        if self.read_register_expect(port, Reg::CmdStatus, done)? != done {
             return Err(DriverError::CommandFailed);
         }
-        self.dma_from_device(port, memory, stager, output_device_addr, 32)
+        Ok(())
     }
 }
 

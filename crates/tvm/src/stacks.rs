@@ -16,7 +16,7 @@ use crate::driver::{DriverError, XpuDriver};
 use crate::guest_memory::GuestMemory;
 use crate::port::TlpPort;
 use crate::stager::DmaStager;
-use ccai_xpu::Reg;
+use ccai_xpu::{CmdStatus, Opcode, Reg};
 use std::fmt;
 
 /// A loaded model handle, as user-layer APIs hand out.
@@ -123,7 +123,7 @@ impl UserStack for CudaLikeStack {
     ) -> Result<ModelHandle, DriverError> {
         self.driver.load_model(port, memory, stager, weights, DEV_WEIGHTS)?;
         // Paranoid double-check, as CUDA's synchronous APIs do.
-        if self.driver.read_register(port, Reg::CmdStatus)? != 1 {
+        if self.driver.read_register(port, Reg::CmdStatus)? != CmdStatus::Done.to_code() {
             return Err(DriverError::CommandFailed);
         }
         Ok(ModelHandle { device_addr: DEV_WEIGHTS, len: weights.len() as u64 })
@@ -274,11 +274,7 @@ impl UserStack for EfsmiLikeStack {
             self.driver.write_register(port, Reg::CmdArg0, DEV_INPUT)?;
             self.driver.write_register(port, Reg::CmdArg1, input.len() as u64)?;
             self.driver.write_register(port, Reg::CmdArg2, DEV_OUTPUT)?;
-            self.driver.write_register(port, Reg::CmdDoorbell, 0)?;
-            self.driver.write_register(port, Reg::CmdDoorbell, 2)?;
-            if self.driver.read_register_expect(port, Reg::CmdStatus, 1)? != 1 {
-                return Err(DriverError::CommandFailed);
-            }
+            self.driver.ring(port, Opcode::RunInference)?;
             self.driver.dma_from_device(port, memory, stager, DEV_OUTPUT, 32)
         } else {
             self.driver

@@ -39,6 +39,33 @@ pub enum Command {
     },
 }
 
+/// The values of the `CmdDoorbell` register: the driver writes them, the
+/// device decodes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Opcode {
+    /// Rings nothing. The driver writes it before each command, so that
+    /// reading the command's opcode back proves the command write landed.
+    Clear = 0,
+    /// [`Command::LoadModel`].
+    LoadModel = 1,
+    /// [`Command::RunInference`].
+    RunInference = 2,
+}
+
+impl Opcode {
+    /// Register encoding.
+    pub fn to_code(self) -> u64 {
+        self as u64
+    }
+
+    /// The opcode a register value encodes, if any.
+    pub fn from_code(code: u64) -> Option<Opcode> {
+        [Opcode::Clear, Opcode::LoadModel, Opcode::RunInference]
+            .into_iter()
+            .find(|op| op.to_code() == code)
+    }
+}
+
 /// Command execution status, mirrored in the `CmdStatus` register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CmdStatus {

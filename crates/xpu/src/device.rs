@@ -19,14 +19,14 @@
 //! models in `ccai-tvm`) behave *identically* whether or not a PCIe-SC is
 //! interposed in front of them.
 
-use crate::command::{Command, CommandProcessor};
-use crate::dma::{DmaDirection, DmaEngine, DmaRequest, DmaStatus};
+use crate::command::{Command, CommandProcessor, Opcode};
+use crate::dma::{DmaControl, DmaDirection, DmaEngine, DmaRequest, DmaStatus};
 use crate::firmware::Firmware;
 use crate::memory::DeviceMemory;
 use crate::mmu::Mmu;
 use crate::registers::{Reg, RegisterFile, RESET_MAGIC};
 use crate::spec::XpuSpec;
-use ccai_crypto::{DhGroup, SchnorrKeyPair};
+use ccai_crypto::SchnorrKeyPair;
 use ccai_pcie::{
     device::handle_config_access, Bdf, ConfigSpace, CplStatus, PcieDevice, Tlp, TlpType,
 };
@@ -148,17 +148,17 @@ impl Engine {
         self.registers.write(reg, value);
         match reg {
             Reg::DmaCtrl => {
-                let direction = match value {
-                    0 => {
-                        // Abort/reset: recover an engine stuck mid-transfer
-                        // after packet loss, without a full cold boot.
+                let direction = match DmaControl::from_code(value) {
+                    Some(DmaControl::Abort) => {
+                        // Recover an engine stuck mid-transfer after
+                        // packet loss, without a full cold boot.
                         self.dma.abort();
                         self.sync_dma_status();
                         return;
                     }
-                    1 => DmaDirection::HostToDevice,
-                    2 => DmaDirection::DeviceToHost,
-                    _ => return,
+                    Some(DmaControl::HostToDevice) => DmaDirection::HostToDevice,
+                    Some(DmaControl::DeviceToHost) => DmaDirection::DeviceToHost,
+                    None => return,
                 };
                 // A duplicated doorbell delivery must not restart (or
                 // panic) an engine already working on this transfer; the
@@ -186,17 +186,17 @@ impl Engine {
                 self.sync_dma_status();
             }
             Reg::CmdDoorbell => {
-                let command = match value {
-                    1 => Command::LoadModel {
+                let command = match Opcode::from_code(value) {
+                    Some(Opcode::LoadModel) => Command::LoadModel {
                         addr: self.registers.read(Reg::CmdArg0),
                         len: self.registers.read(Reg::CmdArg1),
                     },
-                    2 => Command::RunInference {
+                    Some(Opcode::RunInference) => Command::RunInference {
                         input: self.registers.read(Reg::CmdArg0),
                         len: self.registers.read(Reg::CmdArg1),
                         output: self.registers.read(Reg::CmdArg2),
                     },
-                    _ => return,
+                    Some(Opcode::Clear) | None => return,
                 };
                 let status = self.commands.execute(command, &mut self.memory);
                 self.registers.write(Reg::CmdStatus, status.to_code());
@@ -397,7 +397,7 @@ impl Xpu {
             e[..name.len().min(32)].copy_from_slice(&name[..name.len().min(32)]);
             e
         };
-        let vendor_key = SchnorrKeyPair::generate(&DhGroup::sim512(), &vendor_entropy);
+        let vendor_key = SchnorrKeyPair::generate(&vendor_entropy);
         let firmware = Firmware::build_signed(
             spec.firmware_version(),
             format!("{}-firmware-image", spec.name()).into_bytes(),

@@ -27,6 +27,34 @@ pub enum DmaDirection {
     DeviceToHost,
 }
 
+/// The values of the `DmaCtrl` register: the driver writes them, the
+/// device decodes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DmaControl {
+    /// Aborts the transfer in progress and returns the engine to idle.
+    /// The driver also writes it before each transfer, so that reading
+    /// the trigger back proves the trigger write landed.
+    Abort = 0,
+    /// Starts a [`DmaDirection::HostToDevice`] transfer.
+    HostToDevice = 1,
+    /// Starts a [`DmaDirection::DeviceToHost`] transfer.
+    DeviceToHost = 2,
+}
+
+impl DmaControl {
+    /// Register encoding.
+    pub fn to_code(self) -> u64 {
+        self as u64
+    }
+
+    /// The control value a register value encodes, if any.
+    pub fn from_code(code: u64) -> Option<DmaControl> {
+        [DmaControl::Abort, DmaControl::HostToDevice, DmaControl::DeviceToHost]
+            .into_iter()
+            .find(|c| c.to_code() == code)
+    }
+}
+
 /// One programmed DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DmaRequest {

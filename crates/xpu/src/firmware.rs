@@ -87,10 +87,9 @@ fn measure(version: &str, image: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccai_crypto::DhGroup;
 
     fn vendor() -> SchnorrKeyPair {
-        SchnorrKeyPair::generate(&DhGroup::sim512(), &[0x11; 32])
+        SchnorrKeyPair::generate(&[0x11; 32])
     }
 
     #[test]
@@ -124,7 +123,7 @@ mod tests {
     #[test]
     fn wrong_vendor_key_detected() {
         let fw = Firmware::build_signed("1.0", vec![7; 16], &vendor());
-        let other = SchnorrKeyPair::generate(&DhGroup::sim512(), &[0x22; 32]);
+        let other = SchnorrKeyPair::generate(&[0x22; 32]);
         let forged = Firmware {
             vendor_key: other.public().clone(),
             ..fw

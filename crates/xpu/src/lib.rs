@@ -52,9 +52,9 @@ pub mod partition;
 pub mod registers;
 pub mod spec;
 
-pub use command::{Command, CommandProcessor};
+pub use command::{CmdStatus, Command, CommandProcessor, Opcode};
 pub use device::Xpu;
-pub use dma::{DmaDirection, DmaEngine, DmaRequest};
+pub use dma::{DmaControl, DmaDirection, DmaEngine, DmaRequest, DmaStatus};
 pub use firmware::Firmware;
 pub use memory::DeviceMemory;
 pub use mmu::Mmu;

@@ -11,7 +11,7 @@
 //! rotation — and shows that a tampered bitstream is caught both at boot
 //! and by the remote verifier.
 
-use ccai_crypto::{DhGroup, SchnorrKeyPair};
+use ccai_crypto::SchnorrKeyPair;
 use ccai_trust::attest::{run_protocol, Platform, Verifier};
 use ccai_trust::hrot::KeyCertificate;
 use ccai_trust::keymgmt::StreamId;
@@ -23,11 +23,10 @@ use ccai_crypto::Key;
 use std::collections::HashMap;
 
 fn main() {
-    let group = DhGroup::sim512();
 
     // --- manufacture ---
-    let vendor_ca = SchnorrKeyPair::generate(&group, &[0xCA; 32]);
-    let mut blade = HrotBlade::manufacture(&group, &[0x01; 32]);
+    let vendor_ca = SchnorrKeyPair::generate(&[0xCA; 32]);
+    let mut blade = HrotBlade::manufacture(&[0x01; 32]);
     blade.install_ek_certificate(KeyCertificate::issue(&vendor_ca, "EK", blade.ek_public()));
     println!("manufactured HRoT-Blade; EK certified by the vendor CA");
 
@@ -61,8 +60,8 @@ fn main() {
     .into_iter()
     .collect();
 
-    let mut platform = Platform::new(blade, &group, &[0x03; 32]);
-    let mut verifier = Verifier::new(vendor_ca.public().clone(), &group, &[0x04; 32], golden.clone());
+    let mut platform = Platform::new(blade, &[0x03; 32]);
+    let mut verifier = Verifier::new(vendor_ca.public().clone(), &[0x04; 32], golden.clone());
     run_protocol(&mut verifier, &mut platform, &[1, 2, 5], [0xAA; 32]).expect("attestation accepted");
     println!("remote attestation: ACCEPTED (EK chain, AK quote, golden PCRs, fresh nonce)");
 
@@ -86,7 +85,7 @@ fn main() {
     // --- now the attacks ---
     println!();
     println!("--- attack: tampered bitstream in flash ---");
-    let mut evil_blade = HrotBlade::manufacture(&group, &[0x01; 32]);
+    let mut evil_blade = HrotBlade::manufacture(&[0x01; 32]);
     evil_blade.install_ek_certificate(KeyCertificate::issue(&vendor_ca, "EK", evil_blade.ek_public()));
     let evil_flash = vec![
         FlashImage::provision("packet-filter-bitstream", b"backdoored bitstream", &flash_key, [1; 12]),
@@ -98,15 +97,15 @@ fn main() {
 
     // Even if the platform booted anyway, attestation fails on the PCR.
     evil_blade.boot_generate_ak(&[0x05; 32]);
-    let mut evil_platform = Platform::new(evil_blade, &group, &[0x06; 32]);
-    let mut verifier2 = Verifier::new(vendor_ca.public().clone(), &group, &[0x07; 32], golden);
+    let mut evil_platform = Platform::new(evil_blade, &[0x06; 32]);
+    let mut verifier2 = Verifier::new(vendor_ca.public().clone(), &[0x07; 32], golden);
     let verdict = run_protocol(&mut verifier2, &mut evil_platform, &[1, 2, 5], [0xBB; 32]);
     println!("remote verifier verdict: {verdict:?}");
     assert!(verdict.is_err());
 
     println!();
     println!("--- attack: physical chassis breach ---");
-    let mut blade2 = HrotBlade::manufacture(&group, &[0x08; 32]);
+    let mut blade2 = HrotBlade::manufacture(&[0x08; 32]);
     let mut sensors2 = ChassisSensors::default();
     sensors2.inject_reading(SensorReading { lid_closed: false, ..SensorReading::nominal() });
     sensors2.poll(&mut blade2);

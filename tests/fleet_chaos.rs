@@ -23,7 +23,7 @@
 
 use ccai_core::sc::epoch_master;
 use ccai_core::system::{layout, SystemMode};
-use ccai_crypto::{AesGcm, DhGroup, DhKeyPair, Key, NONCE_LEN};
+use ccai_crypto::{AesGcm, DhKeyPair, Key, NONCE_LEN};
 use ccai_llm::chaos::{ChaosEvent, ChaosPlan};
 use ccai_llm::serve::{FleetConfig, FleetServer, TenantSpec};
 use ccai_llm::{LlmSpec, ShardedFleet};
@@ -376,9 +376,8 @@ fn pre_migration_ciphertext_never_opens_on_the_target() {
 
     // Prong 2: the epoch masters derive incompatible GCM keys. The
     // master is the deterministic TVM↔SC agreement both sides hold.
-    let group = DhGroup::sim512();
-    let tvm_kp = DhKeyPair::generate(&group, b"tvm-trust-module-boot-entropy-01");
-    let sc_kp = DhKeyPair::generate(&group, b"hrot-blade-boot-entropy-00000002");
+    let tvm_kp = DhKeyPair::generate(b"tvm-trust-module-boot-entropy-01");
+    let sc_kp = DhKeyPair::generate(b"hrot-blade-boot-entropy-00000002");
     let master = tvm_kp.agree(sc_kp.public()).expect("valid exchange");
     let source_gcm = AesGcm::new(&Key::Aes256(epoch_master(&master, m.source_epoch)));
     let target_gcm = AesGcm::new(&Key::Aes256(epoch_master(&master, m.target_epoch)));

@@ -1,10 +1,9 @@
 //! Property-based tests over the core data structures and invariants:
 //! TLP codec round-trips, AEAD round-trips and tamper detection, policy
 //! blob round-trips, filter monotonicity, device-memory consistency, and
-//! bignum algebra.
+//! Schnorr/DH agreement for any key material.
 
 use ccai_core::filter::{L1Rule, L2Rule, PacketFilter, PolicyBlob, SecurityAction};
-use ccai_crypto::bignum::BigUint;
 use ccai_crypto::{AesGcm, Key, OpenError};
 use ccai_pcie::{Bdf, Tlp, TlpType};
 use ccai_xpu::DeviceMemory;
@@ -185,137 +184,9 @@ proptest! {
         let snapshot = mem.read(0, 1 << 16).expect("full read");
         prop_assert_eq!(snapshot, model);
     }
-
-    #[test]
-    fn bignum_mul_mod_agrees_with_schoolbook(
-        a_bytes in proptest::collection::vec(any::<u8>(), 1..24),
-        b_bytes in proptest::collection::vec(any::<u8>(), 1..24),
-        m_bytes in proptest::collection::vec(any::<u8>(), 2..24),
-    ) {
-        let a = BigUint::from_bytes_be(&a_bytes);
-        let b = BigUint::from_bytes_be(&b_bytes);
-        let mut m = BigUint::from_bytes_be(&m_bytes);
-        // Montgomery requires an odd modulus >= 3.
-        if !m.is_odd() {
-            m = m.add(&BigUint::one());
-        }
-        prop_assume!(m > BigUint::from(2u64));
-        let ctx = ccai_crypto::bignum::Montgomery::new(m.clone());
-        prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&m));
-    }
-
-    #[test]
-    fn bignum_div_rem_invariant(
-        a_bytes in proptest::collection::vec(any::<u8>(), 1..32),
-        d_bytes in proptest::collection::vec(any::<u8>(), 1..16),
-    ) {
-        let a = BigUint::from_bytes_be(&a_bytes);
-        let d = BigUint::from_bytes_be(&d_bytes);
-        prop_assume!(!d.is_zero());
-        let (q, r) = a.div_rem(&d);
-        prop_assert!(r < d);
-        prop_assert_eq!(q.mul(&d).add(&r), a);
-    }
-
-    #[test]
-    fn bignum_r_squared_is_r_times_r_mod_n(
-        m_bytes in (1usize..=32).prop_flat_map(|limbs| {
-            proptest::collection::vec(any::<u8>(), limbs * 8..limbs * 8 + 1)
-        }),
-    ) {
-        // R = 2^(64k) for a k-limb modulus: a one and 8k zero bytes.
-        let r = BigUint::from_bytes_be(&[&[1u8][..], &vec![0u8; m_bytes.len()]].concat());
-        let m = odd_modulus(m_bytes);
-        let ctx = ccai_crypto::bignum::Montgomery::new(m.clone());
-        prop_assert_eq!(ctx.r_squared(), r.mul(&r).div_rem(&m).1);
-    }
-
-    #[test]
-    fn bignum_bytes_round_trip(bytes in proptest::collection::vec(1u8..=255, 0..40)) {
-        // Leading byte nonzero keeps the encoding canonical.
-        let n = BigUint::from_bytes_be(&bytes);
-        prop_assert_eq!(n.to_bytes_be(), bytes);
-    }
 }
 
-/// Whole limbs of big-endian bytes made an odd modulus of exactly that
-/// many limbs (so at least 2^56, and above 3).
-fn odd_modulus(mut m_bytes: Vec<u8>) -> BigUint {
-    m_bytes[0] |= 1;
-    *m_bytes.last_mut().expect("nonempty") |= 1;
-    BigUint::from_bytes_be(&m_bytes)
-}
-
-/// `base^exp mod m` by right-to-left square-and-multiply over plain
-/// products and division: the reference for the windowed Montgomery path.
-fn reference_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
-    let mut result = BigUint::one().rem(m);
-    let mut square = base.rem(m);
-    let mut e = exp.clone();
-    while !e.is_zero() {
-        if e.is_odd() {
-            result = result.mul(&square).rem(m);
-        }
-        square = square.mul(&square).rem(m);
-        e = e.shr1();
-    }
-    result
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn bignum_pow_agrees_with_square_and_multiply(
-        operands in (1usize..=32).prop_flat_map(|limbs| {
-            // Bases up to a limb wider than the modulus. Exponents up to a
-            // limb wider than a one- or two-limb modulus; the reference's
-            // cost keeps them to 32 bits for wider moduli.
-            let exp_len = if limbs <= 2 { (limbs + 1) * 8 } else { 4 };
-            (
-                proptest::collection::vec(any::<u8>(), limbs * 8..limbs * 8 + 1),
-                proptest::collection::vec(any::<u8>(), 0..limbs * 8 + 9),
-                proptest::collection::vec(any::<u8>(), 0..exp_len + 1),
-            )
-        }),
-    ) {
-        let (m_bytes, base_bytes, exp_bytes) = operands;
-        let m = odd_modulus(m_bytes);
-        let ctx = ccai_crypto::bignum::Montgomery::new(m.clone());
-        let base = BigUint::from_bytes_be(&base_bytes);
-        let exp = BigUint::from_bytes_be(&exp_bytes);
-        prop_assert_eq!(ctx.pow(&base, &exp), reference_pow(&base, &exp, &m));
-        prop_assert_eq!(ctx.pow(&base, &BigUint::zero()), BigUint::one());
-        let above = base.add(&m);
-        prop_assert_eq!(ctx.pow(&above, &exp), reference_pow(&above, &exp, &m));
-    }
-
-    #[test]
-    fn pow_g_agrees_with_pow_on_sim512(
-        exp_bytes in proptest::collection::vec(any::<u8>(), 0..80),
-    ) {
-        // Up to 640-bit exponents: the table covers 516 bits, so the
-        // widest go through `pow` instead.
-        let group = ccai_crypto::DhGroup::sim512();
-        let exp = BigUint::from_bytes_be(&exp_bytes);
-        prop_assert_eq!(group.pow_g(&exp), group.pow(group.generator(), &exp));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn pow_g_agrees_with_pow_on_modp2048(
-        exp_bytes in proptest::collection::vec(any::<u8>(), 0..257),
-    ) {
-        let group = ccai_crypto::DhGroup::modp2048();
-        let exp = BigUint::from_bytes_be(&exp_bytes);
-        prop_assert_eq!(group.pow_g(&exp), group.pow(group.generator(), &exp));
-    }
-}
-
-// ---- protocol-level properties (fewer cases: modexp-heavy) ----
+// ---- protocol-level properties (fewer cases: scalar-multiplication-heavy) ----
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -373,9 +244,8 @@ proptest! {
         msg in proptest::collection::vec(any::<u8>(), 0..256),
         flip in any::<prop::sample::Index>(),
     ) {
-        use ccai_crypto::{DhGroup, SchnorrKeyPair};
-        let group = DhGroup::sim512();
-        let kp = SchnorrKeyPair::generate(&group, &key_seed);
+        use ccai_crypto::SchnorrKeyPair;
+        let kp = SchnorrKeyPair::generate(&key_seed);
         let sig = kp.sign(&msg);
         prop_assert!(kp.public().verify(&msg, &sig));
         // Any single-byte change to a non-empty message invalidates it.
@@ -392,10 +262,9 @@ proptest! {
         a_seed in any::<[u8; 32]>(),
         b_seed in any::<[u8; 32]>(),
     ) {
-        use ccai_crypto::{DhGroup, DhKeyPair};
-        let group = DhGroup::sim512();
-        let a = DhKeyPair::generate(&group, &a_seed);
-        let b = DhKeyPair::generate(&group, &b_seed);
+        use ccai_crypto::DhKeyPair;
+        let a = DhKeyPair::generate(&a_seed);
+        let b = DhKeyPair::generate(&b_seed);
         prop_assert_eq!(a.agree(b.public()).unwrap(), b.agree(a.public()).unwrap());
     }
 }
