@@ -4,17 +4,23 @@
 //! `backend()` name — plus per-key set-up and SHA-256, and the
 //! asymmetric trust-establishment operations on edwards25519
 //! (`dh_keygen`, a validated `dh_agree`, one DH exchange, one Schnorr
-//! sign + verify; rows carry the curve name). It writes machine-readable
-//! results to `BENCH_crypto.json` so the performance trajectory of the
-//! crypto code is tracked from change to change.
+//! sign + verify; rows carry the curve name). Beside the primitives it
+//! times the TLP filter over a fleet-scale table and a 1024-TLP flood
+//! (`filter_flood`, compiled matcher against the linear-scan oracle) and
+//! what a platform costs to set up (`system_build`, `system_resume`). It
+//! writes machine-readable results to `BENCH_crypto.json` so the
+//! performance trajectory of this code is tracked from change to change.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
 //! Pass an output path as the first argument to override the default.
 //!
-//! Raw crypto only: a request through the whole datapath is timed by
-//! the end-to-end ledger in `bench_e2e/`.
+//! A request through the whole datapath is timed by the end-to-end
+//! ledger in `bench_e2e/`.
 
+use ccai_bench::filter_flood::{fleet_filter, flood};
+use ccai_core::{ConfidentialSystem, SystemMode};
 use ccai_crypto::{AesGcm, DhKeyPair, Key, SchnorrKeyPair, Sha256};
+use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -57,6 +63,24 @@ fn measure<F: FnMut()>(bytes: usize, mut f: F) -> (f64, f64) {
     }
     let gib_per_s = bytes as f64 / best * 1e9 / (1024.0 * 1024.0 * 1024.0);
     (best, gib_per_s)
+}
+
+/// Runs of a set-up operation behind its median.
+const SETUP_RUNS: usize = 200;
+
+/// The median wall time of [`SETUP_RUNS`] runs of `f`, each timed alone:
+/// a set-up runs once per system, so a per-run median says what one
+/// costs, and a first run that fills a per-process value falls out.
+fn median_of_runs<F: FnMut()>(mut f: F) -> (f64, f64) {
+    let mut ns: Vec<f64> = (0..SETUP_RUNS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    (ns[SETUP_RUNS / 2], 0.0)
 }
 
 fn patterned(len: usize) -> Vec<u8> {
@@ -164,6 +188,39 @@ fn run() -> Vec<Sample> {
         assert!(vendor.public().verify(b"firmware measurement", &sig));
     });
     push("schnorr_sign_verify", CURVE, ("op", 0), sign_verify);
+
+    // The TLP filter on one fleet-scale table: per 1024-TLP flood, the
+    // compiled dispatch tree against the row-by-row scan it replaced.
+    let tlps = flood();
+    let mut compiled = fleet_filter();
+    let filter = measure(0, || {
+        for tlp in &tlps {
+            std::hint::black_box(compiled.classify(tlp.header()));
+        }
+    });
+    push("filter_flood", "compiled", ("1024tlp", 0), filter);
+    let mut scan = fleet_filter();
+    let filter = measure(0, || {
+        for tlp in &tlps {
+            std::hint::black_box(scan.classify_scan(tlp.header()));
+        }
+    });
+    push("filter_flood", "scan", ("1024tlp", 0), filter);
+
+    // What a protected platform costs to set up: a fresh build, and a
+    // resume of the image a system leaves after one inference.
+    let build = median_of_runs(|| {
+        std::hint::black_box(ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi));
+    });
+    push("system_build", "a100-ccai", ("op", 0), build);
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    system.load_model(&patterned(8 * 1024)).expect("model loads");
+    system.run_inference(&patterned(256)).expect("inference runs");
+    let image = system.snapshot();
+    let resume = median_of_runs(|| {
+        std::hint::black_box(ConfidentialSystem::resume(&image).expect("image resumes"));
+    });
+    push("system_resume", "a100-ccai", ("op", 0), resume);
     samples
 }
 

@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod filter_flood;
 pub mod render;
 pub mod tcb;
 

@@ -25,8 +25,9 @@
 //!   derived cipher state. They carry key-schedule *positions* (stream
 //!   id, generation, IV cursor); the resuming side re-derives every key
 //!   from its own copy of the master. That master is not negotiated per
-//!   resume: every system derives the same constant one
-//!   (`ConfidentialSystem::attested_master`, ROADMAP item 17).
+//!   resume: every system uses the same constant one, which the process
+//!   computes once (`ConfidentialSystem::attested_master`, ROADMAP item
+//!   17).
 //! * **Topology and identity.** Device specs, BDF assignments, BAR
 //!   layouts and register maps are pure functions of the build
 //!   parameters; [`ConfidentialSystem::resume`] rebuilds them and lays
@@ -111,11 +112,11 @@ impl ConfidentialSystem {
 
     /// Rebuilds a platform from a snapshot.
     ///
-    /// The topology is reconstructed by [`ConfidentialSystem::build`]
-    /// (including the deterministic TVM↔SC key agreement); the
-    /// snapshotted state is then restored layer by layer. The resumed
-    /// system continues the telemetry trace digest, sim clock and every
-    /// protocol window exactly where the snapshot left off.
+    /// The topology is reconstructed by [`ConfidentialSystem::build`],
+    /// which runs no key agreement (the master is the process's constant
+    /// one); the snapshotted state is then restored layer by layer. The
+    /// resumed system continues the telemetry trace digest, sim clock and
+    /// every protocol window exactly where the snapshot left off.
     ///
     /// # Errors
     ///
@@ -222,11 +223,10 @@ impl ConfidentialSystem {
 /// Scenario (a): live SC "firmware swap".
 ///
 /// Snapshots the running SC's security state into a *fresh* SC —
-/// constructed, as a new firmware image would be, from the same
-/// deterministic key agreement and bound to the same tenants — and swaps
-/// it onto the port. Traffic resumes against the new controller with
-/// filter tables, tenant windows, quarantine flags and key-schedule
-/// positions intact.
+/// constructed, as a new firmware image would be, from the same attested
+/// master and bound to the same tenants — and swaps it onto the port.
+/// Traffic resumes against the new controller with filter tables,
+/// tenant windows, quarantine flags and key-schedule positions intact.
 ///
 /// # Errors
 ///

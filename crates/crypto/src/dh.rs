@@ -59,7 +59,7 @@ impl DhKeyPair {
     ///
     /// Panics if `entropy` is shorter than 32 bytes.
     pub fn generate(entropy: &[u8]) -> DhKeyPair {
-        let x = Scalar::from_entropy(entropy);
+        let x = Scalar::from_entropy(b"ccai-dh-scalar", entropy);
         let public = DhPublic(Point::mul_base(&x.to_bytes()).compress());
         DhKeyPair { x, public }
     }

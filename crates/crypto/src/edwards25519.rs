@@ -440,14 +440,16 @@ pub(crate) struct Scalar([u8; 32]);
 
 impl Scalar {
     /// A secret scalar from caller-supplied entropy: 64 bytes of HKDF
-    /// output reduced mod ℓ, so the bias is below 2⁻²⁵⁰.
+    /// output reduced mod ℓ, so the bias is below 2⁻²⁵⁰. `label` is the
+    /// HKDF salt and names the key's use, so one entropy string gives
+    /// unrelated scalars for different uses.
     ///
     /// # Panics
     ///
     /// Panics if `entropy` is shorter than 32 bytes.
-    pub(crate) fn from_entropy(entropy: &[u8]) -> Scalar {
+    pub(crate) fn from_entropy(label: &[u8], entropy: &[u8]) -> Scalar {
         assert!(entropy.len() >= 32, "need at least 256 bits of entropy");
-        Scalar::reduce(&hkdf(b"ccai-dh-scalar", entropy, b"edwards25519", 64))
+        Scalar::reduce(&hkdf(label, entropy, b"edwards25519", 64))
     }
 
     /// Little-endian `bytes` of any length mod ℓ: from the top bit down,

@@ -102,7 +102,7 @@ impl SchnorrKeyPair {
     ///
     /// Panics if `entropy` is shorter than 32 bytes.
     pub fn generate(entropy: &[u8]) -> SchnorrKeyPair {
-        let x = Scalar::from_entropy(entropy);
+        let x = Scalar::from_entropy(b"ccai-schnorr-scalar", entropy);
         let public = SchnorrPublic(Point::mul_base(&x.to_bytes()).compress());
         SchnorrKeyPair { x, public }
     }
@@ -185,6 +185,16 @@ mod tests {
             carry = sum >> 8;
         }
         assert!(!kp.public().verify(b"msg", &tampered));
+    }
+
+    #[test]
+    fn one_entropy_gives_unrelated_dh_and_signing_keys() {
+        for i in 0..16u8 {
+            let entropy: Vec<u8> = (0..32).map(|j| i.wrapping_mul(37) ^ j).collect();
+            let dh = crate::dh::DhKeyPair::generate(&entropy);
+            let signing = SchnorrKeyPair::generate(&entropy);
+            assert_ne!(dh.public().to_bytes(), signing.public().to_bytes(), "entropy {i}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use ccai_pcie::{
     device::handle_config_access, Bdf, ConfigSpace, CplStatus, PcieDevice, Tlp, TlpType,
 };
 use ccai_sim::{Bandwidth, Hop, Severity, Telemetry};
+use std::cell::OnceCell;
 use std::fmt;
 
 /// BAR0 (register window) size.
@@ -371,7 +372,8 @@ pub struct Xpu {
     spec: XpuSpec,
     config: ConfigSpace,
     bar0_base: u64,
-    firmware: Firmware,
+    /// Signed on first use: nothing on the datapath reads it.
+    firmware: OnceCell<Firmware>,
     engine: Engine,
 }
 
@@ -390,23 +392,14 @@ impl Xpu {
     /// `bar_base` and BAR1 right after it, reporting DMA completions (and
     /// errors) to `telemetry` with device-memory transfer time charged as
     /// a [`Hop::Dma`] span.
+    ///
+    /// The vendor-signed firmware image is not made here but on the
+    /// first call to [`Xpu::firmware`].
     pub fn new(spec: XpuSpec, bdf: Bdf, bar_base: u64, telemetry: Telemetry) -> Xpu {
-        let vendor_entropy = {
-            let mut e = [0u8; 32];
-            let name = spec.vendor().as_bytes();
-            e[..name.len().min(32)].copy_from_slice(&name[..name.len().min(32)]);
-            e
-        };
-        let vendor_key = SchnorrKeyPair::generate(&vendor_entropy);
-        let firmware = Firmware::build_signed(
-            spec.firmware_version(),
-            format!("{}-firmware-image", spec.name()).into_bytes(),
-            &vendor_key,
-        );
         let config =
             bar_config(vendor_id_of(spec.vendor()), device_id_of(spec.name()), bar_base);
         let engine = Engine::new(&spec, bdf, spec.memory_bytes(), telemetry);
-        Xpu { spec, config, bar0_base: bar_base, firmware, engine }
+        Xpu { spec, config, bar0_base: bar_base, firmware: OnceCell::new(), engine }
     }
 
     /// The device spec.
@@ -440,15 +433,30 @@ impl Xpu {
         &self.engine.memory
     }
 
-    /// The firmware image.
+    /// The firmware image, signed by the spec's vendor the first time
+    /// this device is asked for it. Each device holds its own copy, so
+    /// tampering with one leaves every other device's image intact.
     pub fn firmware(&self) -> &Firmware {
-        &self.firmware
+        self.firmware.get_or_init(|| {
+            let vendor_entropy = {
+                let mut e = [0u8; 32];
+                let name = self.spec.vendor().as_bytes();
+                e[..name.len().min(32)].copy_from_slice(&name[..name.len().min(32)]);
+                e
+            };
+            Firmware::build_signed(
+                self.spec.firmware_version(),
+                format!("{}-firmware-image", self.spec.name()).into_bytes(),
+                &SchnorrKeyPair::generate(&vendor_entropy),
+            )
+        })
     }
 
     /// Mutable firmware (for tamper tests).
     #[doc(hidden)]
     pub fn firmware_mut(&mut self) -> &mut Firmware {
-        &mut self.firmware
+        self.firmware();
+        self.firmware.get_mut().expect("signed by `firmware`")
     }
 
     /// Total bytes the DMA engine has requested via read TLPs.
@@ -676,11 +684,44 @@ mod tests {
         assert_eq!(replies[0].payload(), &[0xEE; 4]);
     }
 
+    fn device(spec: XpuSpec) -> Xpu {
+        Xpu::new(spec, Bdf::new(1, 0, 0), 0x8000_0000, Telemetry::default())
+    }
+
     #[test]
     fn firmware_ships_verified() {
-        let xpu = Xpu::new(XpuSpec::t4(), Bdf::new(1, 0, 0), 0x8000_0000, Telemetry::default());
-        assert!(xpu.firmware().verify());
-        assert_eq!(xpu.firmware().version(), "90.04.38.00.03");
+        assert_eq!(device(XpuSpec::t4()).firmware().version(), "90.04.38.00.03");
+        // a100's name under another vendor and firmware version.
+        let rebadged = XpuSpec::custom(
+            XpuSpec::a100().name(),
+            "Acme",
+            crate::XpuKind::Gpu,
+            80 << 30,
+            ccai_pcie::LinkConfig::new(ccai_pcie::LinkSpeed::Gen4, 16),
+            312.0,
+            1935.0,
+            true,
+            true,
+            "1.2.3",
+        );
+        let mut specs = XpuSpec::evaluation_set();
+        specs.push(rebadged);
+        for spec in specs {
+            let xpu = device(spec.clone());
+            assert!(xpu.firmware().verify(), "{spec}");
+            assert_eq!(xpu.firmware().version(), spec.firmware_version(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn tampering_one_device_leaves_another_of_its_spec_verified() {
+        let mut tampered = device(XpuSpec::a100());
+        let intact = device(XpuSpec::a100());
+        assert_eq!(tampered.firmware().measurement(), intact.firmware().measurement());
+        tampered.firmware_mut().tamper(3);
+        assert!(!tampered.firmware().verify());
+        assert!(intact.firmware().verify());
+        assert!(device(XpuSpec::a100()).firmware().verify(), "a device built after the tamper");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! insertion-order semantics must be
 //! preserved bit-for-bit, stats accounting included — and prove the
 //! matcher is rebuilt on every install path (`push_l1` / `push_l2` /
-//! `replace_tables`), never left stale.
+//! `replace_tables`), never left stale. The fixed fleet-scale table and
+//! flood that `bench_crypto` times are held to the same agreement.
 
 use ccai_core::filter::{
     FieldMask, L1Decision, L1Rule, L2Rule, MatchFields, PacketFilter, SecurityAction,
 };
+use ccai_bench::filter_flood::{fleet_filter, flood};
 use ccai_pcie::{Bdf, Tlp, TlpType};
 use proptest::prelude::*;
 use std::ops::Range;
@@ -264,5 +266,32 @@ proptest! {
             prop_assert_eq!(with_dead.classify(tlp.header()), expected, "{}", tlp);
             prop_assert_eq!(with_dead_oracle.classify_scan(tlp.header()), expected, "{}", tlp);
         }
+    }
+}
+
+/// The fleet-scale table and mixed flood that `bench_crypto` times: both
+/// paths classify every packet alike and keep identical stats, and the
+/// flood reaches every stats class, so no path goes untested.
+#[test]
+fn fleet_flood_classifies_alike_on_both_paths() {
+    let mut compiled = fleet_filter();
+    let mut scan = fleet_filter();
+    for tlp in &flood() {
+        assert_eq!(
+            compiled.classify(tlp.header()),
+            scan.classify_scan(tlp.header()),
+            "the flood must classify identically on both paths: {tlp}"
+        );
+    }
+    let stats = compiled.stats();
+    assert_eq!(stats, scan.stats());
+    for (class, count) in [
+        ("l1_blocked", stats.l1_blocked),
+        ("l2_blocked", stats.l2_blocked),
+        ("crypt_protected", stats.crypt_protected),
+        ("write_protected", stats.write_protected),
+        ("passed", stats.passed),
+    ] {
+        assert!(count > 0, "the flood never reaches {class}: {stats:?}");
     }
 }
