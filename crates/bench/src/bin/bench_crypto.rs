@@ -7,8 +7,11 @@
 //! sign + verify; rows carry the curve name). Beside the primitives it
 //! times the TLP filter over a fleet-scale table and a 1024-TLP flood
 //! (`filter_flood`, compiled matcher against the linear-scan oracle) and
-//! what a platform costs to set up (`system_build`, `system_resume`). It
-//! writes machine-readable results to `BENCH_crypto.json` so the
+//! what a platform costs to set up (`system_build`, `system_resume`), and
+//! the per-TLP control path: the telemetry hub's span and counter calls
+//! (`telemetry_span`, `telemetry_counter`) and a verified driver register
+//! write and a register read under ccAI and vanilla (`mmio_write`,
+//! `mmio_read`). It writes machine-readable results to `BENCH_crypto.json` so the
 //! performance trajectory of this code is tracked from change to change.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
@@ -20,7 +23,9 @@
 use ccai_bench::filter_flood::{fleet_filter, flood};
 use ccai_core::{ConfidentialSystem, SystemMode};
 use ccai_crypto::{AesGcm, DhKeyPair, Key, SchnorrKeyPair, Sha256};
-use ccai_xpu::XpuSpec;
+use ccai_sim::{Hop, SimDuration, Telemetry};
+use ccai_tvm::TlpPort;
+use ccai_xpu::{Reg, XpuSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -221,6 +226,52 @@ fn run() -> Vec<Sample> {
         std::hint::black_box(ConfidentialSystem::resume(&image).expect("image resumes"));
     });
     push("system_resume", "a100-ccai", ("op", 0), resume);
+
+    // Per-TLP bookkeeping, ns per call: the spans and counter bumps a
+    // control TLP makes (two link crossings untagged, filter and staging
+    // time under a tenant), cycled in a hot loop.
+    let hub = Telemetry::default();
+    let (link, filter) = (SimDuration::from_nanos(3), SimDuration::from_nanos(35));
+    let (ns, _) = measure(0, || {
+        hub.advance_span(Hop::Link, None, link);
+        hub.advance_span(Hop::ScFilter, Some(7), filter);
+        hub.advance_span(Hop::AdaptorStage, Some(7), filter);
+        hub.advance_span(Hop::Link, None, link);
+    });
+    push("telemetry_span", "hub", ("call", 0), (ns / 4.0, 0.0));
+    let (ns, _) = measure(0, || {
+        hub.counter_add("sc.filter_tlps", 1);
+        hub.counter_add("sc.filter.pass", 1);
+        hub.counter_add("adaptor.mmio_tags", 1);
+        hub.counter_add("sc.filter_tlps", 1);
+    });
+    push("telemetry_counter", "hub", ("call", 0), (ns / 4.0, 0.0));
+
+    // A driver register write (sequenced, verified by read-back) and a
+    // register read, through the port each mode's driver uses.
+    for (mode, path) in [(SystemMode::CcAi, "a100-ccai"), (SystemMode::Vanilla, "a100-vanilla")] {
+        let mut system = ConfidentialSystem::build(XpuSpec::a100(), mode);
+        system.load_model(&patterned(4096)).expect("model loads");
+        let (driver, fabric, _, _, adaptor) = system.parts();
+        let mut adaptor_port;
+        let port: &mut dyn TlpPort = match adaptor {
+            Some(adaptor) => {
+                adaptor_port = adaptor.port(fabric);
+                &mut adaptor_port
+            }
+            None => fabric,
+        };
+        let mut value = 0u64;
+        let write = measure(0, || {
+            value += 1;
+            driver.write_register(port, Reg::CmdArg0, value).expect("write verifies");
+        });
+        push("mmio_write", path, ("op", 0), write);
+        let read = measure(0, || {
+            std::hint::black_box(driver.read_register(port, Reg::CmdArg0).expect("read answers"));
+        });
+        push("mmio_read", path, ("op", 0), read);
+    }
     samples
 }
 

@@ -214,10 +214,10 @@ impl AdaptorState {
 
     /// Queues a sequenced control-window write into the go-back-N window.
     /// It reaches the SC on the next [`Adaptor::flush_control`].
-    fn queue_control_write(&mut self, offset: u64, payload: Vec<u8>) {
+    fn queue_control_write(&mut self, offset: u64, payload: &[u8]) {
         self.counters.sc_mmio_writes += 1;
         self.ctrl_seq += 1;
-        let sealed = seal_ctrl_envelope(&payload, self.ctrl_seq);
+        let sealed = seal_ctrl_envelope(payload, self.ctrl_seq);
         self.unacked.push((
             self.ctrl_seq,
             Tlp::memory_write(self.config.tvm_bdf, self.config.sc_region_base + offset, sealed),
@@ -238,7 +238,7 @@ impl AdaptorState {
         let nonce = ChunkRef { stream: ENV_STREAM, seq }.nonce();
         let tag = self.engine.plain_tag(&self.env_key, &nonce, &record);
         record.extend_from_slice(&tag);
-        self.queue_control_write(regs::ENV_POLICY, record);
+        self.queue_control_write(regs::ENV_POLICY, &record);
     }
 
     /// Next rotating tag for an Adaptor-issued control read.
@@ -259,16 +259,16 @@ impl AdaptorState {
         len: u64,
         base_seq: u64,
     ) {
-        let mut record = Vec::with_capacity(STREAM_MAP_RECORD_LEN);
-        record.extend_from_slice(&id.0.to_be_bytes());
-        record.push(match direction {
+        let mut record = [0; STREAM_MAP_RECORD_LEN];
+        record[..4].copy_from_slice(&id.0.to_be_bytes());
+        record[4] = match direction {
             StreamDirection::HostToDevice => 0,
             StreamDirection::DeviceToHost => 1,
-        });
-        record.extend_from_slice(&base.to_be_bytes());
-        record.extend_from_slice(&len.to_be_bytes());
-        record.extend_from_slice(&base_seq.to_be_bytes());
-        self.queue_control_write(regs::STREAM_MAP, record);
+        };
+        record[5..13].copy_from_slice(&base.to_be_bytes());
+        record[13..21].copy_from_slice(&len.to_be_bytes());
+        record[21..].copy_from_slice(&base_seq.to_be_bytes());
+        self.queue_control_write(regs::STREAM_MAP, &record);
     }
 }
 
@@ -417,14 +417,14 @@ impl Adaptor {
     /// and rides the next flush.
     fn flush_control(&self, port: &mut dyn TlpPort) -> bool {
         self.with_control_retries("flush", || {
-            let resend: Vec<Tlp> = {
-                let state = self.state.borrow();
-                state.unacked.iter().map(|(_, tlp)| tlp.clone()).collect()
-            };
-            if resend.is_empty() {
+            if self.state.borrow().unacked.is_empty() {
                 return Some(());
             }
-            for tlp in resend {
+            // One clone at a time: the state is not borrowed while it is sent.
+            for next in 0.. {
+                let Some(tlp) = self.state.borrow().unacked.get(next).map(|(_, t)| t.clone()) else {
+                    break;
+                };
                 port.request(tlp);
             }
             let first = self.control_read_u64(port, regs::CTRL_SEQ_ACK);
@@ -450,7 +450,7 @@ impl Adaptor {
         self.with_control_retries("write_verify", || {
             self.state
                 .borrow_mut()
-                .queue_control_write(offset, value.to_le_bytes().to_vec());
+                .queue_control_write(offset, &value.to_le_bytes());
             self.flush_control(port);
             (self.control_read_u64(port, offset) == Some(value)).then_some(())
         });
@@ -582,14 +582,10 @@ impl Adaptor {
                 PolicyBlob::seal(&l1, &l2, &Self::config_key(master), [0x0D; 12]).to_bytes();
 
             for (i, chunk) in blob.chunks(1024).enumerate() {
-                state.queue_control_write(
-                    regs::POLICY_STAGING + (i * 1024) as u64,
-                    chunk.to_vec(),
-                );
+                state.queue_control_write(regs::POLICY_STAGING + (i * 1024) as u64, chunk);
             }
-            state
-                .queue_control_write(regs::POLICY_LEN, (blob.len() as u64).to_le_bytes().to_vec());
-            state.queue_control_write(regs::POLICY_APPLY, vec![1, 0, 0, 0, 0, 0, 0, 0]);
+            state.queue_control_write(regs::POLICY_LEN, &(blob.len() as u64).to_le_bytes());
+            state.queue_control_write(regs::POLICY_APPLY, &[1, 0, 0, 0, 0, 0, 0, 0]);
 
             // Environment policy: allow the whole register window.
             state.queue_env_record(0, c.xpu_bar0.start, c.xpu_bar0.end);
@@ -633,7 +629,7 @@ impl Adaptor {
             state.keys.provision_stream(MMIO_STREAM, u64::MAX - 1);
             // The doorbell names the target epoch, so a retransmitted
             // task-end is idempotent on the SC side.
-            state.queue_control_write(regs::TASK_END, u64::from(epoch).to_le_bytes().to_vec());
+            state.queue_control_write(regs::TASK_END, &u64::from(epoch).to_le_bytes());
         }
         self.flush_control(port);
     }
@@ -720,14 +716,14 @@ impl DmaStager for Adaptor {
             };
             for group in records.chunks(per_tlp * TAG_RECORD_LEN) {
                 state.counters.tag_packets += 1;
-                state.queue_control_write(regs::TAG_QUEUE, group.to_vec());
+                state.queue_control_write(regs::TAG_QUEUE, group);
             }
 
             // Doorbells.
             let doorbells = if state.config.opts.batched_notify { 1 } else { chunk_count };
             for _ in 0..doorbells {
                 state.counters.doorbells += 1;
-                state.queue_control_write(regs::NOTIFY, chunk_count.to_le_bytes().to_vec());
+                state.queue_control_write(regs::NOTIFY, &chunk_count.to_le_bytes());
             }
 
             // Metadata queries (§5 I/O-read opt off → one read per chunk).
@@ -921,8 +917,7 @@ impl DmaStager for Adaptor {
                     String::new(),
                 );
                 state.telemetry.counter_add("adaptor.rekeys", 1);
-                state
-                    .queue_control_write(regs::REKEY, u64::from(stream.0).to_le_bytes().to_vec());
+                state.queue_control_write(regs::REKEY, &u64::from(stream.0).to_le_bytes());
             }
         }
         self.flush_control(port);

@@ -76,10 +76,7 @@ ccai_sim::snapshot_state!(enum SystemMode: "system mode code" {
 });
 
 fn spec_by_name(name: &str) -> Result<XpuSpec, SnapshotError> {
-    XpuSpec::evaluation_set()
-        .into_iter()
-        .find(|spec| spec.name() == name)
-        .ok_or(SnapshotError::Invalid("unknown xPU spec name"))
+    XpuSpec::evaluation_by_name(name).ok_or(SnapshotError::Invalid("unknown xPU spec name"))
 }
 
 impl ConfidentialSystem {
@@ -294,6 +291,28 @@ mod tests {
         let snap = system.snapshot();
         let resumed = ConfidentialSystem::resume(&snap).unwrap();
         assert_eq!(resumed.snapshot(), snap, "re-snapshot is bit-identical");
+    }
+
+    #[test]
+    fn every_evaluation_device_resumes_by_name_and_no_other_does() {
+        for spec in XpuSpec::evaluation_set() {
+            let name = spec.name().to_owned();
+            let snap = ConfidentialSystem::build(spec, SystemMode::CcAi).snapshot();
+            let resumed = ConfidentialSystem::resume(&snap).unwrap();
+            resumed.with_xpu(|xpu| assert_eq!(xpu.spec().name(), name));
+            assert_eq!(resumed.snapshot(), snap, "{name}");
+        }
+        // The name is the first field after the header; rename the device.
+        let mut bytes = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi)
+            .snapshot()
+            .as_bytes()
+            .to_vec();
+        let at = bytes.windows(11).position(|w| w == b"NVIDIA A100").expect("name encoded");
+        bytes[at + 10] = b'9';
+        assert_eq!(
+            ConfidentialSystem::resume(&SystemSnapshot::from_bytes(bytes)).err(),
+            Some(SnapshotError::Invalid("unknown xPU spec name"))
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! flat implementation for tests.
 
 use crate::config_space::ConfigSpace;
+use crate::list::TlpList;
 use crate::tlp::{CplStatus, Tlp, TlpType};
 use crate::Bdf;
 use std::fmt;
@@ -28,8 +29,9 @@ pub trait PcieDevice: fmt::Debug {
     /// Mutable configuration space (for enumeration writes).
     fn config_space_mut(&mut self) -> &mut ConfigSpace;
 
-    /// Handles one inbound TLP, returning immediate responses.
-    fn handle(&mut self, tlp: Tlp) -> Vec<Tlp>;
+    /// Handles one inbound TLP, returning immediate responses (none for
+    /// a posted write, one completion for a read, held inline).
+    fn handle(&mut self, tlp: Tlp) -> TlpList;
 
     /// Drains device-initiated TLPs (DMA requests, interrupt messages).
     fn poll_outbound(&mut self) -> Vec<Tlp> {
@@ -233,9 +235,9 @@ impl PcieDevice for ScratchEndpoint {
         &mut self.config
     }
 
-    fn handle(&mut self, tlp: Tlp) -> Vec<Tlp> {
+    fn handle(&mut self, tlp: Tlp) -> TlpList {
         if let Some(cpl) = handle_config_access(self, &tlp) {
-            return vec![cpl];
+            return TlpList::one(cpl);
         }
         let header = *tlp.header();
         match header.tlp_type() {
@@ -245,33 +247,33 @@ impl PcieDevice for ScratchEndpoint {
                 if offset + payload.len() <= self.ram.len() {
                     self.ram[offset..offset + payload.len()].copy_from_slice(&payload);
                 }
-                Vec::new() // posted
+                TlpList::new() // posted
             }
             TlpType::MemRead => {
                 let offset = (header.address().expect("memory TLP") - self.bar_base) as usize;
                 let len = header.payload_len() as usize;
                 if offset + len <= self.ram.len() {
-                    vec![Tlp::completion_with_data(
+                    TlpList::one(Tlp::completion_with_data(
                         self.bdf,
                         header.requester(),
                         header.tag(),
                         self.ram[offset..offset + len].to_vec(),
-                    )]
+                    ))
                 } else {
-                    vec![Tlp::completion(
+                    TlpList::one(Tlp::completion(
                         self.bdf,
                         header.requester(),
                         header.tag(),
                         CplStatus::UnsupportedRequest,
-                    )]
+                    ))
                 }
             }
-            _ => vec![Tlp::completion(
+            _ => TlpList::one(Tlp::completion(
                 self.bdf,
                 header.requester(),
                 header.tag(),
                 CplStatus::UnsupportedRequest,
-            )],
+            )),
         }
     }
 

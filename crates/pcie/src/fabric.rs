@@ -16,10 +16,14 @@
 use crate::device::{HostMemory, PcieDevice};
 use crate::fault::{CompletionVerdict, FaultEvent, FaultInjector, FaultPlan};
 use crate::link::{LinkConfig, LinkSpeed};
+use crate::list::TlpList;
 use crate::tlp::{CplStatus, Tlp, TlpPool, TlpPoolStats, TlpType};
 use crate::Bdf;
 use ccai_sim::{DetHashMap, Hop, Severity, SimDuration, Telemetry};
 use std::fmt;
+
+/// Lines of the fabric's link-time memo (a power of two).
+const LINK_TIME_LINES: usize = 64;
 
 /// Identifies a fabric port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,20 +35,22 @@ impl fmt::Display for PortId {
     }
 }
 
-/// What an interposer decided to do with a TLP.
+/// What an interposer decided to do with a TLP. Both lists hold one
+/// packet inline, so passing, answering or dropping a packet allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct InterposeOutcome {
     /// TLPs to forward onward in the original direction.
-    pub forward: Vec<Tlp>,
+    pub forward: TlpList,
     /// TLPs to send back in the opposite direction (e.g. completions the
     /// interposer itself generates for its own MMIO registers).
-    pub reply: Vec<Tlp>,
+    pub reply: TlpList,
 }
 
 impl InterposeOutcome {
     /// Passes the packet through untouched.
     pub fn pass(tlp: Tlp) -> Self {
-        InterposeOutcome { forward: vec![tlp], reply: Vec::new() }
+        InterposeOutcome { forward: TlpList::one(tlp), reply: TlpList::new() }
     }
 
     /// Drops the packet silently.
@@ -54,13 +60,13 @@ impl InterposeOutcome {
 
     /// Answers the packet directly without forwarding.
     pub fn answer(reply: Tlp) -> Self {
-        InterposeOutcome { forward: Vec::new(), reply: vec![reply] }
+        InterposeOutcome { forward: TlpList::new(), reply: TlpList::one(reply) }
     }
 
     /// Appends `other`'s packets after this outcome's own.
     pub fn absorb(&mut self, other: InterposeOutcome) {
-        join(&mut self.forward, other.forward);
-        join(&mut self.reply, other.reply);
+        self.forward.join(other.forward);
+        self.reply.join(other.reply);
     }
 }
 
@@ -165,7 +171,8 @@ impl fmt::Debug for Port {
 /// requests.
 #[derive(Debug)]
 pub struct Fabric {
-    ports: DetHashMap<PortId, Port>,
+    /// Slot `n` holds port `n`'s endpoint, if attached.
+    ports: Vec<Option<Port>>,
     address_map: Vec<(std::ops::Range<u64>, PortId)>,
     bdf_map: DetHashMap<Bdf, PortId>,
     taps: Vec<Box<dyn BusTap>>,
@@ -186,9 +193,10 @@ pub struct Fabric {
     /// The exposed bus segment's link model, built once instead of per
     /// packet on the wire hot path.
     bus_link: LinkConfig,
-    /// `bus_link.dma_time` per wire size, memoised: the f64 pricing runs
-    /// once per distinct size instead of once per TLP.
-    link_time: DetHashMap<u64, SimDuration>,
+    /// `bus_link.dma_time` per wire size, memoised direct-mapped by the
+    /// size's low bits: the f64 pricing runs on a line's first use or
+    /// when two sizes take turns on it, not once per TLP.
+    link_time: [(u64, SimDuration); LINK_TIME_LINES],
     /// Recycled payload storage for the DMA hot path: device-write
     /// payloads retire into the pool, read completions are built from it.
     pool: TlpPool,
@@ -199,7 +207,7 @@ impl Fabric {
     /// hands to every fault injector it installs.
     pub fn new(telemetry: Telemetry) -> Self {
         Fabric {
-            ports: DetHashMap::default(),
+            ports: Vec::new(),
             address_map: Vec::new(),
             bdf_map: DetHashMap::default(),
             taps: Vec::new(),
@@ -210,9 +218,17 @@ impl Fabric {
             delayed_to_host: Vec::new(),
             telemetry,
             bus_link: LinkConfig::new(LinkSpeed::Gen4, 16),
-            link_time: DetHashMap::default(),
+            link_time: [(0, SimDuration::ZERO); LINK_TIME_LINES],
             pool: TlpPool::new(),
         }
+    }
+
+    fn port(&self, port: PortId) -> Option<&Port> {
+        self.ports.get(usize::from(port.0)).and_then(Option::as_ref)
+    }
+
+    fn port_mut(&mut self, port: PortId) -> Option<&mut Port> {
+        self.ports.get_mut(usize::from(port.0)).and_then(Option::as_mut)
     }
 
     /// Recycling counters of the fabric's TLP payload pool.
@@ -227,14 +243,18 @@ impl Fabric {
     /// Panics if the port is already occupied or the device's BDF is
     /// already attached.
     pub fn attach(&mut self, port: PortId, device: Box<dyn PcieDevice>) {
-        assert!(!self.ports.contains_key(&port), "{port} already occupied");
+        assert!(self.port(port).is_none(), "{port} already occupied");
         let bdf = device.bdf();
         assert!(
             !self.bdf_map.contains_key(&bdf),
             "device {bdf} already attached"
         );
         self.bdf_map.insert(bdf, port);
-        self.ports.insert(port, Port { device, interposer: None });
+        let slot = usize::from(port.0);
+        if self.ports.len() <= slot {
+            self.ports.resize_with(slot + 1, || None);
+        }
+        self.ports[slot] = Some(Port { device, interposer: None });
     }
 
     /// Severs the link to `port`: the device (and any interposer) is
@@ -246,7 +266,7 @@ impl Fabric {
     ///
     /// Returns `None` if the port is empty.
     pub fn hot_unplug(&mut self, port: PortId) -> Option<UnpluggedPort> {
-        let mut entry = self.ports.remove(&port)?;
+        let mut entry = self.ports.get_mut(usize::from(port.0))?.take()?;
         let mut report = UnplugReport::default();
         // TLPs queued at the severed endpoint were "on the wire" from the
         // device's point of view; classify and drop them.
@@ -323,24 +343,24 @@ impl Fabric {
     ///
     /// Panics if the port is empty or already interposed.
     pub fn interpose(&mut self, port: PortId, interposer: Box<dyn Interposer>) {
-        let entry = self.ports.get_mut(&port).expect("port not attached");
+        let entry = self.port_mut(port).expect("port not attached");
         assert!(entry.interposer.is_none(), "{port} already interposed");
         entry.interposer = Some(interposer);
     }
 
     /// Removes and returns the interposer at `port`, if any.
     pub fn remove_interposer(&mut self, port: PortId) -> Option<Box<dyn Interposer>> {
-        self.ports.get_mut(&port).and_then(|p| p.interposer.take())
+        self.port_mut(port).and_then(|p| p.interposer.take())
     }
 
     /// Borrows the interposer at `port`, if any.
     pub fn interposer(&self, port: PortId) -> Option<&dyn Interposer> {
-        self.ports.get(&port).and_then(|p| p.interposer.as_deref())
+        self.port(port).and_then(|p| p.interposer.as_deref())
     }
 
     /// Mutably borrows the interposer at `port`, if any.
     pub fn interposer_mut(&mut self, port: PortId) -> Option<&mut (dyn Interposer + 'static)> {
-        match self.ports.get_mut(&port) {
+        match self.port_mut(port) {
             Some(p) => match &mut p.interposer {
                 Some(ip) => Some(ip.as_mut()),
                 None => None,
@@ -395,12 +415,12 @@ impl Fabric {
 
     /// Books the bus transit of `wire_bytes` as a [`Hop::Link`] span.
     fn charge_link(&mut self, wire_bytes: u64) {
-        let link = self.bus_link;
-        let transit = *self
-            .link_time
-            .entry(wire_bytes)
-            .or_insert_with(|| link.dma_time(wire_bytes));
-        self.telemetry.advance_span(Hop::Link, None, transit);
+        // No TLP is 0 bytes on the wire, so an unused line never matches.
+        let line = &mut self.link_time[wire_bytes as usize % LINK_TIME_LINES];
+        if line.0 != wire_bytes {
+            *line = (wire_bytes, self.bus_link.dma_time(wire_bytes));
+        }
+        self.telemetry.advance_span(Hop::Link, None, line.1);
     }
 
     /// Maps an additional BDF (e.g. a virtual function of a multi-tenant
@@ -433,12 +453,12 @@ impl Fabric {
 
     /// Borrows the device at `port` for inspection.
     pub fn device(&self, port: PortId) -> Option<&dyn PcieDevice> {
-        self.ports.get(&port).map(|p| p.device.as_ref())
+        self.port(port).map(|p| p.device.as_ref())
     }
 
     /// Mutably borrows the device at `port`.
     pub fn device_mut(&mut self, port: PortId) -> Option<&mut (dyn PcieDevice + '_)> {
-        match self.ports.get_mut(&port) {
+        match self.port_mut(port) {
             Some(p) => Some(p.device.as_mut()),
             None => None,
         }
@@ -520,45 +540,39 @@ impl Fabric {
         };
 
         // Downstream through the interposer.
-        let port = self.ports.get_mut(&port_id).expect("routed port exists");
+        let port = self.port_mut(port_id).expect("routed port exists");
         let outcome = match &mut port.interposer {
             Some(ip) => ip.on_downstream(tlp),
             None => InterposeOutcome::pass(tlp),
         };
-        for reply in outcome.reply {
+        outcome.reply.for_each(|reply| {
             if let Some(reply) = self.wire(reply, false) {
                 to_host.push(reply);
             }
-        }
+        });
 
         // Deliver to the device; its completions climb back up through the
-        // interposer. Each stage keeps the previous stage's buffer when it
-        // holds a single packet, so a round trip allocates no Vec of its own.
-        let port = self.ports.get_mut(&port_id).expect("routed port exists");
-        let mut upstream = Vec::new();
-        for tlp in outcome.forward {
-            join(&mut upstream, port.device.handle(tlp));
-        }
-        let mut forwarded_up = Vec::new();
-        for tlp in upstream {
-            match &mut port.interposer {
-                Some(ip) => {
-                    let outcome = ip.on_upstream(tlp);
-                    // Replies in the upstream direction head back to
-                    // the device.
-                    for back in outcome.reply {
-                        port.device.handle(back);
-                    }
-                    join(&mut forwarded_up, outcome.forward);
-                }
-                None => forwarded_up.push(tlp),
+        // interposer. Each stage's list holds a single packet inline, so a
+        // round trip allocates no list of its own.
+        let port = self.port_mut(port_id).expect("routed port exists");
+        let upstream = outcome.forward.flat_map(|tlp| port.device.handle(tlp));
+        let forwarded_up = upstream.flat_map(|tlp| match &mut port.interposer {
+            Some(ip) => {
+                let outcome = ip.on_upstream(tlp);
+                // Replies in the upstream direction head back to the
+                // device.
+                outcome.reply.for_each(|back| {
+                    port.device.handle(back);
+                });
+                outcome.forward
             }
-        }
-        for tlp in forwarded_up {
+            None => TlpList::one(tlp),
+        });
+        forwarded_up.for_each(|tlp| {
             if let Some(tlp) = self.wire(tlp, false) {
                 to_host.push(tlp);
             }
-        }
+        });
     }
 
     /// Pumps device-initiated traffic: drains every device's outbound
@@ -575,14 +589,9 @@ impl Fabric {
             moved += 1;
             self.deliver_completion_to_device(origin, reply);
         }
-        let port_ids: Vec<PortId> = {
-            let mut ids: Vec<PortId> = self.ports.keys().copied().collect();
-            ids.sort();
-            ids
-        };
-        for port_id in port_ids {
-            loop {
-                let port = self.ports.get_mut(&port_id).expect("port exists");
+        for slot in 0..self.ports.len() {
+            let port_id = PortId(slot as u8);
+            while let Some(port) = self.port_mut(port_id) {
                 let outbound = port.device.poll_outbound();
                 if outbound.is_empty() {
                     break;
@@ -592,24 +601,28 @@ impl Fabric {
                 moved += outbound.len();
                 let outcome = match &mut port.interposer {
                     Some(ip) => ip.on_upstream_batch(outbound),
-                    None => InterposeOutcome { forward: outbound, reply: Vec::new() },
+                    None => InterposeOutcome { forward: outbound.into(), reply: TlpList::new() },
                 };
-                for back in outcome.reply {
+                outcome.reply.for_each(|back| {
                     port.device.handle(back);
-                }
-                let mut to_bus_all = outcome.forward;
+                });
                 // The injected fault segment sits between the interposer
                 // and the host: the PCIe-SC has already classified and
                 // encrypted this traffic, so every surviving mutation is
                 // caught by the integrity layer, not hidden from it.
-                if let Some(injector) = &mut self.fault {
-                    injector.fault_upstream_batch(&mut to_bus_all);
-                }
-                for tlp in to_bus_all {
+                let to_bus_all = match &mut self.fault {
+                    Some(injector) => {
+                        let mut all = outcome.forward.into_vec();
+                        injector.fault_upstream_batch(&mut all);
+                        all.into()
+                    }
+                    None => outcome.forward,
+                };
+                to_bus_all.for_each(|tlp| {
                     if let Some(tlp) = self.wire(tlp, false) {
                         self.deliver_upstream(port_id, tlp, host_memory);
                     }
-                }
+                });
             }
         }
         moved
@@ -686,35 +699,23 @@ impl Fabric {
             return; // deleted on the wire
         };
         // Back down through the interposer to the device.
-        let port = self.ports.get_mut(&origin).expect("port exists");
+        let port = self.port_mut(origin).expect("port exists");
         let forwarded = match &mut port.interposer {
             Some(ip) => {
                 let outcome = ip.on_downstream(reply);
-                for up in outcome.reply {
-                    // replies go back upstream; rare, ignore routing
-                    self.host_inbox.push(up);
-                }
+                // Replies go back upstream; rare, ignore routing.
+                outcome.reply.for_each(|up| self.host_inbox.push(up));
                 outcome.forward
             }
-            None => vec![reply],
+            None => TlpList::one(reply),
         };
-        let port = self.ports.get_mut(&origin).expect("port exists");
-        for tlp in forwarded {
+        let port = self.ports[usize::from(origin.0)].as_mut().expect("port exists");
+        forwarded.for_each(|tlp| {
             // The device copies the payload into its own memory; the
             // buffer then serves the next read completion.
             port.device.deliver_completion(&tlp);
             self.pool.recycle(tlp.into_payload());
-        }
-    }
-}
-
-/// Appends `more` to `all`, taking over `more`'s buffer when `all` is
-/// still empty.
-fn join(all: &mut Vec<Tlp>, mut more: Vec<Tlp>) {
-    if all.is_empty() {
-        *all = more;
-    } else {
-        all.append(&mut more);
+        });
     }
 }
 

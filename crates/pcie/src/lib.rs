@@ -50,6 +50,7 @@ pub mod device;
 pub mod fabric;
 pub mod fault;
 pub mod link;
+pub mod list;
 pub mod tlp;
 
 pub use adversary::{AttackLog, BusAdversary, TamperMode};
@@ -62,4 +63,5 @@ pub use device::{HostMemory, PcieDevice, VecHostMemory};
 pub use fabric::{Fabric, Interposer, InterposeOutcome, PortId, UnplugReport, WireAttack};
 pub use fault::{CompletionVerdict, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use link::{LinkConfig, LinkSpeed};
+pub use list::TlpList;
 pub use tlp::{CplStatus, DecodeError, Tlp, TlpHeader, TlpPool, TlpPoolStats, TlpType};

@@ -179,6 +179,151 @@ fn hop_report(hop: Hop, store: &SpanStore) -> HopReport {
     }
 }
 
+/// The spans of one `(tenant, hop)` key: the exact store, and in front of
+/// it the latest run of equal durations. A hop charges the same
+/// calibrated duration many times in a row (every control TLP crosses the
+/// link in the same time), so a span usually just lengthens the run; the
+/// run folds into the store when another duration arrives or a reader
+/// needs the store.
+#[derive(Default)]
+struct SpanLane {
+    store: SpanStore,
+    run_picos: u64,
+    run_len: u64,
+}
+
+impl SpanLane {
+    fn add(&mut self, picos: u64) {
+        if picos != self.run_picos || self.run_len == 0 {
+            self.fold();
+            self.run_picos = picos;
+        }
+        self.run_len += 1;
+    }
+
+    fn fold(&mut self) {
+        if self.run_len > 0 {
+            *self.store.entry(self.run_picos).or_insert(0) += self.run_len;
+            self.run_len = 0;
+        }
+    }
+}
+
+/// One tenant tag's lanes, indexed by hop.
+type Lanes = [SpanLane; ALL_HOPS.len()];
+
+/// Every span, recorded once under its tenant tag (`None` when untagged)
+/// and hop: the untagged lanes, then one row of lanes per tag, ascending
+/// by tag (the key order the snapshot codec writes). Untagged link spans
+/// interleave with every tenant's spans, so they need no lookup; a tag
+/// tries the row charged last before a binary search. Per-hop figures
+/// merge all tenants on read, so fleet runs can report p50/p99 hop
+/// latency both globally and per tenant from one record.
+#[derive(Default)]
+struct SpanTable {
+    untagged: Lanes,
+    tagged: Vec<(u32, Lanes)>,
+    last: usize,
+}
+
+impl SpanTable {
+    fn add(&mut self, tenant: Option<u32>, hop: Hop, picos: u64) {
+        let lanes = match tenant {
+            None => &mut self.untagged,
+            Some(tag) => {
+                if self.tagged.get(self.last).is_none_or(|(t, _)| *t != tag) {
+                    self.last = match self.tagged.binary_search_by_key(&tag, |(t, _)| *t) {
+                        Ok(row) => row,
+                        Err(row) => {
+                            self.tagged.insert(row, (tag, Lanes::default()));
+                            row
+                        }
+                    };
+                }
+                &mut self.tagged[self.last].1
+            }
+        };
+        lanes[hop as usize].add(picos);
+    }
+
+    /// Folds every run into its store; the readers below see exact
+    /// stores only, so call this first.
+    fn fold(&mut self) -> &Self {
+        let tagged = self.tagged.iter_mut().map(|(_, lanes)| lanes);
+        for lanes in std::iter::once(&mut self.untagged).chain(tagged) {
+            lanes.iter_mut().for_each(SpanLane::fold);
+        }
+        self
+    }
+
+    /// Every non-empty store with its key, in ascending key order.
+    fn stores(&self) -> impl Iterator<Item = ((Option<u32>, Hop), &SpanStore)> {
+        let tagged = self.tagged.iter().map(|(tag, lanes)| (Some(*tag), lanes));
+        std::iter::once((None, &self.untagged)).chain(tagged).flat_map(|(tenant, lanes)| {
+            ALL_HOPS
+                .iter()
+                .zip(lanes)
+                .filter(|(_, lane)| !lane.store.is_empty())
+                .map(move |(&hop, lane)| ((tenant, hop), &lane.store))
+        })
+    }
+
+    fn store(&self, tenant: Option<u32>, hop: Hop) -> Option<&SpanStore> {
+        let lanes = match tenant {
+            None => &self.untagged,
+            Some(tag) => &self.tagged[self.tagged.binary_search_by_key(&tag, |(t, _)| *t).ok()?].1,
+        };
+        Some(&lanes[hop as usize].store)
+    }
+
+    fn tenants(&self) -> impl Iterator<Item = u32> + '_ {
+        self.tagged.iter().map(|(tag, _)| *tag)
+    }
+
+    /// Writes the stores exactly like a map from `(tenant, hop)` to store.
+    fn encode(&mut self, enc: &mut Encoder) {
+        self.fold();
+        enc.u64(self.stores().count() as u64);
+        for (key, store) in self.stores() {
+            key.encode_state(enc);
+            store.encode_state(enc);
+        }
+    }
+
+    /// Reads what [`SpanTable::encode`] wrote, refusing non-canonical
+    /// stores (the codec already refuses unsorted keys): no empty store,
+    /// no zero count, every store's total representable.
+    fn decode(dec: &mut Decoder<'_>) -> Result<SpanTable, SnapshotError> {
+        let spans: BTreeMap<(Option<u32>, Hop), SpanStore> = dec.get()?;
+        let mut table = SpanTable::default();
+        for ((tenant, hop), store) in spans {
+            if store.is_empty() {
+                return Err(SnapshotError::Invalid("empty span store"));
+            }
+            if store.values().any(|&n| n == 0) {
+                return Err(SnapshotError::Invalid("zero span count"));
+            }
+            store
+                .iter()
+                .try_fold(0u64, |total, (&picos, &n)| {
+                    picos.checked_mul(n).and_then(|t| t.checked_add(total))
+                })
+                .ok_or(SnapshotError::Invalid("span total overflows"))?;
+            let lanes = match tenant {
+                None => &mut table.untagged,
+                Some(tag) => {
+                    if table.tagged.last().is_none_or(|(t, _)| *t != tag) {
+                        table.tagged.push((tag, Lanes::default()));
+                    }
+                    &mut table.tagged.last_mut().expect("pushed above").1
+                }
+            };
+            lanes[hop as usize].store = store;
+        }
+        Ok(table)
+    }
+}
+
 fn fnv1a_u64(h: u64, v: u64) -> u64 {
     fnv1a(h, &v.to_le_bytes())
 }
@@ -195,32 +340,47 @@ fn fold_event(mut h: u64, event: &TelemetryEvent) -> u64 {
 }
 
 /// Named metrics, stored in first-touch order. A `'static` name finds its
-/// slot through `slots`, keyed by the name's address and length: a
-/// `'static` str is never freed, so an equal key is the same name, and a
-/// hit neither compares nor allocates a string. A miss (first touch, or
-/// the same text at another address) searches `entries` by text once.
-/// Every reader sorts, so order of first touch is never observable.
+/// slot by its address and length: a `'static` str is never freed, so an
+/// equal key is the same name, and a hit neither compares nor allocates a
+/// string. A direct-mapped cache of recent keys answers a hot name with
+/// one compare; behind it `slots` maps every key resolved so far, and a
+/// miss there (first touch, or the same text at another address)
+/// searches `entries` by text once. Every reader sorts, so order of
+/// first touch is never observable.
 struct Registry<T> {
     entries: Vec<(String, T)>,
+    recent: [(usize, usize, usize); RECENT_LINES],
     slots: DetHashMap<(usize, usize), usize>,
 }
 
+/// Lines of [`Registry`]'s recent-key cache (a power of two).
+const RECENT_LINES: usize = 64;
+
 impl<T> Default for Registry<T> {
     fn default() -> Self {
-        Registry { entries: Vec::new(), slots: DetHashMap::default() }
+        // Address 0 is never a str's, so no key matches an unused line.
+        Registry { entries: Vec::new(), recent: [(0, 0, 0); RECENT_LINES], slots: DetHashMap::default() }
     }
 }
 
 impl<T> Registry<T> {
     fn slot(&mut self, name: &'static str, init: impl FnOnce() -> T) -> &mut T {
         let key = (name.as_ptr() as usize, name.len());
-        let i = match self.slots.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.index(name, init);
-                self.slots.insert(key, i);
-                i
-            }
+        let line = ((key.0 ^ key.1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) % RECENT_LINES;
+        let (ptr, len, hit) = self.recent[line];
+        let i = if (ptr, len) == key {
+            hit
+        } else {
+            let i = match self.slots.get(&key) {
+                Some(&i) => i,
+                None => {
+                    let i = self.index(name, init);
+                    self.slots.insert(key, i);
+                    i
+                }
+            };
+            self.recent[line] = (key.0, key.1, i);
+            i
         };
         &mut self.entries[i].1
     }
@@ -257,7 +417,7 @@ impl<T: SnapshotState> SnapshotState for Registry<T> {
 
     fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let entries = BTreeMap::<String, T>::decode_state(dec)?.into_iter().collect();
-        Ok(Registry { entries, slots: DetHashMap::default() })
+        Ok(Registry { entries, ..Registry::default() })
     }
 }
 
@@ -270,22 +430,9 @@ struct TelemetryInner {
     digest: u64,
     counters: Registry<u64>,
     histograms: Registry<Histogram>,
-    /// Every span, recorded once under its tenant tag (`None` when
-    /// untagged) and hop. Per-hop figures merge all tenants on read, so
-    /// fleet runs can report p50/p99 hop latency both globally and per
-    /// tenant from one record.
-    spans: DetHashMap<(Option<u32>, Hop), SpanStore>,
+    spans: SpanTable,
     idle_total: SimDuration,
     idle_by_tenant: BTreeMap<u32, SimDuration>,
-}
-
-impl TelemetryInner {
-    fn span_tenants(&self) -> Vec<u32> {
-        let mut tenants: Vec<u32> = self.spans.keys().filter_map(|&(t, _)| t).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-        tenants
-    }
 }
 
 /// Shared handle to the telemetry hub. Cheap to clone; all clones observe
@@ -330,7 +477,7 @@ impl Telemetry {
                 digest: FNV_OFFSET,
                 counters: Registry::default(),
                 histograms: Registry::default(),
-                spans: DetHashMap::default(),
+                spans: SpanTable::default(),
                 idle_total: SimDuration::ZERO,
                 idle_by_tenant: BTreeMap::new(),
             })),
@@ -434,12 +581,7 @@ impl Telemetry {
     pub fn advance_span(&self, hop: Hop, tenant: Option<u32>, d: SimDuration) {
         let mut inner = self.inner.borrow_mut();
         inner.clock.advance(d);
-        *inner
-            .spans
-            .entry((tenant, hop))
-            .or_default()
-            .entry(d.as_picos())
-            .or_insert(0) += 1;
+        inner.spans.add(tenant, hop, d.as_picos());
     }
 
     /// Advances the hub clock by `d`, attributing the time to idle/backoff
@@ -497,7 +639,8 @@ impl Telemetry {
 
     /// Sum of all span durations across hops.
     pub fn span_total(&self) -> SimDuration {
-        self.inner.borrow().spans.values().map(store_total).sum()
+        let mut inner = self.inner.borrow_mut();
+        inner.spans.fold().stores().map(|(_, store)| store_total(store)).sum()
     }
 
     /// Total idle/backoff time.
@@ -519,11 +662,8 @@ impl Telemetry {
     /// if that tenant has recorded any.
     #[doc(hidden)]
     pub fn tenant_hop_summary(&self, tenant: u32, hop: Hop) -> Option<Summary> {
-        self.inner
-            .borrow()
-            .spans
-            .get(&(Some(tenant), hop))
-            .and_then(store_summary_us)
+        let mut inner = self.inner.borrow_mut();
+        inner.spans.fold().store(Some(tenant), hop).and_then(store_summary_us)
     }
 
     /// Serializes the hub's full resumable state: clock, trace digest,
@@ -533,7 +673,7 @@ impl Telemetry {
     /// reconstructed from bytes — so a restored hub starts with an empty
     /// ring but continues the digest, clock and metrics bit-exactly.
     pub fn encode_snapshot(&self, enc: &mut Encoder) {
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
         enc.put(&inner.clock);
         enc.put(&inner.capacity);
         enc.put(&inner.events_recorded);
@@ -541,7 +681,7 @@ impl Telemetry {
         enc.put(&inner.digest);
         enc.put(&inner.counters);
         enc.put(&inner.histograms);
-        enc.put(&inner.spans);
+        inner.spans.encode(enc);
         enc.put(&inner.idle_total);
         enc.put(&inner.idle_by_tenant);
     }
@@ -569,25 +709,9 @@ impl Telemetry {
         let digest = dec.get()?;
         let counters = dec.get()?;
         let histograms = dec.get()?;
-        let spans: DetHashMap<(Option<u32>, Hop), SpanStore> = dec.get()?;
+        let spans = SpanTable::decode(dec)?;
         let idle_total = dec.get()?;
         let idle_by_tenant = dec.get()?;
-        // Canonical stores only (the codec already refuses unsorted keys):
-        // no empty store, no zero count, every store's total representable.
-        for store in spans.values() {
-            if store.is_empty() {
-                return Err(SnapshotError::Invalid("empty span store"));
-            }
-            if store.values().any(|&n| n == 0) {
-                return Err(SnapshotError::Invalid("zero span count"));
-            }
-            store
-                .iter()
-                .try_fold(0u64, |total, (&picos, &n)| {
-                    picos.checked_mul(n).and_then(|t| t.checked_add(total))
-                })
-                .ok_or(SnapshotError::Invalid("span total overflows"))?;
-        }
         *self.inner.borrow_mut() = TelemetryInner {
             clock,
             capacity,
@@ -606,32 +730,28 @@ impl Telemetry {
 
     /// Point-in-time copy of the metric registry and trace digest.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.inner.borrow();
-        let mut merged: BTreeMap<Hop, SpanStore> = BTreeMap::new();
-        for (&(_, hop), store) in &inner.spans {
-            let global = merged.entry(hop).or_default();
+        let mut inner = self.inner.borrow_mut();
+        let spans = inner.spans.fold();
+        let mut merged: [SpanStore; ALL_HOPS.len()] = Default::default();
+        for ((_, hop), store) in spans.stores() {
+            let global = &mut merged[hop as usize];
             for (&picos, &n) in store {
                 *global.entry(picos).or_insert(0) += n;
             }
         }
+        let hops = ALL_HOPS.iter().zip(&merged).map(|(&hop, store)| hop_report(hop, store)).collect();
         let empty = SpanStore::new();
-        let hops = ALL_HOPS
-            .iter()
-            .map(|&hop| hop_report(hop, merged.get(&hop).unwrap_or(&empty)))
-            .collect();
-        let tenants = inner
-            .span_tenants()
-            .into_iter()
+        let tenants = spans
+            .tenants()
             .map(|tenant| TenantHopReport {
                 tenant,
                 hops: ALL_HOPS
                     .iter()
-                    .map(|&hop| {
-                        hop_report(hop, inner.spans.get(&(Some(tenant), hop)).unwrap_or(&empty))
-                    })
+                    .map(|&hop| hop_report(hop, spans.store(Some(tenant), hop).unwrap_or(&empty)))
                     .collect(),
             })
             .collect();
+        let span_total = merged.iter().map(store_total).sum();
         TelemetrySnapshot {
             now: inner.clock.now(),
             digest: inner.digest,
@@ -645,7 +765,7 @@ impl Telemetry {
                 .collect(),
             hops,
             tenants,
-            span_total: inner.spans.values().map(store_total).sum(),
+            span_total,
             idle_total: inner.idle_total,
             idle_by_tenant: inner
                 .idle_by_tenant
@@ -794,7 +914,7 @@ mod tests {
     impl Telemetry {
         /// Tenants that have at least one tagged span, in ascending tag order.
         fn span_tenants(&self) -> Vec<u32> {
-            self.inner.borrow().span_tenants()
+            self.inner.borrow().spans.tenants().collect()
         }
     }
 

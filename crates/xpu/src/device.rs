@@ -28,7 +28,7 @@ use crate::registers::{Reg, RegisterFile, RESET_MAGIC};
 use crate::spec::XpuSpec;
 use ccai_crypto::SchnorrKeyPair;
 use ccai_pcie::{
-    device::handle_config_access, Bdf, ConfigSpace, CplStatus, PcieDevice, Tlp, TlpType,
+    device::handle_config_access, Bdf, ConfigSpace, CplStatus, PcieDevice, Tlp, TlpList, TlpType,
 };
 use ccai_sim::{Bandwidth, Hop, Severity, Telemetry};
 use std::cell::OnceCell;
@@ -77,14 +77,11 @@ pub(crate) fn decode_bar(bar0_base: u64, addr: u64) -> Option<(Bar, u64)> {
 
 /// A request no function claims: reads complete as Unsupported Request,
 /// everything else (posted writes, messages) is absorbed.
-pub(crate) fn unclaimed(completer: Bdf, tlp: &Tlp) -> Vec<Tlp> {
+pub(crate) fn unclaimed(completer: Bdf, tlp: &Tlp) -> TlpList {
     let header = tlp.header();
-    if header.tlp_type().is_read() {
-        let status = CplStatus::UnsupportedRequest;
-        vec![Tlp::completion(completer, header.requester(), header.tag(), status)]
-    } else {
-        Vec::new()
-    }
+    let status = CplStatus::UnsupportedRequest;
+    let read = header.tlp_type().is_read();
+    read.then(|| Tlp::completion(completer, header.requester(), header.tag(), status)).into()
 }
 
 /// One PCIe function's execution engine: the register file, device
@@ -266,18 +263,18 @@ impl Engine {
 
     /// Serves a memory request that decoded to `offset` within this
     /// function's window of `bar`.
-    pub(crate) fn access(&mut self, bar: Bar, offset: u64, tlp: &Tlp) -> Vec<Tlp> {
+    pub(crate) fn access(&mut self, bar: Bar, offset: u64, tlp: &Tlp) -> TlpList {
         let header = tlp.header();
         let reply = |data| {
-            vec![Tlp::completion_with_data(self.bdf, header.requester(), header.tag(), data)]
+            TlpList::one(Tlp::completion_with_data(self.bdf, header.requester(), header.tag(), data))
         };
         let unsupported = || {
-            vec![Tlp::completion(
+            TlpList::one(Tlp::completion(
                 self.bdf,
                 header.requester(),
                 header.tag(),
                 CplStatus::UnsupportedRequest,
-            )]
+            ))
         };
         match (bar, header.tlp_type()) {
             (Bar::Registers, TlpType::MemWrite) => {
@@ -288,7 +285,7 @@ impl Engine {
                     bytes[..n].copy_from_slice(&payload[..n]);
                     self.register_write(reg, u64::from_le_bytes(bytes));
                 }
-                Vec::new()
+                TlpList::new()
             }
             (Bar::Registers, TlpType::MemRead) => {
                 let value = self
@@ -302,7 +299,7 @@ impl Engine {
             (Bar::Registers, _) => unsupported(),
             (Bar::Aperture, TlpType::MemWrite) => {
                 let _ = self.memory.write(offset, tlp.payload());
-                Vec::new()
+                TlpList::new()
             }
             (Bar::Aperture, TlpType::MemRead) => {
                 match self.memory.read(offset, header.payload_len() as u64) {
@@ -310,7 +307,7 @@ impl Engine {
                     Err(_) => unsupported(),
                 }
             }
-            (Bar::Aperture, _) => Vec::new(),
+            (Bar::Aperture, _) => TlpList::new(),
         }
     }
 
@@ -332,7 +329,7 @@ impl Engine {
     }
 
     fn encode_snapshot(&self, enc: &mut ccai_sim::snapshot::Encoder) {
-        enc.put(&self.registers.values);
+        self.registers.encode_values(enc);
         self.memory.encode_snapshot(enc);
         enc.put(&self.mmu);
         self.dma.encode_snapshot(enc);
@@ -345,7 +342,7 @@ impl Engine {
         &mut self,
         dec: &mut ccai_sim::snapshot::Decoder<'_>,
     ) -> Result<(), ccai_sim::snapshot::SnapshotError> {
-        let registers = dec.get()?;
+        let registers = RegisterFile::decode_values(dec)?;
         let mut memory = DeviceMemory::new(self.memory.capacity());
         memory.restore_snapshot(dec)?;
         let mmu: Option<Mmu> = dec.get()?;
@@ -356,7 +353,7 @@ impl Engine {
         dma.restore_snapshot(dec)?;
         let commands = dec.get()?;
         let (interrupts_sent, cold_boots) = dec.get()?;
-        self.registers.values = registers;
+        self.registers.restore_values(registers);
         self.memory = memory;
         self.mmu = mmu;
         self.dma = dma;
@@ -491,9 +488,9 @@ impl PcieDevice for Xpu {
         &mut self.config
     }
 
-    fn handle(&mut self, tlp: Tlp) -> Vec<Tlp> {
+    fn handle(&mut self, tlp: Tlp) -> TlpList {
         if let Some(cpl) = handle_config_access(self, &tlp) {
-            return vec![cpl];
+            return TlpList::one(cpl);
         }
         match tlp.header().address().and_then(|addr| decode_bar(self.bar0_base, addr)) {
             Some((bar, offset)) => self.engine.access(bar, offset, &tlp),

@@ -20,7 +20,7 @@
 use crate::device::{bar_config, decode_bar, unclaimed, Bar, Engine, BAR1_SIZE};
 use crate::registers::RegisterFile;
 use crate::spec::XpuSpec;
-use ccai_pcie::{device::handle_config_access, Bdf, ConfigSpace, PcieDevice, Tlp};
+use ccai_pcie::{device::handle_config_access, Bdf, ConfigSpace, PcieDevice, Tlp, TlpList};
 use ccai_sim::Telemetry;
 use std::fmt;
 
@@ -126,9 +126,9 @@ impl PcieDevice for PartitionedXpu {
         &mut self.config
     }
 
-    fn handle(&mut self, tlp: Tlp) -> Vec<Tlp> {
+    fn handle(&mut self, tlp: Tlp) -> TlpList {
         if let Some(cpl) = handle_config_access(self, &tlp) {
-            return vec![cpl];
+            return TlpList::one(cpl);
         }
         let decoded = tlp.header().address().and_then(|addr| decode_bar(self.bar0_base, addr));
         let Some((bar, offset)) = decoded else {

@@ -12,6 +12,7 @@
 //!
 //! [`XpuSpec`]: crate::XpuSpec
 
+use ccai_sim::snapshot::{Decoder, Encoder, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -98,6 +99,11 @@ pub const RESET_MAGIC: u64 = 0xC01D_B007; // "cold boot"
 /// A vendor-flavoured register file: logical registers at vendor-specific
 /// byte offsets, each 8 bytes wide.
 ///
+/// The layout is arithmetic — [`Reg::ALL`] rotated by a vendor-dependent
+/// amount and spaced at a vendor-dependent stride — so an offset decodes
+/// to its register with a division, and values are kept by register
+/// index.
+///
 /// # Example
 ///
 /// ```
@@ -109,10 +115,14 @@ pub const RESET_MAGIC: u64 = 0xC01D_B007; // "cold boot"
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegisterFile {
-    offsets: BTreeMap<Reg, u64>,
-    /// The only mutable state; the owning device snapshots it, since the
-    /// offsets are a pure function of the vendor layout.
-    pub(crate) values: BTreeMap<Reg, u64>,
+    base: u64,
+    stride: u64,
+    /// Slot `i` of the window holds `Reg::ALL[(i + rotation) % 14]`.
+    rotation: usize,
+    /// The only mutable state, by [`Reg::ALL`] index; `None` for a
+    /// register not written since the last wipe. The owning device
+    /// snapshots it, since the layout is a pure function of the vendor.
+    values: [Option<u64>; Reg::ALL.len()],
 }
 
 impl RegisterFile {
@@ -122,45 +132,72 @@ impl RegisterFile {
     pub fn with_layout(vendor: &str, base: u64) -> RegisterFile {
         // Deterministic vendor-specific stride and ordering.
         let seed: u64 = vendor.bytes().map(u64::from).sum();
-        let stride = 8 + (seed % 3) * 8; // 8, 16, or 24 byte spacing
-        let mut regs: Vec<Reg> = Reg::ALL.to_vec();
-        // Rotate the layout by a vendor-dependent amount.
-        let rotation = (seed as usize) % regs.len();
-        regs.rotate_left(rotation);
-        let offsets = regs
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (r, base + i as u64 * stride))
-            .collect();
-        RegisterFile { offsets, values: BTreeMap::new() }
+        RegisterFile {
+            base,
+            stride: 8 + (seed % 3) * 8, // 8, 16, or 24 byte spacing
+            // Rotate the layout by a vendor-dependent amount.
+            rotation: (seed as usize) % Reg::ALL.len(),
+            values: [None; Reg::ALL.len()],
+        }
     }
 
     /// Byte offset of a register within the BAR.
     pub fn offset(&self, reg: Reg) -> u64 {
-        self.offsets[&reg]
+        let slot = (reg as usize + Reg::ALL.len() - self.rotation) % Reg::ALL.len();
+        self.base + slot as u64 * self.stride
     }
 
     /// Reverse lookup: which register (if any) lives at `offset`.
     pub fn reg_at(&self, offset: u64) -> Option<Reg> {
-        self.offsets
-            .iter()
-            .find(|(_, &o)| o == offset)
-            .map(|(&r, _)| r)
+        let delta = offset.checked_sub(self.base)?;
+        if delta % self.stride != 0 {
+            return None;
+        }
+        let slot = usize::try_from(delta / self.stride).ok().filter(|&s| s < Reg::ALL.len())?;
+        Some(Reg::ALL[(slot + self.rotation) % Reg::ALL.len()])
     }
 
     /// Reads a register (unwritten registers read as zero).
     pub fn read(&self, reg: Reg) -> u64 {
-        self.values.get(&reg).copied().unwrap_or(0)
+        self.values[reg as usize].unwrap_or(0)
     }
 
     /// Writes a register.
     pub fn write(&mut self, reg: Reg, value: u64) {
-        self.values.insert(reg, value);
+        self.values[reg as usize] = Some(value);
     }
 
     /// Zeroes every register — part of the cold-boot reset.
     pub fn wipe(&mut self) {
-        self.values.clear();
+        self.values = [None; Reg::ALL.len()];
+    }
+
+    /// Writes the written registers exactly like a `BTreeMap<Reg, u64>`
+    /// of them.
+    pub(crate) fn encode_values(&self, enc: &mut Encoder) {
+        enc.u64(self.values.iter().flatten().count() as u64);
+        for (reg, value) in Reg::ALL.iter().zip(&self.values) {
+            if let Some(value) = value {
+                enc.put(reg);
+                enc.put(value);
+            }
+        }
+    }
+
+    /// Reads what [`RegisterFile::encode_values`] wrote.
+    pub(crate) fn decode_values(
+        dec: &mut Decoder<'_>,
+    ) -> Result<[Option<u64>; Reg::ALL.len()], SnapshotError> {
+        let mut values = [None; Reg::ALL.len()];
+        for (reg, value) in dec.get::<BTreeMap<Reg, u64>>()? {
+            values[reg as usize] = Some(value);
+        }
+        Ok(values)
+    }
+
+    /// Replaces every value with what [`RegisterFile::decode_values`] read.
+    pub(crate) fn restore_values(&mut self, values: [Option<u64>; Reg::ALL.len()]) {
+        self.values = values;
     }
 }
 
@@ -171,7 +208,7 @@ mod tests {
     impl RegisterFile {
         /// Total span of the register window in bytes.
         fn span(&self) -> u64 {
-            self.offsets.values().max().copied().unwrap_or(0) + 8
+            Reg::ALL.iter().map(|&r| self.offset(r) - self.base).max().unwrap_or(0) + 8
         }
     }
 
@@ -210,6 +247,40 @@ mod tests {
         let o = regs.offset(Reg::DmaCtrl);
         assert_eq!(regs.reg_at(o), Some(Reg::DmaCtrl));
         assert_eq!(regs.reg_at(o + 1), None);
+    }
+
+    #[test]
+    fn offsets_decode_to_their_registers_and_nothing_else_does() {
+        for (i, &reg) in Reg::ALL.iter().enumerate() {
+            assert_eq!(reg as usize, i, "Reg::ALL is in declaration order");
+        }
+        for vendor in ["NVIDIA", "Tenstorrent", "Enflame", "x"] {
+            let regs = RegisterFile::with_layout(vendor, 0x40);
+            for offset in 0..0x40 + regs.span() + 64 {
+                let scanned = Reg::ALL.iter().copied().find(|&r| regs.offset(r) == offset);
+                assert_eq!(regs.reg_at(offset), scanned, "{vendor} offset {offset:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn values_encode_like_a_map_of_the_written_registers() {
+        let mut regs = RegisterFile::with_layout("NVIDIA", 0);
+        regs.write(Reg::CmdStatus, 0);
+        regs.write(Reg::DmaSrc, 0x1000);
+        regs.write(Reg::FirmwareVersion, 7);
+        let map: BTreeMap<Reg, u64> =
+            [(Reg::CmdStatus, 0), (Reg::DmaSrc, 0x1000), (Reg::FirmwareVersion, 7)].into();
+        let mut by_index = Encoder::new();
+        regs.encode_values(&mut by_index);
+        let mut by_map = Encoder::new();
+        by_map.put(&map);
+        let bytes = by_index.finish();
+        assert_eq!(bytes, by_map.finish());
+
+        let mut restored = RegisterFile::with_layout("NVIDIA", 0);
+        restored.restore_values(RegisterFile::decode_values(&mut Decoder::new(&bytes)).unwrap());
+        assert_eq!(restored, regs);
     }
 
     #[test]

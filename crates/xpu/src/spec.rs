@@ -31,6 +31,23 @@ impl fmt::Display for XpuKind {
     }
 }
 
+const A100: &str = "NVIDIA A100";
+const RTX4090TI: &str = "NVIDIA RTX4090Ti";
+const T4: &str = "NVIDIA T4";
+const N150D: &str = "Tenstorrent N150d";
+const S60: &str = "Enflame S60";
+
+type Build = fn() -> XpuSpec;
+
+/// The evaluation devices by name, in the paper's Fig. 10 order.
+const EVALUATION: [(&str, Build); 5] = [
+    (A100, XpuSpec::a100),
+    (T4, XpuSpec::t4),
+    (RTX4090TI, XpuSpec::rtx4090ti),
+    (S60, XpuSpec::enflame_s60),
+    (N150D, XpuSpec::tenstorrent_n150d),
+];
+
 /// Static description of one xPU model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct XpuSpec {
@@ -89,7 +106,7 @@ impl XpuSpec {
     /// NVIDIA A100 80GB PCIe (Gen4 ×16).
     pub fn a100() -> XpuSpec {
         Self::custom(
-            "NVIDIA A100",
+            A100,
             "NVIDIA",
             XpuKind::Gpu,
             80 << 30,
@@ -105,7 +122,7 @@ impl XpuSpec {
     /// NVIDIA RTX 4090 Ti-class consumer GPU (Gen4 ×16).
     pub fn rtx4090ti() -> XpuSpec {
         Self::custom(
-            "NVIDIA RTX4090Ti",
+            RTX4090TI,
             "NVIDIA",
             XpuKind::Gpu,
             24 << 30,
@@ -121,7 +138,7 @@ impl XpuSpec {
     /// NVIDIA T4 inference GPU (Gen3 ×16).
     pub fn t4() -> XpuSpec {
         Self::custom(
-            "NVIDIA T4",
+            T4,
             "NVIDIA",
             XpuKind::Gpu,
             16 << 30,
@@ -138,7 +155,7 @@ impl XpuSpec {
     /// heterogeneity case of §2.1.
     pub fn tenstorrent_n150d() -> XpuSpec {
         Self::custom(
-            "Tenstorrent N150d",
+            N150D,
             "Tenstorrent",
             XpuKind::Npu,
             12 << 30,
@@ -154,7 +171,7 @@ impl XpuSpec {
     /// Enflame S60 inference GPU (Gen4 ×16).
     pub fn enflame_s60() -> XpuSpec {
         Self::custom(
-            "Enflame S60",
+            S60,
             "Enflame",
             XpuKind::Gpu,
             48 << 30,
@@ -169,13 +186,14 @@ impl XpuSpec {
 
     /// All five evaluation devices, in the paper's Fig. 10 order.
     pub fn evaluation_set() -> Vec<XpuSpec> {
-        vec![
-            Self::a100(),
-            Self::t4(),
-            Self::rtx4090ti(),
-            Self::enflame_s60(),
-            Self::tenstorrent_n150d(),
-        ]
+        EVALUATION.iter().map(|(_, build)| build()).collect()
+    }
+
+    /// The evaluation device called `name`, if any. Only that spec is
+    /// built: a snapshot names its device, and resuming one should not
+    /// pay for the other four.
+    pub fn evaluation_by_name(name: &str) -> Option<XpuSpec> {
+        EVALUATION.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
     }
 
     /// Marketing name.
@@ -262,6 +280,14 @@ mod tests {
                 assert_ne!(a.name(), b.name());
             }
         }
+    }
+
+    #[test]
+    fn each_evaluation_device_is_found_by_its_own_name() {
+        for spec in XpuSpec::evaluation_set() {
+            assert_eq!(XpuSpec::evaluation_by_name(spec.name()), Some(spec));
+        }
+        assert_eq!(XpuSpec::evaluation_by_name("NVIDIA H100"), None);
     }
 
     #[test]

@@ -18,11 +18,13 @@ use ccai_core::sc::ScAlert;
 use ccai_core::system::layout;
 use ccai_core::{ConfidentialSystem, SystemMode};
 use ccai_pcie::{Bdf, FaultPlan, Tlp};
-use ccai_sim::snapshot::Encoder;
-use ccai_sim::{Hop, SimDuration};
+use ccai_sim::snapshot::{Decoder, Encoder};
+use ccai_sim::telemetry::{HopReport, TenantHopReport, ALL_HOPS};
+use ccai_sim::{fnv1a, Clock, Hop, Severity, SimDuration, Summary, Telemetry, TelemetrySnapshot, FNV_OFFSET};
+use proptest::prelude::*;
 use ccai_tvm::RetryPolicy;
 use ccai_xpu::XpuSpec;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn workload() -> (Vec<u8>, Vec<u8>) {
     let weights: Vec<u8> = (0..20_000).map(|i| (i * 131 % 251) as u8).collect();
@@ -342,4 +344,163 @@ fn equal_dma_transfers_charge_equal_dma_spans() {
         charged.iter().all(|&d| d == charged[0]),
         "same-size requests must be charged the same DMA time, got {charged:?}"
     );
+}
+
+/// The hub as it would be if every span went straight into an exact
+/// `(tenant, hop) → duration → count` map: the oracle for the hub's run
+/// bookkeeping. It renders the same snapshot JSON and writes the same
+/// snapshot bytes as [`Telemetry`] from its own state.
+#[derive(Default)]
+struct ReferenceHub {
+    clock: Clock,
+    events_recorded: u64,
+    digest: u64,
+    counters: BTreeMap<String, u64>,
+    spans: BTreeMap<(Option<u32>, Hop), BTreeMap<u64, u64>>,
+}
+
+impl ReferenceHub {
+    fn new() -> Self {
+        ReferenceHub { digest: FNV_OFFSET, ..ReferenceHub::default() }
+    }
+
+    fn advance_span(&mut self, hop: Hop, tenant: Option<u32>, d: SimDuration) {
+        self.clock.advance(d);
+        let store = self.spans.entry((tenant, hop)).or_default();
+        *store.entry(d.as_picos()).or_insert(0) += 1;
+    }
+
+    fn record(&mut self, severity: Severity, kind: &str, tenant: Option<u32>, detail: &str) {
+        let word = |h, v: u64| fnv1a(h, &v.to_le_bytes());
+        let mut h = word(self.digest, self.events_recorded);
+        h = word(h, self.clock.now().as_picos());
+        h = fnv1a(h, severity.as_str().as_bytes());
+        h = fnv1a(h, kind.as_bytes());
+        h = word(h, tenant.map_or(0, |t| u64::from(t) + 1));
+        h = word(h, 0);
+        self.digest = fnv1a(h, detail.as_bytes());
+        self.events_recorded += 1;
+    }
+
+    fn encode(&self, capacity: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put(&self.clock);
+        enc.put(&capacity);
+        enc.put(&self.events_recorded);
+        enc.put(&0u64); // no event is evicted from a ring this size
+        enc.put(&self.digest);
+        enc.put(&self.counters);
+        enc.u64(0); // no named histogram
+        enc.put(&self.spans);
+        enc.put(&SimDuration::ZERO);
+        enc.put(&BTreeMap::<u32, SimDuration>::new());
+        enc.finish()
+    }
+
+    fn snapshot(&self) -> TelemetrySnapshot {
+        let report = |hop: Hop, store: &BTreeMap<u64, u64>| {
+            let runs: Vec<(f64, u64)> = store
+                .iter()
+                .map(|(&ps, &n)| (SimDuration::from_picos(ps).as_secs_f64() * 1e6, n))
+                .collect();
+            HopReport {
+                hop,
+                count: store.values().sum(),
+                total: store.iter().map(|(&ps, &n)| SimDuration::from_picos(ps) * n).sum(),
+                summary_us: Summary::try_from_runs(&runs),
+            }
+        };
+        let merged = |hop: Hop| {
+            let mut all = BTreeMap::new();
+            for ((_, h), store) in &self.spans {
+                if *h == hop {
+                    store.iter().for_each(|(&ps, &n)| *all.entry(ps).or_insert(0) += n);
+                }
+            }
+            all
+        };
+        let tenants: BTreeSet<u32> = self.spans.keys().filter_map(|&(t, _)| t).collect();
+        let empty = BTreeMap::new();
+        let hops: Vec<HopReport> = ALL_HOPS.iter().map(|&hop| report(hop, &merged(hop))).collect();
+        TelemetrySnapshot {
+            now: self.clock.now(),
+            digest: self.digest,
+            events_recorded: self.events_recorded,
+            events_dropped: 0,
+            counters: self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            span_total: hops.iter().map(|h| h.total).sum(),
+            hops,
+            tenants: tenants
+                .into_iter()
+                .map(|tenant| TenantHopReport {
+                    tenant,
+                    hops: ALL_HOPS
+                        .iter()
+                        .map(|&hop| report(hop, self.spans.get(&(Some(tenant), hop)).unwrap_or(&empty)))
+                        .collect(),
+                })
+                .collect(),
+            idle_total: SimDuration::ZERO,
+            idle_by_tenant: Vec::new(),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Spans over up to twenty tenants and untagged, every hop and a
+    /// small pool of durations (so a hop's runs both repeat and break),
+    /// interleaved with counter bumps, events, snapshots and a snapshot
+    /// restore into a fresh hub mid-stream: the hub's JSON and snapshot
+    /// bytes always equal those of the exact-map reference.
+    #[test]
+    fn span_runs_read_and_encode_like_an_exact_store(
+        ops in proptest::collection::vec((0u8..10, 0u32..21, 0usize..6, 0usize..4), 1..400),
+    ) {
+        const CAPACITY: usize = 1 << 16;
+        const DURATIONS: [SimDuration; 4] = [
+            SimDuration::from_picos(1_000),
+            SimDuration::from_picos(1_500),
+            SimDuration::from_picos(2_000_000),
+            SimDuration::from_picos(7),
+        ];
+        const COUNTERS: [&str; 4] = ["sc.filter_tlps", "sc.a4_pass", "adaptor.mmio_tags", "z.last"];
+        let mut hub = Telemetry::new(CAPACITY);
+        let mut reference = ReferenceHub::new();
+        for (op, tenant, hop, pick) in ops {
+            let tenant = (tenant < 20).then_some(tenant);
+            match op {
+                0..=5 => {
+                    // One to four spans in a row on the same lane.
+                    for _ in 0..=pick {
+                        hub.advance_span(ALL_HOPS[hop], tenant, DURATIONS[pick]);
+                        reference.advance_span(ALL_HOPS[hop], tenant, DURATIONS[pick]);
+                    }
+                }
+                6 => {
+                    hub.counter_add(COUNTERS[pick], hop as u64);
+                    *reference.counters.entry(COUNTERS[pick].to_owned()).or_insert(0) += hop as u64;
+                }
+                7 => {
+                    let detail = format!("hop={hop}");
+                    hub.record(Severity::Info, "test.event", tenant, None, detail.clone());
+                    reference.record(Severity::Info, "test.event", tenant, &detail);
+                }
+                8 => prop_assert_eq!(hub.snapshot().to_json(), reference.snapshot().to_json()),
+                _ => {
+                    let mut enc = Encoder::new();
+                    hub.encode_snapshot(&mut enc);
+                    let bytes = enc.finish();
+                    prop_assert_eq!(&bytes, &reference.encode(CAPACITY));
+                    hub = Telemetry::new(CAPACITY);
+                    hub.restore_snapshot(&mut Decoder::new(&bytes)).expect("restores");
+                }
+            }
+        }
+        prop_assert_eq!(hub.snapshot().to_json(), reference.snapshot().to_json());
+        let mut enc = Encoder::new();
+        hub.encode_snapshot(&mut enc);
+        prop_assert_eq!(enc.finish(), reference.encode(CAPACITY));
+    }
 }
