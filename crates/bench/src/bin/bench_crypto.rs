@@ -11,7 +11,10 @@
 //! the per-TLP control path: the telemetry hub's span and counter calls
 //! (`telemetry_span`, `telemetry_counter`) and a verified driver register
 //! write and a register read under ccAI and vanilla (`mmio_write`,
-//! `mmio_read`). It writes machine-readable results to `BENCH_crypto.json` so the
+//! `mmio_read`), and the kernel against a loaded model: one
+//! `RunInference` command on device memory (`kernel_infer`) and one
+//! inference request through a protected system (`run_inference`). It
+//! writes machine-readable results to `BENCH_crypto.json` so the
 //! performance trajectory of this code is tracked from change to change.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
@@ -25,7 +28,7 @@ use ccai_core::{ConfidentialSystem, SystemMode};
 use ccai_crypto::{AesGcm, DhKeyPair, Key, SchnorrKeyPair, Sha256};
 use ccai_sim::{Hop, SimDuration, Telemetry};
 use ccai_tvm::TlpPort;
-use ccai_xpu::{Reg, XpuSpec};
+use ccai_xpu::{Command, CommandProcessor, DeviceMemory, Reg, XpuSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -272,6 +275,27 @@ fn run() -> Vec<Sample> {
         });
         push("mmio_read", path, ("op", 0), read);
     }
+
+    // The kernel against a loaded 4 KiB model with a 1 KiB input: the
+    // command alone on device memory, then a whole request (input DMA,
+    // command, result DMA) through a protected system.
+    let (weights, prompt) = (patterned(4096), patterned(1024));
+    let mut memory = DeviceMemory::new(1 << 20);
+    memory.write(0, &weights).expect("weights fit");
+    memory.write(0x2000, &prompt).expect("input fits");
+    let mut kernel = CommandProcessor::new();
+    kernel.execute(Command::LoadModel { addr: 0, len: 4096 }, &mut memory);
+    let infer = Command::RunInference { input: 0x2000, len: 1024, output: 0x3000 };
+    let run = measure(0, || {
+        std::hint::black_box(kernel.execute(infer, &mut memory));
+    });
+    push("kernel_infer", "xpu", ("op", 0), run);
+    let mut system = ConfidentialSystem::build(XpuSpec::a100(), SystemMode::CcAi);
+    system.load_model(&weights).expect("model loads");
+    let request = measure(0, || {
+        std::hint::black_box(system.run_inference(&prompt).expect("inference runs"));
+    });
+    push("run_inference", "a100-ccai", ("op", 0), request);
     samples
 }
 

@@ -104,7 +104,7 @@ mod tests {
             ("Adaptor", 976),
             ("Trust Modules", 656),
             ("Packet Filter", 970),
-            ("Packet Handlers", 2_034),
+            ("Packet Handlers", 2_033),
             ("HRoT-Blade", 1_016),
         ];
         let rows = row_lines();

@@ -245,6 +245,14 @@ pub struct ScConfig {
     pub xpu_bdf: Bdf,
 }
 
+/// The tenants a packet's requester is bound as: by TVM identifier and
+/// by xPU identifier (indices into `PcieSc::tenants`).
+#[derive(Clone, Copy, Default)]
+struct Requester {
+    tvm: Option<usize>,
+    xpu: Option<usize>,
+}
+
 /// Per-tenant security context: one per (TVM, xPU-or-VF) binding, keyed
 /// by PCIe identifiers (§9 "PCIe-SC for multiple xPUs and users").
 struct TenantCtx {
@@ -520,19 +528,17 @@ impl PcieSc {
         self.telemetry.counter_add("sc.filter_tlps", 1);
     }
 
-    /// Telemetry tag for whichever tenant the requester resolves to.
-    fn requester_tag(&self, requester: Bdf) -> Option<u32> {
-        self.tenant_by_tvm(requester)
-            .or_else(|| self.tenant_by_xpu(requester))
-            .and_then(|t| self.tenant_tag(t))
+    /// Telemetry tag for whichever tenant the requester resolves to,
+    /// TVM side first.
+    fn requester_tag(&self, found: Requester) -> Option<u32> {
+        found.tvm.or(found.xpu).and_then(|t| self.tenant_tag(t))
     }
 
     /// True if the tenant bound to `xpu_bdf` has been quarantined to
     /// A1-deny.
     #[doc(hidden)]
     pub fn is_quarantined(&self, xpu_bdf: Bdf) -> bool {
-        self.tenant_by_xpu(xpu_bdf)
-            .is_some_and(|t| self.tenants[t].quarantined)
+        self.requester(xpu_bdf).xpu.is_some_and(|t| self.tenants[t].quarantined)
     }
 
     /// Telemetry tags (TVM requester ids) of every quarantined tenant, in
@@ -573,7 +579,7 @@ impl PcieSc {
     /// migrated tenant's streams were *rotated*, never copied: the target
     /// must report the source's epoch plus one.
     pub fn tenant_epoch(&self, tvm_bdf: Bdf) -> Option<u32> {
-        self.tenant_by_tvm(tvm_bdf).map(|t| self.tenants[t].epoch)
+        self.requester(tvm_bdf).tvm.map(|t| self.tenants[t].epoch)
     }
 
     /// The anti-replay floors `(mmio_last_seq, ctrl_last_seq)` of the
@@ -584,8 +590,8 @@ impl PcieSc {
     /// its sequence.
     #[doc(hidden)]
     pub fn replay_floors(&self, tvm_bdf: Bdf) -> Option<(u64, u64)> {
-        self.tenant_by_tvm(tvm_bdf)
-            .map(|t| (self.tenants[t].mmio_last_seq, self.tenants[t].ctrl_last_seq))
+        let t = self.requester(tvm_bdf).tvm?;
+        Some((self.tenants[t].mmio_last_seq, self.tenants[t].ctrl_last_seq))
     }
 
     /// Rotates every bound tenant to its next key-schedule epoch: each
@@ -612,12 +618,15 @@ impl PcieSc {
         self.telemetry.counter_add("sc.rekey.migrations", 1);
     }
 
-    fn tenant_by_tvm(&self, bdf: Bdf) -> Option<usize> {
-        self.tenants.iter().position(|t| t.tvm_bdf == bdf)
-    }
-
-    fn tenant_by_xpu(&self, bdf: Bdf) -> Option<usize> {
-        self.tenants.iter().position(|t| t.xpu_bdf == bdf)
+    /// The tenants `bdf` is bound as, TVM side and xPU side, in one scan:
+    /// a packet resolves its requester once.
+    fn requester(&self, bdf: Bdf) -> Requester {
+        let mut found = Requester::default();
+        for (i, t) in self.tenants.iter().enumerate() {
+            found.tvm = found.tvm.or((t.tvm_bdf == bdf).then_some(i));
+            found.xpu = found.xpu.or((t.xpu_bdf == bdf).then_some(i));
+        }
+        found
     }
 
     /// The SC's configuration.
@@ -650,7 +659,7 @@ impl PcieSc {
     /// Last in-order control-envelope sequence accepted for the tenant
     /// bound to `tvm_bdf` (the CTRL_SEQ_ACK value).
     pub fn ctrl_ack(&self, tvm_bdf: Bdf) -> Option<u64> {
-        self.tenant_by_tvm(tvm_bdf).map(|t| self.tenants[t].ctrl_last_seq)
+        self.requester(tvm_bdf).tvm.map(|t| self.tenants[t].ctrl_last_seq)
     }
 
     /// Crypto engine statistics.
@@ -674,9 +683,9 @@ impl PcieSc {
 
     // ---- control window ----
 
-    fn handle_control(&mut self, tlp: Tlp) -> InterposeOutcome {
+    fn handle_control(&mut self, tlp: Tlp, tenant: Option<usize>) -> InterposeOutcome {
         let header = *tlp.header();
-        let Some(tenant) = self.tenant_by_tvm(header.requester()) else {
+        let Some(tenant) = tenant else {
             self.alerts.push(ScAlert::ControlAccessDenied {
                 requester: header.requester().to_string(),
             });
@@ -1067,13 +1076,13 @@ impl PcieSc {
 
     // ---- A3: verify write-protected MMIO ----
 
-    fn verify_protected_write(&mut self, tlp: Tlp) -> InterposeOutcome {
+    fn verify_protected_write(&mut self, tlp: Tlp, tenant: Option<usize>) -> InterposeOutcome {
         let header = *tlp.header();
         let addr = header.address().expect("memory TLP");
 
         // MMIO integrity is keyed per tenant: the write's requester names
         // the TVM whose Adaptor mirrored the tag.
-        let Some(tenant) = self.tenant_by_tvm(header.requester()) else {
+        let Some(tenant) = tenant else {
             self.block_a3(addr, "write-protected MMIO from unbound requester");
             return InterposeOutcome::drop_packet();
         };
@@ -1373,12 +1382,13 @@ impl Interposer for PcieSc {
     fn on_downstream(&mut self, mut tlp: Tlp) -> InterposeOutcome {
         self.counters.packets_seen += 1;
         let header = *tlp.header();
+        let found = self.requester(header.requester());
 
         // The SC's own control window stays reachable even under
         // quarantine (the Adaptor needs it to end the task and re-attest).
         if let Some(addr) = header.address() {
             if self.in_control_window(addr) {
-                return self.handle_control(tlp);
+                return self.handle_control(tlp, found.tvm);
             }
         }
 
@@ -1392,14 +1402,9 @@ impl Interposer for PcieSc {
 
         // Quarantined channels are demoted to A1-deny for all data
         // traffic.
-        if let Some(tenant) = self
-            .tenant_by_tvm(header.requester())
-            .or_else(|| self.tenant_by_xpu(header.requester()))
-        {
-            if self.tenants[tenant].quarantined {
-                self.note_quarantine_deny(tenant);
-                return self.block_a1(&tlp);
-            }
+        if let Some(tenant) = found.tvm.or(found.xpu).filter(|&t| self.tenants[t].quarantined) {
+            self.note_quarantine_deny(tenant);
+            return self.block_a1(&tlp);
         }
 
         // Completions returning for device-issued DMA reads: match the
@@ -1408,7 +1413,7 @@ impl Interposer for PcieSc {
         if header.tlp_type() == TlpType::CompletionData {
             let ticket = (header.requester().to_u16(), header.tag());
             if let Some((addr, _len)) = self.outstanding_reads.remove(&ticket) {
-                if let Some(tenant) = self.tenant_by_xpu(header.requester()) {
+                if let Some(tenant) = found.xpu {
                     if let Some(chunk) = self.tenants[tenant]
                         .params
                         .resolve(addr, StreamDirection::HostToDevice)
@@ -1427,7 +1432,7 @@ impl Interposer for PcieSc {
         }
 
         let action = self.filter.classify(&header);
-        self.note_filter_decision(action, self.requester_tag(header.requester()));
+        self.note_filter_decision(action, self.requester_tag(found));
         match action {
             SecurityAction::Disallow => self.block_a1(&tlp),
             SecurityAction::CryptProtect => {
@@ -1436,7 +1441,7 @@ impl Interposer for PcieSc {
                 // a policy violation.
                 self.block_a1(&tlp)
             }
-            SecurityAction::WriteProtect => self.verify_protected_write(tlp),
+            SecurityAction::WriteProtect => self.verify_protected_write(tlp, found.tvm),
             SecurityAction::PassThrough => InterposeOutcome::pass(tlp),
         }
     }
@@ -1444,6 +1449,7 @@ impl Interposer for PcieSc {
     fn on_upstream(&mut self, tlp: Tlp) -> InterposeOutcome {
         self.counters.packets_seen += 1;
         let header = *tlp.header();
+        let found = self.requester(header.requester());
 
         // A device that has not completed bring-up may not reach the
         // host at all.
@@ -1453,20 +1459,13 @@ impl Interposer for PcieSc {
         }
 
         // A quarantined device may not reach the host at all.
-        if let Some(tenant) = self
-            .tenant_by_xpu(header.requester())
-            .or_else(|| self.tenant_by_tvm(header.requester()))
-        {
-            if self.tenants[tenant].quarantined {
-                self.note_quarantine_deny(tenant);
-                return self.block_a1(&tlp);
-            }
+        if let Some(tenant) = found.xpu.or(found.tvm).filter(|&t| self.tenants[t].quarantined) {
+            self.note_quarantine_deny(tenant);
+            return self.block_a1(&tlp);
         }
 
         // Track device-issued reads so their completions can be matched.
-        if header.tlp_type() == TlpType::MemRead
-            && self.tenant_by_xpu(header.requester()).is_some()
-        {
+        if header.tlp_type() == TlpType::MemRead && found.xpu.is_some() {
             if let Some(addr) = header.address() {
                 self.outstanding_reads.insert(
                     (header.requester().to_u16(), header.tag()),
@@ -1476,13 +1475,13 @@ impl Interposer for PcieSc {
         }
 
         let action = self.filter.classify(&header);
-        self.note_filter_decision(action, self.requester_tag(header.requester()));
+        self.note_filter_decision(action, self.requester_tag(found));
         let mut outcome = match action {
             SecurityAction::Disallow => self.block_a1(&tlp),
             SecurityAction::CryptProtect => {
                 if header.tlp_type() == TlpType::MemWrite {
                     let addr = header.address().expect("memory TLP");
-                    let resolved = self.tenant_by_xpu(header.requester()).and_then(|tenant| {
+                    let resolved = found.xpu.and_then(|tenant| {
                         self.tenants[tenant]
                             .params
                             .resolve(addr, StreamDirection::DeviceToHost)
@@ -1496,7 +1495,7 @@ impl Interposer for PcieSc {
                     InterposeOutcome::pass(tlp)
                 }
             }
-            SecurityAction::WriteProtect => self.verify_protected_write(tlp),
+            SecurityAction::WriteProtect => self.verify_protected_write(tlp, found.tvm),
             SecurityAction::PassThrough => InterposeOutcome::pass(tlp),
         };
         // Piggy-back any SC-originated host writes (metadata batches).

@@ -11,6 +11,12 @@
 //! 2. every byte of input and weights affects the output — any corruption
 //!    introduced by a buggy handler or an undetected attack changes the
 //!    result.
+//!
+//! A loaded model serves many requests, so the weights digest is
+//! memoised by `DeviceMemory::weights_digest`: only a write that
+//! overlaps the weights region (a DMA, a BAR1 store, a kernel output),
+//! a cold-boot wipe or a restore makes the next inference rehash it. The
+//! input is hashed on every request.
 
 use crate::memory::DeviceMemory;
 use ccai_crypto::{sha256, Digest, Sha256};
@@ -108,7 +114,7 @@ impl CommandProcessor {
         self.executed += 1;
         self.status = match command {
             Command::LoadModel { addr, len } => {
-                if len == 0 || memory.read(addr, len.min(1)).is_err() {
+                if len == 0 || memory.check(addr, len.min(1)).is_err() {
                     CmdStatus::Error
                 } else {
                     self.model = Some((addr, len));
@@ -133,15 +139,8 @@ impl CommandProcessor {
         memory: &mut DeviceMemory,
     ) -> Result<(), ()> {
         let (model_addr, model_len) = self.model.ok_or(())?;
-        // The kernel hashes both buffers where they lie in device memory,
-        // slice by slice, instead of copying them out first.
-        let digest = |addr, len| {
-            let mut hasher = Sha256::new();
-            memory.slices(addr, len).map_err(|_| ())?.for_each(|s| hasher.update(s));
-            Ok(hasher.finalize())
-        };
-        let input_digest = digest(input, len)?;
-        let weights_digest = digest(model_addr, model_len)?;
+        let input_digest = memory.digest(input, len).map_err(|_| ())?;
+        let weights_digest = memory.weights_digest(model_addr, model_len).map_err(|_| ())?;
         let result = Self::surrogate_from_digests(&weights_digest, &input_digest);
         memory.write(output, &result).map_err(|_| ())
     }
@@ -153,11 +152,11 @@ impl CommandProcessor {
     }
 
     fn surrogate_from_digests(weights: &Digest, input: &Digest) -> [u8; 32] {
-        let mut data = Vec::with_capacity(74);
-        data.extend_from_slice(weights.as_bytes());
-        data.extend_from_slice(input.as_bytes());
-        data.extend_from_slice(b"ccai-infer");
-        *sha256(&data).as_bytes()
+        let mut hasher = Sha256::new();
+        hasher.update(weights.as_bytes());
+        hasher.update(input.as_bytes());
+        hasher.update(b"ccai-infer");
+        *hasher.finalize().as_bytes()
     }
 
     /// Cold-boot reset.

@@ -5,6 +5,7 @@
 //! the xPU environment guard's cold-boot reset (§4.2): "cleaning its
 //! memory, caches, registers, and TLB status".
 
+use ccai_crypto::{Digest, Sha256};
 use ccai_sim::PageStore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -86,6 +87,9 @@ pub struct DeviceMemory {
     next_free: u64,
     regions: BTreeMap<String, Region>,
     pages: PageStore,
+    /// `(addr, len, digest)` of the range [`DeviceMemory::weights_digest`]
+    /// last hashed, valid while no write has touched it. Never encoded.
+    weights_memo: Option<(u64, u64, Digest)>,
 }
 
 impl DeviceMemory {
@@ -101,6 +105,7 @@ impl DeviceMemory {
             next_free: 0,
             regions: BTreeMap::new(),
             pages: PageStore::default(),
+            weights_memo: None,
         }
     }
 
@@ -155,6 +160,7 @@ impl DeviceMemory {
         self.regions.clear();
         self.pages.clear();
         self.next_free = 0;
+        self.weights_memo = None;
     }
 
     /// SHA-256 digest of the memory *content*: every non-zero 64 KiB
@@ -176,7 +182,8 @@ impl DeviceMemory {
         out
     }
 
-    fn check(&self, addr: u64, len: u64) -> Result<(), MemoryError> {
+    /// Checks that `[addr, addr + len)` lies inside the memory.
+    pub(crate) fn check(&self, addr: u64, len: u64) -> Result<(), MemoryError> {
         if addr.checked_add(len).is_none_or(|end| end > self.capacity) {
             return Err(MemoryError::OutOfBounds { addr, len });
         }
@@ -190,8 +197,45 @@ impl DeviceMemory {
     /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemoryError> {
         self.check(addr, data.len() as u64)?;
+        if let Some((base, len, _)) = self.weights_memo {
+            if addr < base + len && base < addr + data.len() as u64 {
+                self.weights_memo = None;
+            }
+        }
         self.pages.write(addr, data);
         Ok(())
+    }
+
+    /// SHA-256 of the `len` bytes at `addr`, the model weights the kernel
+    /// mixes into every inference. The digest is kept and handed back
+    /// for the same range until a [`DeviceMemory::write`] overlapping it,
+    /// a [`DeviceMemory::wipe`] or a restore drops it: the rule is "no
+    /// write since", never a comparison of content.
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
+    pub(crate) fn weights_digest(&mut self, addr: u64, len: u64) -> Result<Digest, MemoryError> {
+        if let Some((base, memo_len, digest)) = self.weights_memo {
+            if (base, memo_len) == (addr, len) {
+                return Ok(digest);
+            }
+        }
+        let digest = self.digest(addr, len)?;
+        self.weights_memo = Some((addr, len, digest));
+        Ok(digest)
+    }
+
+    /// SHA-256 of the `len` bytes at `addr`, hashed slice by slice where
+    /// they lie instead of copied out first.
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
+    pub(crate) fn digest(&self, addr: u64, len: u64) -> Result<Digest, MemoryError> {
+        let mut hasher = Sha256::new();
+        self.slices(addr, len)?.for_each(|s| hasher.update(s));
+        Ok(hasher.finalize())
     }
 
     /// Reads `len` bytes at `addr` (unwritten memory reads as zero).
@@ -276,6 +320,7 @@ impl DeviceMemory {
         self.next_free = next_free;
         self.regions = regions;
         self.pages = pages;
+        self.weights_memo = None;
         Ok(())
     }
 }
@@ -356,6 +401,94 @@ mod tests {
         assert_eq!(mem.allocated(), 0);
         assert!(mem.region("secret").is_none());
         assert_eq!(mem.read(r.base, 64).unwrap(), vec![0; 64]);
+    }
+
+    const W: u64 = 0x1000;
+    const WLEN: u64 = 256;
+
+    /// Memory holding patterned weights at `[W, W + WLEN)` whose digest
+    /// the kernel has taken, so the memo is warm.
+    fn warm() -> DeviceMemory {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let weights: Vec<u8> = (0..WLEN).map(|i| i as u8).collect();
+        mem.write(W, &weights).unwrap();
+        mem.weights_digest(W, WLEN).unwrap();
+        assert!(mem.weights_memo.is_some());
+        mem
+    }
+
+    /// The digest the memo must agree with: the region hashed afresh.
+    fn fresh(mem: &DeviceMemory) -> Digest {
+        ccai_crypto::sha256(&mem.read(W, WLEN).unwrap())
+    }
+
+    #[test]
+    fn a_write_over_the_first_or_last_weight_byte_drops_the_memo() {
+        for (addr, len) in [(W, 1), (W - 3, 4), (W + WLEN - 1, 1), (W + WLEN - 1, 9), (0, 1 << 19)] {
+            let mut mem = warm();
+            mem.write(addr, &vec![0xEE; len as usize]).unwrap();
+            assert!(mem.weights_memo.is_none(), "write {addr:#x}+{len}");
+            assert_eq!(mem.weights_digest(W, WLEN).unwrap(), fresh(&mem));
+        }
+    }
+
+    #[test]
+    fn an_adjacent_write_keeps_the_memo() {
+        for (addr, len) in [(W - 8, 8), (W + WLEN, 8), (W - 1, 1)] {
+            let mut mem = warm();
+            let memo = mem.weights_memo;
+            mem.write(addr, &vec![0xEE; len as usize]).unwrap();
+            assert_eq!(mem.weights_memo, memo, "write {addr:#x}+{len}");
+            assert_eq!(mem.weights_digest(W, WLEN).unwrap(), fresh(&mem));
+        }
+    }
+
+    #[test]
+    fn another_range_rehashes() {
+        let mut mem = warm();
+        let shorter = mem.weights_digest(W, WLEN - 1).unwrap();
+        assert_eq!(shorter, ccai_crypto::sha256(&mem.read(W, WLEN - 1).unwrap()));
+        assert_eq!(mem.weights_memo.map(|(a, l, _)| (a, l)), Some((W, WLEN - 1)));
+        assert!(mem.weights_digest(mem.capacity(), 1).is_err());
+    }
+
+    #[test]
+    fn wipe_drops_the_memo() {
+        let mut mem = warm();
+        mem.wipe();
+        assert!(mem.weights_memo.is_none());
+        assert_eq!(mem.weights_digest(W, WLEN).unwrap(), ccai_crypto::sha256(&[0; WLEN as usize]));
+    }
+
+    #[test]
+    fn a_clone_carries_the_memo_consistently() {
+        let mem = warm();
+        let mut copy = mem.clone();
+        assert_eq!(copy.weights_memo, mem.weights_memo);
+        assert_eq!(copy.weights_digest(W, WLEN).unwrap(), fresh(&mem));
+        copy.write(W + 7, &[0xEE]).unwrap();
+        assert!(copy.weights_memo.is_none());
+        assert!(mem.weights_memo.is_some());
+        assert_eq!(copy.weights_digest(W, WLEN).unwrap(), fresh(&copy));
+        assert_ne!(fresh(&copy), fresh(&mem));
+    }
+
+    #[test]
+    fn restore_drops_the_memo_and_the_image_carries_none_of_it() {
+        let encode = |mem: &DeviceMemory| {
+            let mut enc = ccai_sim::snapshot::Encoder::new();
+            mem.encode_snapshot(&mut enc);
+            enc.finish()
+        };
+        let mut mem = warm();
+        let mut cold = mem.clone();
+        cold.weights_memo = None;
+        assert_eq!(encode(&mem), encode(&cold));
+        cold.write(W, &[0xEE; 8]).unwrap();
+        let image = encode(&cold);
+        mem.restore_snapshot(&mut ccai_sim::snapshot::Decoder::new(&image)).unwrap();
+        assert!(mem.weights_memo.is_none());
+        assert_eq!(mem.weights_digest(W, WLEN).unwrap(), fresh(&cold));
     }
 
     #[test]
