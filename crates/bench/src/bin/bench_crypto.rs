@@ -1,7 +1,11 @@
 //! Crypto benchmark runner: measures AES-GCM seal/open throughput for
 //! every backend this CPU can run — the one `AesGcm::new` selects and
 //! the portable reference where that is not already it; rows carry their
-//! `backend()` name — plus per-key set-up and SHA-256, and the
+//! `backend()` name — plus per-key set-up and SHA-256, the fixed costs a
+//! short request pays per stream and per register write (`sha256` of one
+//! 64-byte block, `stream_provision`: one stream keyed and retired by a
+//! `WorkloadKeyManager`, `gmac_mmio`: the tag over one 32-byte
+//! MMIO-signed record), and the
 //! asymmetric trust-establishment operations on edwards25519
 //! (`dh_keygen`, a validated `dh_agree`, one DH exchange, one Schnorr
 //! sign + verify; rows carry the curve name). Beside the primitives it
@@ -24,9 +28,11 @@
 //! ledger in `bench_e2e/`.
 
 use ccai_bench::filter_flood::{fleet_filter, flood};
+use ccai_core::handler::with_mmio_signed;
 use ccai_core::{ConfidentialSystem, SystemMode};
 use ccai_crypto::{AesGcm, DhKeyPair, Key, SchnorrKeyPair, Sha256};
 use ccai_sim::{Hop, SimDuration, Telemetry};
+use ccai_trust::keymgmt::{StreamId, WorkloadKeyManager};
 use ccai_tvm::TlpPort;
 use ccai_xpu::{Command, CommandProcessor, DeviceMemory, Reg, XpuSpec};
 use std::fmt::Write as _;
@@ -166,6 +172,35 @@ fn run() -> Vec<Sample> {
             std::hint::black_box(make(&key));
         });
         push("key_setup", cipher.backend(), ("key", 0), setup);
+    }
+
+    // The fixed costs of a short request: one compression, a stream keyed
+    // and retired (one HKDF-Expand block and one key set-up; the Adaptor
+    // and the SC each pay it per direction of each stream), and the A3
+    // tag over one register write's signed record (address ‖ envelope).
+    let block = patterned(64);
+    for hasher in &hashers {
+        let hash = measure(64, || {
+            let mut h = hasher.clone();
+            h.update(&block);
+            std::hint::black_box(h.finalize());
+        });
+        push("sha256", hasher.backend(), ("64B", 64), hash);
+    }
+    let mut keys = WorkloadKeyManager::new([0x33; 32]);
+    let provision = measure(0, || {
+        keys.provision_stream(StreamId(7), 1 << 20);
+        keys.retire_stream(StreamId(7));
+    });
+    push("stream_provision", "keymgmt", ("op", 0), provision);
+    let envelope = patterned(24);
+    for cipher in &ciphers {
+        let gmac = measure(32, || {
+            with_mmio_signed(0x10_0040, &envelope, |signed| {
+                std::hint::black_box(cipher.tag_only(&[7; 12], signed));
+            });
+        });
+        push("gmac_mmio", cipher.backend(), ("32B", 32), gmac);
     }
 
     // Trust establishment, as one boot runs it: the DH exchange of the

@@ -14,7 +14,8 @@
 //!   instructions the paper's Adaptor uses — an `aeskeygenassist` key
 //!   schedule, eight counter blocks interleaved through `aesenc`, GHASH
 //!   by carry-less multiply against `H¹..H⁸` with one reduction per
-//!   eight blocks (`aesni-pclmul`). Where the CPU also reports AVX-512F,
+//!   eight blocks, and one in all for a tag whose AAD, ciphertext and
+//!   lengths block fit in eight (`aesni-pclmul`). Where the CPU also reports AVX-512F,
 //!   AVX-512BW, VAES and VPCLMULQDQ, whole 256-byte slabs run first,
 //!   sixteen blocks in four 512-bit registers through `vaesenc` and
 //!   GHASH against `H¹⁶..H¹` with one reduction per slab, and the rest
@@ -795,6 +796,32 @@ mod tests {
                 portable.verify_tag_only(n, aad, &gcm.tag_only(n, aad)),
                 "{which} tag_only, {ctx}"
             );
+        }
+    }
+
+    /// Every `(aad, ciphertext)` shape of 0–9 blocks in all, each side
+    /// whole or ending in a partial block: with the lengths block that
+    /// is 1–10 GHASH blocks, both sides of the hardware paths' one-run
+    /// edge (a tag whose blocks fit in one eight-block run takes one
+    /// reduction), on every path against the portable reference.
+    #[test]
+    fn backends_agree_on_short_tags_at_every_block_count() {
+        let mut next = xorshift(0x510E_527F_ADE6_82D1);
+        let data: Vec<u8> = (0..16 * 9).map(|_| next() as u8).collect();
+        let lengths: Vec<usize> =
+            std::iter::once(0).chain((1..=9).flat_map(|k| [16 * k - 9, 16 * k])).collect();
+        for key in [Key::Aes128([0x4E; 16]), Key::Aes256([0xE4; 32])] {
+            let gcms = backends(&key);
+            for &aad_len in &lengths {
+                for &ct_len in &lengths {
+                    if aad_len.div_ceil(16) + ct_len.div_ceil(16) > 9 {
+                        continue;
+                    }
+                    let n = [(aad_len * 16 + ct_len) as u8; 12];
+                    let (aad, pt) = (&data[..aad_len], &data[data.len() - ct_len..]);
+                    assert_backends_agree(&gcms, &n, pt, aad);
+                }
+            }
         }
     }
 

@@ -20,11 +20,12 @@
 //! register: CTR through `_mm512_aesenc_epi128`, GHASH against
 //! `H¹⁶..H¹` through `_mm512_clmulepi64_epi128` with the four lanes
 //! folded into one [`Product`] and one reduction per slab. What is left
-//! over runs the eight-lane loop and the block tail, exactly as on a CPU
-//! without the token. The 512-bit round keys and hash powers are
-//! broadcast from the `__m128i` ones at the top of each call, so the key
-//! grows only by `H⁹..H¹⁶`, and only when the token exists. Seal stays a
-//! CTR pass then a GHASH pass, and open verifies first.
+//! over runs the eight-lane loops (CTR's ending in a block tail),
+//! exactly as on a CPU without the token. The 512-bit round keys and
+//! hash powers are broadcast from the `__m128i` ones at the top of each
+//! call, so the key grows only by `H⁹..H¹⁶`, and only when the token
+//! exists. Seal stays a CTR pass then a GHASH pass, and open verifies
+//! first.
 //!
 //! `aesenc` and `pclmulqdq` are data-independent in time and need no
 //! per-key tables: key set-up is the `aeskeygenassist` schedule and the
@@ -44,6 +45,17 @@
 //! two more `pclmulqdq`, because Q ≡ 1 mod y⁶⁴. Reduction is linear, so
 //! eight products against `H⁸..H¹` (sixteen against `H¹⁶..H¹` on the
 //! wide path) are summed unreduced and reduced once.
+//!
+//! **Fixed costs.** A short input pays only for its own blocks. GHASH
+//! folds every run of up to eight blocks — the last, partial run
+//! included — against `Hⁿ..H¹` with one reduction, and a tag whose AAD,
+//! ciphertext and lengths block fit in one run (a register write's
+//! 32-byte signed record is three blocks) is hashed as that one run, so
+//! it costs one reduction instead of one per block. The SHA-NI compress
+//! keeps the message schedule in four registers rotated from step to
+//! step, so its sixteen four-round steps unroll and the schedule never
+//! goes through the stack. Neither adds an `unsafe` call: there are
+//! still the six above.
 
 #![allow(unsafe_code)]
 
@@ -382,17 +394,11 @@ impl AesNiGcm {
         s
     }
 
-    /// `x · H`, reduced.
-    #[inline]
-    #[target_feature(enable = "sse2,pclmulqdq")]
-    fn mul_h(&self, x: __m128i) -> __m128i {
-        gf_mul(x, self.h[0])
-    }
-
     /// Absorbs `data`, zero-padding the final partial block. Each run of
-    /// [`LANES`] blocks costs one reduction:
-    /// `(acc⊕b₀)·H⁸ ⊕ b₁·H⁷ ⊕ … ⊕ b₇·H`; with the [`Wide`] token the
-    /// whole 256-byte slabs go first, sixteen blocks per reduction.
+    /// `n ≤ LANES` blocks — whole runs of [`LANES`], then what is left —
+    /// costs one reduction: `(acc⊕b₀)·Hⁿ ⊕ b₁·Hⁿ⁻¹ ⊕ … ⊕ bₙ₋₁·H`; with
+    /// the [`Wide`] token the whole 256-byte slabs go first, sixteen
+    /// blocks per reduction.
     #[target_feature(enable = "sse2,ssse3,pclmulqdq")]
     fn ghash(&self, mut acc: __m128i, mut data: &[u8]) -> __m128i {
         if self.wide.is_some() && data.len() >= 16 * WIDE_LANES {
@@ -401,19 +407,21 @@ impl AesNiGcm {
             acc = unsafe { self.ghash_wide(acc, slabs) };
             data = rest;
         }
-        let mut slabs = data.chunks_exact(16 * LANES);
-        for slab in slabs.by_ref() {
+        for run in data.chunks(16 * LANES) {
             let mut p = Product::zero();
-            for (block, h) in slab.chunks_exact(16).zip(self.h[..LANES].iter().rev()) {
-                p.add_mul(_mm_xor_si128(acc, bswap(load(block))), *h);
+            let powers = self.h[..run.len().div_ceil(16)].iter().rev();
+            for (block, h) in run.chunks(16).zip(powers) {
+                let block = if block.len() == 16 {
+                    load(block)
+                } else {
+                    let mut padded = [0u8; 16];
+                    padded[..block.len()].copy_from_slice(block);
+                    load(&padded)
+                };
+                p.add_mul(_mm_xor_si128(acc, bswap(block)), *h);
                 acc = _mm_setzero_si128(); // only b₀ carries the accumulator
             }
             acc = p.reduce();
-        }
-        for chunk in slabs.remainder().chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            acc = self.mul_h(_mm_xor_si128(acc, bswap(load(&block))));
         }
         acc
     }
@@ -529,13 +537,25 @@ impl AesNiGcm {
 
     #[target_feature(enable = "sse2,ssse3,sse4.1,aes,pclmulqdq")]
     fn tag_impl(&self, nonce: &[u8; NONCE_LEN], ciphertext: &[u8], aad: &[u8]) -> [u8; TAG_LEN] {
-        let acc = self.ghash(self.ghash(_mm_setzero_si128(), aad), ciphertext);
-        // The lengths block, then the mask `E(K, nonce ‖ 1)`.
-        let bits = |len: usize| (len as u64 * 8) as i64;
-        let lengths = _mm_set_epi64x(bits(aad.len()), bits(ciphertext.len()));
-        let s = bswap(self.mul_h(_mm_xor_si128(acc, lengths)));
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(aad.len() as u64 * 8).to_be_bytes());
+        lengths[8..].copy_from_slice(&(ciphertext.len() as u64 * 8).to_be_bytes());
+        let (a, c) = (aad.len().div_ceil(16), ciphertext.len().div_ceil(16));
+        let zero = _mm_setzero_si128();
+        let s = if a + c < LANES {
+            // `aad ‖ ciphertext ‖ lengths`, each zero-padded to whole
+            // blocks, is one run of at most LANES blocks: one reduction.
+            let mut run = [0u8; 16 * LANES];
+            run[..aad.len()].copy_from_slice(aad);
+            run[16 * a..16 * a + ciphertext.len()].copy_from_slice(ciphertext);
+            run[16 * (a + c)..16 * (a + c + 1)].copy_from_slice(&lengths);
+            self.ghash(zero, &run[..16 * (a + c + 1)])
+        } else {
+            self.ghash(self.ghash(self.ghash(zero, aad), ciphertext), &lengths)
+        };
+        // Masked with `E(K, nonce ‖ 1)`.
         let mask = self.encrypt(counter_block(nonce_block(nonce), 1));
-        val(_mm_xor_si128(s, mask)).to_le_bytes()
+        val(_mm_xor_si128(bswap(s), mask)).to_le_bytes()
     }
 
     /// The tag over `aad ‖ ciphertext`; decrypts nothing.
@@ -608,24 +628,18 @@ fn compress_impl(state: &mut [u32; 8], blocks: &[u8]) {
     let be32 = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
     for block in blocks.chunks_exact(64) {
         let (abef_in, cdgh_in) = (abef, cdgh);
-        let mut w = [abef; 4];
-        for (w, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
-            *w = _mm_shuffle_epi8(load(bytes), be32);
-        }
-        for (i, k) in crate::sha256::K.chunks_exact(4).enumerate() {
+        let word = |i: usize| _mm_shuffle_epi8(load(&block[16 * i..16 * i + 16]), be32);
+        // Schedule words 4i..4i+16 in four registers, rotated rather than
+        // indexed, so the sixteen steps unroll and never touch the stack.
+        let (mut w0, mut w1, mut w2, mut w3) = (word(0), word(1), word(2), word(3));
+        for k in crate::sha256::K.chunks_exact(4) {
             let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
-            let wk = _mm_add_epi32(w[i % 4], k);
+            let wk = _mm_add_epi32(w0, k);
             cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
             abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
-            if i < 12 {
-                // Schedule words 4i+16..4i+20 into the slot just consumed.
-                let (w1, w2, w3) = (w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
-                let t = _mm_add_epi32(
-                    _mm_sha256msg1_epu32(w[i % 4], w1),
-                    _mm_alignr_epi8::<4>(w3, w2),
-                );
-                w[i % 4] = _mm_sha256msg2_epu32(t, w3);
-            }
+            // Words 4i+16..4i+20: unused after step 12, so dropped unrolled.
+            let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+            (w0, w1, w2, w3) = (w1, w2, w3, _mm_sha256msg2_epu32(t, w3));
         }
         abef = _mm_add_epi32(abef, abef_in);
         cdgh = _mm_add_epi32(cdgh, cdgh_in);

@@ -77,7 +77,7 @@ pub mod sha256;
 pub use aes::Key;
 pub use dh::{DhKeyPair, DhPublic};
 pub use gcm::{AesGcm, OpenError, NONCE_LEN, TAG_LEN};
-pub use hmac::{hkdf, hmac_sha256};
+pub use hmac::{hkdf, hmac_sha256, HmacSha256};
 pub use iv::{IvManager, IvStatus};
 pub use schnorr::{SchnorrKeyPair, SchnorrPublic, Signature};
 pub use sha256::{sha256, Digest, Sha256};

@@ -172,15 +172,17 @@ impl Sha256 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        // Padding: 0x80, zeros to 56 mod 64, 64-bit length — one or two
-        // blocks after the buffered bytes, compressed in one call.
+        // Padding in place: 0x80, zeros to 56 mod 64, the 64-bit length —
+        // in a second block when the buffered bytes leave no room for it.
         let n = self.buffer_len;
-        let mut tail = [0u8; 128];
-        tail[..n].copy_from_slice(&self.buffer[..n]);
-        tail[n] = 0x80;
-        let end = if n < 56 { 64 } else { 128 };
-        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
-        self.compress.run(&mut self.state, &tail[..end]);
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            self.compress.run(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
+        }
+        self.buffer[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.compress.run(&mut self.state, &self.buffer);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -364,6 +366,21 @@ mod tests {
                     message.len()
                 );
             }
+        }
+    }
+
+    /// Both padding shapes at their edges — the length in the same block
+    /// (55), in a block of its own (56, 63), after a whole block (64) and
+    /// after one block and a 55-byte tail (119) — through both backends.
+    #[test]
+    fn backends_agree_on_finalize_padding_edges() {
+        let fresh = backends();
+        for len in [55usize, 56, 63, 64, 119] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let [mut chosen, mut portable] = fresh.clone();
+            chosen.update(&data);
+            portable.update(&data);
+            assert_eq!(chosen.finalize(), portable.finalize(), "len {len}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! where the key is (rotation, retirement, destruction), so no schedule
 //! outlives its stream.
 
-use ccai_crypto::{hmac_sha256, AesGcm, IvManager, IvStatus, Key};
+use ccai_crypto::{hmac_sha256, AesGcm, HmacSha256, IvManager, IvStatus, Key};
 use ccai_sim::DetHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -68,12 +68,12 @@ impl StreamState {
 ///
 /// Stream keys are RFC 5869 HKDF-SHA256 with salt `"ccai-workload-keys"`,
 /// the master as input keying material, info `"stream" ‖ id ‖ generation`
-/// (big-endian) and L = 16. The extract step depends on the master alone,
-/// so it runs once, in [`WorkloadKeyManager::new`]: the manager holds the
-/// pseudorandom key, not the master, and each stream pays one HMAC.
+/// (big-endian) and L = 16. The extract step and the PRK's two HMAC pads depend
+/// on the master alone, so both run once, in [`WorkloadKeyManager::new`]: the
+/// manager holds the absorbed pads, not the master; a stream key costs two compressions.
 pub struct WorkloadKeyManager {
-    /// PRK = HMAC-SHA256(`"ccai-workload-keys"`, master).
-    prk: [u8; 32],
+    /// HMAC keyed by PRK = HMAC-SHA256(`"ccai-workload-keys"`, master).
+    prk: HmacSha256,
     streams: DetHashMap<StreamId, StreamState>,
     rotations: u64,
     destroyed: bool,
@@ -92,7 +92,7 @@ impl fmt::Debug for WorkloadKeyManager {
 impl WorkloadKeyManager {
     /// Creates a manager from the post-attestation shared secret.
     pub fn new(master: [u8; 32]) -> Self {
-        let prk = hmac_sha256(b"ccai-workload-keys", &master).0;
+        let prk = HmacSha256::new(hmac_sha256(b"ccai-workload-keys", &master).as_bytes());
         WorkloadKeyManager { prk, streams: DetHashMap::default(), rotations: 0, destroyed: false }
     }
 
@@ -117,7 +117,7 @@ impl WorkloadKeyManager {
         message[6..10].copy_from_slice(&id.0.to_be_bytes());
         message[10..14].copy_from_slice(&generation.to_be_bytes());
         message[14] = 0x01;
-        let t1 = hmac_sha256(&self.prk, &message);
+        let t1 = self.prk.mac(&message);
         Key::Aes128(t1.0[..16].try_into().expect("16 of 32 bytes"))
     }
 
@@ -200,7 +200,7 @@ impl WorkloadKeyManager {
     /// the PCIe-SC securely destroy shared symmetric keys").
     pub fn destroy(&mut self) {
         self.streams.clear();
-        self.prk = [0u8; 32];
+        self.prk = HmacSha256::new(&[]);
         self.destroyed = true;
     }
 
@@ -390,9 +390,10 @@ mod tests {
     fn destroy_wipes_material() {
         let mut m = manager();
         m.provision_stream(StreamId(1), 10);
-        assert_ne!(m.prk, [0; 32]);
+        let unkeyed = HmacSha256::new(&[]).mac(b"probe");
+        assert_ne!(m.prk.mac(b"probe"), unkeyed);
         m.destroy();
-        assert_eq!(m.prk, [0; 32], "the PRK is key material too");
+        assert_eq!(m.prk.mac(b"probe"), unkeyed, "the PRK is key material too");
         assert!(m.is_destroyed());
         assert_eq!(
             m.stream_key(StreamId(1)),

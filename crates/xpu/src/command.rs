@@ -114,7 +114,7 @@ impl CommandProcessor {
         self.executed += 1;
         self.status = match command {
             Command::LoadModel { addr, len } => {
-                if len == 0 || memory.check(addr, len.min(1)).is_err() {
+                if len == 0 || memory.check(addr, len).is_err() {
                     CmdStatus::Error
                 } else {
                     self.model = Some((addr, len));
@@ -249,6 +249,24 @@ mod tests {
         assert_eq!(
             cp.execute(Command::LoadModel { addr: 0, len: 0 }, &mut mem),
             CmdStatus::Error
+        );
+    }
+
+    /// A model that starts inside device memory but runs past its end is
+    /// refused at the load, not accepted and failed at every inference.
+    #[test]
+    fn load_model_checks_its_whole_range() {
+        let mut mem = DeviceMemory::new(1024);
+        let mut cp = CommandProcessor::new();
+        assert_eq!(
+            cp.execute(Command::LoadModel { addr: 1000, len: 100 }, &mut mem),
+            CmdStatus::Error
+        );
+        assert_eq!(cp.model(), None);
+        assert_eq!(
+            cp.execute(Command::LoadModel { addr: 1000, len: 24 }, &mut mem),
+            CmdStatus::Done,
+            "a model ending at the last byte fits"
         );
     }
 
